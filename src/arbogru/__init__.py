@@ -9,11 +9,10 @@ from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
                     count_parameters, downward_pass, init_params,
                     itemize_parameters, predict_nodes, upward_pass)
 from .training import (Metrics, OptimizerState, SplitCorpora, TrainConfig,
-                       TrainResult, adagrad_step, apply_dropout,
-                       build_sentence_graph, compute_loss, evaluate,
-                       gradient_check, train)
-from .treebank import (Corpus, LabeledTree, TreebankError, extract_phrases,
-                       load_corpus, parse_tree, serialize_tree, to_binary_task)
+                       TrainResult, adagrad_step, build_sentence_graph,
+                       evaluate, gradient_check, train)
+from .treebank import (Corpus, LabeledTree, TreebankError, load_corpus,
+                       parse_tree, serialize_tree, to_binary_task)
 
 __version__ = "0.1.0"
 
@@ -22,9 +21,9 @@ __all__ = [
     "LabeledTree", "Metrics", "ModelParams", "NodeStates", "OptimizerState",
     "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
     "Vocabulary",
-    "ValueRef", "adagrad_step", "apply_dropout", "attention_pool", "backward",
-    "build_sentence_graph", "build_vocab", "compute_loss", "count_parameters",
-    "downward_pass", "evaluate", "extract_phrases", "gradient_check",
+    "ValueRef", "adagrad_step", "attention_pool", "backward",
+    "build_sentence_graph", "build_vocab", "count_parameters",
+    "downward_pass", "evaluate", "gradient_check",
     "init_params", "itemize_parameters", "load_checkpoint", "load_corpus",
     "load_glove", "load_vocab", "parse_tree", "predict_nodes",
     "random_embeddings", "save_checkpoint", "save_vocab", "serialize_tree",

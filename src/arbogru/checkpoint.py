@@ -1,10 +1,13 @@
 """Bit-exact model checkpoints.
 
-Layout: a magic line, one line of JSON manifest (format version, the
-defining dimensions, and an ordered list of (tensor name, shape,
-element type)), then the raw little-endian IEEE-754 tensor bytes
-concatenated in manifest order.  Loading then saving reproduces the
-file byte for byte.
+Layout: a magic line, one line of JSON manifest, then the raw
+little-endian IEEE-754 tensor bytes concatenated in manifest order.
+The version 2 manifest holds the format version, the variant, the
+attention flag and the attention score normalization, the defining
+dimensions, and an ordered list of (tensor name, shape, element type).
+Version 1 files, which predate the normalization key, still load; they
+were always scored with softmax.  Loading then saving a version 2 file
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import json
 
 import numpy as np
 
-from .model import ModelParams, param_shapes
+from .model import ATTENTION_NORMS, ModelParams, param_shapes
 
 MAGIC = b"ARBOCKPT1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
@@ -30,6 +33,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "format_version": FORMAT_VERSION,
         "variant": params.variant,
         "attention": params.attention,
+        "attention_norm": params.attention_norm,
         "dim": params.dim,
         "vocab_size": params.vocab_size,
         "classes": params.classes,
@@ -57,9 +61,12 @@ def load_checkpoint(path) -> ModelParams:
             manifest = json.loads(manifest_line)
         except json.JSONDecodeError as err:
             raise CheckpointError(f"{path}: unreadable manifest: {err}") from None
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {manifest.get('format_version')}")
+        version = manifest.get("format_version")
+        if version not in (1, FORMAT_VERSION):
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        norm = manifest.get("attention_norm") if version > 1 else "softmax"
+        if norm not in ATTENTION_NORMS:
+            raise CheckpointError(f"{path}: unknown attention norm {norm!r}")
         tensors: dict[str, np.ndarray] = {}
         for name, shape, tag in manifest["tensors"]:
             dtype = _DTYPES.get(tag)
@@ -73,8 +80,9 @@ def load_checkpoint(path) -> ModelParams:
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
-    params = ModelParams(manifest["variant"], manifest["attention"], manifest["dim"],
-                         manifest["classes"], manifest["max_children"], tensors)
+    params = ModelParams(manifest["variant"], manifest["attention"], norm,
+                         manifest["dim"], manifest["classes"],
+                         manifest["max_children"], tensors)
     expected = param_shapes(params.variant, params.dim, manifest["vocab_size"],
                             params.classes, params.max_children, params.attention)
     got = {name: t.shape for name, t in tensors.items()}

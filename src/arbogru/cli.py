@@ -20,10 +20,11 @@ from .autodiff import Tape
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (build_vocab, load_glove, load_vocab,
                          random_embeddings, save_vocab)
-from .model import VARIANTS, init_params, itemize_parameters
+from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
 from .training import (SplitCorpora, TrainConfig, TrainingError,
                        build_sentence_graph, evaluate, gradient_check, train)
-from .treebank import TreebankError, load_corpus, parse_tree
+from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
+                       TreebankError, load_corpus, parse_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -84,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", formatter_class=fmt,
                        help="train a model and keep the best-dev checkpoint")
     _model_flags(p)
+    _attention_norm_flag(p)
     p.add_argument("--data", required=True,
                    help="directory with train.txt/dev.txt/test.txt treebank files")
     p.add_argument("--glove", default=None,
@@ -100,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evals-per-epoch", type=int, default=4,
                    help="dev evaluations per epoch")
     p.add_argument("--seed", type=int, default=1, help="random seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap on worker threads for per-sentence work "
-                        "(default: sequential; the interpreter lock makes "
-                        "extra threads rarely worthwhile)")
     p.add_argument("--precision", choices=("f32", "f64"), default="f64",
                    help="floating-point width for parameters")
     p.set_defaults(func=run_train)
@@ -114,12 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="treebank directory")
     p.add_argument("--split", choices=("train", "dev", "test"), default="test",
                    help="which split to score")
-    p.add_argument("--task", choices=("fine", "binary"), default="fine",
-                   help="label scheme: 5-class or positive/negative")
-    p.add_argument("--attention-norm", choices=("softmax", "linear"),
-                   default="softmax", help="attention score normalization")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap on worker threads (default: sequential)")
     p.set_defaults(func=run_eval)
 
     p = sub.add_parser("predict", formatter_class=fmt,
@@ -129,13 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="file of treebank lines (labels may be dummy 0)")
     p.add_argument("--show-attention", action="store_true",
                    help="also print per-node attention weights")
-    p.add_argument("--attention-norm", choices=("softmax", "linear"),
-                   default="softmax", help="attention score normalization")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("gradcheck", formatter_class=fmt,
                        help="compare tape gradients against finite differences")
     _model_flags(p)
+    _attention_norm_flag(p)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--trees", type=int, default=3, help="number of random trees")
     p.set_defaults(func=run_gradcheck)
@@ -157,10 +148,12 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
                    help="network variant")
     p.add_argument("--attention", action="store_true",
                    help="add the structural attention head")
-    p.add_argument("--attention-norm", choices=("softmax", "linear"),
-                   default="softmax", dest="attention_norm",
-                   help="attention score normalization")
     p.add_argument("--dim", type=int, default=300, help="state dimensionality")
+
+
+def _attention_norm_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--attention-norm", choices=ATTENTION_NORMS, default="softmax",
+                   help="attention score normalization; stored in the checkpoint")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -194,8 +187,14 @@ def run_train(args) -> int:
         dev=load_corpus(paths["dev"], args.task),
         test=load_corpus(paths["test"], args.task) if paths["test"] else None,
     )
+    config = TrainConfig(
+        variant=args.variant, attention=args.attention, task=args.task,
+        dim=args.dim, learning_rate=args.lr, batch_size=args.batch, l2=args.l2,
+        dropout=args.dropout, epochs=args.epochs,
+        evals_per_epoch=args.evals_per_epoch, seed=args.seed,
+        precision=args.precision)
+    dtype = config.dtype()
     vocab = build_vocab(corpora.train)
-    dtype = np.float64 if args.precision == "f64" else np.float32
     rng = np.random.default_rng(args.seed)
     if args.glove:
         emb = load_glove(args.glove, vocab, args.dim, rng, dtype)
@@ -207,14 +206,8 @@ def run_train(args) -> int:
 
     classes = corpora.train.class_count
     params = init_params(args.variant, args.dim, vocab, classes, 2, rng,
-                         attention=args.attention, embeddings=emb, dtype=dtype)
-    config = TrainConfig(
-        variant=args.variant, attention=args.attention,
-        attention_norm=args.attention_norm, task=args.task, dim=args.dim,
-        learning_rate=args.lr, batch_size=args.batch, l2=args.l2,
-        dropout=args.dropout, epochs=args.epochs,
-        evals_per_epoch=args.evals_per_epoch, seed=args.seed,
-        threads=args.threads, precision=args.precision)
+                         attention=args.attention, embeddings=emb, dtype=dtype,
+                         attention_norm=args.attention_norm)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,8 +222,8 @@ def run_train(args) -> int:
     save_checkpoint(out / "checkpoint.bin", result.best_params)
     save_vocab(vocab, out / "vocab.txt")
     manifest = asdict(config)
-    manifest["threads"] = config.resolved_threads()
     manifest.update({
+        "attention_norm": result.best_params.attention_norm,
         "vocab_size": vocab.size,
         "classes": classes,
         "coverage": emb.coverage,
@@ -262,11 +255,15 @@ def _load_model(checkpoint_path):
 
 def run_eval(args) -> int:
     params, vocab = _load_model(args.checkpoint)
+    task = {FINE_CLASSES: TASK_FINE, BINARY_CLASSES: TASK_BINARY}.get(params.classes)
+    _require(task is not None,
+             f"checkpoint has {params.classes} classes; eval scores "
+             f"{FINE_CLASSES}-class ({TASK_FINE}) or "
+             f"{BINARY_CLASSES}-class ({TASK_BINARY}) models")
     split_path = Path(args.data) / f"{args.split}.txt"
     _require(split_path.exists(), f"missing treebank file {split_path}")
-    corpus = load_corpus(split_path, args.task)
-    metrics = evaluate(corpus, params, vocab, attention_norm=args.attention_norm,
-                       threads=args.threads or 1)
+    corpus = load_corpus(split_path, task)
+    metrics = evaluate(corpus, params, vocab)
     print(f"root_accuracy {metrics.root_accuracy:.4f}")
     print(f"node_accuracy {metrics.node_accuracy:.4f}")
     return 0
@@ -290,8 +287,7 @@ def run_predict(args) -> int:
                 failures += 1
                 continue
             tape = Tape()
-            graph = build_sentence_graph(tape, tree, params, vocab,
-                                         attention_norm=args.attention_norm)
+            graph = build_sentence_graph(tape, tree, params, vocab)
             dist = graph.preds.probs[0]
             fields = [str(graph.preds.labels[0]),
                       " ".join(f"{p:.4f}" for p in dist)]

@@ -35,6 +35,7 @@ from .treebank import LabeledTree
 VARIANT_TREEGRU = "treegru"
 VARIANT_TREEBIGRU = "treebigru"
 VARIANTS = (VARIANT_TREEGRU, VARIANT_TREEBIGRU)
+ATTENTION_NORMS = ("softmax", "linear")
 
 RECURRENT_INIT = 0.5   # identity scale for the square recurrent matrices
 CLASSIFIER_INIT = 0.01  # std-dev scale for classifier and attention draws
@@ -100,10 +101,12 @@ def is_bias(name: str) -> bool:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor, keyed by name, plus the defining dimensions."""
+    """Every trainable tensor, keyed by name, plus the defining dimensions
+    and the attention score normalization the model was trained with."""
 
     variant: str
     attention: bool
+    attention_norm: str
     dim: int
     classes: int
     max_children: int
@@ -118,8 +121,8 @@ class ModelParams:
         return self.tensors["emb"].dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.variant, self.attention, self.dim, self.classes,
-                           self.max_children,
+        return ModelParams(self.variant, self.attention, self.attention_norm,
+                           self.dim, self.classes, self.max_children,
                            {name: t.copy() for name, t in self.tensors.items()})
 
     def total_parameters(self) -> int:
@@ -128,12 +131,14 @@ class ModelParams:
 
 def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
                 max_children: int, rng, attention: bool = False,
-                embeddings=None, dtype=np.float64) -> ModelParams:
+                embeddings=None, dtype=np.float64,
+                attention_norm: str = "softmax") -> ModelParams:
     """Build parameters: square recurrent matrices at 0.5*I, classifier and
     attention tensors from a scaled standard normal, biases at zero.
 
     ``embeddings`` is an EmbeddingMatrix; omitted, rows are drawn
-    uniformly from [-0.05, 0.05].
+    uniformly from [-0.05, 0.05].  ``attention_norm`` (one of
+    ATTENTION_NORMS) travels with the parameters into the checkpoint.
     """
     shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
     random_init = {"W_s", "W_s_up", "W_s_dn", "W_s_att", "W_w", "u_w"}
@@ -153,7 +158,8 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
             tensors[name] = (rng.standard_normal(shape) * CLASSIFIER_INIT).astype(dtype)
         else:
             tensors[name] = (RECURRENT_INIT * np.eye(dim)).astype(dtype)
-    return ModelParams(variant, attention, dim, classes, max_children, tensors)
+    return ModelParams(variant, attention, attention_norm, dim, classes,
+                       max_children, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +363,15 @@ def node_representation(states: NodeStates, j: int, tape: Tape) -> ValueRef:
     return states.h_up[j]
 
 
-def attention_pool(states: NodeStates, params: ModelParams, tape: Tape,
-                   norm: str = "softmax") -> AttentionResult:
+def attention_pool(states: NodeStates, params: ModelParams,
+                   tape: Tape) -> AttentionResult:
     """Score every node against the context vector and pool.
 
     Each representation is projected through tanh(W_w . + b_w), scored
-    by a dot product with u_w, and the scores are normalized (softmax by
-    default; ``norm="linear"`` divides raw scores by their sum for
-    comparison).  The sentence vector is the weighted sum of the raw
-    node representations.
+    by a dot product with u_w, and the scores are normalized as
+    ``params.attention_norm`` says (softmax, or "linear", which divides
+    raw scores by their sum for comparison).  The sentence vector is the
+    weighted sum of the raw node representations.
     """
     if not params.attention:
         raise ModelError("parameters carry no attention tensors")
@@ -380,12 +386,12 @@ def attention_pool(states: NodeStates, params: ModelParams, tape: Tape,
                                  b.ref("b_w")))
         scores.append(ad.dot(tape, u, b.ref("u_w")))
     stacked = ad.stack(tape, scores)
-    if norm == "softmax":
+    if params.attention_norm == "softmax":
         weights = ad.softmax(tape, stacked)
-    elif norm == "linear":
+    elif params.attention_norm == "linear":
         weights = ad.linear_norm(tape, stacked)
     else:
-        raise ModelError(f"unknown attention norm {norm!r}")
+        raise ModelError(f"unknown attention norm {params.attention_norm!r}")
     pooled = ad.vsum(tape, [ad.scale(tape, ad.pick(tape, weights, j), reps[j])
                             for j in range(n)])
     return AttentionResult(weights, pooled)

@@ -29,7 +29,6 @@ from .treebank import Corpus, LabeledTree, random_tree
 log = logging.getLogger("arbogru")
 
 ADAGRAD_EPS = 1e-8
-PROB_FLOOR = 1e-12
 GRAD_NORM_WARN = 1e3
 FD_EPSILON = 1e-5
 REL_ERR_FLOOR = 1e-3  # below this magnitude FD noise dominates; compare absolutely
@@ -47,7 +46,6 @@ class TrainConfig:
 
     variant: str = m.VARIANT_TREEGRU
     attention: bool = False
-    attention_norm: str = "softmax"
     task: str = "fine"
     dim: int = 300
     learning_rate: float = 0.01
@@ -59,19 +57,9 @@ class TrainConfig:
     seed: int = 1
     max_children: int = 2
     precision: str = "f64"
-    threads: Optional[int] = None  # worker cap; None = sequential (see note)
 
     def dtype(self):
         return np.float64 if self.precision == "f64" else np.float32
-
-    def resolved_threads(self) -> int:
-        # Per-sentence tape building is pure Python, so the GIL makes
-        # thread pools a measured slowdown; stay sequential unless the
-        # caller explicitly asks for workers.  Results are identical
-        # either way (ordered merge).
-        if self.threads is None:
-            return 1
-        return max(1, min(self.threads, os.cpu_count() or 1))
 
 
 @dataclass
@@ -146,56 +134,8 @@ def dropout_mask(size: int, p_drop: float, rng, dtype=np.float64) -> np.ndarray:
     return keep.astype(dtype) / (1.0 - p_drop)
 
 
-def apply_dropout(vec: np.ndarray, p_drop: float, rng, training: bool) -> np.ndarray:
-    """Inverted dropout on a vector; the identity in evaluation mode."""
-    if not 0.0 <= p_drop < 1.0:
-        raise ValueError(f"dropout probability {p_drop} outside [0, 1)")
-    if not training or p_drop == 0.0:
-        return vec
-    return vec * dropout_mask(vec.shape[0], p_drop, rng, vec.dtype)
-
-
 # ---------------------------------------------------------------------------
 # loss
-
-class ClampCounter:
-    """Counts gold-label probabilities clamped away from zero."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-clamp_counter = ClampCounter()
-
-
-def compute_loss(distributions, gold_labels, params: Optional[m.ModelParams] = None,
-                 l2: float = 0.0, touched_rows=()) -> float:
-    """Summed negative log-likelihood of the gold labels, plus the L2 penalty.
-
-    Takes one probability vector per supervised node.  A zero
-    probability at a gold label is clamped to 1e-12; clamps are counted
-    on ``clamp_counter`` and logged.
-    """
-    if len(distributions) != len(gold_labels):
-        raise ValueError("one distribution per gold label required")
-    total = 0.0
-    clamped = 0
-    for probs, gold in zip(distributions, gold_labels):
-        p = float(probs[gold])
-        if p < PROB_FLOOR:
-            p = PROB_FLOOR
-            clamped += 1
-        total -= math.log(p)
-    if clamped:
-        clamp_counter.count += clamped
-        log.warning("clamped %d zero gold-label probabilities", clamped)
-    if params is not None and l2 > 0.0:
-        total += l2_penalty(params, l2, touched_rows)
-    return total
-
 
 def l2_penalty(params: m.ModelParams, l2: float, touched_rows=()) -> float:
     """(l2/2) * squared norm of weight matrices plus touched embedding rows."""
@@ -266,9 +206,8 @@ class SentenceGraph:
 
 
 def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
-                         vocab: Vocabulary, attention_norm: str = "softmax",
-                         train_mode: bool = False, dropout: float = 0.0,
-                         rng=None) -> SentenceGraph:
+                         vocab: Vocabulary, train_mode: bool = False,
+                         dropout: float = 0.0, rng=None) -> SentenceGraph:
     """Forward graph for one sentence: passes, classifiers, and data loss."""
     input_mask = None
     if train_mode and dropout > 0.0:
@@ -284,7 +223,7 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
         m.downward_pass(states, params, tape)
     attn = None
     if params.attention:
-        attn = m.attention_pool(states, params, tape, norm=attention_norm)
+        attn = m.attention_pool(states, params, tape)
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
 
     losses = [ad.softmax_cross_entropy(tape, preds.logits[j], node.label)
@@ -296,13 +235,12 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
 
 
 def sentence_gradients(tree: LabeledTree, params: m.ModelParams, vocab: Vocabulary,
-                       attention_norm: str = "softmax", train_mode: bool = False,
-                       dropout: float = 0.0, rng=None) -> tuple[float, GradTable]:
+                       train_mode: bool = False, dropout: float = 0.0,
+                       rng=None) -> tuple[float, GradTable]:
     """One forward/backward sweep; returns (data loss, gradient table)."""
     tape = Tape()
-    graph = build_sentence_graph(tape, tree, params, vocab,
-                                 attention_norm=attention_norm,
-                                 train_mode=train_mode, dropout=dropout, rng=rng)
+    graph = build_sentence_graph(tape, tree, params, vocab, train_mode=train_mode,
+                                 dropout=dropout, rng=rng)
     table = GradTable()
     if graph.loss is None:
         return 0.0, table
@@ -339,7 +277,6 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         raise TrainingError("empty training corpus")
     n_batches = math.ceil(len(sentences) / config.batch_size)
     eval_every = max(1, math.ceil(n_batches / config.evals_per_epoch))
-    workers = config.resolved_threads()
 
     lines: list[str] = []
 
@@ -357,8 +294,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
 
     def run_eval(epoch):
         nonlocal best, best_acc, best_step
-        metrics = evaluate(data.dev, params, vocab,
-                           attention_norm=config.attention_norm, threads=workers)
+        metrics = evaluate(data.dev, params, vocab)
         if losses_since_eval:
             mean_loss = sum(losses_since_eval) / len(losses_since_eval)
         else:
@@ -378,7 +314,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         for b in range(n_batches):
             ids = order[b * config.batch_size:(b + 1) * config.batch_size]
             batch_loss = _train_batch(ids, sentences, params, vocab, opt,
-                                      config, rng, workers)
+                                      config, rng)
             losses_since_eval.append(batch_loss)
             global_step += 1
             evaluated_last = (b + 1) % eval_every == 0
@@ -390,22 +326,33 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
     return TrainResult(best, best_acc, best_step, params, lines)
 
 
-def _train_batch(ids, sentences, params, vocab, opt, config, rng, workers) -> float:
-    # per-sentence generators are seeded up front so thread scheduling
-    # cannot change the dropout masks
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
+    # Sentences run on a thread pool: numpy's d x d products in the
+    # backward sweep release the interpreter lock, which pays at the
+    # reference d=300.  Per-sentence generators are seeded up front and
+    # results merge in batch order, so the worker count cannot change
+    # the dropout masks or the summed gradients.
     seeds = rng.integers(0, 2 ** 63 - 1, size=len(ids))
 
     def one(pos):
         idx = int(ids[pos])
         sent_rng = np.random.default_rng(seeds[pos])
         loss, table = sentence_gradients(
-            sentences[idx], params, vocab, attention_norm=config.attention_norm,
-            train_mode=True, dropout=config.dropout, rng=sent_rng)
+            sentences[idx], params, vocab, train_mode=True,
+            dropout=config.dropout, rng=sent_rng)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite loss at sentence index {idx}")
         return loss, table
 
-    results = _parallel_map(one, range(len(ids)), workers)
+    with ThreadPoolExecutor(max_workers=min(usable_cpus(), len(ids))) as pool:
+        results = list(pool.map(one, range(len(ids))))
 
     total = GradTable()
     batch_loss = 0.0
@@ -422,21 +369,17 @@ def _train_batch(ids, sentences, params, vocab, opt, config, rng, workers) -> fl
     return batch_loss
 
 
-def _parallel_map(fn, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary,
-             attention_norm: str = "softmax", threads: int = 1) -> Metrics:
+def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metrics:
     """Dropout-free metrics: root accuracy over sentences, node accuracy
-    over supervised nodes, mean per-sentence data loss."""
+    over supervised nodes, mean per-sentence data loss.
+
+    Sequential on purpose: forward-only work is mostly Python-level tape
+    building under the interpreter lock, and a thread pool measured no
+    faster here.
+    """
     if corpus.class_count != params.classes:
         raise ValueError(f"corpus has {corpus.class_count} classes, "
                          f"model has {params.classes}")
@@ -445,8 +388,7 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary,
 
     def one(tree):
         tape = Tape()
-        graph = build_sentence_graph(tape, tree, params, vocab,
-                                     attention_norm=attention_norm)
+        graph = build_sentence_graph(tape, tree, params, vocab)
         nodes = graph.states.index.nodes
         root_ok = int(nodes[0].supervised and graph.preds.labels[0] == nodes[0].label)
         supervised = hits = 0
@@ -457,7 +399,7 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary,
         loss = float(tape.value(graph.loss)) if graph.loss is not None else 0.0
         return root_ok, hits, supervised, loss
 
-    results = _parallel_map(one, corpus.trees, threads)
+    results = [one(tree) for tree in corpus.trees]
     n = len(corpus.trees)
     node_total = sum(r[2] for r in results)
     return Metrics(
@@ -494,13 +436,13 @@ def gradient_check(variant: str, attention: bool, dim: int,
     if tree is None:
         tree = random_tree(rng, _CHECK_TOKENS)
     vocab = build_vocab(Corpus([tree], "check", "fine", 5))
-    params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention)
+    params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
+                           attention_norm=attention_norm)
     for name, t in params.tensors.items():
         params.tensors[name] = rng.uniform(-0.5, 0.5, t.shape)
 
     tape = Tape()
-    graph = build_sentence_graph(tape, tree, params, vocab,
-                                 attention_norm=attention_norm)
+    graph = build_sentence_graph(tape, tree, params, vocab)
     binding = graph.states.binding
     touched = sorted(binding.emb_rows.keys())
     base = ad.backward(tape, graph.loss)
@@ -526,8 +468,7 @@ def gradient_check(variant: str, attention: bool, dim: int,
 
     def objective() -> float:
         probe = Tape()
-        got = build_sentence_graph(probe, tree, params, vocab,
-                                   attention_norm=attention_norm)
+        got = build_sentence_graph(probe, tree, params, vocab)
         return float(probe.value(got.loss)) + l2_penalty(params, l2, touched)
 
     worst = 0.0

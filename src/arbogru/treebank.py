@@ -79,18 +79,6 @@ def iter_nodes(tree: LabeledTree) -> Iterator[LabeledTree]:
         stack.extend(reversed(node.children))
 
 
-def leaf_tokens(tree: LabeledTree) -> list[str]:
-    return [node.token for node in iter_nodes(tree) if node.is_leaf]
-
-
-def node_count(tree: LabeledTree) -> int:
-    return sum(1 for _ in iter_nodes(tree))
-
-
-def max_arity(tree: LabeledTree) -> int:
-    return max(len(node.children) for node in iter_nodes(tree))
-
-
 def parse_tree(line: str, num_classes: int = FINE_CLASSES) -> LabeledTree:
     """Parse one parenthesized tree.
 
@@ -164,24 +152,6 @@ def serialize_tree(tree: LabeledTree) -> str:
         return f"({tree.label} {tree.token})"
     inner = " ".join(serialize_tree(child) for child in tree.children)
     return f"({tree.label} {inner})"
-
-
-def extract_phrases(tree: LabeledTree) -> list[tuple[str, Optional[int]]]:
-    """Post-order (span text, label) pairs, one per node."""
-    out = []
-
-    def visit(node):
-        if node.is_leaf:
-            tokens = [node.token]
-        else:
-            tokens = []
-            for child in node.children:
-                tokens.extend(visit(child))
-        out.append((" ".join(tokens), node.label))
-        return tokens
-
-    visit(tree)
-    return out
 
 
 def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None) -> Corpus:

@@ -180,7 +180,7 @@ def test_criterion_5_overfit_capacity():
             config = TrainConfig(
                 variant=variant, attention=attention, dim=50,
                 learning_rate=0.05, batch_size=25, l2=0.0, dropout=0.0,
-                epochs=200, evals_per_epoch=1, seed=1, threads=1)
+                epochs=200, evals_per_epoch=1, seed=1)
             params = init_params(variant, 50, vocab, 5, 2,
                                  np.random.default_rng(1), attention=attention)
             result = train(config, data, params, vocab)
@@ -233,7 +233,7 @@ def test_criterion_6_invariant_suite():
         def run():
             data = SplitCorpora(synth_corpus(8, seed=2), synth_corpus(3, seed=3))
             config = TrainConfig(variant="treegru", dim=5, batch_size=4,
-                                 epochs=2, dropout=0.5, seed=17, threads=1)
+                                 epochs=2, dropout=0.5, seed=17)
             params = init_params("treegru", 5, vocab, 5, 2,
                                  np.random.default_rng(17))
             result = train(config, data, params, vocab)

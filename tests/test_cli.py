@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arbogru.cli import main
-from arbogru.treebank import serialize_tree
+from arbogru.treebank import parse_tree, serialize_tree
 
 from conftest import synth_corpus
 
@@ -22,8 +22,7 @@ def data_dir(tmp_path):
 
 def train_args(data_dir, out, **overrides):
     args = ["train", "--data", str(data_dir), "--out", str(out),
-            "--dim", "6", "--epochs", "2", "--batch", "4", "--seed", "3",
-            "--threads", "1"]
+            "--dim", "6", "--epochs", "2", "--batch", "4", "--seed", "3"]
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
         if value is True:
@@ -171,7 +170,7 @@ def trained(data_dir, tmp_path):
 
 def test_eval_prints_metrics(trained, data_dir, capsys):
     code = main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
-                 "--data", str(data_dir), "--split", "test", "--threads", "1"])
+                 "--data", str(data_dir), "--split", "test"])
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
@@ -183,7 +182,7 @@ def test_eval_prints_metrics(trained, data_dir, capsys):
 def test_eval_dev_matches_manifest_best(trained, data_dir, capsys):
     manifest = json.loads((trained / "manifest.json").read_text())
     code = main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
-                 "--data", str(data_dir), "--split", "dev", "--threads", "1"])
+                 "--data", str(data_dir), "--split", "dev"])
     out = capsys.readouterr().out
     assert code == 0
     assert f"root_accuracy {manifest['best_dev_accuracy']:.4f}" in out
@@ -191,7 +190,7 @@ def test_eval_dev_matches_manifest_best(trained, data_dir, capsys):
 
 def test_eval_deterministic(trained, data_dir, capsys):
     args = ["eval", "--checkpoint", str(trained / "checkpoint.bin"),
-            "--data", str(data_dir), "--split", "dev", "--threads", "1"]
+            "--data", str(data_dir), "--split", "dev"]
     main(args)
     first = capsys.readouterr().out
     main(args)
@@ -199,10 +198,34 @@ def test_eval_deterministic(trained, data_dir, capsys):
     assert first == second
 
 
-def test_eval_task_mismatch(trained, data_dir):
-    code = main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
-                 "--data", str(data_dir), "--split", "dev", "--task", "binary"])
+def test_eval_binary_model_without_task(data_dir, tmp_path, capsys):
+    # the task follows from the checkpoint's class count
+    out = tmp_path / "binary"
+    assert main(train_args(data_dir, out, task="binary")) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--data", str(data_dir), "--split", "dev"])
+    assert code == 0
+    assert f"root_accuracy {manifest['best_dev_accuracy']:.4f}" in capsys.readouterr().out
+
+
+def test_eval_rejects_unsupported_class_count(data_dir, tmp_path, capsys):
+    from arbogru.checkpoint import save_checkpoint
+    from arbogru.embeddings import save_vocab
+    from arbogru.model import init_params
+    from conftest import synth_vocab
+
+    vocab = synth_vocab()
+    params = init_params("treegru", 4, vocab, 3, 2, np.random.default_rng(0))
+    out = tmp_path / "three"
+    out.mkdir()
+    save_checkpoint(out / "checkpoint.bin", params)
+    save_vocab(vocab, out / "vocab.txt")
+    code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--data", str(data_dir), "--split", "dev"])
     assert code == 2
+    assert "3 classes" in capsys.readouterr().err
 
 
 def test_eval_corrupt_checkpoint(trained, data_dir, tmp_path, capsys):
@@ -253,6 +276,42 @@ def test_predict_show_attention_requires_attention_model(trained, tmp_path, caps
     assert "attention" in capsys.readouterr().err
 
 
+def test_predict_uses_trained_attention_norm(data_dir, tmp_path, capsys):
+    from arbogru.autodiff import Tape
+    from arbogru.checkpoint import load_checkpoint
+    from arbogru.embeddings import load_vocab
+    from arbogru.training import build_sentence_graph
+
+    out = tmp_path / "linear"
+    assert main(train_args(data_dir, out, attention=True,
+                           attention_norm="linear")) == 0
+    assert json.loads((out / "manifest.json").read_text())["attention_norm"] == "linear"
+    capsys.readouterr()
+    lines = (data_dir / "test.txt").read_text().splitlines()
+    code = main(["predict", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--input", str(data_dir / "test.txt"), "--show-attention"])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+
+    params = load_checkpoint(out / "checkpoint.bin")
+    vocab = load_vocab(out / "vocab.txt")
+
+    def rows(norm):
+        params.attention_norm = norm
+        got = []
+        for line in lines:
+            tape = Tape()
+            graph = build_sentence_graph(tape, parse_tree(line), params, vocab)
+            got.append("\t".join([
+                str(graph.preds.labels[0]),
+                " ".join(f"{p:.4f}" for p in graph.preds.probs[0]),
+                " ".join(f"{w:.4f}" for w in tape.value(graph.attn.weights))]))
+        return got
+
+    assert printed == rows("linear")
+    assert printed != rows("softmax")
+
+
 def test_predict_show_attention_weights(data_dir, tmp_path, capsys):
     out = tmp_path / "att_run"
     assert main(train_args(data_dir, out, attention=True)) == 0
@@ -281,8 +340,22 @@ def test_help_lists_defaults(capsys):
     out = capsys.readouterr().out
     for fragment in ("--lr", "0.01", "--batch", "25", "--epochs", "40",
                      "--l2", "0.0001", "--dropout", "0.5", "--dim", "300",
-                     "--seed", "--threads", "--precision"):
+                     "--seed", "--precision", "--attention-norm"):
         assert fragment in out
+
+
+@pytest.mark.parametrize("command,absent", [
+    ("train", ("--threads",)),
+    ("eval", ("--threads", "--task", "--attention-norm")),
+    ("predict", ("--attention-norm",)),
+    ("params", ("--attention-norm",)),
+])
+def test_help_omits_settings_read_from_the_checkpoint_or_machine(command, absent,
+                                                                capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in absent:
+        assert flag not in out
 
 
 def test_bigru_attention_end_to_end(data_dir, tmp_path, capsys):
@@ -292,7 +365,7 @@ def test_bigru_attention_end_to_end(data_dir, tmp_path, capsys):
     assert main(args) == 0
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
-                 "--data", str(data_dir), "--split", "test", "--threads", "1"])
+                 "--data", str(data_dir), "--split", "test"])
     assert code == 0
     assert "root_accuracy" in capsys.readouterr().out
 
@@ -352,7 +425,7 @@ def test_predict_linear_norm_degenerate_scores_exit_1(tmp_path, capsys):
 
     vocab = synth_vocab()
     params = init_params("treegru", 4, vocab, 5, 2, np.random.default_rng(0),
-                         attention=True)
+                         attention=True, attention_norm="linear")
     params.tensors["u_w"][:] = 0.0
     out = tmp_path / "degenerate"
     out.mkdir()
@@ -361,6 +434,6 @@ def test_predict_linear_norm_degenerate_scores_exit_1(tmp_path, capsys):
     inp = tmp_path / "inp.txt"
     inp.write_text("(0 (2 good) (2 movie))\n")
     code = main(["predict", "--checkpoint", str(out / "checkpoint.bin"),
-                 "--input", str(inp), "--attention-norm", "linear"])
+                 "--input", str(inp)])
     assert code == 1
     assert "linear_norm" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,12 @@ VARIANT_CASES = [("treegru", False), ("treegru", True),
                  ("treebigru", False), ("treebigru", True)]
 
 
-def forward(tree, params, vocab, norm="softmax"):
+def forward(tree, params, vocab):
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
     if params.variant == "treebigru":
         downward_pass(states, params, tape)
-    attn = attention_pool(states, params, tape, norm=norm) if params.attention else None
+    attn = attention_pool(states, params, tape) if params.attention else None
     preds = predict_nodes(states, params, tape, attn=attn)
     return tape, states, attn, preds
 
@@ -336,9 +338,10 @@ def test_attention_linear_norm_matches_oracle():
     rng = np.random.default_rng(77)
     tree = synth_tree(rng, max_nodes=7)
     params = random_params("treegru", True, 4, vocab, seed=6, scale=0.4)
+    params.attention_norm = "linear"
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
-    attn = attention_pool(states, params, tape, norm="linear")
+    attn = attention_pool(states, params, tape)
     reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
     weights, pooled = oracles.attention(reps, params.tensors, norm="linear")
     np.testing.assert_allclose(tape.value(attn.weights), weights, rtol=0, atol=1e-12)
@@ -500,11 +503,13 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
     vocab = synth_vocab()
     for variant, attention in VARIANT_CASES:
         params = random_params(variant, attention, 6, vocab, seed=21)
+        params.attention_norm = "linear" if attention else "softmax"
         first = tmp_path / f"{variant}_{attention}.bin"
         save_checkpoint(first, params)
         loaded = load_checkpoint(first)
         assert loaded.variant == params.variant
         assert loaded.attention == params.attention
+        assert loaded.attention_norm == params.attention_norm
         for name in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
         second = tmp_path / "again.bin"
@@ -522,6 +527,40 @@ def test_checkpoint_float32_roundtrip(tmp_path):
     assert loaded.tensors["emb"].dtype == np.float32
     save_checkpoint(tmp_path / "f32b.bin", loaded)
     assert path.read_bytes() == (tmp_path / "f32b.bin").read_bytes()
+
+
+def write_checkpoint_by_hand(path, manifest, tensors):
+    with open(path, "wb") as handle:
+        handle.write(b"ARBOCKPT1\n")
+        handle.write(json.dumps(manifest).encode("utf-8") + b"\n")
+        for t in tensors.values():
+            handle.write(t.astype("<f8").tobytes())
+
+
+def test_checkpoint_version_1_loads_as_softmax(tmp_path):
+    # version 1 files carry no attention_norm; they were scored with softmax
+    vocab = synth_vocab()
+    params = random_params("treegru", True, 3, vocab, seed=4)
+    manifest = {
+        "format_version": 1, "variant": "treegru", "attention": True, "dim": 3,
+        "vocab_size": vocab.size, "classes": 5, "max_children": 2,
+        "tensors": [[name, list(t.shape), "<f8"] for name, t in params.tensors.items()],
+    }
+    path = tmp_path / "v1.bin"
+    write_checkpoint_by_hand(path, manifest, params.tensors)
+    loaded = load_checkpoint(path)
+    assert loaded.attention_norm == "softmax"
+    for name, t in params.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name], t)
+
+    manifest.update(format_version=2, attention_norm="cosine")
+    write_checkpoint_by_hand(path, manifest, params.tensors)
+    with pytest.raises(CheckpointError, match="attention norm"):
+        load_checkpoint(path)
+    manifest["format_version"] = 3
+    write_checkpoint_by_hand(path, manifest, params.tensors)
+    with pytest.raises(CheckpointError, match="format version 3"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -6,16 +6,16 @@ import pytest
 from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
 from arbogru.model import TapeBinding, init_params, predict_nodes, upward_pass
+from arbogru import training
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
-                              add_l2_gradients, apply_dropout,
-                              build_sentence_graph, clamp_counter,
-                              compute_loss, dropout_mask, evaluate,
+                              build_sentence_graph, dropout_mask, evaluate,
                               gradient_check, l2_penalty, max_relative_error,
                               sentence_gradients, train)
 from arbogru.treebank import Corpus, parse_tree, to_binary_task
 
 from conftest import random_params, synth_corpus, synth_tree, synth_vocab
+from oracles import compute_loss
 
 VARIANT_CASES = [("treegru", False), ("treegru", True),
                  ("treebigru", False), ("treebigru", True)]
@@ -39,22 +39,17 @@ def test_loss_additive_over_nodes():
     assert compute_loss([dist, dist], [0, 4]) == pytest.approx(2.0 * math.log(5.0))
 
 
-def test_loss_clamps_zero_probability():
-    clamp_counter.reset()
-    dist = np.array([1.0, 0.0])
-    value = compute_loss([dist], [1])
-    assert value == pytest.approx(-math.log(1e-12))
-    assert clamp_counter.count == 1
-
-
 def test_loss_includes_l2_penalty():
+    # touched embedding rows add their own squared norms to the penalty
     vocab = synth_vocab()
     params = random_params("treegru", False, 3, vocab, seed=5)
-    dist = np.full(5, 0.2)
-    bare = compute_loss([dist], [0])
-    with_penalty = compute_loss([dist], [0], params=params, l2=0.01,
-                                touched_rows=[1, 2])
-    assert with_penalty == pytest.approx(bare + l2_penalty(params, 0.01, [1, 2]))
+    emb = params.tensors["emb"]
+    bare = l2_penalty(params, 0.01)
+    with_rows = l2_penalty(params, 0.01, touched_rows=[1, 2])
+    assert bare > 0.0
+    assert with_rows == pytest.approx(
+        bare + 0.005 * (np.sum(emb[1] ** 2) + np.sum(emb[2] ** 2)))
+    assert l2_penalty(params, 0.0, touched_rows=[1, 2]) == 0.0
 
 
 def test_l2_penalty_skips_biases_and_untouched_rows():
@@ -149,30 +144,38 @@ def test_adagrad_rejects_nonfinite_and_leaves_params_untouched():
 
 def test_dropout_zero_probability_identity():
     rng = np.random.default_rng(0)
-    vec = rng.normal(size=32)
-    assert np.array_equal(apply_dropout(vec, 0.0, rng, training=True), vec)
-    assert np.array_equal(apply_dropout(vec, 0.0, rng, training=False), vec)
+    state = rng.bit_generator.state
+    mask = dropout_mask(32, 0.0, rng, np.float32)
+    assert mask.dtype == np.float32
+    assert np.array_equal(mask, np.ones(32))
+    assert rng.bit_generator.state == state  # no draws spent
 
 
 def test_dropout_eval_mode_identity():
-    rng = np.random.default_rng(0)
-    vec = rng.normal(size=32)
-    assert apply_dropout(vec, 0.9, rng, training=False) is vec
+    # outside training mode no mask is drawn, whatever the dropout rate
+    vocab = synth_vocab()
+    params = random_params("treegru", True, 5, vocab, seed=22)
+    tree = synth_tree(np.random.default_rng(4), max_nodes=9)
+    plain, evalmode = Tape(), Tape()
+    want = build_sentence_graph(plain, tree, params, vocab)
+    got = build_sentence_graph(evalmode, tree, params, vocab, dropout=0.9)
+    assert len(evalmode) == len(plain)
+    for p, q in zip(got.preds.probs, want.preds.probs):
+        assert np.array_equal(p, q)
 
 
 def test_dropout_statistics():
     rng = np.random.default_rng(123)
-    vec = np.ones(1_000_000)
-    dropped = apply_dropout(vec, 0.5, rng, training=True)
-    survivors = dropped[dropped != 0.0]
-    assert len(survivors) / len(vec) == pytest.approx(0.5, abs=0.01)
-    assert survivors.mean() == pytest.approx(2.0, abs=0.02)
+    mask = dropout_mask(1_000_000, 0.5, rng)
+    survivors = mask[mask != 0.0]
+    assert len(survivors) / len(mask) == pytest.approx(0.5, abs=0.01)
+    assert np.all(survivors == 2.0)
 
 
 def test_dropout_rejects_bad_probability():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        apply_dropout(np.ones(3), 1.0, rng, training=True)
+        dropout_mask(3, 1.0, rng)
     with pytest.raises(ValueError):
         dropout_mask(3, -0.1, rng)
 
@@ -270,7 +273,7 @@ def tiny_setup(variant="treegru", attention=False, n=12, dim=6, seed=0):
 
 def test_train_is_deterministic():
     config = TrainConfig(variant="treegru", dim=6, batch_size=4, epochs=2,
-                         dropout=0.5, seed=11, threads=1)
+                         dropout=0.5, seed=11)
     runs = []
     for _ in range(2):
         data, params, vocab = tiny_setup(seed=2)
@@ -287,7 +290,7 @@ def test_train_is_deterministic():
 
 def test_train_returns_best_dev_checkpoint():
     config = TrainConfig(variant="treegru", dim=6, batch_size=4, epochs=3,
-                         dropout=0.3, seed=5, threads=1)
+                         dropout=0.3, seed=5)
     data, params, vocab = tiny_setup(seed=4)
     result = train(config, data, params, vocab)
     logged = [float(line.split("\t")[3]) for line in result.log_lines]
@@ -301,7 +304,7 @@ def test_train_returns_best_dev_checkpoint():
 def test_train_evaluation_schedule():
     # 12 sentences, batch 4 -> 3 batches; ceil(3/4)=1 -> eval after every batch
     config = TrainConfig(variant="treegru", dim=4, batch_size=4, epochs=2,
-                         dropout=0.0, seed=1, threads=1)
+                         dropout=0.0, seed=1)
     data, params, vocab = tiny_setup(seed=6, dim=4)
     result = train(config, data, params, vocab)
     assert len(result.log_lines) == 6
@@ -313,7 +316,7 @@ def test_train_evaluation_schedule():
 def test_loss_decreases_over_first_epochs(variant, attention):
     config = TrainConfig(variant=variant, attention=attention, dim=8,
                          learning_rate=0.05, batch_size=6, epochs=5,
-                         dropout=0.0, l2=0.0, seed=3, threads=1,
+                         dropout=0.0, l2=0.0, seed=3,
                          evals_per_epoch=1)
     data, params, vocab = tiny_setup(variant, attention, n=12, dim=8, seed=8)
     result = train(config, data, params, vocab)
@@ -325,23 +328,28 @@ def test_train_propagates_nonfinite_loss():
     data, params, vocab = tiny_setup(seed=9)
     params.tensors["emb"][:] = np.nan
     config = TrainConfig(variant="treegru", dim=6, batch_size=4, epochs=1,
-                         dropout=0.0, seed=1, threads=1)
+                         dropout=0.0, seed=1)
     with pytest.raises(TrainingError, match="sentence"):
         train(config, data, params, vocab)
 
 
-def test_threaded_training_matches_sequential():
-    config_seq = TrainConfig(variant="treegru", dim=5, batch_size=6, epochs=2,
-                             dropout=0.5, seed=13, threads=1)
-    config_par = TrainConfig(variant="treegru", dim=5, batch_size=6, epochs=2,
-                             dropout=0.5, seed=13, threads=4)
-    data1, params1, vocab = tiny_setup(seed=12, dim=5)
-    data2, params2, _ = tiny_setup(seed=12, dim=5)
-    r1 = train(config_seq, data1, params1, vocab)
-    r2 = train(config_par, data2, params2, vocab)
-    for name in r1.final_params.tensors:
-        np.testing.assert_array_equal(r1.final_params.tensors[name],
-                                      r2.final_params.tensors[name])
+def test_threaded_training_matches_sequential(monkeypatch):
+    # the batch pool is sized from the CPU count; 1 worker runs sentences
+    # one after another, 4 interleave them
+    config = TrainConfig(variant="treegru", attention=True, dim=5, batch_size=6,
+                         epochs=2, dropout=0.5, seed=13)
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(training, "usable_cpus", lambda n=workers: n)
+        data, params, vocab = tiny_setup(attention=True, seed=12, dim=5)
+        runs.append(train(config, data, params, vocab))
+    strip = lambda lines: ["\t".join(l.split("\t")[:4]) for l in lines]
+    assert strip(runs[0].log_lines) == strip(runs[1].log_lines)
+    for name in runs[0].final_params.tensors:
+        np.testing.assert_array_equal(runs[0].final_params.tensors[name],
+                                      runs[1].final_params.tensors[name])
+        np.testing.assert_array_equal(runs[0].best_params.tensors[name],
+                                      runs[1].best_params.tensors[name])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from arbogru.treebank import (Corpus, LabeledTree, TreebankError,
-                              extract_phrases, iter_nodes, load_corpus,
-                              max_arity, node_count, parse_tree, random_tree,
+from arbogru.treebank import (Corpus, LabeledTree, TreebankError, iter_nodes,
+                              load_corpus, parse_tree, random_tree,
                               serialize_tree, to_binary_task)
 
 from conftest import synth_corpus
+
+
+def node_count(tree):
+    return sum(1 for _ in iter_nodes(tree))
+
+
+def max_arity(tree):
+    return max(len(node.children) for node in iter_nodes(tree))
 
 
 def test_parse_two_leaf_tree():
@@ -85,18 +92,6 @@ def test_node_count_matches_open_parens():
 def test_whitespace_normalization():
     assert serialize_tree(parse_tree("( 3  (2 good)   (2 movie) )")) == \
         "(3 (2 good) (2 movie))"
-
-
-def test_extract_phrases_postorder():
-    tree = parse_tree("(3 (2 good) (2 movie))")
-    assert extract_phrases(tree) == [("good", 2), ("movie", 2), ("good movie", 3)]
-    assert extract_phrases(parse_tree("(2 hello)")) == [("hello", 2)]
-
-
-def test_extract_phrases_counts_nodes():
-    tree = parse_tree("(4 (3 (2 a) (3 fine)) (2 film))")
-    assert node_count(tree) == 5
-    assert len(extract_phrases(tree)) == 5
 
 
 def test_labeled_tree_token_xor_children():
