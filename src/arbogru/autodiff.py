@@ -62,15 +62,30 @@ def _fail(op: str, *shapes) -> None:
     raise ShapeMismatch(f"{op}: operand shapes do not conform: {pretty}")
 
 
-def matvec(tape: Tape, matrix: ValueRef, vec: ValueRef) -> ValueRef:
-    m, v = tape.value(matrix), tape.value(vec)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        _fail("matvec", m.shape, v.shape)
+def matmul(tape: Tape, a: ValueRef, b: ValueRef,
+           bias: Optional[ValueRef] = None) -> ValueRef:
+    """``a @ b`` with numpy semantics on 1-D/2-D operands, plus an optional
+    ``bias`` added to every column of the result."""
+    av, bv = tape.value(a), tape.value(b)
+    if not (0 < av.ndim <= 2 and 0 < bv.ndim <= 2 and av.shape[-1] == bv.shape[0]):
+        _fail("matmul", av.shape, bv.shape)
+    out = av @ bv
+    parents = (a.index, b.index)
+    if bias is not None:
+        cv = tape.value(bias)
+        if cv.shape != out.shape[:1]:
+            _fail("matmul", av.shape, bv.shape, cv.shape)
+        out = out + (cv[:, None] if out.ndim == 2 else cv)
+        parents += (bias.index,)
 
     def vjp(g):
-        return np.outer(g, v), m.T @ g
+        grads = (g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv),
+                 av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
+        if bias is not None:
+            grads += (g.sum(axis=1) if g.ndim == 2 else g,)
+        return grads
 
-    return tape._append(m @ v, (matrix.index, vec.index), vjp)
+    return tape._append(np.asarray(out), parents, vjp)
 
 
 def add(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
@@ -111,18 +126,6 @@ def tanh(tape: Tape, a: ValueRef) -> ValueRef:
     return tape._append(y, (a.index,), vjp)
 
 
-def scale(tape: Tape, s: ValueRef, vec: ValueRef) -> ValueRef:
-    """Scalar times vector."""
-    sv, vv = tape.value(s), tape.value(vec)
-    if sv.shape != ():
-        _fail("scale", sv.shape, vv.shape)
-
-    def vjp(g):
-        return np.asarray(np.dot(np.ravel(g), np.ravel(vv))), sv * g
-
-    return tape._append(sv * vv, (s.index, vec.index), vjp)
-
-
 def vsum(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
     """Sum of same-shaped values."""
     if not refs:
@@ -136,17 +139,6 @@ def vsum(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
         total += v
     return tape._append(total, tuple(r.index for r in refs),
                         lambda g: (g,) * len(refs))
-
-
-def dot(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
-    av, bv = tape.value(a), tape.value(b)
-    if av.ndim != 1 or av.shape != bv.shape:
-        _fail("dot", av.shape, bv.shape)
-
-    def vjp(g):
-        return g * bv, g * av
-
-    return tape._append(np.asarray(av @ bv), (a.index, b.index), vjp)
 
 
 def blend(tape: Tape, gate: ValueRef, a: ValueRef, b: ValueRef) -> ValueRef:
@@ -192,57 +184,60 @@ def linear_norm(tape: Tape, a: ValueRef) -> ValueRef:
     return tape._append(y, (a.index,), vjp)
 
 
-def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold: int) -> ValueRef:
-    """Fused ``-log softmax(logits)[gold]`` via max-shifted log-sum-exp."""
+def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold) -> ValueRef:
+    """Fused ``-log softmax(logits)[gold]`` via max-shifted log-sum-exp.
+
+    ``logits`` is a vector with an int ``gold``, or a classes x nodes
+    matrix with one gold label per column; the loss is then the sum over
+    the columns, and a negative label marks a column as unsupervised.
+    """
     x = tape.value(logits)
-    if x.ndim != 1:
-        _fail("softmax_cross_entropy", x.shape)
-    if not 0 <= gold < x.shape[0]:
-        raise IndexError(f"gold label {gold} outside logits of length {x.shape[0]}")
-    m = np.max(x)
-    shifted = x - m
+    if x.ndim == 1 and np.ndim(gold) == 0:
+        if not 0 <= gold < x.shape[0]:
+            raise IndexError(f"gold label {gold} outside logits of length {x.shape[0]}")
+        cols, labels = x[:, None], np.array([gold])
+    elif x.ndim == 2 and np.shape(gold) == x.shape[1:]:
+        cols, labels = x, np.asarray(gold)
+        if np.any(labels >= x.shape[0]):
+            raise IndexError(f"gold label {labels.max()} outside logits of length "
+                             f"{x.shape[0]}")
+    else:
+        _fail("softmax_cross_entropy", x.shape, np.shape(gold))
+    sup = np.flatnonzero(labels >= 0)
+    rows = labels[sup]
+    shifted = cols - np.max(cols, axis=0)
     e = np.exp(shifted)
-    total = e.sum()
-    loss = np.asarray(np.log(total) - shifted[gold])
+    total = e.sum(axis=0)
+    loss = np.asarray(np.sum(np.log(total[sup]) - shifted[rows, sup]))
     probs = e / total
 
     def vjp(g):
-        grad = probs * g
-        grad[gold] -= g
-        return (grad,)
+        grad = np.zeros_like(cols)
+        grad[:, sup] = probs[:, sup] * g
+        grad[rows, sup] -= g
+        return (grad.reshape(x.shape),)
 
     return tape._append(loss, (logits.index,), vjp)
 
 
 def stack(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
-    """Collect scalars into a vector."""
+    """Equal-shaped values side by side along a new last axis: scalars
+    give a vector, vectors the columns of a matrix."""
     values = [tape.value(r) for r in refs]
-    if any(v.shape != () for v in values):
+    if not values or any(v.shape != values[0].shape for v in values):
         _fail("stack", *[v.shape for v in values])
 
     def vjp(g):
-        return tuple(np.asarray(g[i]) for i in range(len(refs)))
+        return tuple(g[..., i] for i in range(len(refs)))
 
-    return tape._append(np.stack(values), tuple(r.index for r in refs), vjp)
-
-
-def pick(tape: Tape, vec: ValueRef, i: int) -> ValueRef:
-    """Extract component ``i`` of a vector as a scalar."""
-    v = tape.value(vec)
-    if v.ndim != 1:
-        _fail("pick", v.shape)
-
-    def vjp(g):
-        out = np.zeros_like(v)
-        out[i] = g
-        return (out,)
-
-    return tape._append(np.asarray(v[i]), (vec.index,), vjp)
+    return tape._append(np.stack(values, axis=-1), tuple(r.index for r in refs), vjp)
 
 
 def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
+    """Values joined along their first axis; the other axes must agree."""
     values = [tape.value(r) for r in refs]
-    if any(v.ndim != 1 for v in values):
+    if not values or any(v.ndim == 0 or v.shape[1:] != values[0].shape[1:]
+                         for v in values):
         _fail("concat", *[v.shape for v in values])
     offsets = np.cumsum([0] + [v.shape[0] for v in values])
 

@@ -22,6 +22,9 @@ MAGIC = b"ARBOCKPT1\n"
 FORMAT_VERSION = 2
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+# manifest keys every version carries, with their JSON types
+_REQUIRED = {"variant": str, "attention": bool, "dim": int, "vocab_size": int,
+             "classes": int, "max_children": int, "tensors": list}
 
 
 class CheckpointError(ValueError):
@@ -61,15 +64,29 @@ def load_checkpoint(path) -> ModelParams:
             manifest = json.loads(manifest_line)
         except json.JSONDecodeError as err:
             raise CheckpointError(f"{path}: unreadable manifest: {err}") from None
+        if not isinstance(manifest, dict):
+            raise CheckpointError(f"{path}: manifest is not a JSON object")
         version = manifest.get("format_version")
         if version not in (1, FORMAT_VERSION):
             raise CheckpointError(f"{path}: unsupported format version {version}")
         norm = manifest.get("attention_norm") if version > 1 else "softmax"
         if norm not in ATTENTION_NORMS:
             raise CheckpointError(f"{path}: unknown attention norm {norm!r}")
+        for key, kind in _REQUIRED.items():
+            if key not in manifest:
+                raise CheckpointError(f"{path}: manifest lacks the key {key!r}")
+            value = manifest[key]
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise CheckpointError(
+                    f"{path}: manifest key {key!r} must be of type {kind.__name__}")
         tensors: dict[str, np.ndarray] = {}
-        for name, shape, tag in manifest["tensors"]:
-            dtype = _DTYPES.get(tag)
+        for row in manifest["tensors"]:
+            try:
+                name, shape, tag = row
+                shape = tuple(int(s) for s in shape)
+            except (TypeError, ValueError):
+                raise CheckpointError(f"{path}: malformed tensor entry {row!r}") from None
+            dtype = _DTYPES.get(str(tag))
             if dtype is None:
                 raise CheckpointError(f"{path}: unknown element type {tag!r}")
             count = int(np.prod(shape)) if shape else 1

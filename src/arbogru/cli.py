@@ -20,7 +20,8 @@ from .autodiff import Tape
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (build_vocab, load_glove, load_vocab,
                          random_embeddings, save_vocab)
-from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
+from .model import (ATTENTION_NORMS, VARIANTS, ModelError, init_params,
+                    itemize_parameters)
 from .training import (SplitCorpora, TrainConfig, TrainingError,
                        build_sentence_graph, evaluate, gradient_check, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
@@ -280,14 +281,13 @@ def run_predict(args) -> int:
             line = line.strip()
             if not line:
                 continue
+            tape = Tape()
             try:
-                tree = parse_tree(line)
-            except TreebankError as err:
+                graph = build_sentence_graph(tape, parse_tree(line), params, vocab)
+            except (TreebankError, ModelError) as err:
                 print(f"line {lineno}: {err}", file=sys.stderr)
                 failures += 1
                 continue
-            tape = Tape()
-            graph = build_sentence_graph(tape, tree, params, vocab)
             dist = graph.preds.probs[0]
             fields = [str(graph.preds.labels[0]),
                       " ".join(f"{p:.4f}" for p in dist)]

@@ -86,8 +86,9 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
     """Read pretrained vectors for ``vocab`` from a GloVe text file.
 
     A vocabulary word matches a file entry exactly or by lowercasing.
-    Every file line must carry exactly ``dim`` values; a mismatch raises
-    EmbeddingError naming the line.  Rows for missing words (including
+    Every file line must carry exactly ``dim`` values, and the rows the
+    vocabulary uses must be finite in ``dtype``; otherwise EmbeddingError
+    names the line.  Rows for missing words (including
     UNK) are drawn from the passed generator in id order, so the result
     is reproducible for a fixed seed.
     """
@@ -107,7 +108,11 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
                     f"{path}, line {lineno}: expected {dim} values, found {len(parts) - 1}"
                 )
             if parts[0] in wanted and parts[0] not in found:
-                found[parts[0]] = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                with np.errstate(over="ignore"):  # an overflow reads as inf below
+                    row = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                if not np.all(np.isfinite(row)):
+                    raise EmbeddingError(f"{path}, line {lineno}: non-finite value")
+                found[parts[0]] = row
 
     vectors = np.empty((vocab.size, dim), dtype=dtype)
     hits = 0

@@ -14,10 +14,12 @@ Update rules, per node j with children k = 1..N (N <= K):
     h_j = z_j * sum_k h_k + (1 - z_j) * c_j
 
 x_j is the embedding row at leaves and the zero vector at internal
-nodes (the U terms vanish there).  The downward phase reuses the same
-shape of rule with the node's upward state as input and the parent's
-downward state in place of the child sum; the root's downward state is
-defined as its upward state.
+nodes (the U terms vanish there).  The downward phase is the same rule
+(one cell serves both directions) with its own Ud/Wd/bd tensors, the
+node's upward state as input and the parent's downward state as the
+only child; the root's downward state is defined as its upward state.
+Each direction's states are then stacked into a matrix, one column per
+node, and the attention head and classifiers work on whole matrices.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ CLASSIFIER_INIT = 0.01  # std-dev scale for classifier and attention draws
 
 _GATES = ("z", "r", "h")
 
-MaskFn = Optional[Callable[[int], np.ndarray]]
+MaskFn = Optional[Callable[..., np.ndarray]]  # shape -> dropout mask
 
 
 class ModelError(ValueError):
@@ -77,7 +79,7 @@ def param_shapes(variant: str, dim: int, vocab_size: int, classes: int,
         shapes["W_s"] = (c, d)
         shapes["b_s"] = (c,)
     if attention:
-        rep = rep_dim(variant, d)
+        rep = 2 * d if variant == VARIANT_TREEBIGRU else d  # node representation width
         shapes["W_w"] = (d, rep)
         shapes["b_w"] = (d,)
         shapes["u_w"] = (d,)
@@ -88,11 +90,6 @@ def param_shapes(variant: str, dim: int, vocab_size: int, classes: int,
             shapes["W_s_att"] = (c, rep)
             shapes["b_s_att"] = (c,)
     return shapes
-
-
-def rep_dim(variant: str, dim: int) -> int:
-    """Width of a node representation as seen by attention and pooling."""
-    return 2 * dim if variant == VARIANT_TREEBIGRU else dim
 
 
 def is_bias(name: str) -> bool:
@@ -172,26 +169,26 @@ class TreeIndex:
     nodes: list[LabeledTree]
     parents: list[int]           # -1 at the root
     children: list[list[int]]
+    gold: np.ndarray             # node labels; -1 where unsupervised
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
 def index_tree(tree: LabeledTree) -> TreeIndex:
-    nodes, parents, children = [], [], []
-
-    def visit(node, parent):
+    nodes, parents, children, gold = [], [], [], []
+    stack = [(tree, -1)]
+    while stack:
+        node, parent = stack.pop()
         idx = len(nodes)
         nodes.append(node)
         parents.append(parent)
         children.append([])
+        gold.append(-1 if node.label is None else node.label)
         if parent >= 0:
             children[parent].append(idx)
-        for child in node.children:
-            visit(child, idx)
-
-    visit(tree, -1)
-    return TreeIndex(nodes, parents, children)
+        stack.extend((child, idx) for child in reversed(node.children))
+    return TreeIndex(nodes, parents, children, np.array(gold))
 
 
 class TapeBinding:
@@ -230,7 +227,11 @@ class TapeBinding:
 
 @dataclass
 class NodeStates:
-    """Per-node activations; entries align with ``index`` (pre-order)."""
+    """Per-node activations; entries align with ``index`` (pre-order).
+
+    ``H_up``/``H_down`` hold the same states as ``h_up``/``h_down``, one
+    column per node, for the whole-tree attention and classifiers.
+    """
 
     index: TreeIndex
     binding: TapeBinding
@@ -238,45 +239,76 @@ class NodeStates:
     z_up: list[ValueRef]
     r_up: list[ValueRef]
     cand_up: list[ValueRef]
+    H_up: ValueRef                                      # (dim, nodes)
     h_down: Optional[list[ValueRef]] = None
     z_down: Optional[list[Optional[ValueRef]]] = None   # None at the root
     r_down: Optional[list[Optional[ValueRef]]] = None
     cand_down: Optional[list[Optional[ValueRef]]] = None
-
-    @property
-    def tape(self) -> Tape:
-        return self.binding.tape
-
+    H_down: Optional[ValueRef] = None
 
 @dataclass
 class AttentionResult:
     """Normalized node weights and the pooled sentence vector."""
 
     weights: ValueRef   # (node count,)
-    sentence: ValueRef  # (rep_dim,)
+    sentence: ValueRef  # (node representation width,)
 
 
 @dataclass
 class NodePredictions:
-    logits: list[ValueRef]
-    probs: list[np.ndarray]
+    """Classifier outputs; column or row j belongs to node j."""
+
+    logits: ValueRef            # (classes, nodes), from the state classifier
+    root: Optional[ValueRef]    # (classes,), from the pooled sentence vector
+    probs: np.ndarray           # (nodes, classes); row 0 follows ``root`` if set
     labels: list[int]
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
+# (input, child, bias) tensor names of each direction's gates
+_UPWARD = ("U_{g}", "W_{g}_{k}", "b_{g}")
+_DOWNWARD = ("Ud_{g}", "Wd_{g}", "bd_{g}")
+
+
+def gru_cell(b: TapeBinding, names: tuple[str, str, str],
+             x: Optional[ValueRef], kids: list[ValueRef]):
+    """One node update of the rule in the module docstring; returns
+    (h, z, r, cand).
+
+    ``names`` are a direction's tensor-name templates, ``x`` is None
+    where the input terms vanish, and ``kids`` are the child states
+    (top-down: the parent's downward state alone).
+    """
+    tape = b.tape
+    u_name, w_name, b_name = names
+
+    def preactivation(gate, inputs):
+        terms = [] if x is None else [ad.matmul(tape, b.ref(u_name.format(g=gate)), x)]
+        terms += [ad.matmul(tape, b.ref(w_name.format(g=gate, k=k)), h)
+                  for k, h in enumerate(inputs, start=1)]
+        terms.append(b.ref(b_name.format(g=gate)))
+        return ad.vsum(tape, terms)
+
+    z = ad.sigmoid(tape, preactivation("z", kids))
+    r = ad.sigmoid(tape, preactivation("r", kids))
+    cand = ad.tanh(tape, preactivation("h", [ad.mul(tape, h, r) for h in kids]))
+    if not kids:
+        ksum = b.zeros()
+    else:
+        ksum = kids[0] if len(kids) == 1 else ad.vsum(tape, kids)
+    return ad.blend(tape, z, ksum, cand), z, r, cand
+
+
 def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
                 vocab: Vocabulary, input_mask: MaskFn = None,
                 binding: Optional[TapeBinding] = None) -> NodeStates:
     """Bottom-up phase; leaves read (optionally masked) embedding rows."""
-    idx = tree if isinstance(tree, TreeIndex) else index_tree(tree)
+    idx = index_tree(tree)
     b = binding or TapeBinding(tape, params)
     n = len(idx)
-    h = [None] * n
-    z = [None] * n
-    r = [None] * n
-    cand = [None] * n
+    h, z, r, cand = ([None] * n for _ in range(4))
 
     # reversed pre-order puts every child before its parent
     for j in range(n - 1, -1, -1):
@@ -285,34 +317,14 @@ def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
         if len(kids) > params.max_children:
             raise ModelError(
                 f"node arity {len(kids)} exceeds K={params.max_children}")
-
         x = None
         if node.is_leaf:
             x = b.emb_row(vocab.lookup(node.token))
             if input_mask is not None:
                 x = ad.mul(tape, x, tape.input(input_mask(params.dim)))
+        h[j], z[j], r[j], cand[j] = gru_cell(b, _UPWARD, x, [h[k] for k in kids])
 
-        def gate_terms(gate, child_refs):
-            terms = []
-            if x is not None:
-                terms.append(ad.matvec(tape, b.ref(f"U_{gate}"), x))
-            for pos, ref in enumerate(child_refs, start=1):
-                terms.append(ad.matvec(tape, b.ref(f"W_{gate}_{pos}"), ref))
-            terms.append(b.ref(f"b_{gate}"))
-            return terms
-
-        kid_h = [h[k] for k in kids]
-        z[j] = ad.sigmoid(tape, ad.vsum(tape, gate_terms("z", kid_h)))
-        r[j] = ad.sigmoid(tape, ad.vsum(tape, gate_terms("r", kid_h)))
-        gated = [ad.mul(tape, hk, r[j]) for hk in kid_h]
-        cand[j] = ad.tanh(tape, ad.vsum(tape, gate_terms("h", gated)))
-        if kids:
-            ksum = kid_h[0] if len(kid_h) == 1 else ad.vsum(tape, kid_h)
-        else:
-            ksum = b.zeros()
-        h[j] = ad.blend(tape, z[j], ksum, cand[j])
-
-    return NodeStates(idx, b, h, z, r, cand)
+    return NodeStates(idx, b, h, z, r, cand, ad.stack(tape, h))
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
@@ -328,125 +340,93 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
         raise ModelError("downward pass requires completed upward states")
     idx, b = states.index, states.binding
     n = len(idx)
-    h = [None] * n
-    z: list[Optional[ValueRef]] = [None] * n
-    r: list[Optional[ValueRef]] = [None] * n
-    cand: list[Optional[ValueRef]] = [None] * n
+    h, z, r, cand = ([None] * n for _ in range(4))
 
     h[0] = states.h_up[0]
     for j in range(1, n):  # pre-order: parents are already done
-        p = idx.parents[j]
-        z[j] = ad.sigmoid(tape, ad.vsum(tape, [
-            ad.matvec(tape, b.ref("Ud_z"), states.h_up[j]),
-            ad.matvec(tape, b.ref("Wd_z"), h[p]),
-            b.ref("bd_z")]))
-        r[j] = ad.sigmoid(tape, ad.vsum(tape, [
-            ad.matvec(tape, b.ref("Ud_r"), states.h_up[j]),
-            ad.matvec(tape, b.ref("Wd_r"), h[p]),
-            b.ref("bd_r")]))
-        cand[j] = ad.tanh(tape, ad.vsum(tape, [
-            ad.matvec(tape, b.ref("Ud_h"), states.h_up[j]),
-            ad.matvec(tape, b.ref("Wd_h"), ad.mul(tape, h[p], r[j])),
-            b.ref("bd_h")]))
-        h[j] = ad.blend(tape, z[j], h[p], cand[j])
+        h[j], z[j], r[j], cand[j] = gru_cell(b, _DOWNWARD, states.h_up[j],
+                                             [h[idx.parents[j]]])
 
     states.h_down, states.z_down, states.r_down, states.cand_down = h, z, r, cand
+    states.H_down = ad.stack(tape, h)
     return states
 
 
-def node_representation(states: NodeStates, j: int, tape: Tape) -> ValueRef:
-    """h_j for the unidirectional model, [h_up; h_down] for the bidirectional."""
-    if states.binding.params.variant == VARIANT_TREEBIGRU:
-        if states.h_down is None:
-            raise ModelError("bidirectional representation needs the downward pass")
-        return ad.concat(tape, [states.h_up[j], states.h_down[j]])
-    return states.h_up[j]
+def _require_downward(states: NodeStates, params: ModelParams, what: str) -> None:
+    if params.variant == VARIANT_TREEBIGRU and states.H_down is None:
+        raise ModelError(f"bidirectional {what} needs the downward pass")
 
 
 def attention_pool(states: NodeStates, params: ModelParams,
                    tape: Tape) -> AttentionResult:
     """Score every node against the context vector and pool.
 
-    Each representation is projected through tanh(W_w . + b_w), scored
-    by a dot product with u_w, and the scores are normalized as
+    Over the node matrix C (H_up, or [H_up; H_down] for treebigru) the
+    scores are u_w . tanh(W_w C + b_w), normalized as
     ``params.attention_norm`` says (softmax, or "linear", which divides
-    raw scores by their sum for comparison).  The sentence vector is the
-    weighted sum of the raw node representations.
+    raw scores by their sum for comparison); the sentence vector is C
+    times the weights.
     """
     if not params.attention:
         raise ModelError("parameters carry no attention tensors")
-    idx, b = states.index, states.binding
-    n = len(idx)
-    if n == 0:
-        raise ModelError("attention over an empty node set")
-    reps = [node_representation(states, j, tape) for j in range(n)]
-    scores = []
-    for rep in reps:
-        u = ad.tanh(tape, ad.add(tape, ad.matvec(tape, b.ref("W_w"), rep),
-                                 b.ref("b_w")))
-        scores.append(ad.dot(tape, u, b.ref("u_w")))
-    stacked = ad.stack(tape, scores)
+    _require_downward(states, params, "representation")
+    b = states.binding
+    nodes = states.H_up
+    if params.variant == VARIANT_TREEBIGRU:
+        nodes = ad.concat(tape, [states.H_up, states.H_down])
+    projected = ad.tanh(tape, ad.matmul(tape, b.ref("W_w"), nodes, bias=b.ref("b_w")))
+    scores = ad.matmul(tape, b.ref("u_w"), projected)
     if params.attention_norm == "softmax":
-        weights = ad.softmax(tape, stacked)
+        weights = ad.softmax(tape, scores)
     elif params.attention_norm == "linear":
-        weights = ad.linear_norm(tape, stacked)
+        weights = ad.linear_norm(tape, scores)
     else:
         raise ModelError(f"unknown attention norm {params.attention_norm!r}")
-    pooled = ad.vsum(tape, [ad.scale(tape, ad.pick(tape, weights, j), reps[j])
-                            for j in range(n)])
-    return AttentionResult(weights, pooled)
+    return AttentionResult(weights, ad.matmul(tape, nodes, weights))
 
 
 def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
                   attn: Optional[AttentionResult] = None,
                   feature_mask: MaskFn = None) -> NodePredictions:
-    """Per-node class logits, distributions, and argmax labels.
+    """Class logits, distributions, and argmax labels of every node.
 
-    Without attention every node goes through the state classifier;
-    with attention the root's logits come from the pooled sentence
-    vector instead.  ``feature_mask`` (dropout) applies to each
-    classifier input vector.  Ties in the argmax resolve to the lowest
-    class index.
+    The state classifier maps the node matrices to a classes x nodes
+    logit matrix in one product; with attention the root's logits come
+    from the pooled sentence vector instead, and the matrix's root
+    column goes unused.  ``feature_mask`` (dropout) draws one mask per
+    classifier input.  Ties in the argmax resolve to the lowest class
+    index.
     """
-    idx, b = states.index, states.binding
-    bidir = params.variant == VARIANT_TREEBIGRU
     if params.attention and attn is None:
         raise ModelError("attention parameters require an AttentionResult")
+    _require_downward(states, params, "classifier")
+    b = states.binding
 
     def masked(ref):
         if feature_mask is None:
             return ref
-        return ad.mul(tape, ref, tape.input(feature_mask(ref.shape[0])))
+        return ad.mul(tape, ref, tape.input(feature_mask(ref.shape)))
 
-    logits = []
-    for j in range(len(idx)):
-        if j == 0 and attn is not None:
-            feat = masked(attn.sentence)
-            if bidir:
-                lg = ad.add(tape, ad.matvec(tape, b.ref("W_s_att"), feat),
-                            b.ref("b_s_att"))
-            else:
-                lg = ad.add(tape, ad.matvec(tape, b.ref("W_s"), feat), b.ref("b_s"))
-        elif bidir:
-            if states.h_down is None:
-                raise ModelError("bidirectional classifier needs the downward pass")
-            lg = ad.vsum(tape, [
-                ad.matvec(tape, b.ref("W_s_up"), masked(states.h_up[j])),
-                ad.matvec(tape, b.ref("W_s_dn"), masked(states.h_down[j])),
-                b.ref("b_s")])
-        else:
-            lg = ad.add(tape, ad.matvec(tape, b.ref("W_s"), masked(states.h_up[j])),
-                        b.ref("b_s"))
-        logits.append(lg)
-
-    probs = [_stable_softmax(tape.value(lg)) for lg in logits]
-    labels = [int(np.argmax(p)) for p in probs]
-    return NodePredictions(logits, probs, labels)
+    if params.variant == VARIANT_TREEBIGRU:
+        logits = ad.add(tape, ad.matmul(tape, b.ref("W_s_up"), masked(states.H_up)),
+                        ad.matmul(tape, b.ref("W_s_dn"), masked(states.H_down),
+                                  bias=b.ref("b_s")))
+        sentence_weights, sentence_bias = "W_s_att", "b_s_att"
+    else:
+        logits = ad.matmul(tape, b.ref("W_s"), masked(states.H_up), bias=b.ref("b_s"))
+        sentence_weights, sentence_bias = "W_s", "b_s"
+    probs = _softmax_columns(tape.value(logits)).T
+    root = None
+    if attn is not None:
+        root = ad.matmul(tape, b.ref(sentence_weights), masked(attn.sentence),
+                         bias=b.ref(sentence_bias))
+        probs[0] = _softmax_columns(tape.value(root))
+    return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
 
 
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+def _softmax_columns(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=0))
+    return e / e.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

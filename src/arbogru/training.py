@@ -16,6 +16,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -213,10 +214,7 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
     if train_mode and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires a random generator")
-        dtype = params.dtype
-
-        def input_mask(size, _rng=rng, _p=dropout, _dt=dtype):
-            return dropout_mask(size, _p, _rng, _dt)
+        input_mask = partial(dropout_mask, p_drop=dropout, rng=rng, dtype=params.dtype)
 
     states = m.upward_pass(tree, params, tape, vocab, input_mask=input_mask)
     if params.variant == m.VARIANT_TREEBIGRU:
@@ -226,11 +224,16 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
         attn = m.attention_pool(states, params, tape)
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
 
-    losses = [ad.softmax_cross_entropy(tape, preds.logits[j], node.label)
-              for j, node in enumerate(states.index.nodes) if node.supervised]
-    loss = None
-    if losses:
-        loss = losses[0] if len(losses) == 1 else ad.vsum(tape, losses)
+    # one fused op over the logit matrix, plus one for an attention root
+    gold = states.index.gold
+    terms = []
+    if preds.root is not None:
+        if gold[0] >= 0:
+            terms.append(ad.softmax_cross_entropy(tape, preds.root, int(gold[0])))
+        gold = np.concatenate(([-1], gold[1:]))
+    if np.any(gold >= 0):
+        terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold))
+    loss = ad.vsum(tape, terms) if terms else None
     return SentenceGraph(states, attn, preds, loss)
 
 
@@ -389,24 +392,19 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
     def one(tree):
         tape = Tape()
         graph = build_sentence_graph(tape, tree, params, vocab)
-        nodes = graph.states.index.nodes
-        root_ok = int(nodes[0].supervised and graph.preds.labels[0] == nodes[0].label)
-        supervised = hits = 0
-        for j, node in enumerate(nodes):
-            if node.supervised:
-                supervised += 1
-                hits += int(graph.preds.labels[j] == node.label)
+        gold = graph.states.index.gold
+        labels = np.asarray(graph.preds.labels)
+        supervised = gold >= 0
+        root_ok = int(supervised[0] and labels[0] == gold[0])
+        hits = int(np.sum(labels[supervised] == gold[supervised]))
         loss = float(tape.value(graph.loss)) if graph.loss is not None else 0.0
-        return root_ok, hits, supervised, loss
+        return root_ok, hits, int(supervised.sum()), loss
 
-    results = [one(tree) for tree in corpus.trees]
     n = len(corpus.trees)
-    node_total = sum(r[2] for r in results)
-    return Metrics(
-        root_accuracy=sum(r[0] for r in results) / n,
-        node_accuracy=sum(r[1] for r in results) / max(1, node_total),
-        loss=sum(r[3] for r in results) / n,
-    )
+    root_ok, hits, supervised, loss = (sum(column) for column in
+                                       zip(*[one(tree) for tree in corpus.trees]))
+    return Metrics(root_accuracy=root_ok / n, node_accuracy=hits / max(1, supervised),
+                   loss=loss / n)
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +439,13 @@ def gradient_check(variant: str, attention: bool, dim: int,
     for name, t in params.tensors.items():
         params.tensors[name] = rng.uniform(-0.5, 0.5, t.shape)
 
-    tape = Tape()
-    graph = build_sentence_graph(tape, tree, params, vocab)
-    binding = graph.states.binding
-    touched = sorted(binding.emb_rows.keys())
-    base = ad.backward(tape, graph.loss)
-
-    analytic: dict[str, np.ndarray] = {}
-    for name, t in params.tensors.items():
-        if name == "emb":
-            g = np.zeros_like(t)
-            for row, ref in binding.emb_rows.items():
-                if base[ref.index] is not None:
-                    g[row] += base[ref.index]
-            for row in touched:
-                g[row] += l2 * t[row]
-        else:
-            ref = binding.refs.get(name)
-            if ref is not None and base[ref.index] is not None:
-                g = np.array(base[ref.index])
-            else:
-                g = np.zeros_like(t)
-            if not m.is_bias(name):
-                g = g + l2 * t
-        analytic[name] = g
+    _, grads = sentence_gradients(tree, params, vocab)
+    add_l2_gradients(grads, params, l2)
+    touched = sorted(grads.emb_rows)
+    analytic = {name: grads.dense.get(name, np.zeros_like(t))
+                for name, t in params.tensors.items()}
+    for row in touched:
+        analytic["emb"][row] = grads.emb_rows[row]
 
     def objective() -> float:
         probe = Tape()

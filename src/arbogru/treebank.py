@@ -10,6 +10,7 @@ found in the file); any case folding happens at embedding lookup.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -19,7 +20,7 @@ TASK_FINE = "fine"
 TASK_BINARY = "binary"
 
 _NEUTRAL = 2
-_BREAK = " \t()"
+_TOKENS = re.compile(r"[()]|[^ \t()]+")  # parentheses and space-free words
 
 
 class TreebankError(ValueError):
@@ -84,74 +85,89 @@ def parse_tree(line: str, num_classes: int = FINE_CLASSES) -> LabeledTree:
 
     Raises TreebankError (with the byte offset) on unbalanced
     parentheses, non-integer labels, labels outside
-    ``0..num_classes-1``, and empty nodes.
+    ``0..num_classes-1``, and empty nodes.  Open nodes wait on an
+    explicit stack, so depth is limited only by memory.
     """
-    pos = _skip_ws(line, 0)
-    if pos == len(line):
+    tokens = _TOKENS.findall(line) + [""]  # "" marks the end of input
+    if not tokens[0]:
         raise TreebankError("empty input", 0)
-    tree, pos = _parse_node(line, pos, num_classes)
-    pos = _skip_ws(line, pos)
-    if pos != len(line):
-        raise TreebankError("trailing text after tree", pos)
-    return tree
+    open_nodes: list[tuple[int, list]] = []  # (label, children so far)
+    i = 0
+    while True:
+        # a node opens: a first child follows, or a leaf token and ')'
+        if tokens[i] != "(":
+            raise TreebankError("expected '('", _offset(line, i))
+        label = _parse_label(line, tokens, i + 1, num_classes)
+        i += 2
+        if tokens[i] == "(":
+            open_nodes.append((label, []))
+            continue
+        if tokens[i] in ("", ")"):
+            _close(line, tokens, i)  # an unbalanced end is reported as such
+            raise TreebankError("empty node", _offset(line, i))
+        node = LabeledTree(label, tokens[i])
+        i = _close(line, tokens, i + 1)
+        # hand the node to its parent, closing parents that have no next child
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            if tokens[i] == "(":
+                break
+            i = _close(line, tokens, i)
+            label, children = open_nodes.pop()
+            node = LabeledTree(label, children=tuple(children))
+        else:
+            if tokens[i]:
+                raise TreebankError("trailing text after tree", _offset(line, i))
+            return node
 
 
-def _skip_ws(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos] in " \t":
-        pos += 1
-    return pos
+def _offset(line: str, i: int) -> int:
+    """Byte offset of token ``i`` (the end of input past the last token)."""
+    starts = [m.start() for m in _TOKENS.finditer(line)]
+    return starts[i] if i < len(starts) else len(line)
 
 
-def _parse_node(line: str, pos: int, num_classes: int):
-    if pos >= len(line) or line[pos] != "(":
-        raise TreebankError("expected '('", pos)
-    pos = _skip_ws(line, pos + 1)
-
-    start = pos
-    while pos < len(line) and line[pos] not in _BREAK:
-        pos += 1
-    text = line[start:pos]
-    if not text:
-        raise TreebankError("missing node label", start)
+def _parse_label(line: str, tokens: list, i: int, num_classes: int) -> int:
+    text = tokens[i]
+    if text in ("", "(", ")"):
+        raise TreebankError("missing node label", _offset(line, i))
     try:
         label = int(text)
     except ValueError:
-        raise TreebankError(f"non-integer label {text!r}", start) from None
+        raise TreebankError(f"non-integer label {text!r}", _offset(line, i)) from None
     if not 0 <= label < num_classes:
-        raise TreebankError(f"label {label} outside 0..{num_classes - 1}", start)
-    pos = _skip_ws(line, pos)
+        raise TreebankError(f"label {label} outside 0..{num_classes - 1}",
+                            _offset(line, i))
+    return label
 
-    token = None
-    children = []
-    if pos < len(line) and line[pos] == "(":
-        while pos < len(line) and line[pos] == "(":
-            child, pos = _parse_node(line, pos, num_classes)
-            children.append(child)
-            pos = _skip_ws(line, pos)
-    elif pos < len(line) and line[pos] != ")":
-        start = pos
-        while pos < len(line) and line[pos] not in _BREAK:
-            pos += 1
-        token = line[start:pos]
-        pos = _skip_ws(line, pos)
 
-    if pos >= len(line):
-        raise TreebankError("unbalanced parentheses at end of input", pos)
-    if line[pos] != ")":
+def _close(line: str, tokens: list, i: int) -> int:
+    """Index past the ')' expected at token ``i``."""
+    if tokens[i] != ")":
+        pos = _offset(line, i)
+        if not tokens[i]:
+            raise TreebankError("unbalanced parentheses at end of input", pos)
         raise TreebankError(f"expected ')', found {line[pos]!r}", pos)
-    if token is None and not children:
-        raise TreebankError("empty node", pos)
-    return LabeledTree(label, token, tuple(children)), pos + 1
+    return i + 1
 
 
 def serialize_tree(tree: LabeledTree) -> str:
     """Inverse of parse_tree, single space between tokens, no trailing space."""
-    if tree.label is None:
-        raise ValueError("cannot serialize an unsupervised (label-less) node")
-    if tree.is_leaf:
-        return f"({tree.label} {tree.token})"
-    inner = " ".join(serialize_tree(child) for child in tree.children)
-    return f"({tree.label} {inner})"
+    parts = []
+    pending: list = [tree]  # nodes, and the ")" of open ones
+    while pending:
+        node = pending.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.label is None:
+            raise ValueError("cannot serialize an unsupervised (label-less) node")
+        elif node.is_leaf:
+            parts.append(f" ({node.label} {node.token})")
+        else:
+            parts.append(f" ({node.label}")
+            pending.append(")")
+            pending.extend(reversed(node.children))
+    return "".join(parts)[1:]
 
 
 def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None) -> Corpus:
@@ -197,13 +213,16 @@ def to_binary_task(corpus: Corpus) -> Corpus:
     return Corpus(trees, corpus.split_name, TASK_BINARY, BINARY_CLASSES)
 
 
-def _map_binary(node: LabeledTree) -> LabeledTree:
-    children = tuple(_map_binary(child) for child in node.children)
-    if node.label == _NEUTRAL:
-        label = None
-    else:
-        label = 0 if node.label < _NEUTRAL else 1
-    return LabeledTree(label, node.token, children)
+def _map_binary(tree: LabeledTree) -> LabeledTree:
+    mapped: dict[int, LabeledTree] = {}  # id(original node) -> mapped node
+    for node in reversed(list(iter_nodes(tree))):  # children before parents
+        if node.label == _NEUTRAL:
+            label = None
+        else:
+            label = 0 if node.label < _NEUTRAL else 1
+        children = tuple(mapped[id(child)] for child in node.children)
+        mapped[id(node)] = LabeledTree(label, node.token, children)
+    return mapped[id(tree)]
 
 
 def random_tree(rng, tokens, max_nodes: int = 9,

@@ -8,8 +8,6 @@ lists are in pre-order, matching the package's tree indexing.
 
 import math
 
-import math
-
 import numpy as np
 
 
@@ -99,12 +97,6 @@ def attention(reps, tensors, norm="softmax"):
 def softmax(x):
     e = np.exp(x - np.max(x))
     return e / e.sum()
-
-
-def compute_loss(distributions, gold_labels):
-    """Summed negative log-likelihood of the gold labels, one probability
-    vector per supervised node."""
-    return -sum(math.log(probs[gold]) for probs, gold in zip(distributions, gold_labels))
 
 
 def compute_loss(distributions, gold_labels):

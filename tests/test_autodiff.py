@@ -102,7 +102,7 @@ def test_dot_gradient_is_bilinear():
     tape = Tape()
     w = tape.input(np.array([1.0, 2.0]))
     x = tape.input(np.array([3.0, 4.0]))
-    grads = backward(tape, ad.dot(tape, w, x))
+    grads = backward(tape, ad.matmul(tape, w, x))
     assert np.array_equal(grads[w.index], [3.0, 4.0])
     assert np.array_equal(grads[x.index], [1.0, 2.0])
 
@@ -111,7 +111,7 @@ def test_sum_of_sigmoid_gradient_at_zero():
     tape = Tape()
     w = tape.input(np.zeros(4))
     ones = tape.input(np.ones(4))
-    loss = ad.dot(tape, ad.sigmoid(tape, w), ones)
+    loss = ad.matmul(tape, ad.sigmoid(tape, w), ones)
     grads = backward(tape, loss)
     assert np.allclose(grads[w.index], 0.25)
 
@@ -119,7 +119,7 @@ def test_sum_of_sigmoid_gradient_at_zero():
 def test_fanout_accumulates():
     tape = Tape()
     w = tape.input(np.array([1.5, -2.0]))
-    loss = ad.dot(tape, w, w)
+    loss = ad.matmul(tape, w, w)
     grads = backward(tape, loss)
     assert np.allclose(grads[w.index], 2.0 * np.array([1.5, -2.0]))
 
@@ -138,8 +138,8 @@ def test_backward_deterministic():
     def run():
         tape = Tape()
         m, x, y = (tape.input(a) for a in arrays)
-        h = ad.tanh(tape, ad.matvec(tape, m, x))
-        loss = ad.dot(tape, ad.mul(tape, h, y), y)
+        h = ad.tanh(tape, ad.matmul(tape, m, x))
+        loss = ad.matmul(tape, ad.mul(tape, h, y), y)
         return backward(tape, loss), m, x, y
 
     first, m1, x1, y1 = run()
@@ -152,13 +152,18 @@ def test_backward_deterministic():
 # shape discipline
 
 @pytest.mark.parametrize("build,shapes,name", [
-    (lambda t, r: ad.matvec(t, r[0], r[1]), [(3, 3), (4,)], "matvec"),
+    (lambda t, r: ad.matmul(t, r[0], r[1]), [(3, 3), (4,)], "matmul"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(3,), (4,)], "add"),
     (lambda t, r: ad.mul(t, r[0], r[1]), [(3,), (4,)], "mul"),
-    (lambda t, r: ad.dot(t, r[0], r[1]), [(3,), (4,)], "dot"),
+    (lambda t, r: ad.matmul(t, r[0], r[1]), [(3,), (4,)], "matmul"),
     (lambda t, r: ad.blend(t, r[0], r[1], r[2]), [(3,), (3,), (2,)], "blend"),
     (lambda t, r: ad.vsum(t, r), [(3,), (2,)], "vsum"),
-    (lambda t, r: ad.scale(t, r[0], r[1]), [(2,), (3,)], "scale"),
+    (lambda t, r: ad.stack(t, r), [(), (3,)], "stack"),
+    (lambda t, r: ad.concat(t, r), [(2, 3), (2, 4)], "concat"),
+    (lambda t, r: ad.matmul(t, r[0], r[1], bias=r[2]), [(2, 3), (3, 4), (4,)], "matmul"),
+    (lambda t, r: ad.matmul(t, r[0], r[1]), [(2, 3, 4), (4,)], "matmul"),
+    (lambda t, r: ad.softmax_cross_entropy(t, r[0], [0, 1]), [(5, 3)],
+     "softmax_cross_entropy"),
 ])
 def test_shape_mismatch_names_op(build, shapes, name):
     tape = Tape()
@@ -172,6 +177,9 @@ def test_cross_entropy_gold_bounds():
     logits = tape.input(np.zeros(3))
     with pytest.raises(IndexError):
         ad.softmax_cross_entropy(tape, logits, 3)
+    matrix = tape.input(np.zeros((3, 2)))
+    with pytest.raises(IndexError):
+        ad.softmax_cross_entropy(tape, matrix, np.array([0, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,50 +187,58 @@ def test_cross_entropy_gold_bounds():
 
 def test_fd_matvec(rng):
     probe = rnd(rng, 3)
-    check_op(lambda t, r: ad.dot(t, ad.matvec(t, r[0], r[1]), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.matmul(t, r[0], r[1]), t.input(probe)),
              [rnd(rng, 3, 4), rnd(rng, 4)])
 
 
 def test_fd_add_mul(rng):
     probe = rnd(rng, 5)
-    check_op(lambda t, r: ad.dot(t, ad.mul(t, ad.add(t, r[0], r[1]), r[2]),
+    check_op(lambda t, r: ad.matmul(t, ad.mul(t, ad.add(t, r[0], r[1]), r[2]),
                                  t.input(probe)),
              [rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)])
 
 
 def test_fd_sigmoid_tanh(rng):
     probe = rnd(rng, 6)
-    check_op(lambda t, r: ad.dot(t, ad.sigmoid(t, ad.tanh(t, r[0])), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.sigmoid(t, ad.tanh(t, r[0])), t.input(probe)),
              [rnd(rng, 6)])
 
 
-def test_fd_scale(rng):
+def test_fd_matmul_matrix_bias(rng):
+    left, right = rnd(rng, 3), rnd(rng, 4)
+    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
+        t, ad.matmul(t, r[0], r[1], bias=r[2]), t.input(right))),
+             [rnd(rng, 3, 5), rnd(rng, 5, 4), rnd(rng, 3)])
+
+
+def test_fd_matmul_vector_matrix(rng):
     probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.dot(t, ad.scale(t, r[0], r[1]), t.input(probe)),
-             [np.asarray(rng.uniform(-2, 2)), rnd(rng, 4)])
+    check_op(lambda t, r: ad.matmul(t, ad.matmul(t, r[0], r[1], bias=r[2]),
+                                    t.input(probe)),
+             [rnd(rng, 3), rnd(rng, 3, 4), rnd(rng, 4)])
 
 
 def test_fd_vsum(rng):
     probe = rnd(rng, 3)
-    check_op(lambda t, r: ad.dot(t, ad.vsum(t, list(r)), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.vsum(t, list(r)), t.input(probe)),
              [rnd(rng, 3), rnd(rng, 3), rnd(rng, 3)])
 
 
 def test_fd_blend(rng):
     probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.dot(t, ad.blend(t, r[0], r[1], r[2]), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.blend(t, r[0], r[1], r[2]), t.input(probe)),
              [rng.uniform(0.1, 0.9, 4), rnd(rng, 4), rnd(rng, 4)])
 
 
 def test_fd_softmax(rng):
     probe = rnd(rng, 5)
-    check_op(lambda t, r: ad.dot(t, ad.softmax(t, r[0]), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.softmax(t, r[0]), t.input(probe)),
              [rnd(rng, 5)])
 
 
 def test_fd_linear_norm(rng):
     probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.dot(t, ad.linear_norm(t, r[0]), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.linear_norm(t, r[0]), t.input(probe)),
              [rng.uniform(0.5, 2.0, 4)])
 
 
@@ -230,21 +246,49 @@ def test_fd_cross_entropy(rng):
     check_op(lambda t, r: ad.softmax_cross_entropy(t, r[0], 1), [rnd(rng, 5)])
 
 
-def test_fd_stack_pick(rng):
-    probe = rnd(rng, 3)
+def test_fd_cross_entropy_matrix(rng):
+    check_op(lambda t, r: ad.softmax_cross_entropy(t, r[0], np.array([1, -1, 4, 0])),
+             [rnd(rng, 5, 4)])
+
+
+def test_cross_entropy_matrix_sums_supervised_columns(rng):
+    logits = rnd(rng, 5, 4)
+    gold = np.array([3, -1, 0, 3])
+    tape = Tape()
+    ref = tape.input(logits)
+    total = float(tape.value(ad.softmax_cross_entropy(tape, ref, gold)))
+    columns = [float(tape.value(ad.softmax_cross_entropy(tape, tape.input(logits[:, j]),
+                                                          int(gold[j]))))
+               for j in (0, 2, 3)]
+    assert total == pytest.approx(sum(columns), rel=1e-14)
+    grad = backward(tape, ad.softmax_cross_entropy(tape, ref, gold))[ref.index]
+    assert np.array_equal(grad[:, 1], np.zeros(5))  # the unsupervised column
+
+
+def test_fd_stack(rng):
+    left, right = rnd(rng, 3), rnd(rng, 2)
 
     def build(t, r):
-        scalars = [ad.dot(t, r[0], r[1]), ad.pick(t, r[0], 0), ad.pick(t, r[1], 2)]
-        vec = ad.softmax(t, ad.stack(t, scalars))
-        return ad.dot(t, vec, t.input(probe))
+        scores = ad.softmax(t, ad.stack(t, [ad.matmul(t, r[0], r[1]),
+                                            ad.matmul(t, r[1], r[1])]))
+        columns = ad.stack(t, [r[0], r[1]])  # (3, 2)
+        return ad.matmul(t, t.input(left), ad.matmul(
+            t, columns, ad.mul(t, scores, t.input(right))))
 
     check_op(build, [rnd(rng, 3), rnd(rng, 3)])
 
 
 def test_fd_concat(rng):
     probe = rnd(rng, 7)
-    check_op(lambda t, r: ad.dot(t, ad.concat(t, list(r)), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.concat(t, list(r)), t.input(probe)),
              [rnd(rng, 3), rnd(rng, 4)])
+
+
+def test_fd_concat_matrices(rng):
+    left, right = rnd(rng, 5), rnd(rng, 3)
+    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
+        t, ad.concat(t, list(r)), t.input(right))),
+             [rnd(rng, 2, 3), rnd(rng, 3, 3)])
 
 
 def test_fd_shared_weights(rng):
@@ -252,9 +296,9 @@ def test_fd_shared_weights(rng):
     probe = rnd(rng, 3)
 
     def build(t, r):
-        a = ad.tanh(t, ad.matvec(t, r[0], r[1]))
-        b = ad.sigmoid(t, ad.matvec(t, r[0], r[2]))
-        return ad.dot(t, ad.mul(t, a, b), t.input(probe))
+        a = ad.tanh(t, ad.matmul(t, r[0], r[1]))
+        b = ad.sigmoid(t, ad.matmul(t, r[0], r[2]))
+        return ad.matmul(t, ad.mul(t, a, b), t.input(probe))
 
     check_op(build, [rnd(rng, 3, 3), rnd(rng, 3), rnd(rng, 3)])
 
@@ -269,19 +313,19 @@ def test_fd_tiny_tree_gru(rng):
         x1, x2 = r[6], r[7]
 
         def leaf(x):
-            z = ad.sigmoid(t, ad.matvec(t, u_z, x))
-            rr = ad.sigmoid(t, ad.matvec(t, u_r, x))
-            cand = ad.tanh(t, ad.matvec(t, u_h, x))
+            z = ad.sigmoid(t, ad.matmul(t, u_z, x))
+            rr = ad.sigmoid(t, ad.matmul(t, u_r, x))
+            cand = ad.tanh(t, ad.matmul(t, u_h, x))
             zero = t.input(np.zeros(d))
             del rr  # leaves have no children to reset
             return ad.blend(t, z, zero, cand)
 
         h1, h2 = leaf(x1), leaf(x2)
         hsum = ad.add(t, h1, h2)
-        z = ad.sigmoid(t, ad.vsum(t, [ad.matvec(t, w_z, h1), ad.matvec(t, w_z, h2)]))
-        rr = ad.sigmoid(t, ad.vsum(t, [ad.matvec(t, w_r, h1), ad.matvec(t, w_r, h2)]))
-        cand = ad.tanh(t, ad.vsum(t, [ad.matvec(t, w_h, ad.mul(t, h1, rr)),
-                                      ad.matvec(t, w_h, ad.mul(t, h2, rr))]))
+        z = ad.sigmoid(t, ad.vsum(t, [ad.matmul(t, w_z, h1), ad.matmul(t, w_z, h2)]))
+        rr = ad.sigmoid(t, ad.vsum(t, [ad.matmul(t, w_r, h1), ad.matmul(t, w_r, h2)]))
+        cand = ad.tanh(t, ad.vsum(t, [ad.matmul(t, w_h, ad.mul(t, h1, rr)),
+                                      ad.matmul(t, w_h, ad.mul(t, h2, rr))]))
         root = ad.blend(t, z, hsum, cand)
         return ad.softmax_cross_entropy(t, root, 3)
 
@@ -292,8 +336,8 @@ def test_tape_parents_precede_children(rng):
     tape = Tape()
     m = tape.input(rnd(rng, 3, 3))
     x = tape.input(rnd(rng, 3))
-    out = ad.sigmoid(tape, ad.matvec(tape, m, x))
-    loss = ad.dot(tape, out, out)
+    out = ad.sigmoid(tape, ad.matmul(tape, m, x))
+    loss = ad.matmul(tape, out, out)
     for i in range(len(tape)):
         for parent in tape._parents[i]:
             assert parent < i
@@ -305,7 +349,7 @@ def test_backward_gradient_shapes_match_values(rng):
     m = tape.input(rnd(rng, 4, 3))
     x = tape.input(rnd(rng, 3))
     probe = tape.input(rnd(rng, 4))
-    loss = ad.dot(tape, ad.tanh(tape, ad.matvec(tape, m, x)), probe)
+    loss = ad.matmul(tape, ad.tanh(tape, ad.matmul(tape, m, x)), probe)
     grads = backward(tape, loss)
     for i, g in enumerate(grads):
         if g is not None:

@@ -437,3 +437,60 @@ def test_predict_linear_norm_degenerate_scores_exit_1(tmp_path, capsys):
                  "--input", str(inp)])
     assert code == 1
     assert "linear_norm" in capsys.readouterr().err
+
+
+def save_model(out, variant="treegru", attention=False, seed=0):
+    """A small random checkpoint and its vocabulary, as `train` leaves them."""
+    from arbogru.checkpoint import save_checkpoint
+    from arbogru.embeddings import save_vocab
+    from conftest import random_params, synth_vocab
+
+    vocab = synth_vocab()
+    out.mkdir()
+    save_checkpoint(out / "checkpoint.bin",
+                    random_params(variant, attention, 4, vocab, seed=seed))
+    save_vocab(vocab, out / "vocab.txt")
+    return out / "checkpoint.bin"
+
+
+def test_predict_deep_chain(tmp_path, capsys):
+    # far deeper than the interpreter's recursion limit
+    ckpt = save_model(tmp_path / "bigru", "treebigru", attention=True)
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(2 " * 5000 + "(4 good)" + ")" * 5000 + "\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp),
+                 "--show-attention"])
+    out = capsys.readouterr().out.strip().split("\t")
+    assert code == 0
+    assert len(out[2].split()) == 5001
+
+
+def test_predict_reports_and_skips_wide_nodes(tmp_path, capsys):
+    ckpt = save_model(tmp_path / "model")
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 (2 good) (2 bad) (2 movie))\n(0 (2 good) (2 movie))\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.strip().splitlines()) == 1  # the valid line still printed
+    assert "line 1" in captured.err and "arity 3" in captured.err
+
+
+def test_predict_incomplete_manifest_exits_2(tmp_path, capsys):
+    ckpt = save_model(tmp_path / "model")
+    ckpt.write_bytes(b'ARBOCKPT1\n{"format_version": 2, "attention_norm": "softmax"}\n')
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 good)\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+    assert code == 2
+    assert "lacks the key 'variant'" in capsys.readouterr().err
+
+
+def test_train_rejects_non_finite_glove(data_dir, tmp_path, capsys):
+    from conftest import WORDS
+
+    glove = tmp_path / "glove.txt"
+    glove.write_text("".join(f"{word} 0.1 0.2 nan 0.4 0.5 0.6\n" for word in WORDS))
+    code = main(train_args(data_dir, tmp_path / "run", glove=glove))
+    assert code == 2
+    assert "glove.txt, line" in capsys.readouterr().err

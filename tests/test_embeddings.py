@@ -140,3 +140,21 @@ def test_coverage_invariant_to_vocab_order(tmp_path):
     cov_a = load_glove(path, a, 2, np.random.default_rng(0)).coverage
     cov_b = load_glove(path, b, 2, np.random.default_rng(0)).coverage
     assert cov_a == cov_b
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_glove_rejects_non_finite_values(tmp_path, value):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text(f"good 0.1 0.2\nmovie 0.3 {value}\n")
+    with pytest.raises(EmbeddingError, match="glove.txt, line 2: non-finite"):
+        load_glove(path, vocab, 2, np.random.default_rng(0))
+
+
+def test_load_glove_float32_overflow_is_non_finite(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("good 0.1 1e39\n")
+    assert np.isfinite(load_glove(path, vocab, 2, np.random.default_rng(0)).vectors).all()
+    with pytest.raises(EmbeddingError, match="line 1"):
+        load_glove(path, vocab, 2, np.random.default_rng(0), np.float32)

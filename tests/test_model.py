@@ -9,7 +9,7 @@ from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab
 from arbogru.model import (ModelError, attention_pool, count_parameters,
                            downward_pass, init_params, itemize_parameters,
-                           node_representation, predict_nodes, upward_pass)
+                           predict_nodes, upward_pass)
 from arbogru.treebank import Corpus, LabeledTree, parse_tree
 
 import oracles
@@ -393,8 +393,10 @@ def test_predict_argmax_matches_logits():
     rng = np.random.default_rng(17)
     tree = synth_tree(rng, max_nodes=9)
     tape, _, _, preds = forward(tree, params, vocab)
-    for ref, label in zip(preds.logits, preds.labels):
-        assert label == int(np.argmax(tape.value(ref)))
+    logits = tape.value(preds.logits)
+    assert logits.shape == (5, len(preds.labels))
+    for j, label in enumerate(preds.labels):
+        assert label == int(np.argmax(logits[:, j]))
 
 
 def test_predict_full_pipeline_matches_oracle():
@@ -563,6 +565,40 @@ def test_checkpoint_version_1_loads_as_softmax(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("manifest,message", [
+    ({"format_version": 2, "attention_norm": "softmax"}, "lacks the key 'variant'"),
+    ([2], "not a JSON object"),
+])
+def test_checkpoint_incomplete_manifest(tmp_path, manifest, message):
+    path = tmp_path / "partial.bin"
+    write_checkpoint_by_hand(path, manifest, {})
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_types_checked(tmp_path):
+    vocab = synth_vocab()
+    params = random_params("treegru", False, 3, vocab, seed=4)
+    good = {
+        "format_version": 2, "variant": "treegru", "attention": False,
+        "attention_norm": "softmax", "dim": 3, "vocab_size": vocab.size,
+        "classes": 5, "max_children": 2,
+        "tensors": [[name, list(t.shape), "<f8"] for name, t in params.tensors.items()],
+    }
+    path = tmp_path / "typed.bin"
+    for key, bad in (("max_children", None), ("dim", "3"), ("attention", 1),
+                     ("classes", True), ("tensors", {})):
+        write_checkpoint_by_hand(path, dict(good, **{key: bad}), params.tensors)
+        with pytest.raises(CheckpointError, match=f"'{key}' must be of type"):
+            load_checkpoint(path)
+    broken = dict(good, tensors=[["emb", 3]] + good["tensors"][1:])
+    write_checkpoint_by_hand(path, broken, params.tensors)
+    with pytest.raises(CheckpointError, match="malformed tensor entry"):
+        load_checkpoint(path)
+    write_checkpoint_by_hand(path, good, params.tensors)
+    assert load_checkpoint(path).max_children == 2
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTACKPT\x00garbage")
@@ -582,10 +618,14 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def test_node_representation_requires_downward():
+    # attention and classifiers both read [H_up; H_down] for treebigru
     vocab = synth_vocab()
-    params = random_params("treebigru", False, 4, vocab)
+    params = random_params("treebigru", True, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
     with pytest.raises(ModelError, match="downward"):
-        node_representation(states, 0, tape)
+        attention_pool(states, params, tape)
+    params.attention = False
+    with pytest.raises(ModelError, match="downward"):
+        predict_nodes(states, params, tape)

@@ -5,7 +5,8 @@ import pytest
 
 from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
-from arbogru.model import TapeBinding, init_params, predict_nodes, upward_pass
+from arbogru.model import (TapeBinding, downward_pass, init_params, predict_nodes,
+                           upward_pass)
 from arbogru import training
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
@@ -14,7 +15,8 @@ from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               sentence_gradients, train)
 from arbogru.treebank import Corpus, parse_tree, to_binary_task
 
-from conftest import random_params, synth_corpus, synth_tree, synth_vocab
+from conftest import (full_binary_tree, random_params, synth_corpus, synth_tree,
+                      synth_vocab)
 from oracles import compute_loss
 
 VARIANT_CASES = [("treegru", False), ("treegru", True),
@@ -224,10 +226,7 @@ def test_batch_gradient_equals_sum_of_sentence_gradients():
     for tree in trees:
         states = upward_pass(tree, params, tape, vocab, binding=binding)
         preds = predict_nodes(states, params, tape)
-        for j, node in enumerate(states.index.nodes):
-            if node.supervised:
-                losses.append(ad.softmax_cross_entropy(tape, preds.logits[j],
-                                                       node.label))
+        losses.append(ad.softmax_cross_entropy(tape, preds.logits, states.index.gold))
     joint = ad.vsum(tape, losses)
     grads = ad.backward(tape, joint)
     # absent entries mean a zero gradient (e.g. U_r never reaches the loss:
@@ -418,3 +417,23 @@ def test_build_sentence_graph_loss_matches_compute_loss():
     labels = [n.label for n in nodes if n.supervised]
     assert float(tape.value(graph.loss)) == pytest.approx(
         compute_loss(dists, labels), rel=1e-12)
+
+
+@pytest.mark.parametrize("variant,attention", VARIANT_CASES)
+def test_head_and_loss_tape_entries_do_not_grow_with_nodes(variant, attention):
+    # attention, classifiers and loss work on whole node matrices
+    vocab = synth_vocab()
+    params = random_params(variant, attention, 4, vocab, seed=8)
+    rng = np.random.default_rng(12)
+
+    def head_entries(tree):
+        passes = Tape()
+        states = upward_pass(tree, params, passes, vocab)
+        if variant == "treebigru":
+            downward_pass(states, params, passes)
+        full = Tape()
+        build_sentence_graph(full, tree, params, vocab)
+        return len(full) - len(passes)
+
+    small, large = full_binary_tree(rng, 1), full_binary_tree(rng, 4)
+    assert head_entries(small) == head_entries(large)

@@ -190,3 +190,14 @@ def test_random_tree_respects_bounds():
         tree = random_tree(rng, ["a", "b", "c"], max_nodes=9)
         assert 1 <= node_count(tree) <= 9
         assert max_arity(tree) <= 2
+
+
+def test_deep_chain_roundtrip_and_binary_mapping():
+    # depth far beyond the interpreter's recursion limit
+    depth = 5000
+    line = "(3 " * depth + "(4 good)" + ")" * depth
+    tree = parse_tree(line)
+    assert node_count(tree) == depth + 1
+    assert serialize_tree(tree) == line
+    binary = to_binary_task(Corpus([tree], "deep", "fine", 5))
+    assert {node.label for node in iter_nodes(binary.trees[0])} == {1}
