@@ -11,7 +11,7 @@ the inputs (float64 for tests and gradient checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -33,19 +33,25 @@ class ValueRef:
 class Tape:
     """Append-only computation record; insertion order is topological order."""
 
-    __slots__ = ("_values", "_parents", "_vjps")
+    __slots__ = ("_values", "_parents", "_vjps", "keyed")
 
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
+        self.keyed: dict[Hashable, ValueRef] = {}  # key -> leaf, in first-use order
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def input(self, value) -> ValueRef:
-        """Register a leaf value (parameter or constant)."""
-        return self._append(np.asarray(value), (), None)
+    def input(self, value, key: Optional[Hashable] = None) -> ValueRef:
+        """Register a leaf value (parameter or constant); a keyed leaf is
+        registered on first use only, so all its uses share one gradient."""
+        if key is None:
+            return self._append(np.asarray(value), (), None)
+        if key not in self.keyed:
+            self.keyed[key] = self._append(np.asarray(value), (), None)
+        return self.keyed[key]
 
     def value(self, ref: ValueRef) -> np.ndarray:
         return self._values[ref.index]

@@ -172,6 +172,7 @@ def run_train(args) -> int:
     _require(args.lr > 0, "--lr must be positive")
     _require(0.0 <= args.dropout < 1.0, "--dropout must lie in [0, 1)")
     _require(args.l2 >= 0.0, "--l2 must be nonnegative")
+    _require(args.evals_per_epoch >= 1, "--evals-per-epoch must be at least 1")
 
     data_dir = Path(args.data)
     paths = {}
@@ -225,6 +226,7 @@ def run_train(args) -> int:
     manifest = asdict(config)
     manifest.update({
         "attention_norm": result.best_params.attention_norm,
+        "max_children": result.best_params.max_children,
         "vocab_size": vocab.size,
         "classes": classes,
         "coverage": emb.coverage,

@@ -108,8 +108,11 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
                     f"{path}, line {lineno}: expected {dim} values, found {len(parts) - 1}"
                 )
             if parts[0] in wanted and parts[0] not in found:
-                with np.errstate(over="ignore"):  # an overflow reads as inf below
-                    row = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                try:
+                    with np.errstate(over="ignore"):  # an overflow reads as inf below
+                        row = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                except ValueError as err:
+                    raise EmbeddingError(f"{path}, line {lineno}: {err}") from None
                 if not np.all(np.isfinite(row)):
                     raise EmbeddingError(f"{path}, line {lineno}: non-finite value")
                 found[parts[0]] = row

@@ -25,6 +25,7 @@ node, and the attention head and classifiers work on whole matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,38 +192,23 @@ def index_tree(tree: LabeledTree) -> TreeIndex:
     return TreeIndex(nodes, parents, children, np.array(gold))
 
 
-class TapeBinding:
-    """Registers each parameter tensor on a tape at most once.
+def slot(tensors: dict[str, np.ndarray], key) -> np.ndarray:
+    """The array that parameter slot ``key`` names in ``tensors``.
 
-    Sharing one binding across the upward, downward, attention and
-    classifier passes is what makes gradients accumulate correctly for
-    weights reused at every tree node.
+    A key is a tensor name, or ``("emb", row)`` for one embedding row (a
+    view).  Parameters, AdaGrad accumulators and gradient buffers are
+    all name -> array maps, so one key addresses a slot in each.
     """
+    if isinstance(key, tuple):
+        name, row = key
+        return tensors[name][row]
+    return tensors[key]
 
-    def __init__(self, tape: Tape, params: ModelParams):
-        self.tape = tape
-        self.params = params
-        self.refs: dict[str, ValueRef] = {}
-        self.emb_rows: dict[int, ValueRef] = {}
-        self._zero: Optional[ValueRef] = None
 
-    def ref(self, name: str) -> ValueRef:
-        got = self.refs.get(name)
-        if got is None:
-            got = self.refs[name] = self.tape.input(self.params.tensors[name])
-        return got
-
-    def emb_row(self, row: int) -> ValueRef:
-        got = self.emb_rows.get(row)
-        if got is None:
-            got = self.emb_rows[row] = self.tape.input(self.params.tensors["emb"][row])
-        return got
-
-    def zeros(self) -> ValueRef:
-        if self._zero is None:
-            self._zero = self.tape.input(
-                np.zeros(self.params.dim, dtype=self.params.dtype))
-        return self._zero
+def _param(tape: Tape, params: ModelParams, key) -> ValueRef:
+    """Slot ``key`` of ``params`` as a keyed leaf of ``tape``; the tape is
+    asked first because the passes ask for every weight at every node."""
+    return tape.keyed.get(key) or tape.input(slot(params.tensors, key), key=key)
 
 
 @dataclass
@@ -234,7 +220,6 @@ class NodeStates:
     """
 
     index: TreeIndex
-    binding: TapeBinding
     h_up: list[ValueRef]
     z_up: list[ValueRef]
     r_up: list[ValueRef]
@@ -272,43 +257,44 @@ _UPWARD = ("U_{g}", "W_{g}_{k}", "b_{g}")
 _DOWNWARD = ("Ud_{g}", "Wd_{g}", "bd_{g}")
 
 
-def gru_cell(b: TapeBinding, names: tuple[str, str, str],
-             x: Optional[ValueRef], kids: list[ValueRef]):
+def gru_cell(tape: Tape, params: ModelParams, names: tuple[str, str, str],
+             x: Optional[ValueRef], kids: list[ValueRef],
+             zero: Optional[ValueRef] = None):
     """One node update of the rule in the module docstring; returns
     (h, z, r, cand).
 
     ``names`` are a direction's tensor-name templates, ``x`` is None
     where the input terms vanish, and ``kids`` are the child states
-    (top-down: the parent's downward state alone).
+    (top-down: the parent's downward state alone); ``zero`` stands in
+    for the child sum of a leaf.
     """
-    tape = b.tape
     u_name, w_name, b_name = names
+    p = partial(_param, tape, params)
 
     def preactivation(gate, inputs):
-        terms = [] if x is None else [ad.matmul(tape, b.ref(u_name.format(g=gate)), x)]
-        terms += [ad.matmul(tape, b.ref(w_name.format(g=gate, k=k)), h)
+        terms = [] if x is None else [ad.matmul(tape, p(u_name.format(g=gate)), x)]
+        terms += [ad.matmul(tape, p(w_name.format(g=gate, k=k)), h)
                   for k, h in enumerate(inputs, start=1)]
-        terms.append(b.ref(b_name.format(g=gate)))
+        terms.append(p(b_name.format(g=gate)))
         return ad.vsum(tape, terms)
 
     z = ad.sigmoid(tape, preactivation("z", kids))
     r = ad.sigmoid(tape, preactivation("r", kids))
     cand = ad.tanh(tape, preactivation("h", [ad.mul(tape, h, r) for h in kids]))
     if not kids:
-        ksum = b.zeros()
+        ksum = zero
     else:
         ksum = kids[0] if len(kids) == 1 else ad.vsum(tape, kids)
     return ad.blend(tape, z, ksum, cand), z, r, cand
 
 
 def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
-                vocab: Vocabulary, input_mask: MaskFn = None,
-                binding: Optional[TapeBinding] = None) -> NodeStates:
+                vocab: Vocabulary, input_mask: MaskFn = None) -> NodeStates:
     """Bottom-up phase; leaves read (optionally masked) embedding rows."""
     idx = index_tree(tree)
-    b = binding or TapeBinding(tape, params)
     n = len(idx)
     h, z, r, cand = ([None] * n for _ in range(4))
+    zero = tape.input(np.zeros(params.dim, dtype=params.dtype))
 
     # reversed pre-order puts every child before its parent
     for j in range(n - 1, -1, -1):
@@ -319,12 +305,13 @@ def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
                 f"node arity {len(kids)} exceeds K={params.max_children}")
         x = None
         if node.is_leaf:
-            x = b.emb_row(vocab.lookup(node.token))
+            x = _param(tape, params, ("emb", vocab.lookup(node.token)))
             if input_mask is not None:
                 x = ad.mul(tape, x, tape.input(input_mask(params.dim)))
-        h[j], z[j], r[j], cand[j] = gru_cell(b, _UPWARD, x, [h[k] for k in kids])
+        h[j], z[j], r[j], cand[j] = gru_cell(tape, params, _UPWARD, x,
+                                             [h[k] for k in kids], zero)
 
-    return NodeStates(idx, b, h, z, r, cand, ad.stack(tape, h))
+    return NodeStates(idx, h, z, r, cand, ad.stack(tape, h))
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
@@ -338,13 +325,13 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
         raise ModelError("downward pass needs treebigru parameters")
     if states.h_up is None or any(ref is None for ref in states.h_up):
         raise ModelError("downward pass requires completed upward states")
-    idx, b = states.index, states.binding
+    idx = states.index
     n = len(idx)
     h, z, r, cand = ([None] * n for _ in range(4))
 
     h[0] = states.h_up[0]
     for j in range(1, n):  # pre-order: parents are already done
-        h[j], z[j], r[j], cand[j] = gru_cell(b, _DOWNWARD, states.h_up[j],
+        h[j], z[j], r[j], cand[j] = gru_cell(tape, params, _DOWNWARD, states.h_up[j],
                                              [h[idx.parents[j]]])
 
     states.h_down, states.z_down, states.r_down, states.cand_down = h, z, r, cand
@@ -370,12 +357,12 @@ def attention_pool(states: NodeStates, params: ModelParams,
     if not params.attention:
         raise ModelError("parameters carry no attention tensors")
     _require_downward(states, params, "representation")
-    b = states.binding
+    p = partial(_param, tape, params)
     nodes = states.H_up
     if params.variant == VARIANT_TREEBIGRU:
         nodes = ad.concat(tape, [states.H_up, states.H_down])
-    projected = ad.tanh(tape, ad.matmul(tape, b.ref("W_w"), nodes, bias=b.ref("b_w")))
-    scores = ad.matmul(tape, b.ref("u_w"), projected)
+    projected = ad.tanh(tape, ad.matmul(tape, p("W_w"), nodes, bias=p("b_w")))
+    scores = ad.matmul(tape, p("u_w"), projected)
     if params.attention_norm == "softmax":
         weights = ad.softmax(tape, scores)
     elif params.attention_norm == "linear":
@@ -400,7 +387,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     if params.attention and attn is None:
         raise ModelError("attention parameters require an AttentionResult")
     _require_downward(states, params, "classifier")
-    b = states.binding
+    p = partial(_param, tape, params)
 
     def masked(ref):
         if feature_mask is None:
@@ -408,18 +395,18 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
         return ad.mul(tape, ref, tape.input(feature_mask(ref.shape)))
 
     if params.variant == VARIANT_TREEBIGRU:
-        logits = ad.add(tape, ad.matmul(tape, b.ref("W_s_up"), masked(states.H_up)),
-                        ad.matmul(tape, b.ref("W_s_dn"), masked(states.H_down),
-                                  bias=b.ref("b_s")))
+        logits = ad.add(tape, ad.matmul(tape, p("W_s_up"), masked(states.H_up)),
+                        ad.matmul(tape, p("W_s_dn"), masked(states.H_down),
+                                  bias=p("b_s")))
         sentence_weights, sentence_bias = "W_s_att", "b_s_att"
     else:
-        logits = ad.matmul(tape, b.ref("W_s"), masked(states.H_up), bias=b.ref("b_s"))
+        logits = ad.matmul(tape, p("W_s"), masked(states.H_up), bias=p("b_s"))
         sentence_weights, sentence_bias = "W_s", "b_s"
     probs = _softmax_columns(tape.value(logits)).T
     root = None
     if attn is not None:
-        root = ad.matmul(tape, b.ref(sentence_weights), masked(attn.sentence),
-                         bias=b.ref(sentence_bias))
+        root = ad.matmul(tape, p(sentence_weights), masked(attn.sentence),
+                         bias=p(sentence_bias))
         probs[0] = _softmax_columns(tape.value(root))
     return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
 

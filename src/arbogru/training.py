@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -56,7 +56,6 @@ class TrainConfig:
     epochs: int = 40
     evals_per_epoch: int = 4
     seed: int = 1
-    max_children: int = 2
     precision: str = "f64"
 
     def dtype(self):
@@ -98,28 +97,17 @@ class OptimizerState:
         return cls({name: np.zeros_like(t) for name, t in params.tensors.items()})
 
 
-@dataclass
-class GradTable:
-    """Gradients keyed like ModelParams; embedding rows stay sparse."""
-
-    dense: dict[str, np.ndarray] = field(default_factory=dict)
-    emb_rows: dict[int, np.ndarray] = field(default_factory=dict)
+class GradTable(dict):
+    """Gradients keyed by parameter slot (see ``model.slot``): a tensor
+    name, or ``("emb", row)`` for an embedding row a batch touched."""
 
     def add(self, other: "GradTable") -> None:
-        for name, g in other.dense.items():
-            held = self.dense.get(name)
-            self.dense[name] = g if held is None else held + g
-        for row, g in other.emb_rows.items():
-            held = self.emb_rows.get(row)
-            self.emb_rows[row] = g if held is None else held + g
+        for key, g in other.items():
+            held = self.get(key)
+            self[key] = g if held is None else held + g
 
     def norm(self) -> float:
-        total = 0.0
-        for g in self.dense.values():
-            total += float(np.sum(g * g))
-        for g in self.emb_rows.values():
-            total += float(np.sum(g * g))
-        return math.sqrt(total)
+        return math.sqrt(sum(float(np.sum(g * g)) for g in self.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +126,22 @@ def dropout_mask(size: int, p_drop: float, rng, dtype=np.float64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loss
 
-def l2_penalty(params: m.ModelParams, l2: float, touched_rows=()) -> float:
-    """(l2/2) * squared norm of weight matrices plus touched embedding rows."""
+def _l2_slots(params: m.ModelParams, keys) -> list:
+    """Every weight matrix, plus the embedding rows among ``keys``: L2
+    covers the rows a batch touched, not all of ``emb``."""
+    return ([name for name in params.tensors if name != "emb" and not m.is_bias(name)]
+            + [key for key in keys if isinstance(key, tuple)])
+
+
+def l2_penalty(params: m.ModelParams, l2: float, keys=()) -> float:
+    """(l2/2) * squared norm of weight matrices plus the embedding rows
+    among the slot ``keys``."""
     if l2 <= 0.0:
         return 0.0
     total = 0.0
-    for name, t in params.tensors.items():
-        if name == "emb" or m.is_bias(name):
-            continue
+    for key in _l2_slots(params, keys):
+        t = m.slot(params.tensors, key)
         total += float(np.sum(t * t))
-    emb = params.tensors["emb"]
-    for row in touched_rows:
-        total += float(np.sum(emb[row] * emb[row]))
     return 0.5 * l2 * total
 
 
@@ -157,14 +149,10 @@ def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None
     """Add l2 * theta for every weight matrix and touched embedding row."""
     if l2 <= 0.0:
         return
-    for name, t in params.tensors.items():
-        if name == "emb" or m.is_bias(name):
-            continue
-        held = grads.dense.get(name)
-        grads.dense[name] = l2 * t if held is None else held + l2 * t
-    emb = params.tensors["emb"]
-    for row in list(grads.emb_rows):
-        grads.emb_rows[row] = grads.emb_rows[row] + l2 * emb[row]
+    for key in _l2_slots(params, grads):
+        t = m.slot(params.tensors, key)
+        held = grads.get(key)
+        grads[key] = l2 * t if held is None else held + l2 * t
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +164,15 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
 
     The step aborts (nothing mutated) if any gradient is non-finite.
     """
-    for name, g in grads.dense.items():
+    for key, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-    for row, g in grads.emb_rows.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for embedding row {row}")
+            raise TrainingError(f"non-finite gradient for parameter {key!r}")
 
-    for name, g in grads.dense.items():
-        acc = opt.accumulators[name]
+    for key, g in grads.items():
+        acc = m.slot(opt.accumulators, key)
         acc += g * g
-        params.tensors[name] -= learning_rate * g / (np.sqrt(acc) + opt.eps)
-    emb_acc = opt.accumulators["emb"]
-    emb = params.tensors["emb"]
-    for row, g in grads.emb_rows.items():
-        emb_acc[row] += g * g
-        emb[row] -= learning_rate * g / (np.sqrt(emb_acc[row]) + opt.eps)
+        theta = m.slot(params.tensors, key)
+        theta -= learning_rate * g / (np.sqrt(acc) + opt.eps)
     return params
 
 
@@ -249,15 +230,10 @@ def sentence_gradients(tree: LabeledTree, params: m.ModelParams, vocab: Vocabula
         return 0.0, table
     loss_value = float(tape.value(graph.loss))
     grads = ad.backward(tape, graph.loss)
-    binding = graph.states.binding
-    for name, ref in binding.refs.items():
+    for key, ref in tape.keyed.items():
         g = grads[ref.index]
         if g is not None:
-            table.dense[name] = g
-    for row, ref in binding.emb_rows.items():
-        g = grads[ref.index]
-        if g is not None:
-            table.emb_rows[row] = g
+            table[key] = g
     return loss_value, table
 
 
@@ -340,8 +316,9 @@ def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
     # Sentences run on a thread pool: numpy's d x d products in the
     # backward sweep release the interpreter lock, which pays at the
     # reference d=300.  Per-sentence generators are seeded up front and
-    # results merge in batch order, so the worker count cannot change
-    # the dropout masks or the summed gradients.
+    # results merge in batch order, each as soon as it is yielded (so a
+    # batch never holds every sentence's table at once); the worker
+    # count cannot change the dropout masks or the summed gradients.
     seeds = rng.integers(0, 2 ** 63 - 1, size=len(ids))
 
     def one(pos):
@@ -354,15 +331,13 @@ def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
             raise TrainingError(f"non-finite loss at sentence index {idx}")
         return loss, table
 
-    with ThreadPoolExecutor(max_workers=min(usable_cpus(), len(ids))) as pool:
-        results = list(pool.map(one, range(len(ids))))
-
     total = GradTable()
     batch_loss = 0.0
-    for loss, table in results:
-        batch_loss += loss
-        total.add(table)
-    batch_loss += l2_penalty(params, config.l2, total.emb_rows.keys())
+    with ThreadPoolExecutor(max_workers=min(usable_cpus(), len(ids))) as pool:
+        for loss, table in pool.map(one, range(len(ids))):
+            batch_loss += loss
+            total.add(table)
+    batch_loss += l2_penalty(params, config.l2, total)
     add_l2_gradients(total, params, config.l2)
     gnorm = total.norm()
     if gnorm > GRAD_NORM_WARN:
@@ -441,16 +416,14 @@ def gradient_check(variant: str, attention: bool, dim: int,
 
     _, grads = sentence_gradients(tree, params, vocab)
     add_l2_gradients(grads, params, l2)
-    touched = sorted(grads.emb_rows)
-    analytic = {name: grads.dense.get(name, np.zeros_like(t))
-                for name, t in params.tensors.items()}
-    for row in touched:
-        analytic["emb"][row] = grads.emb_rows[row]
+    analytic = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    for key, g in grads.items():
+        m.slot(analytic, key)[...] = g
 
     def objective() -> float:
         probe = Tape()
         got = build_sentence_graph(probe, tree, params, vocab)
-        return float(probe.value(got.loss)) + l2_penalty(params, l2, touched)
+        return float(probe.value(got.loss)) + l2_penalty(params, l2, grads)
 
     worst = 0.0
     for name, t in params.tensors.items():

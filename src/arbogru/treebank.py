@@ -33,14 +33,16 @@ class TreebankError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LabeledTree:
     """One node of a sentiment parse tree.
 
     A node carries either a ``token`` (leaf) or a non-empty ``children``
     tuple, never both.  ``label`` is ``None`` only for nodes excluded
     from supervision: neutral phrases kept for structure inside
-    binary-task trees.
+    binary-task trees.  Trees compare, hash and print as their pre-order
+    (label, token, arity) sequence, which determines the tree and takes
+    no recursion.
     """
 
     label: Optional[int]
@@ -58,6 +60,20 @@ class LabeledTree:
     @property
     def supervised(self) -> bool:
         return self.label is not None
+
+    def _preorder(self) -> tuple:
+        return tuple((n.label, n.token, len(n.children)) for n in iter_nodes(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledTree):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        return f"LabeledTree({self._preorder()!r})"
 
 
 @dataclass

@@ -344,6 +344,19 @@ def test_tape_parents_precede_children(rng):
     assert loss.index == len(tape) - 1
 
 
+def test_keyed_input_registers_once_and_sums_gradients():
+    tape = Tape()
+    w = tape.input(np.array([1.0, 2.0]), key="w")
+    again = tape.input(np.array([9.0, 9.0]), key="w")  # later values are ignored
+    x = tape.input(np.array([3.0, 4.0]))
+    assert again == w and len(tape) == 2
+    assert tape.keyed == {"w": w}
+    assert tape.input(np.zeros(2)) != tape.input(np.zeros(2))  # unkeyed: fresh leaves
+    loss = ad.vsum(tape, [ad.matmul(tape, w, x), ad.matmul(tape, again, x)])
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[w.index], [6.0, 8.0])
+
+
 def test_backward_gradient_shapes_match_values(rng):
     tape = Tape()
     m = tape.input(rnd(rng, 4, 3))

@@ -115,6 +115,7 @@ def test_train_writes_artifacts(data_dir, tmp_path, capsys):
     assert manifest["epochs"] == 2
     assert manifest["learning_rate"] == 0.01
     assert manifest["coverage"] == 0.0
+    assert manifest["max_children"] == 2
     log_lines = (out / "train.log").read_text().strip().splitlines()
     assert all(len(line.split("\t")) == 5 for line in log_lines)
     assert "best dev root accuracy" in capsys.readouterr().out
@@ -149,6 +150,14 @@ def test_train_missing_data_dir(tmp_path):
 
 def test_train_rejects_dim_zero(data_dir, tmp_path):
     assert main(train_args(data_dir, tmp_path / "out", dim=0)) == 2
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_train_rejects_evals_per_epoch_below_one(data_dir, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(train_args(data_dir, out, evals_per_epoch=value)) == 2
+    assert "--evals-per-epoch must be at least 1" in capsys.readouterr().err
+    assert not (out / "train.log").exists()
 
 
 def test_train_binary_task(data_dir, tmp_path):

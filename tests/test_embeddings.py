@@ -151,6 +151,14 @@ def test_load_glove_rejects_non_finite_values(tmp_path, value):
         load_glove(path, vocab, 2, np.random.default_rng(0))
 
 
+def test_load_glove_non_numeric_value_names_line(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("movie 0.1 0.2 0.3 0.4\ngood 0.1 abc 0.3 0.4\n")
+    with pytest.raises(EmbeddingError, match=r"glove.txt, line 2: .*'abc'"):
+        load_glove(path, vocab, 4, np.random.default_rng(0))
+
+
 def test_load_glove_float32_overflow_is_non_finite(tmp_path):
     vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
     path = tmp_path / "glove.txt"

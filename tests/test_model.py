@@ -9,7 +9,7 @@ from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab
 from arbogru.model import (ModelError, attention_pool, count_parameters,
                            downward_pass, init_params, itemize_parameters,
-                           predict_nodes, upward_pass)
+                           predict_nodes, slot, upward_pass)
 from arbogru.treebank import Corpus, LabeledTree, parse_tree
 
 import oracles
@@ -629,3 +629,31 @@ def test_node_representation_requires_downward():
     params.attention = False
     with pytest.raises(ModelError, match="downward"):
         predict_nodes(states, params, tape)
+
+
+# ---------------------------------------------------------------------------
+# parameter slots
+
+def test_slot_addresses_tensor_and_embedding_row():
+    params = random_params("treegru", False, 3, synth_vocab(), seed=1)
+    assert slot(params.tensors, "U_z") is params.tensors["U_z"]
+    before = params.tensors["emb"][2].copy()
+    row = slot(params.tensors, ("emb", 2))
+    np.testing.assert_array_equal(row, before)
+    row += 1.0  # a view: writes land in the tensor
+    np.testing.assert_array_equal(params.tensors["emb"][2], before + 1.0)
+
+
+def test_passes_register_each_parameter_slot_once():
+    # a repeated word reads one embedding row; each weight is one tape leaf
+    vocab = synth_vocab()
+    params = random_params("treebigru", True, 3, vocab, seed=2)
+    tree = parse_tree("(3 (2 good) (3 (2 good) (2 movie)))")
+    tape = Tape()
+    states = upward_pass(tree, params, tape, vocab)
+    downward_pass(states, params, tape)
+    predict_nodes(states, params, tape, attn=attention_pool(states, params, tape))
+    rows = {("emb", vocab.lookup("good")), ("emb", vocab.lookup("movie"))}
+    assert set(tape.keyed) == (set(params.tensors) - {"emb"}) | rows
+    for key, ref in tape.keyed.items():
+        assert np.shares_memory(tape.value(ref), slot(params.tensors, key))

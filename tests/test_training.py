@@ -5,8 +5,7 @@ import pytest
 
 from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
-from arbogru.model import (TapeBinding, downward_pass, init_params, predict_nodes,
-                           upward_pass)
+from arbogru.model import downward_pass, init_params, predict_nodes, upward_pass
 from arbogru import training
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
@@ -47,17 +46,19 @@ def test_loss_includes_l2_penalty():
     params = random_params("treegru", False, 3, vocab, seed=5)
     emb = params.tensors["emb"]
     bare = l2_penalty(params, 0.01)
-    with_rows = l2_penalty(params, 0.01, touched_rows=[1, 2])
+    with_rows = l2_penalty(params, 0.01, [("emb", 1), ("emb", 2)])
     assert bare > 0.0
     assert with_rows == pytest.approx(
         bare + 0.005 * (np.sum(emb[1] ** 2) + np.sum(emb[2] ** 2)))
-    assert l2_penalty(params, 0.0, touched_rows=[1, 2]) == 0.0
+    assert l2_penalty(params, 0.0, [("emb", 1), ("emb", 2)]) == 0.0
+    # tensor keys among the slots neither count twice nor bring in biases
+    assert l2_penalty(params, 0.01, ["U_z", "b_z", ("emb", 1), ("emb", 2)]) == with_rows
 
 
 def test_l2_penalty_skips_biases_and_untouched_rows():
     vocab = synth_vocab()
     params = random_params("treegru", False, 3, vocab, seed=6)
-    value = l2_penalty(params, 2.0, touched_rows=[0])
+    value = l2_penalty(params, 2.0, [("emb", 0)])
     expected = 0.0
     for name, t in params.tensors.items():
         if name == "emb" or name.startswith("b"):
@@ -80,7 +81,7 @@ def test_adagrad_first_step_magnitude():
     opt = OptimizerState.for_params(params)
     g = np.full_like(params.tensors["b_z"], 3.0)
     before = params.tensors["b_z"].copy()
-    adagrad_step(params, GradTable(dense={"b_z": g}), opt, learning_rate=0.01)
+    adagrad_step(params, GradTable({"b_z": g}), opt, learning_rate=0.01)
     step = before - params.tensors["b_z"]
     assert np.allclose(step, 0.01, atol=1e-8)  # g / sqrt(g^2) = sign(g)
 
@@ -89,7 +90,7 @@ def test_adagrad_zero_gradient_is_identity():
     params = make_tiny_params()
     opt = OptimizerState.for_params(params)
     before = params.tensors["U_z"].copy()
-    adagrad_step(params, GradTable(dense={"U_z": np.zeros_like(before)}), opt, 0.01)
+    adagrad_step(params, GradTable({"U_z": np.zeros_like(before)}), opt, 0.01)
     assert np.array_equal(params.tensors["U_z"], before)
     assert np.all(opt.accumulators["U_z"] == 0.0)
 
@@ -100,9 +101,9 @@ def test_adagrad_two_step_hand_values():
     name = "b_r"
     g1 = np.full_like(params.tensors[name], 3.0)
     g2 = np.full_like(params.tensors[name], 4.0)
-    adagrad_step(params, GradTable(dense={name: g1}), opt, 0.01)
+    adagrad_step(params, GradTable({name: g1}), opt, 0.01)
     before = params.tensors[name].copy()
-    adagrad_step(params, GradTable(dense={name: g2}), opt, 0.01)
+    adagrad_step(params, GradTable({name: g2}), opt, 0.01)
     assert np.allclose(opt.accumulators[name], 25.0)
     assert np.allclose(before - params.tensors[name], 0.01 * 4.0 / 5.0, atol=1e-8)
 
@@ -114,7 +115,7 @@ def test_adagrad_accumulators_monotone():
     prev = opt.accumulators["U_z"].copy()
     for _ in range(5):
         g = rng.normal(size=params.tensors["U_z"].shape)
-        adagrad_step(params, GradTable(dense={"U_z": g}), opt, 0.01)
+        adagrad_step(params, GradTable({"U_z": g}), opt, 0.01)
         assert np.all(opt.accumulators["U_z"] >= prev)
         prev = opt.accumulators["U_z"].copy()
 
@@ -124,21 +125,52 @@ def test_adagrad_sparse_embedding_rows():
     opt = OptimizerState.for_params(params)
     emb_before = params.tensors["emb"].copy()
     g = np.array([1.0, -1.0])
-    adagrad_step(params, GradTable(emb_rows={2: g}), opt, 0.01)
+    adagrad_step(params, GradTable({("emb", 2): g}), opt, 0.01)
     changed = np.where(np.any(params.tensors["emb"] != emb_before, axis=1))[0]
     assert list(changed) == [2]
+
+
+def test_adagrad_step_updates_row_and_tensor_alike():
+    params = make_tiny_params()
+    opt = OptimizerState.for_params(params)
+    emb_before = params.tensors["emb"].copy()
+    bias_before = params.tensors["b_z"].copy()
+    grads = GradTable({("emb", 2): np.array([3.0, -4.0]), "b_z": np.array([2.0, 0.5])})
+    adagrad_step(params, grads, opt, 0.1)
+    # first step: g / sqrt(g^2) = sign(g), so each coordinate moves by lr
+    np.testing.assert_allclose(emb_before[2] - params.tensors["emb"][2], [0.1, -0.1],
+                               rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(opt.accumulators["emb"][2], [9.0, 16.0])
+    np.testing.assert_allclose(bias_before - params.tensors["b_z"], [0.1, 0.1],
+                               rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(opt.accumulators["b_z"], [4.0, 0.25])
+    others = np.arange(len(emb_before)) != 2
+    np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
+    assert np.all(opt.accumulators["emb"][others] == 0.0)
+    # second step on the row alone: acc = (10, 16), step = lr * g / sqrt(acc)
+    row_before = params.tensors["emb"][2].copy()
+    adagrad_step(params, GradTable({("emb", 2): np.array([1.0, 0.0])}), opt, 0.1)
+    np.testing.assert_allclose(row_before - params.tensors["emb"][2],
+                               [0.1 / np.sqrt(10.0), 0.0], rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(opt.accumulators["emb"][2], [10.0, 16.0])
+    np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
 
 
 def test_adagrad_rejects_nonfinite_and_leaves_params_untouched():
     params = make_tiny_params()
     opt = OptimizerState.for_params(params)
     snapshot = {k: v.copy() for k, v in params.tensors.items()}
-    bad = GradTable(dense={"U_z": np.full_like(params.tensors["U_z"], np.nan),
-                           "b_z": np.ones_like(params.tensors["b_z"])})
+    bad = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
+                     "U_z": np.full_like(params.tensors["U_z"], np.nan)})
     with pytest.raises(TrainingError, match="U_z"):
         adagrad_step(params, bad, opt, 0.01)
+    bad_row = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
+                         ("emb", 3): np.array([0.0, np.inf])})
+    with pytest.raises(TrainingError, match=r"\('emb', 3\)"):
+        adagrad_step(params, bad_row, opt, 0.01)
     for name, t in params.tensors.items():
         assert np.array_equal(t, snapshot[name])
+    assert all(np.all(acc == 0.0) for acc in opt.accumulators.values())
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +222,7 @@ def test_l2_only_gradient_matches_fd_exactly():
     vocab = synth_vocab()
     params = random_params("treegru", False, 3, vocab, seed=9)
     l2 = 1e-4
-    touched = [0, 1]
+    touched = [("emb", 0), ("emb", 1)]
     eps = 1e-5
     for name in ("U_z", "W_s"):
         t = params.tensors[name]
@@ -220,25 +252,25 @@ def test_batch_gradient_equals_sum_of_sentence_gradients():
         _, table = sentence_gradients(tree, params, vocab)
         summed.add(table)
 
+    # the sentences share one tape, so they share its parameter slots
     tape = Tape()
-    binding = TapeBinding(tape, params)
     losses = []
     for tree in trees:
-        states = upward_pass(tree, params, tape, vocab, binding=binding)
+        states = upward_pass(tree, params, tape, vocab)
         preds = predict_nodes(states, params, tape)
         losses.append(ad.softmax_cross_entropy(tape, preds.logits, states.index.gold))
     joint = ad.vsum(tape, losses)
     grads = ad.backward(tape, joint)
+    reached = {key for key, ref in tape.keyed.items() if grads[ref.index] is not None}
+    assert reached == set(summed)
+    assert any(isinstance(key, tuple) for key in reached)  # embedding rows too
     # absent entries mean a zero gradient (e.g. U_r never reaches the loss:
     # leaves do not gate children and internal nodes have zero input vectors)
-    for name, ref in binding.refs.items():
+    for key, ref in tape.keyed.items():
         joint_g = grads[ref.index]
         joint_g = np.zeros(ref.shape) if joint_g is None else joint_g
-        sent_g = summed.dense.get(name, np.zeros(ref.shape))
+        sent_g = summed.get(key, np.zeros(ref.shape))
         np.testing.assert_allclose(joint_g, sent_g, rtol=0, atol=1e-10)
-    for row, ref in binding.emb_rows.items():
-        np.testing.assert_allclose(grads[ref.index], summed.emb_rows[row],
-                                   rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)

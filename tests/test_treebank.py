@@ -101,6 +101,33 @@ def test_labeled_tree_token_xor_children():
         LabeledTree(2, token="x", children=(LabeledTree(2, token="y"),))
 
 
+def test_labeled_tree_structural_equality_and_repr():
+    tree = parse_tree("(3 (2 good) (1 (2 movie)))")
+    assert tree == LabeledTree(3, children=(
+        LabeledTree(2, "good"), LabeledTree(1, children=(LabeledTree(2, "movie"),))))
+    assert tree != parse_tree("(3 (2 good) (1 (3 movie)))")
+    assert tree != "(3 (2 good) (1 (2 movie)))"
+    # same labels and tokens in pre-order, different shape
+    assert parse_tree("(1 (2 (3 a) (3 b)))") != parse_tree("(1 (2 (3 a)) (3 b))")
+    assert len({tree, parse_tree(serialize_tree(tree))}) == 1
+    # repr lists (label, token, arity) in pre-order
+    assert repr(parse_tree("(3 (1 (2 a)) (4 b))")) == (
+        "LabeledTree(((3, None, 2), (1, None, 1), (2, 'a', 0), (4, 'b', 0)))")
+
+
+def test_deep_chain_compares_hashes_and_prints():
+    # generated dataclass methods would recurse past the interpreter's limit
+    depth = 1500
+    line = "(1 " * depth + "(4 good)" + ")" * depth
+    one, two = parse_tree(line), parse_tree(line)
+    assert one is not two
+    assert one == two
+    assert hash(one) == hash(two)
+    assert repr(one) == repr(two)
+    assert repr(one).count("(1, None, 1)") == depth
+    assert one != parse_tree("(1 " * depth + "(4 bad)" + ")" * depth)
+
+
 def test_load_corpus(tmp_path):
     path = tmp_path / "train.txt"
     path.write_text("(3 (2 good) (2 movie))\n(2 hello)\n\n(0 (0 awful) (2 plot))\n")
