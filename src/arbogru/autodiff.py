@@ -15,8 +15,6 @@ from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
-_SIG_CLIP = 60.0  # |x| beyond this saturates sigmoid past float64 resolution
-
 
 class ShapeMismatch(ValueError):
     """Operand shapes do not conform for the requested op."""
@@ -48,15 +46,18 @@ class Tape:
         """Register a leaf value (parameter or constant); a keyed leaf is
         registered on first use only, so all its uses share one gradient."""
         if key is None:
-            return self._append(np.asarray(value), (), None)
+            return self.append(np.asarray(value), (), None)
         if key not in self.keyed:
-            self.keyed[key] = self._append(np.asarray(value), (), None)
+            self.keyed[key] = self.append(np.asarray(value), (), None)
         return self.keyed[key]
 
     def value(self, ref: ValueRef) -> np.ndarray:
         return self._values[ref.index]
 
-    def _append(self, value, parents, vjp) -> ValueRef:
+    def append(self, value, parents, vjp) -> ValueRef:
+        """Record ``value``, computed from the values at the tape indices
+        ``parents``; ``vjp`` maps its output gradient to one gradient per
+        parent, in order (None for a leaf)."""
         self._values.append(value)
         self._parents.append(parents)
         self._vjps.append(vjp)
@@ -91,14 +92,14 @@ def matmul(tape: Tape, a: ValueRef, b: ValueRef,
             grads += (g.sum(axis=1) if g.ndim == 2 else g,)
         return grads
 
-    return tape._append(np.asarray(out), parents, vjp)
+    return tape.append(np.asarray(out), parents, vjp)
 
 
 def add(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
     av, bv = tape.value(a), tape.value(b)
     if av.shape != bv.shape:
         _fail("add", av.shape, bv.shape)
-    return tape._append(av + bv, (a.index, b.index), lambda g: (g, g))
+    return tape.append(av + bv, (a.index, b.index), lambda g: (g, g))
 
 
 def mul(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
@@ -110,17 +111,7 @@ def mul(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
     def vjp(g):
         return g * bv, g * av
 
-    return tape._append(av * bv, (a.index, b.index), vjp)
-
-
-def sigmoid(tape: Tape, a: ValueRef) -> ValueRef:
-    x = np.clip(tape.value(a), -_SIG_CLIP, _SIG_CLIP)
-    y = 1.0 / (1.0 + np.exp(-x))
-
-    def vjp(g):
-        return (g * y * (1.0 - y),)
-
-    return tape._append(y, (a.index,), vjp)
+    return tape.append(av * bv, (a.index, b.index), vjp)
 
 
 def tanh(tape: Tape, a: ValueRef) -> ValueRef:
@@ -129,35 +120,7 @@ def tanh(tape: Tape, a: ValueRef) -> ValueRef:
     def vjp(g):
         return (g * (1.0 - y * y),)
 
-    return tape._append(y, (a.index,), vjp)
-
-
-def vsum(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
-    """Sum of same-shaped values."""
-    if not refs:
-        raise ValueError("vsum: empty operand list")
-    values = [tape.value(r) for r in refs]
-    shape = values[0].shape
-    if any(v.shape != shape for v in values):
-        _fail("vsum", *[v.shape for v in values])
-    total = values[0].copy()
-    for v in values[1:]:
-        total += v
-    return tape._append(total, tuple(r.index for r in refs),
-                        lambda g: (g,) * len(refs))
-
-
-def blend(tape: Tape, gate: ValueRef, a: ValueRef, b: ValueRef) -> ValueRef:
-    """Gated interpolation ``gate * a + (1 - gate) * b``."""
-    zv, av, bv = tape.value(gate), tape.value(a), tape.value(b)
-    if not zv.shape == av.shape == bv.shape:
-        _fail("blend", zv.shape, av.shape, bv.shape)
-
-    def vjp(g):
-        return g * (av - bv), g * zv, g * (1.0 - zv)
-
-    return tape._append(zv * av + (1.0 - zv) * bv,
-                        (gate.index, a.index, b.index), vjp)
+    return tape.append(y, (a.index,), vjp)
 
 
 def softmax(tape: Tape, a: ValueRef) -> ValueRef:
@@ -171,7 +134,7 @@ def softmax(tape: Tape, a: ValueRef) -> ValueRef:
     def vjp(g):
         return (y * (g - np.dot(g, y)),)
 
-    return tape._append(y, (a.index,), vjp)
+    return tape.append(y, (a.index,), vjp)
 
 
 def linear_norm(tape: Tape, a: ValueRef) -> ValueRef:
@@ -187,7 +150,7 @@ def linear_norm(tape: Tape, a: ValueRef) -> ValueRef:
     def vjp(g):
         return ((g - np.dot(g, y)) / total,)
 
-    return tape._append(y, (a.index,), vjp)
+    return tape.append(y, (a.index,), vjp)
 
 
 def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold) -> ValueRef:
@@ -223,7 +186,7 @@ def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold) -> ValueRef:
         grad[rows, sup] -= g
         return (grad.reshape(x.shape),)
 
-    return tape._append(loss, (logits.index,), vjp)
+    return tape.append(loss, (logits.index,), vjp)
 
 
 def stack(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
@@ -236,7 +199,7 @@ def stack(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
     def vjp(g):
         return tuple(g[..., i] for i in range(len(refs)))
 
-    return tape._append(np.stack(values, axis=-1), tuple(r.index for r in refs), vjp)
+    return tape.append(np.stack(values, axis=-1), tuple(r.index for r in refs), vjp)
 
 
 def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
@@ -250,7 +213,7 @@ def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
     def vjp(g):
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(refs)))
 
-    return tape._append(np.concatenate(values), tuple(r.index for r in refs), vjp)
+    return tape.append(np.concatenate(values), tuple(r.index for r in refs), vjp)
 
 
 def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:

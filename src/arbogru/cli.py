@@ -11,7 +11,9 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +32,11 @@ from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
 log = logging.getLogger("arbogru")
 
 GRADCHECK_THRESHOLD = 1e-4
+MAX_CHILDREN = 2  # K: trained models and the audit are binary-branching
 
 # reference totals for the original 300-dim, 5-class sentiment-treebank
 # configuration (vocab 21702, binary branching)
-REFERENCE_DIMS = (300, 21702, 5, 2)
+REFERENCE_DIMS = (300, 21702, 5)
 REFERENCE_TOTALS = {
     ("treegru", False): 7_323_005,
     ("treegru", True): 7_413_605,
@@ -138,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     p.add_argument("--vocab", type=int, default=21702, help="vocabulary size")
     p.add_argument("--classes", type=int, default=5, help="sentiment classes")
-    p.add_argument("--children", type=int, default=2, help="max children per node")
     p.set_defaults(func=run_params)
 
     return parser
@@ -174,21 +176,13 @@ def run_train(args) -> int:
     _require(args.l2 >= 0.0, "--l2 must be nonnegative")
     _require(args.evals_per_epoch >= 1, "--evals-per-epoch must be at least 1")
 
-    data_dir = Path(args.data)
-    paths = {}
-    for split in ("train", "dev", "test"):
-        candidate = data_dir / f"{split}.txt"
-        if split == "test" and not candidate.exists():
-            paths[split] = None
-            continue
-        _require(candidate.exists(), f"missing treebank file {candidate}")
-        paths[split] = candidate
-
-    corpora = SplitCorpora(
-        train=load_corpus(paths["train"], args.task),
-        dev=load_corpus(paths["dev"], args.task),
-        test=load_corpus(paths["test"], args.task) if paths["test"] else None,
-    )
+    train_path, dev_path, test_path = (Path(args.data) / f"{split}.txt"
+                                       for split in ("train", "dev", "test"))
+    for path in (train_path, dev_path):  # test.txt is optional
+        _require(path.exists(), f"missing treebank file {path}")
+    load = partial(load_corpus, task=args.task, max_arity=MAX_CHILDREN)
+    corpora = SplitCorpora(load(train_path), load(dev_path),
+                           load(test_path) if test_path.exists() else None)
     config = TrainConfig(
         variant=args.variant, attention=args.attention, task=args.task,
         dim=args.dim, learning_rate=args.lr, batch_size=args.batch, l2=args.l2,
@@ -207,7 +201,7 @@ def run_train(args) -> int:
                     "random embeddings, coverage 0.0")
 
     classes = corpora.train.class_count
-    params = init_params(args.variant, args.dim, vocab, classes, 2, rng,
+    params = init_params(args.variant, args.dim, vocab, classes, MAX_CHILDREN, rng,
                          attention=args.attention, embeddings=emb, dtype=dtype,
                          attention_norm=args.attention_norm)
 
@@ -221,8 +215,10 @@ def run_train(args) -> int:
 
         result = train(config, corpora, params, vocab, log_fn=emit)
 
-    save_checkpoint(out / "checkpoint.bin", result.best_params)
-    save_vocab(vocab, out / "vocab.txt")
+    with _replacing(out / "checkpoint.bin") as tmp:
+        save_checkpoint(tmp, result.best_params)
+    with _replacing(out / "vocab.txt") as tmp:
+        save_vocab(vocab, tmp)
     manifest = asdict(config)
     manifest.update({
         "attention_norm": result.best_params.attention_norm,
@@ -234,13 +230,25 @@ def run_train(args) -> int:
         "best_dev_accuracy": result.best_dev_accuracy,
         "best_step": result.best_step,
     })
-    with open(out / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with _replacing(out / "manifest.json") as tmp:
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
 
     print(f"best dev root accuracy {result.best_dev_accuracy:.4f} "
           f"at step {result.best_step}")
     return 0
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path next to ``path`` that replaces it once the
+    block has written it, so an interrupted write leaves the old file whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_model(checkpoint_path):
@@ -265,7 +273,7 @@ def run_eval(args) -> int:
              f"{BINARY_CLASSES}-class ({TASK_BINARY}) models")
     split_path = Path(args.data) / f"{args.split}.txt"
     _require(split_path.exists(), f"missing treebank file {split_path}")
-    corpus = load_corpus(split_path, task)
+    corpus = load_corpus(split_path, task, max_arity=params.max_children)
     metrics = evaluate(corpus, params, vocab)
     print(f"root_accuracy {metrics.root_accuracy:.4f}")
     print(f"node_accuracy {metrics.node_accuracy:.4f}")
@@ -320,7 +328,7 @@ def run_params(args) -> int:
     _require(args.vocab > 0, "--vocab must be positive")
     _require(args.classes >= 2, "--classes must be at least 2")
     items = itemize_parameters(args.variant, args.dim, args.vocab, args.classes,
-                               args.children, args.attention)
+                               MAX_CHILDREN, args.attention)
     name_w = max(len("reference total"),
                  max(len(name) for name, _, _ in items))
     print(f"{'tensor':<{name_w}}  {'shape':>12}  {'parameters':>12}")
@@ -331,7 +339,7 @@ def run_params(args) -> int:
     print(f"{'total':<{name_w}}  {'':>12}  {total:>12}")
 
     key = (args.variant, args.attention)
-    if (args.dim, args.vocab, args.classes, args.children) == REFERENCE_DIMS:
+    if (args.dim, args.vocab, args.classes) == REFERENCE_DIMS:
         reference = REFERENCE_TOTALS[key]
         print(f"{'reference total':<{name_w}}  {'':>12}  {reference:>12}")
         gap = reference - total

@@ -15,11 +15,15 @@ Update rules, per node j with children k = 1..N (N <= K):
 
 x_j is the embedding row at leaves and the zero vector at internal
 nodes (the U terms vanish there).  The downward phase is the same rule
-(one cell serves both directions) with its own Ud/Wd/bd tensors, the
-node's upward state as input and the parent's downward state as the
-only child; the root's downward state is defined as its upward state.
-Each direction's states are then stacked into a matrix, one column per
-node, and the attention head and classifiers work on whole matrices.
+with its own Ud/Wd/bd tensors, the node's upward state as input and the
+parent's downward state as the only child; the root's downward state is
+defined as its upward state.
+
+``gru_tree`` applies the rule to a whole tree as one tape op: the
+states form a d x nodes matrix, one column per node, filled level by
+level (upward by height, downward by depth), with each gate of a level
+one matrix product and a zero pad column standing in for a missing
+child.  The attention head and classifiers work on these matrices whole.
 """
 
 from __future__ import annotations
@@ -168,28 +172,46 @@ class TreeIndex:
     """Pre-order flattening of a tree: parents precede their children."""
 
     nodes: list[LabeledTree]
-    parents: list[int]           # -1 at the root
-    children: list[list[int]]
+    parents: np.ndarray          # -1 at the root
+    slots: np.ndarray            # (nodes, K): children in order; -1 = none
+    heights: np.ndarray          # 0 at leaves
+    depths: np.ndarray           # 0 at the root
     gold: np.ndarray             # node labels; -1 where unsupervised
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-def index_tree(tree: LabeledTree) -> TreeIndex:
-    nodes, parents, children, gold = [], [], [], []
-    stack = [(tree, -1)]
+def index_tree(tree: LabeledTree, max_children: int) -> TreeIndex:
+    """Flatten ``tree``; a node with more than ``max_children`` (K)
+    children raises ModelError."""
+    nodes, parents, slots, depths, gold = [], [], [], [], []
+    stack = [(tree, -1, 0, 0)]
     while stack:
-        node, parent = stack.pop()
-        idx = len(nodes)
+        node, parent, position, depth = stack.pop()
+        if len(node.children) > max_children:
+            raise ModelError(
+                f"node arity {len(node.children)} exceeds K={max_children}")
+        if parent >= 0:
+            slots[parent][position] = len(nodes)
+        stack.extend((child, len(nodes), k, depth + 1)
+                     for k, child in reversed(list(enumerate(node.children))))
         nodes.append(node)
         parents.append(parent)
-        children.append([])
+        slots.append([-1] * max_children)
+        depths.append(depth)
         gold.append(-1 if node.label is None else node.label)
-        if parent >= 0:
-            children[parent].append(idx)
-        stack.extend((child, idx) for child in reversed(node.children))
-    return TreeIndex(nodes, parents, children, np.array(gold))
+    heights = np.zeros(len(nodes), dtype=int)
+    for j in range(len(nodes) - 1, 0, -1):  # reversed pre-order: children first
+        heights[parents[j]] = max(heights[parents[j]], heights[j] + 1)
+    return TreeIndex(nodes, np.array(parents), np.array(slots), heights,
+                     np.array(depths), np.array(gold))
+
+
+def _levels(rank: np.ndarray) -> list[np.ndarray]:
+    """Node indices grouped by ``rank`` (height or depth), lowest first."""
+    order = np.argsort(rank, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(rank))[:-1])
 
 
 def slot(tensors: dict[str, np.ndarray], key) -> np.ndarray:
@@ -206,30 +228,28 @@ def slot(tensors: dict[str, np.ndarray], key) -> np.ndarray:
 
 
 def _param(tape: Tape, params: ModelParams, key) -> ValueRef:
-    """Slot ``key`` of ``params`` as a keyed leaf of ``tape``; the tape is
-    asked first because the passes ask for every weight at every node."""
-    return tape.keyed.get(key) or tape.input(slot(params.tensors, key), key=key)
+    """Slot ``key`` of ``params`` as a keyed leaf of ``tape``."""
+    return tape.input(slot(params.tensors, key), key=key)
 
 
 @dataclass
 class NodeStates:
-    """Per-node activations; entries align with ``index`` (pre-order).
+    """Activations of every node, one column per node of ``index``.
 
-    ``H_up``/``H_down`` hold the same states as ``h_up``/``h_down``, one
-    column per node, for the whole-tree attention and classifiers.
+    The states ``H_*`` are tape values; the gates are plain arrays (the
+    downward root has none, so its gate columns are zero).
     """
 
     index: TreeIndex
-    h_up: list[ValueRef]
-    z_up: list[ValueRef]
-    r_up: list[ValueRef]
-    cand_up: list[ValueRef]
-    H_up: ValueRef                                      # (dim, nodes)
-    h_down: Optional[list[ValueRef]] = None
-    z_down: Optional[list[Optional[ValueRef]]] = None   # None at the root
-    r_down: Optional[list[Optional[ValueRef]]] = None
-    cand_down: Optional[list[Optional[ValueRef]]] = None
+    H_up: ValueRef                        # (dim, nodes)
+    z_up: np.ndarray
+    r_up: np.ndarray
+    cand_up: np.ndarray
     H_down: Optional[ValueRef] = None
+    z_down: Optional[np.ndarray] = None
+    r_down: Optional[np.ndarray] = None
+    cand_down: Optional[np.ndarray] = None
+
 
 @dataclass
 class AttentionResult:
@@ -255,63 +275,97 @@ class NodePredictions:
 # (input, child, bias) tensor names of each direction's gates
 _UPWARD = ("U_{g}", "W_{g}_{k}", "b_{g}")
 _DOWNWARD = ("Ud_{g}", "Wd_{g}", "bd_{g}")
+_SIG_CLIP = 60.0  # |x| beyond this saturates sigmoid past float64 resolution
 
 
-def gru_cell(tape: Tape, params: ModelParams, names: tuple[str, str, str],
-             x: Optional[ValueRef], kids: list[ValueRef],
-             zero: Optional[ValueRef] = None):
-    """One node update of the rule in the module docstring; returns
-    (h, z, r, cand).
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIG_CLIP, _SIG_CLIP)))
 
-    ``names`` are a direction's tensor-name templates, ``x`` is None
-    where the input terms vanish, and ``kids`` are the child states
-    (top-down: the parent's downward state alone); ``zero`` stands in
-    for the child sum of a leaf.
+
+def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
+             inputs: ValueRef, slots: np.ndarray, levels: list[np.ndarray]):
+    """The rule of the module docstring over one tree, recorded as one
+    tape op; returns (H, (Z, R, C)), the states as a tape value and the
+    z/r/candidate gates as plain arrays, all d x nodes.
+
+    ``names`` are a direction's tensor-name templates and ``inputs`` holds
+    each node's input column (zero where the input terms vanish).  Row j
+    of ``slots`` lists node j's children, -1 for none (a zero pad column).
+    ``levels`` are node index arrays whose children all lie in earlier
+    levels; a node in no level takes its input column as its state.
     """
     u_name, w_name, b_name = names
-    p = partial(_param, tape, params)
+    n_kids = slots.shape[1]
 
-    def preactivation(gate, inputs):
-        terms = [] if x is None else [ad.matmul(tape, p(u_name.format(g=gate)), x)]
-        terms += [ad.matmul(tape, p(w_name.format(g=gate, k=k)), h)
-                  for k, h in enumerate(inputs, start=1)]
-        terms.append(p(b_name.format(g=gate)))
-        return ad.vsum(tape, terms)
+    def gate(g):  # the refs of one gate's U, b, W_1..W_K
+        keys = [u_name.format(g=g), b_name.format(g=g)]
+        keys += [w_name.format(g=g, k=k) for k in range(1, n_kids + 1)]
+        return [_param(tape, params, key) for key in keys]
 
-    z = ad.sigmoid(tape, preactivation("z", kids))
-    r = ad.sigmoid(tape, preactivation("r", kids))
-    cand = ad.tanh(tape, preactivation("h", [ad.mul(tape, h, r) for h in kids]))
-    if not kids:
-        ksum = zero
-    else:
-        ksum = kids[0] if len(kids) == 1 else ad.vsum(tape, kids)
-    return ad.blend(tape, z, ksum, cand), z, r, cand
+    gate_refs = [gate(g) for g in _GATES]
+    (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
+        [tape.value(ref) for ref in refs] for refs in gate_refs)
+    x = tape.value(inputs)
+    d, n = x.shape
+    H = np.zeros((d, n + 1), dtype=x.dtype)  # column n (index -1) is the pad
+    H[:, :n] = x
+    Z, R, C = (np.zeros((d, n), dtype=x.dtype) for _ in range(3))
+    # the input terms of every node at once, outside the recurrence
+    A_z, A_r, A_h = (U @ x + b[:, None]
+                     for U, b in ((U_z, b_z), (U_r, b_r), (U_h, b_h)))
+
+    for lv in levels:
+        kids = [H[:, slots[lv, k]] for k in range(n_kids)]
+        z = _sigmoid(A_z[:, lv] + sum(W @ h for W, h in zip(W_z, kids)))
+        r = _sigmoid(A_r[:, lv] + sum(W @ h for W, h in zip(W_r, kids)))
+        c = np.tanh(A_h[:, lv] + sum(W @ (h * r) for W, h in zip(W_h, kids)))
+        H[:, lv] = z * sum(kids) + (1.0 - z) * c
+        Z[:, lv], R[:, lv], C[:, lv] = z, r, c
+
+    def vjp(g):
+        G = np.zeros_like(H)  # gradient reaching each state
+        G[:, :n] = g
+        dZ, dR, dC = (np.zeros_like(Z) for _ in range(3))  # pre-activation grads
+        for lv in reversed(levels):
+            gh = G[:, lv]
+            G[:, lv] = 0.0  # consumed; what stays belongs to free nodes
+            kids = [H[:, slots[lv, k]] for k in range(n_kids)]
+            z, r, c = Z[:, lv], R[:, lv], C[:, lv]
+            dc = gh * (1.0 - z) * (1.0 - c * c)
+            dz = gh * (sum(kids) - c) * z * (1.0 - z)
+            d_kr = [W.T @ dc for W in W_h]  # gradients of h_k * r
+            dr = sum(dk * h for dk, h in zip(d_kr, kids)) * r * (1.0 - r)
+            for k in range(n_kids):
+                # siblings share their parent's column in the downward
+                # direction, so fancy-indexed += would drop all but one
+                np.add.at(G, (slice(None), slots[lv, k]),
+                          gh * z + d_kr[k] * r + W_z[k].T @ dz + W_r[k].T @ dr)
+            dZ[:, lv], dR[:, lv], dC[:, lv] = dz, dr, dc
+
+        # each weight gradient is one product over the whole tree
+        kids = [H[:, slots[:, k]] for k in range(n_kids)]
+        grads = [U_z.T @ dZ + U_r.T @ dR + U_h.T @ dC + G[:, :n]]
+        for dP, gated in ((dZ, kids), (dR, kids), (dC, [h * R for h in kids])):
+            grads += [dP @ x.T, dP.sum(axis=1)] + [dP @ h.T for h in gated]
+        return tuple(grads)
+
+    parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
+    return tape.append(H[:, :n], parents, vjp), (Z, R, C)
 
 
 def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
                 vocab: Vocabulary, input_mask: MaskFn = None) -> NodeStates:
     """Bottom-up phase; leaves read (optionally masked) embedding rows."""
-    idx = index_tree(tree)
-    n = len(idx)
-    h, z, r, cand = ([None] * n for _ in range(4))
+    idx = index_tree(tree, params.max_children)
     zero = tape.input(np.zeros(params.dim, dtype=params.dtype))
-
-    # reversed pre-order puts every child before its parent
-    for j in range(n - 1, -1, -1):
-        node = idx.nodes[j]
-        kids = idx.children[j]
-        if len(kids) > params.max_children:
-            raise ModelError(
-                f"node arity {len(kids)} exceeds K={params.max_children}")
-        x = None
-        if node.is_leaf:
-            x = _param(tape, params, ("emb", vocab.lookup(node.token)))
-            if input_mask is not None:
-                x = ad.mul(tape, x, tape.input(input_mask(params.dim)))
-        h[j], z[j], r[j], cand[j] = gru_cell(tape, params, _UPWARD, x,
-                                             [h[k] for k in kids], zero)
-
-    return NodeStates(idx, h, z, r, cand, ad.stack(tape, h))
+    inputs = ad.stack(tape, [
+        _param(tape, params, ("emb", vocab.lookup(node.token))) if node.is_leaf
+        else zero for node in idx.nodes])
+    if input_mask is not None:
+        inputs = ad.mul(tape, inputs, tape.input(input_mask(inputs.shape)))
+    H, gates = gru_tree(tape, params, _UPWARD, inputs, idx.slots,
+                        _levels(idx.heights))
+    return NodeStates(idx, H, *gates)
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
@@ -323,19 +377,10 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
     """
     if params.variant != VARIANT_TREEBIGRU:
         raise ModelError("downward pass needs treebigru parameters")
-    if states.h_up is None or any(ref is None for ref in states.h_up):
-        raise ModelError("downward pass requires completed upward states")
     idx = states.index
-    n = len(idx)
-    h, z, r, cand = ([None] * n for _ in range(4))
-
-    h[0] = states.h_up[0]
-    for j in range(1, n):  # pre-order: parents are already done
-        h[j], z[j], r[j], cand[j] = gru_cell(tape, params, _DOWNWARD, states.h_up[j],
-                                             [h[idx.parents[j]]])
-
-    states.h_down, states.z_down, states.r_down, states.cand_down = h, z, r, cand
-    states.H_down = ad.stack(tape, h)
+    states.H_down, (states.z_down, states.r_down, states.cand_down) = gru_tree(
+        tape, params, _DOWNWARD, states.H_up, idx.parents[:, None],
+        _levels(idx.depths)[1:])  # the root (depth 0) is in no level
     return states
 
 

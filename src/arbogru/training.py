@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -214,7 +212,7 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
         gold = np.concatenate(([-1], gold[1:]))
     if np.any(gold >= 0):
         terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold))
-    loss = ad.vsum(tape, terms) if terms else None
+    loss = reduce(partial(ad.add, tape), terms) if terms else None
     return SentenceGraph(states, attn, preds, loss)
 
 
@@ -305,38 +303,16 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
     return TrainResult(best, best_acc, best_step, params, lines)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
-    # Sentences run on a thread pool: numpy's d x d products in the
-    # backward sweep release the interpreter lock, which pays at the
-    # reference d=300.  Per-sentence generators are seeded up front and
-    # results merge in batch order, each as soon as it is yielded (so a
-    # batch never holds every sentence's table at once); the worker
-    # count cannot change the dropout masks or the summed gradients.
-    seeds = rng.integers(0, 2 ** 63 - 1, size=len(ids))
-
-    def one(pos):
-        idx = int(ids[pos])
-        sent_rng = np.random.default_rng(seeds[pos])
-        loss, table = sentence_gradients(
-            sentences[idx], params, vocab, train_mode=True,
-            dropout=config.dropout, rng=sent_rng)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at sentence index {idx}")
-        return loss, table
-
     total = GradTable()
     batch_loss = 0.0
-    with ThreadPoolExecutor(max_workers=min(usable_cpus(), len(ids))) as pool:
-        for loss, table in pool.map(one, range(len(ids))):
-            batch_loss += loss
-            total.add(table)
+    for idx in ids:
+        loss, table = sentence_gradients(sentences[idx], params, vocab, train_mode=True,
+                                         dropout=config.dropout, rng=rng)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite loss at sentence index {idx}")
+        batch_loss += loss
+        total.add(table)
     batch_loss += l2_penalty(params, config.l2, total)
     add_l2_gradients(total, params, config.l2)
     gnorm = total.norm()
@@ -352,12 +328,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
 
 def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metrics:
     """Dropout-free metrics: root accuracy over sentences, node accuracy
-    over supervised nodes, mean per-sentence data loss.
-
-    Sequential on purpose: forward-only work is mostly Python-level tape
-    building under the interpreter lock, and a thread pool measured no
-    faster here.
-    """
+    over supervised nodes, mean per-sentence data loss."""
     if corpus.class_count != params.classes:
         raise ValueError(f"corpus has {corpus.class_count} classes, "
                          f"model has {params.classes}")

@@ -96,13 +96,16 @@ def iter_nodes(tree: LabeledTree) -> Iterator[LabeledTree]:
         stack.extend(reversed(node.children))
 
 
-def parse_tree(line: str, num_classes: int = FINE_CLASSES) -> LabeledTree:
+def parse_tree(line: str, num_classes: int = FINE_CLASSES,
+               max_arity: Optional[int] = None) -> LabeledTree:
     """Parse one parenthesized tree.
 
     Raises TreebankError (with the byte offset) on unbalanced
     parentheses, non-integer labels, labels outside
-    ``0..num_classes-1``, and empty nodes.  Open nodes wait on an
-    explicit stack, so depth is limited only by memory.
+    ``0..num_classes-1``, empty nodes, and nodes with more than
+    ``max_arity`` children (if given; the offset is the node's closing
+    parenthesis).  Open nodes wait on an explicit stack, so depth is
+    limited only by memory.
     """
     tokens = _TOKENS.findall(line) + [""]  # "" marks the end of input
     if not tokens[0]:
@@ -130,6 +133,9 @@ def parse_tree(line: str, num_classes: int = FINE_CLASSES) -> LabeledTree:
                 break
             i = _close(line, tokens, i)
             label, children = open_nodes.pop()
+            if max_arity is not None and len(children) > max_arity:
+                raise TreebankError(f"node arity {len(children)} exceeds K={max_arity}",
+                                    _offset(line, i - 1))
             node = LabeledTree(label, children=tuple(children))
         else:
             if tokens[i]:
@@ -186,12 +192,14 @@ def serialize_tree(tree: LabeledTree) -> str:
     return "".join(parts)[1:]
 
 
-def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None) -> Corpus:
+def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
+                max_arity: Optional[int] = None) -> Corpus:
     """Load a treebank file (one tree per line; blank lines skipped).
 
     The file is always in fine-grained (5-class) form; ``task="binary"``
-    applies to_binary_task after loading.  Parse errors are re-raised
-    with the offending line number.
+    applies to_binary_task after loading.  Parse errors, including a
+    node wider than ``max_arity``, are re-raised with the file and the
+    offending line number.
     """
     if task not in (TASK_FINE, TASK_BINARY):
         raise ValueError(f"unknown task {task!r}")
@@ -204,7 +212,7 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None) -
             if not line:
                 continue
             try:
-                trees.append(parse_tree(line))
+                trees.append(parse_tree(line, max_arity=max_arity))
             except TreebankError as err:
                 raise TreebankError(f"{path}, line {lineno}: {err}") from None
     corpus = Corpus(trees, split_name, TASK_FINE, FINE_CLASSES)

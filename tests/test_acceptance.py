@@ -85,14 +85,14 @@ def test_criterion_2_forward_oracle_equivalence():
                 states = upward_pass(tree, params, tape, vocab)
                 up = oracles.upward_states(tree, params.tensors, vocab)
                 for j, slot in enumerate(up):
-                    np.testing.assert_allclose(tape.value(states.h_up[j]),
+                    np.testing.assert_allclose(tape.value(states.H_up)[:, j],
                                                slot["h"], rtol=0, atol=1e-12)
                 down = None
                 if variant == "treebigru":
                     downward_pass(states, params, tape)
                     down = oracles.downward_states(tree, up, params.tensors)
                     for j, slot in enumerate(down):
-                        np.testing.assert_allclose(tape.value(states.h_down[j]),
+                        np.testing.assert_allclose(tape.value(states.H_down)[:, j],
                                                    slot["h"], rtol=0, atol=1e-12)
                 if attention:
                     attn = attention_pool(states, params, tape)
@@ -218,10 +218,10 @@ def test_criterion_6_invariant_suite():
             states = downward_pass(upward_pass(tree, params, tape, vocab),
                                    params, tape)
             for j in range(len(states.index)):
-                z = tape.value(states.z_up[j])
+                z = states.z_up[:, j]
                 assert np.all((z > 0.0) & (z < 1.0))
                 if j > 0:
-                    zd = tape.value(states.z_down[j])
+                    zd = states.z_down[:, j]
                     assert np.all((zd > 0.0) & (zd < 1.0))
 
         # evaluation-mode determinism

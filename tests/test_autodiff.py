@@ -53,12 +53,6 @@ def rnd(rng, *shape):
 # ---------------------------------------------------------------------------
 # forward values
 
-def test_sigmoid_at_zero():
-    tape = Tape()
-    out = ad.sigmoid(tape, tape.input(np.zeros(3)))
-    assert np.allclose(tape.value(out), 0.5)
-
-
 def test_tanh_at_zero():
     tape = Tape()
     out = ad.tanh(tape, tape.input(np.zeros(3)))
@@ -86,15 +80,6 @@ def test_cross_entropy_matches_log():
     assert float(tape.value(loss)) == pytest.approx(np.log(5.0))
 
 
-def test_blend_forward():
-    tape = Tape()
-    z = tape.input(np.array([0.25, 0.75]))
-    a = tape.input(np.array([1.0, 1.0]))
-    b = tape.input(np.array([-1.0, -1.0]))
-    out = ad.blend(tape, z, a, b)
-    assert np.allclose(tape.value(out), [-0.5, 0.5])
-
-
 # ---------------------------------------------------------------------------
 # backward analytics
 
@@ -105,15 +90,6 @@ def test_dot_gradient_is_bilinear():
     grads = backward(tape, ad.matmul(tape, w, x))
     assert np.array_equal(grads[w.index], [3.0, 4.0])
     assert np.array_equal(grads[x.index], [1.0, 2.0])
-
-
-def test_sum_of_sigmoid_gradient_at_zero():
-    tape = Tape()
-    w = tape.input(np.zeros(4))
-    ones = tape.input(np.ones(4))
-    loss = ad.matmul(tape, ad.sigmoid(tape, w), ones)
-    grads = backward(tape, loss)
-    assert np.allclose(grads[w.index], 0.25)
 
 
 def test_fanout_accumulates():
@@ -156,8 +132,8 @@ def test_backward_deterministic():
     (lambda t, r: ad.add(t, r[0], r[1]), [(3,), (4,)], "add"),
     (lambda t, r: ad.mul(t, r[0], r[1]), [(3,), (4,)], "mul"),
     (lambda t, r: ad.matmul(t, r[0], r[1]), [(3,), (4,)], "matmul"),
-    (lambda t, r: ad.blend(t, r[0], r[1], r[2]), [(3,), (3,), (2,)], "blend"),
-    (lambda t, r: ad.vsum(t, r), [(3,), (2,)], "vsum"),
+    (lambda t, r: ad.add(t, r[0], r[1]), [(2, 3), (3, 2)], "add"),
+    (lambda t, r: ad.mul(t, r[0], r[1]), [(2, 3), (2,)], "mul"),
     (lambda t, r: ad.stack(t, r), [(), (3,)], "stack"),
     (lambda t, r: ad.concat(t, r), [(2, 3), (2, 4)], "concat"),
     (lambda t, r: ad.matmul(t, r[0], r[1], bias=r[2]), [(2, 3), (3, 4), (4,)], "matmul"),
@@ -198,9 +174,9 @@ def test_fd_add_mul(rng):
              [rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)])
 
 
-def test_fd_sigmoid_tanh(rng):
+def test_fd_tanh(rng):
     probe = rnd(rng, 6)
-    check_op(lambda t, r: ad.matmul(t, ad.sigmoid(t, ad.tanh(t, r[0])), t.input(probe)),
+    check_op(lambda t, r: ad.matmul(t, ad.tanh(t, ad.tanh(t, r[0])), t.input(probe)),
              [rnd(rng, 6)])
 
 
@@ -216,18 +192,6 @@ def test_fd_matmul_vector_matrix(rng):
     check_op(lambda t, r: ad.matmul(t, ad.matmul(t, r[0], r[1], bias=r[2]),
                                     t.input(probe)),
              [rnd(rng, 3), rnd(rng, 3, 4), rnd(rng, 4)])
-
-
-def test_fd_vsum(rng):
-    probe = rnd(rng, 3)
-    check_op(lambda t, r: ad.matmul(t, ad.vsum(t, list(r)), t.input(probe)),
-             [rnd(rng, 3), rnd(rng, 3), rnd(rng, 3)])
-
-
-def test_fd_blend(rng):
-    probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.matmul(t, ad.blend(t, r[0], r[1], r[2]), t.input(probe)),
-             [rng.uniform(0.1, 0.9, 4), rnd(rng, 4), rnd(rng, 4)])
 
 
 def test_fd_softmax(rng):
@@ -297,46 +261,17 @@ def test_fd_shared_weights(rng):
 
     def build(t, r):
         a = ad.tanh(t, ad.matmul(t, r[0], r[1]))
-        b = ad.sigmoid(t, ad.matmul(t, r[0], r[2]))
+        b = ad.tanh(t, ad.matmul(t, r[0], r[2]))
         return ad.matmul(t, ad.mul(t, a, b), t.input(probe))
 
     check_op(build, [rnd(rng, 3, 3), rnd(rng, 3), rnd(rng, 3)])
-
-
-def test_fd_tiny_tree_gru(rng):
-    """A 3-node recurrence with shared weights, checked end to end."""
-    d = 8
-    arrays = [rnd(rng, d, d) for _ in range(6)] + [rnd(rng, d), rnd(rng, d)]
-
-    def build(t, r):
-        u_z, u_r, u_h, w_z, w_r, w_h = r[:6]
-        x1, x2 = r[6], r[7]
-
-        def leaf(x):
-            z = ad.sigmoid(t, ad.matmul(t, u_z, x))
-            rr = ad.sigmoid(t, ad.matmul(t, u_r, x))
-            cand = ad.tanh(t, ad.matmul(t, u_h, x))
-            zero = t.input(np.zeros(d))
-            del rr  # leaves have no children to reset
-            return ad.blend(t, z, zero, cand)
-
-        h1, h2 = leaf(x1), leaf(x2)
-        hsum = ad.add(t, h1, h2)
-        z = ad.sigmoid(t, ad.vsum(t, [ad.matmul(t, w_z, h1), ad.matmul(t, w_z, h2)]))
-        rr = ad.sigmoid(t, ad.vsum(t, [ad.matmul(t, w_r, h1), ad.matmul(t, w_r, h2)]))
-        cand = ad.tanh(t, ad.vsum(t, [ad.matmul(t, w_h, ad.mul(t, h1, rr)),
-                                      ad.matmul(t, w_h, ad.mul(t, h2, rr))]))
-        root = ad.blend(t, z, hsum, cand)
-        return ad.softmax_cross_entropy(t, root, 3)
-
-    check_op(build, arrays, tol=1e-4)
 
 
 def test_tape_parents_precede_children(rng):
     tape = Tape()
     m = tape.input(rnd(rng, 3, 3))
     x = tape.input(rnd(rng, 3))
-    out = ad.sigmoid(tape, ad.matmul(tape, m, x))
+    out = ad.tanh(tape, ad.matmul(tape, m, x))
     loss = ad.matmul(tape, out, out)
     for i in range(len(tape)):
         for parent in tape._parents[i]:
@@ -352,7 +287,7 @@ def test_keyed_input_registers_once_and_sums_gradients():
     assert again == w and len(tape) == 2
     assert tape.keyed == {"w": w}
     assert tape.input(np.zeros(2)) != tape.input(np.zeros(2))  # unkeyed: fresh leaves
-    loss = ad.vsum(tape, [ad.matmul(tape, w, x), ad.matmul(tape, again, x)])
+    loss = ad.add(tape, ad.matmul(tape, w, x), ad.matmul(tape, again, x))
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[w.index], [6.0, 8.0])
 

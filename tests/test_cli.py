@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from arbogru import cli
 from arbogru.cli import main
 from arbogru.treebank import parse_tree, serialize_tree
 
@@ -77,6 +78,12 @@ def test_params_itemizes_tensors(capsys):
 
 def test_params_rejects_bad_dims(capsys):
     assert main(["params", "--dim", "0"]) == 2
+
+
+def test_params_has_no_children_option(capsys):
+    # the audit is of the binary-branching model that train builds
+    assert main(["params", "--children", "3"]) == 2
+    assert "--children" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +344,49 @@ def test_predict_show_attention_weights(data_dir, tmp_path, capsys):
     assert sum(weights) == pytest.approx(1.0, abs=5e-4)
 
 
+WIDE_LINE = "(2 (2 a) (2 b) (2 c))"
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_rejects_wide_node_before_training(data_dir, tmp_path, capsys, split):
+    path = data_dir / f"{split}.txt"
+    path.write_text(path.read_text() + "\n" + WIDE_LINE + "\n")
+    line = len(path.read_text().splitlines())
+    out = tmp_path / "run"
+    assert main(train_args(data_dir, out)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}, line {line}: node arity 3 exceeds K=2" in err
+    assert not (out / "train.log").exists()  # no batch ran
+
+
+def test_eval_rejects_wide_node_naming_its_line(trained, data_dir, capsys):
+    path = data_dir / "test.txt"
+    path.write_text(WIDE_LINE + "\n" + path.read_text())
+    code = main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--data", str(data_dir)])
+    assert code == 2
+    assert f"{path}, line 1: node arity 3 exceeds K=2" in capsys.readouterr().err
+
+
+def test_interrupted_artifact_write_keeps_previous_file(data_dir, tmp_path,
+                                                        monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(train_args(data_dir, out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_save_vocab(vocab, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("half a vocab")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_vocab", failing_save_vocab)
+    assert main(train_args(data_dir, out, seed=4)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no temp file
+    assert (out / "vocab.txt").read_bytes() == before["vocab.txt"]
+    assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+
+
 # ---------------------------------------------------------------------------
 # misc
 
@@ -357,7 +407,7 @@ def test_help_lists_defaults(capsys):
     ("train", ("--threads",)),
     ("eval", ("--threads", "--task", "--attention-norm")),
     ("predict", ("--attention-norm",)),
-    ("params", ("--attention-norm",)),
+    ("params", ("--attention-norm", "--children")),
 ])
 def test_help_omits_settings_read_from_the_checkpoint_or_machine(command, absent,
                                                                 capsys):

@@ -8,8 +8,8 @@ from arbogru.autodiff import Tape
 from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab
 from arbogru.model import (ModelError, attention_pool, count_parameters,
-                           downward_pass, init_params, itemize_parameters,
-                           predict_nodes, slot, upward_pass)
+                           downward_pass, index_tree, init_params,
+                           itemize_parameters, predict_nodes, slot, upward_pass)
 from arbogru.treebank import Corpus, LabeledTree, parse_tree
 
 import oracles
@@ -80,9 +80,9 @@ def test_upward_leaf_with_zero_embedding():
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
-    assert np.allclose(tape.value(states.z_up[0]), 0.5)
-    assert np.allclose(tape.value(states.cand_up[0]), 0.0)
-    assert np.allclose(tape.value(states.h_up[0]), 0.0)
+    assert np.allclose(states.z_up[:, 0], 0.5)
+    assert np.allclose(states.cand_up[:, 0], 0.0)
+    assert np.allclose(tape.value(states.H_up)[:, 0], 0.0)
 
 
 def test_upward_leaf_scalar_hand_values():
@@ -96,9 +96,9 @@ def test_upward_leaf_scalar_hand_values():
     params.tensors["emb"][vocab.lookup("word")] = 1.0
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
-    assert tape.value(states.z_up[0])[0] == pytest.approx(0.6224593312, abs=1e-9)
-    assert tape.value(states.cand_up[0])[0] == pytest.approx(0.4621171573, abs=1e-9)
-    assert tape.value(states.h_up[0])[0] == pytest.approx(0.1744680, abs=1e-6)
+    assert states.z_up[0, 0] == pytest.approx(0.6224593312, abs=1e-9)
+    assert states.cand_up[0, 0] == pytest.approx(0.4621171573, abs=1e-9)
+    assert tape.value(states.H_up)[0, 0] == pytest.approx(0.1744680, abs=1e-6)
 
 
 def test_upward_rejects_wide_nodes():
@@ -121,9 +121,9 @@ def test_upward_matches_oracle():
         expected = oracles.upward_states(tree, params.tensors, vocab)
         assert len(expected) == len(states.index)
         for j, slot in enumerate(expected):
-            for ours, theirs in ((states.h_up, "h"), (states.z_up, "z"),
+            for ours, theirs in ((tape.value(states.H_up), "h"), (states.z_up, "z"),
                                  (states.r_up, "r"), (states.cand_up, "cand")):
-                np.testing.assert_allclose(tape.value(ours[j]), slot[theirs],
+                np.testing.assert_allclose(ours[:, j], slot[theirs],
                                            rtol=0, atol=1e-12)
 
 
@@ -136,8 +136,7 @@ def test_downward_single_leaf_equals_upward():
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
     states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
-    assert states.h_down[0] is states.h_up[0]
-    assert np.array_equal(tape.value(states.h_down[0]), tape.value(states.h_up[0]))
+    assert np.array_equal(tape.value(states.H_down)[:, 0], tape.value(states.H_up)[:, 0])
 
 
 def test_downward_zero_fixed_point():
@@ -150,8 +149,8 @@ def test_downward_zero_fixed_point():
     tape = Tape()
     states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
     for j in range(len(states.index)):
-        assert np.allclose(tape.value(states.h_up[j]), 0.0)
-        assert np.allclose(tape.value(states.h_down[j]), 0.0)
+        assert np.allclose(tape.value(states.H_up)[:, j], 0.0)
+        assert np.allclose(tape.value(states.H_down)[:, j], 0.0)
 
 
 def test_downward_matches_oracle():
@@ -165,10 +164,10 @@ def test_downward_matches_oracle():
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
         for j, slot in enumerate(down):
-            np.testing.assert_allclose(tape.value(states.h_down[j]), slot["h"],
+            np.testing.assert_allclose(tape.value(states.H_down)[:, j], slot["h"],
                                        rtol=0, atol=1e-12)
             if j > 0:
-                np.testing.assert_allclose(tape.value(states.z_down[j]), slot["z"],
+                np.testing.assert_allclose(states.z_down[:, j], slot["z"],
                                            rtol=0, atol=1e-12)
 
 
@@ -180,6 +179,101 @@ def test_downward_requires_bidirectional_params():
     states = upward_pass(tree, params, tape, vocab)
     with pytest.raises(ModelError, match="treebigru"):
         downward_pass(states, params, tape)
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level recurrence op
+
+# pre-order: 0 root, 1 unary node, 2 good, 3 binary node, 4 bad, 5 movie
+SHAPED = "(3 (1 (2 good)) (4 (2 bad) (2 movie)))"
+
+
+def test_index_tree_slots_heights_depths():
+    idx = index_tree(parse_tree(SHAPED), 2)
+    assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3]
+    assert idx.slots.tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5], [-1, -1], [-1, -1]]
+    assert idx.heights.tolist() == [2, 1, 0, 1, 0, 0]
+    assert idx.depths.tolist() == [0, 1, 2, 1, 2, 2]
+    assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2]
+    with pytest.raises(ModelError, match="arity 2 exceeds K=1"):
+        index_tree(parse_tree(SHAPED), 1)
+
+
+def recurrence_loss(tree, params, vocab, tape, probes):
+    """sum(P_up * H_up) + sum(P_down * H_down): every state column counts."""
+    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+    terms = []
+    for H, probe in zip((states.H_up, states.H_down), probes):
+        ones = [tape.input(np.ones(n, dtype=probe.dtype)) for n in probe.shape]
+        weighted = ad.mul(tape, H, tape.input(probe))
+        terms.append(ad.matmul(tape, ad.matmul(tape, ones[0], weighted), ones[1]))
+    return states, ad.add(tape, *terms)
+
+
+def test_gru_tree_matches_finite_differences():
+    # upward: the unary node's second child is the zero pad column;
+    # downward: the root is a free column, and two pairs of siblings share
+    # their parent's column, whose gradient must sum over both
+    vocab = synth_vocab()
+    tree = parse_tree(SHAPED)
+    params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
+    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3, 6))
+    tape = Tape()
+    _, loss = recurrence_loss(tree, params, vocab, tape, probes)
+    grads = ad.backward(tape, loss)
+
+    def objective():
+        probe_tape = Tape()
+        return float(probe_tape.value(
+            recurrence_loss(tree, params, vocab, probe_tape, probes)[1]))
+
+    assert len(tape.keyed) == 12 + 9 + 3  # up and down tensors, three words
+    for key, ref in tape.keyed.items():
+        flat = slot(params.tensors, key).reshape(-1)
+        fd = np.zeros(flat.size)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + 1e-5
+            hi = objective()
+            flat[i] = saved - 1e-5
+            lo = objective()
+            flat[i] = saved
+            fd[i] = (hi - lo) / 2e-5
+        analytic = grads[ref.index].reshape(-1)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
+        assert np.max(np.abs(analytic - fd) / denom) < 1e-6, key
+
+
+def test_gru_tree_keeps_float32():
+    vocab = synth_vocab()
+    params = random_params("treebigru", False, 3, vocab, seed=4)
+    for name, tensor in params.tensors.items():
+        params.tensors[name] = tensor.astype(np.float32)
+    probes = np.ones((2, 3, 6), dtype=np.float32)
+    tape = Tape()
+    states, loss = recurrence_loss(parse_tree(SHAPED), params, vocab, tape, probes)
+    for array in (tape.value(states.H_up), tape.value(states.H_down), states.z_up,
+                  states.r_up, states.cand_up, states.z_down, states.r_down,
+                  states.cand_down, tape.value(loss)):
+        assert array.dtype == np.float32
+    grads = ad.backward(tape, loss)
+    for ref in tape.keyed.values():
+        assert grads[ref.index].dtype == np.float32
+
+
+def test_recurrence_tape_entries_do_not_grow_with_the_tree():
+    # one op per direction: beyond its keyed leaves (weights and word
+    # rows), a pass records the same entries for 3 nodes as for 31
+    vocab = synth_vocab()
+    params = random_params("treebigru", False, 4, vocab, seed=1)
+    counts = []
+    for depth in (1, 4):
+        tape = Tape()
+        tree = full_binary_tree(np.random.default_rng(depth), depth)
+        states = upward_pass(tree, params, tape, vocab)
+        downward_pass(states, params, tape)
+        counts.append(len(tape) - len(tape.keyed))
+    assert counts[0] == counts[1] == 4  # leaf zero, input stack, two ops
 
 
 def test_upward_states_shared_between_variants():
@@ -196,7 +290,7 @@ def test_upward_states_shared_between_variants():
     s1 = upward_pass(tree, uni, t1, vocab)
     s2 = upward_pass(tree, bi, t2, vocab)
     for j in range(len(s1.index)):
-        np.testing.assert_allclose(t1.value(s1.h_up[j]), t2.value(s2.h_up[j]),
+        np.testing.assert_allclose(t1.value(s1.H_up)[:, j], t2.value(s2.H_up)[:, j],
                                    rtol=0, atol=0)
 
 
@@ -238,7 +332,7 @@ def test_sibling_permutation_with_swapped_weights():
 
     def compare(a, b):
         i, j = orig_order[id(a)], mirr_order[id(b)]
-        np.testing.assert_allclose(t1.value(s1.h_up[i]), t2.value(s2.h_up[j]),
+        np.testing.assert_allclose(t1.value(s1.H_up)[:, i], t2.value(s2.H_up)[:, j],
                                    rtol=0, atol=1e-12)
         for ca, cb in zip(a.children, reversed(b.children)):
             compare(ca, cb)
@@ -258,7 +352,7 @@ def test_attention_single_node():
     attn = attention_pool(states, params, tape)
     assert np.allclose(tape.value(attn.weights), [1.0])
     np.testing.assert_allclose(tape.value(attn.sentence),
-                               tape.value(states.h_up[0]), rtol=0, atol=0)
+                               tape.value(states.H_up)[:, 0], rtol=0, atol=0)
 
 
 def test_attention_identical_nodes_split_evenly():
@@ -437,18 +531,18 @@ def test_gates_bounded_and_finite():
             if variant == "treebigru":
                 downward_pass(states, params, tape)
             for j in range(len(states.index)):
-                z = tape.value(states.z_up[j])
-                r = tape.value(states.r_up[j])
-                cand = tape.value(states.cand_up[j])
-                h = tape.value(states.h_up[j])
+                z = states.z_up[:, j]
+                r = states.r_up[:, j]
+                cand = states.cand_up[:, j]
+                h = tape.value(states.H_up)[:, j]
                 assert np.all((z > 0) & (z < 1))
                 assert np.all((r > 0) & (r < 1))
                 assert np.all((cand > -1) & (cand < 1))
                 assert np.all(np.isfinite(h))
                 if variant == "treebigru" and j > 0:
-                    zd = tape.value(states.z_down[j])
+                    zd = states.z_down[:, j]
                     assert np.all((zd > 0) & (zd < 1))
-                    assert np.all(np.isfinite(tape.value(states.h_down[j])))
+                    assert np.all(np.isfinite(tape.value(states.H_down)[:, j]))
 
 
 # ---------------------------------------------------------------------------

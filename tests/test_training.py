@@ -6,7 +6,6 @@ import pytest
 from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
 from arbogru.model import downward_pass, init_params, predict_nodes, upward_pass
-from arbogru import training
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
                               build_sentence_graph, dropout_mask, evaluate,
@@ -259,7 +258,7 @@ def test_batch_gradient_equals_sum_of_sentence_gradients():
         states = upward_pass(tree, params, tape, vocab)
         preds = predict_nodes(states, params, tape)
         losses.append(ad.softmax_cross_entropy(tape, preds.logits, states.index.gold))
-    joint = ad.vsum(tape, losses)
+    joint = ad.add(tape, *losses)
     grads = ad.backward(tape, joint)
     reached = {key for key, ref in tape.keyed.items() if grads[ref.index] is not None}
     assert reached == set(summed)
@@ -362,25 +361,6 @@ def test_train_propagates_nonfinite_loss():
                          dropout=0.0, seed=1)
     with pytest.raises(TrainingError, match="sentence"):
         train(config, data, params, vocab)
-
-
-def test_threaded_training_matches_sequential(monkeypatch):
-    # the batch pool is sized from the CPU count; 1 worker runs sentences
-    # one after another, 4 interleave them
-    config = TrainConfig(variant="treegru", attention=True, dim=5, batch_size=6,
-                         epochs=2, dropout=0.5, seed=13)
-    runs = []
-    for workers in (1, 4):
-        monkeypatch.setattr(training, "usable_cpus", lambda n=workers: n)
-        data, params, vocab = tiny_setup(attention=True, seed=12, dim=5)
-        runs.append(train(config, data, params, vocab))
-    strip = lambda lines: ["\t".join(l.split("\t")[:4]) for l in lines]
-    assert strip(runs[0].log_lines) == strip(runs[1].log_lines)
-    for name in runs[0].final_params.tensors:
-        np.testing.assert_array_equal(runs[0].final_params.tensors[name],
-                                      runs[1].final_params.tensors[name])
-        np.testing.assert_array_equal(runs[0].best_params.tensors[name],
-                                      runs[1].best_params.tensors[name])
 
 
 # ---------------------------------------------------------------------------
