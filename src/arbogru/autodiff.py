@@ -1,11 +1,13 @@
-"""Reverse-mode automatic differentiation over per-sentence tapes.
+"""Reverse-mode automatic differentiation over dynamically built tapes.
 
-A Tape records one dynamically built computation graph: values are
-appended in topological order and every derived value carries a closure
-mapping its output gradient to gradients for its parents.  Tree
-topologies differ per sentence, so one tape is built per tree and
-discarded after the backward sweep.  Everything runs in the dtype of
-the inputs (float64 for tests and gradient checks).
+A Tape records one computation graph: values are appended in
+topological order and every derived value carries a closure mapping its
+output gradient to gradients for its parents.  Tree topologies differ
+per sentence, so one tape is built per forest (a minibatch, or a chunk
+of a corpus being scored) and discarded after the backward sweep.  The
+ops that work per sentence take ``offsets``: segment t of a forest's
+node axis is ``offsets[t]:offsets[t+1]``.  Everything runs in the dtype
+of the inputs (float64 for tests and gradient checks).
 """
 
 from __future__ import annotations
@@ -123,42 +125,81 @@ def tanh(tape: Tape, a: ValueRef) -> ValueRef:
     return tape.append(y, (a.index,), vjp)
 
 
-def softmax(tape: Tape, a: ValueRef) -> ValueRef:
-    """Exponential-normalized weighting of a vector (max-shifted for stability)."""
+def _segments(offsets, n: int) -> np.ndarray:
+    """Segment bounds along an axis of length ``n``; None is one segment."""
+    return np.array([0, n]) if offsets is None else np.asarray(offsets)
+
+
+def _segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of each segment of the last axis of ``x`` (segments are non-empty)."""
+    return np.add.reduceat(x, offsets[:-1], axis=-1)
+
+
+def _spread(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment's entry of ``s`` repeated over the segment's positions."""
+    return np.repeat(s, np.diff(offsets), axis=-1)
+
+
+def softmax(tape: Tape, a: ValueRef, offsets=None) -> ValueRef:
+    """Exponential-normalized weighting of a vector, per segment
+    (max-shifted for stability)."""
     x = tape.value(a)
     if x.ndim != 1:
         _fail("softmax", x.shape)
-    e = np.exp(x - np.max(x))
-    y = e / e.sum()
+    seg = _segments(offsets, x.shape[0])
+    e = np.exp(x - _spread(np.maximum.reduceat(x, seg[:-1]), seg))
+    y = e / _spread(_segment_sum(e, seg), seg)
 
     def vjp(g):
-        return (y * (g - np.dot(g, y)),)
+        return (y * (g - _spread(_segment_sum(g * y, seg), seg)),)
 
     return tape.append(y, (a.index,), vjp)
 
 
-def linear_norm(tape: Tape, a: ValueRef) -> ValueRef:
-    """Literal linear normalization ``x / sum(x)``; sign-unsafe by design."""
+def linear_norm(tape: Tape, a: ValueRef, offsets=None) -> ValueRef:
+    """Literal linear normalization ``x / sum(x)`` per segment; sign-unsafe
+    by design."""
     x = tape.value(a)
     if x.ndim != 1:
         _fail("linear_norm", x.shape)
-    total = x.sum()
-    if abs(total) < 1e-12:
-        raise FloatingPointError("linear_norm: scores sum to ~0")
+    seg = _segments(offsets, x.shape[0])
+    totals = _segment_sum(x, seg)
+    degenerate = np.flatnonzero(np.abs(totals) < 1e-12)
+    if degenerate.size:
+        raise FloatingPointError(
+            f"linear_norm: scores of segment {degenerate[0]} sum to ~0")
+    total = _spread(totals, seg)
     y = x / total
 
     def vjp(g):
-        return ((g - np.dot(g, y)) / total,)
+        return ((g - _spread(_segment_sum(g * y, seg), seg)) / total,)
 
     return tape.append(y, (a.index,), vjp)
 
 
-def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold) -> ValueRef:
+def pool(tape: Tape, nodes: ValueRef, weights: ValueRef, offsets) -> ValueRef:
+    """Per segment, the columns of ``nodes`` weighted by ``weights`` and
+    summed: a rows x segments matrix."""
+    C, w = tape.value(nodes), tape.value(weights)
+    if C.ndim != 2 or w.shape != C.shape[1:]:
+        _fail("pool", C.shape, w.shape)
+    seg = np.asarray(offsets)
+
+    def vjp(g):
+        spread = _spread(g, seg)  # each column's segment gradient
+        return spread * w, np.einsum("ij,ij->j", C, spread)
+
+    return tape.append(_segment_sum(C * w, seg), (nodes.index, weights.index), vjp)
+
+
+def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold,
+                          offsets=None) -> ValueRef:
     """Fused ``-log softmax(logits)[gold]`` via max-shifted log-sum-exp.
 
     ``logits`` is a vector with an int ``gold``, or a classes x nodes
-    matrix with one gold label per column; the loss is then the sum over
-    the columns, and a negative label marks a column as unsupervised.
+    matrix with one gold label per column; a negative label marks a
+    column as unsupervised.  The loss is the sum over the columns, or,
+    given ``offsets``, the vector of the sums over each segment of them.
     """
     x = tape.value(logits)
     if x.ndim == 1 and np.ndim(gold) == 0:
@@ -172,18 +213,21 @@ def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold) -> ValueRef:
                              f"{x.shape[0]}")
     else:
         _fail("softmax_cross_entropy", x.shape, np.shape(gold))
-    sup = np.flatnonzero(labels >= 0)
+    supervised = labels >= 0
+    sup = np.flatnonzero(supervised)
     rows = labels[sup]
     shifted = cols - np.max(cols, axis=0)
     e = np.exp(shifted)
     total = e.sum(axis=0)
-    loss = np.asarray(np.sum(np.log(total[sup]) - shifted[rows, sup]))
+    terms = np.zeros(cols.shape[1], dtype=cols.dtype)  # one per column
+    terms[sup] = np.log(total[sup]) - shifted[rows, sup]
+    loss = np.asarray(terms.sum()) if offsets is None else _segment_sum(terms, offsets)
     probs = e / total
 
     def vjp(g):
-        grad = np.zeros_like(cols)
-        grad[:, sup] = probs[:, sup] * g
-        grad[rows, sup] -= g
+        per_column = supervised * (g if offsets is None else _spread(g, offsets))
+        grad = probs * per_column
+        grad[rows, sup] -= per_column[sup]
         return (grad.reshape(x.shape),)
 
     return tape.append(loss, (logits.index,), vjp)

@@ -22,10 +22,9 @@ from .autodiff import Tape
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (build_vocab, load_glove, load_vocab,
                          random_embeddings, save_vocab)
-from .model import (ATTENTION_NORMS, VARIANTS, ModelError, init_params,
-                    itemize_parameters)
-from .training import (SplitCorpora, TrainConfig, TrainingError,
-                       build_sentence_graph, evaluate, gradient_check, train)
+from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
+from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
+                       build_forest_graph, evaluate, gradient_check, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
                        TreebankError, load_corpus, parse_tree)
 
@@ -91,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     _attention_norm_flag(p)
     p.add_argument("--data", required=True,
-                   help="directory with train.txt/dev.txt/test.txt treebank files")
+                   help="directory with train.txt and dev.txt treebank files "
+                        "(test.txt is for eval)")
     p.add_argument("--glove", default=None,
                    help="pretrained vector file; omitted, embeddings are random")
     p.add_argument("--out", required=True, help="output directory")
@@ -132,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     _attention_norm_flag(p)
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--trees", type=int, default=3, help="number of random trees")
+    p.add_argument("--trees", type=int, default=3,
+                   help="number of random trees, checked as one forest")
     p.set_defaults(func=run_gradcheck)
     p.set_defaults(dim=8)
 
@@ -176,13 +177,11 @@ def run_train(args) -> int:
     _require(args.l2 >= 0.0, "--l2 must be nonnegative")
     _require(args.evals_per_epoch >= 1, "--evals-per-epoch must be at least 1")
 
-    train_path, dev_path, test_path = (Path(args.data) / f"{split}.txt"
-                                       for split in ("train", "dev", "test"))
-    for path in (train_path, dev_path):  # test.txt is optional
+    paths = [Path(args.data) / f"{split}.txt" for split in ("train", "dev")]
+    for path in paths:
         _require(path.exists(), f"missing treebank file {path}")
     load = partial(load_corpus, task=args.task, max_arity=MAX_CHILDREN)
-    corpora = SplitCorpora(load(train_path), load(dev_path),
-                           load(test_path) if test_path.exists() else None)
+    corpora = SplitCorpora(*map(load, paths))
     config = TrainConfig(
         variant=args.variant, attention=args.attention, task=args.task,
         dim=args.dim, learning_rate=args.lr, batch_size=args.batch, l2=args.l2,
@@ -286,37 +285,46 @@ def run_predict(args) -> int:
         raise UsageError("--show-attention requires a checkpoint trained "
                          "with --attention")
     failures = 0
+    chunk: list = []
     with open(args.input, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            tape = Tape()
             try:
-                graph = build_sentence_graph(tape, parse_tree(line), params, vocab)
-            except (TreebankError, ModelError) as err:
+                chunk.append(parse_tree(line, max_arity=params.max_children))
+            except TreebankError as err:
                 print(f"line {lineno}: {err}", file=sys.stderr)
                 failures += 1
-                continue
-            dist = graph.preds.probs[0]
-            fields = [str(graph.preds.labels[0]),
-                      " ".join(f"{p:.4f}" for p in dist)]
-            if args.show_attention:
-                weights = tape.value(graph.attn.weights)
-                fields.append(" ".join(f"{w:.4f}" for w in weights))
-            print("\t".join(fields))
+            if len(chunk) == SCORE_CHUNK:
+                _print_predictions(chunk, params, vocab, args.show_attention)
+                chunk = []
+    if chunk:
+        _print_predictions(chunk, params, vocab, args.show_attention)
     return 1 if failures else 0
+
+
+def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
+    """Score ``trees`` as one forest and print a line per tree, in order:
+    root class, root distribution and, if asked, the tree's attention
+    weights."""
+    tape = Tape()
+    graph = build_forest_graph(tape, trees, params, vocab)
+    offsets = graph.states.index.offsets
+    for root, end in zip(offsets[:-1], offsets[1:]):
+        fields = [str(graph.preds.labels[root]),
+                  " ".join(f"{p:.4f}" for p in graph.preds.probs[root])]
+        if show_attention:
+            weights = tape.value(graph.attn.weights)[root:end]
+            fields.append(" ".join(f"{w:.4f}" for w in weights))
+        print("\t".join(fields))
 
 
 def run_gradcheck(args) -> int:
     _require(args.dim > 0, "--dim must be positive")
     _require(args.trees >= 1, "--trees must be at least 1")
-    worst = 0.0
-    for i in range(args.trees):
-        err = gradient_check(args.variant, args.attention, args.dim,
-                             seed=args.seed + i,
-                             attention_norm=args.attention_norm)
-        worst = max(worst, err)
+    worst = gradient_check(args.variant, args.attention, args.dim, trees=args.trees,
+                           seed=args.seed, attention_norm=args.attention_norm)
     ok = worst < GRADCHECK_THRESHOLD
     print(f"{'PASS' if ok else 'FAIL'} max_rel_err={worst:.3e} "
           f"(threshold {GRADCHECK_THRESHOLD:.0e})")

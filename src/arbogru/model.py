@@ -3,8 +3,9 @@
 Four networks: an upward-only tree GRU ("treegru") and a bidirectional
 one adding a top-down phase ("treebigru"), each with or without a
 structural attention head that pools every node representation into a
-sentence vector.  All passes are pure functions from (tree, parameters)
-to tape values; parameters are immutable while a tape is alive.
+sentence vector.  All passes are pure functions from (forest,
+parameters) to tape values, where a forest is a list of trees laid out
+as one node set; parameters are immutable while a tape is alive.
 
 Update rules, per node j with children k = 1..N (N <= K):
 
@@ -19,18 +20,20 @@ with its own Ud/Wd/bd tensors, the node's upward state as input and the
 parent's downward state as the only child; the root's downward state is
 defined as its upward state.
 
-``gru_tree`` applies the rule to a whole tree as one tape op: the
+``gru_tree`` applies the rule to a whole forest as one tape op: the
 states form a d x nodes matrix, one column per node, filled level by
 level (upward by height, downward by depth), with each gate of a level
-one matrix product and a zero pad column standing in for a missing
-child.  The attention head and classifiers work on these matrices whole.
+one matrix product over the level's nodes of every tree and a zero pad
+column standing in for a missing child.  The attention head and
+classifiers work on these matrices whole; attention normalizes and
+pools each tree's columns on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -169,43 +172,53 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
 
 @dataclass
 class TreeIndex:
-    """Pre-order flattening of a tree: parents precede their children."""
+    """Pre-order flattening of a forest: tree t holds the nodes
+    ``offsets[t]:offsets[t+1]``, its root first; parents precede their
+    children."""
 
     nodes: list[LabeledTree]
-    parents: np.ndarray          # -1 at the root
+    parents: np.ndarray          # -1 at a root
     slots: np.ndarray            # (nodes, K): children in order; -1 = none
     heights: np.ndarray          # 0 at leaves
-    depths: np.ndarray           # 0 at the root
+    depths: np.ndarray           # 0 at the roots
     gold: np.ndarray             # node labels; -1 where unsupervised
+    offsets: np.ndarray          # (trees + 1,)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @property
+    def roots(self) -> np.ndarray:
+        return self.offsets[:-1]
 
-def index_tree(tree: LabeledTree, max_children: int) -> TreeIndex:
-    """Flatten ``tree``; a node with more than ``max_children`` (K)
-    children raises ModelError."""
-    nodes, parents, slots, depths, gold = [], [], [], [], []
-    stack = [(tree, -1, 0, 0)]
-    while stack:
-        node, parent, position, depth = stack.pop()
-        if len(node.children) > max_children:
-            raise ModelError(
-                f"node arity {len(node.children)} exceeds K={max_children}")
-        if parent >= 0:
-            slots[parent][position] = len(nodes)
-        stack.extend((child, len(nodes), k, depth + 1)
-                     for k, child in reversed(list(enumerate(node.children))))
-        nodes.append(node)
-        parents.append(parent)
-        slots.append([-1] * max_children)
-        depths.append(depth)
-        gold.append(-1 if node.label is None else node.label)
+
+def index_tree(trees: Sequence[LabeledTree], max_children: int) -> TreeIndex:
+    """Flatten the forest ``trees``; a node with more than ``max_children``
+    (K) children raises ModelError naming its tree's position."""
+    nodes, parents, slots, depths, gold, offsets = [], [], [], [], [], [0]
+    for t, tree in enumerate(trees):
+        stack = [(tree, -1, 0, 0)]
+        while stack:
+            node, parent, position, depth = stack.pop()
+            if len(node.children) > max_children:
+                raise ModelError(f"node arity {len(node.children)} exceeds "
+                                 f"K={max_children} in tree {t}")
+            if parent >= 0:
+                slots[parent][position] = len(nodes)
+            stack.extend((child, len(nodes), k, depth + 1)
+                         for k, child in reversed(list(enumerate(node.children))))
+            nodes.append(node)
+            parents.append(parent)
+            slots.append([-1] * max_children)
+            depths.append(depth)
+            gold.append(-1 if node.label is None else node.label)
+        offsets.append(len(nodes))
     heights = np.zeros(len(nodes), dtype=int)
-    for j in range(len(nodes) - 1, 0, -1):  # reversed pre-order: children first
-        heights[parents[j]] = max(heights[parents[j]], heights[j] + 1)
+    for j in range(len(nodes) - 1, -1, -1):  # reversed pre-order: children first
+        if parents[j] >= 0:
+            heights[parents[j]] = max(heights[parents[j]], heights[j] + 1)
     return TreeIndex(nodes, np.array(parents), np.array(slots), heights,
-                     np.array(depths), np.array(gold))
+                     np.array(depths), np.array(gold), np.array(offsets))
 
 
 def _levels(rank: np.ndarray) -> list[np.ndarray]:
@@ -253,10 +266,10 @@ class NodeStates:
 
 @dataclass
 class AttentionResult:
-    """Normalized node weights and the pooled sentence vector."""
+    """Node weights, normalized per tree, and the pooled sentence vectors."""
 
     weights: ValueRef   # (node count,)
-    sentence: ValueRef  # (node representation width,)
+    sentence: ValueRef  # (node representation width, trees)
 
 
 @dataclass
@@ -264,8 +277,8 @@ class NodePredictions:
     """Classifier outputs; column or row j belongs to node j."""
 
     logits: ValueRef            # (classes, nodes), from the state classifier
-    root: Optional[ValueRef]    # (classes,), from the pooled sentence vector
-    probs: np.ndarray           # (nodes, classes); row 0 follows ``root`` if set
+    root: Optional[ValueRef]    # (classes, trees), from the sentence vectors
+    probs: np.ndarray           # (nodes, classes); root rows follow ``root`` if set
     labels: list[int]
 
 
@@ -283,19 +296,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
-             inputs: ValueRef, slots: np.ndarray, levels: list[np.ndarray]):
-    """The rule of the module docstring over one tree, recorded as one
+             inputs: ValueRef, columns, slots: np.ndarray, levels: list[np.ndarray]):
+    """The rule of the module docstring over a forest, recorded as one
     tape op; returns (H, (Z, R, C)), the states as a tape value and the
     z/r/candidate gates as plain arrays, all d x nodes.
 
-    ``names`` are a direction's tensor-name templates and ``inputs`` holds
-    each node's input column (zero where the input terms vanish).  Row j
-    of ``slots`` lists node j's children, -1 for none (a zero pad column).
+    ``names`` are a direction's tensor-name templates; ``inputs`` holds
+    the input columns of the nodes ``columns`` (an index array or a
+    slice), and the input terms vanish at every other node.  Row j of
+    ``slots`` lists node j's children, -1 for none (a zero pad column).
     ``levels`` are node index arrays whose children all lie in earlier
     levels; a node in no level takes its input column as its state.
     """
     u_name, w_name, b_name = names
-    n_kids = slots.shape[1]
+    n, n_kids = slots.shape
 
     def gate(g):  # the refs of one gate's U, b, W_1..W_K
         keys = [u_name.format(g=g), b_name.format(g=g)]
@@ -306,14 +320,17 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
-    d, n = x.shape
+    d = x.shape[0]
     H = np.zeros((d, n + 1), dtype=x.dtype)  # column n (index -1) is the pad
-    H[:, :n] = x
+    H[:, :n][:, columns] = x
     Z, R, C = (np.zeros((d, n), dtype=x.dtype) for _ in range(3))
-    # the input terms of every node at once, outside the recurrence
-    A_z, A_r, A_h = (U @ x + b[:, None]
-                     for U, b in ((U_z, b_z), (U_r, b_r), (U_h, b_h)))
 
+    def input_terms(U, b):  # of every node at once, outside the recurrence
+        A = np.repeat(b[:, None], n, axis=1)
+        A[:, columns] += U @ x
+        return A
+
+    A_z, A_r, A_h = (input_terms(U, b) for U, b in ((U_z, b_z), (U_r, b_r), (U_h, b_h)))
     for lv in levels:
         kids = [H[:, slots[lv, k]] for k in range(n_kids)]
         z = _sigmoid(A_z[:, lv] + sum(W @ h for W, h in zip(W_z, kids)))
@@ -342,28 +359,37 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
                           gh * z + d_kr[k] * r + W_z[k].T @ dz + W_r[k].T @ dr)
             dZ[:, lv], dR[:, lv], dC[:, lv] = dz, dr, dc
 
-        # each weight gradient is one product over the whole tree
-        kids = [H[:, slots[:, k]] for k in range(n_kids)]
-        grads = [U_z.T @ dZ + U_r.T @ dR + U_h.T @ dC + G[:, :n]]
-        for dP, gated in ((dZ, kids), (dR, kids), (dC, [h * R for h in kids])):
-            grads += [dP @ x.T, dP.sum(axis=1)] + [dP @ h.T for h in gated]
+        # each weight gradient is one product over the whole forest, the
+        # child weights' one child slot at a time
+        d_child = ([], [], [])
+        for k in range(n_kids):
+            h = H[:, slots[:, k]]
+            d_child[0].append(dZ @ h.T)
+            d_child[1].append(dR @ h.T)
+            h *= R
+            d_child[2].append(dC @ h.T)
+        d_in = [dP[:, columns] for dP in (dZ, dR, dC)]
+        grads = [U_z.T @ d_in[0] + U_r.T @ d_in[1] + U_h.T @ d_in[2]
+                 + G[:, :n][:, columns]]
+        for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
+            grads += [dP_in @ x.T, dP.sum(axis=1), *dW]
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
     return tape.append(H[:, :n], parents, vjp), (Z, R, C)
 
 
-def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
+def upward_pass(trees: Sequence[LabeledTree], params: ModelParams, tape: Tape,
                 vocab: Vocabulary, input_mask: MaskFn = None) -> NodeStates:
-    """Bottom-up phase; leaves read (optionally masked) embedding rows."""
-    idx = index_tree(tree, params.max_children)
-    zero = tape.input(np.zeros(params.dim, dtype=params.dtype))
+    """Bottom-up phase over the forest ``trees``; leaves read (optionally
+    masked) embedding rows, and only leaves have an input."""
+    idx = index_tree(trees, params.max_children)
+    leaves = np.flatnonzero(idx.heights == 0)
     inputs = ad.stack(tape, [
-        _param(tape, params, ("emb", vocab.lookup(node.token))) if node.is_leaf
-        else zero for node in idx.nodes])
+        _param(tape, params, ("emb", vocab.lookup(idx.nodes[j].token))) for j in leaves])
     if input_mask is not None:
         inputs = ad.mul(tape, inputs, tape.input(input_mask(inputs.shape)))
-    H, gates = gru_tree(tape, params, _UPWARD, inputs, idx.slots,
+    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, idx.slots,
                         _levels(idx.heights))
     return NodeStates(idx, H, *gates)
 
@@ -371,7 +397,7 @@ def upward_pass(tree: LabeledTree, params: ModelParams, tape: Tape,
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
     """Top-down phase; requires a completed upward pass.
 
-    The root's downward state is defined to be its upward state; every
+    A root's downward state is defined to be its upward state; every
     other node blends the parent's downward state with a candidate
     driven by the node's own upward state.
     """
@@ -379,8 +405,8 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
         raise ModelError("downward pass needs treebigru parameters")
     idx = states.index
     states.H_down, (states.z_down, states.r_down, states.cand_down) = gru_tree(
-        tape, params, _DOWNWARD, states.H_up, idx.parents[:, None],
-        _levels(idx.depths)[1:])  # the root (depth 0) is in no level
+        tape, params, _DOWNWARD, states.H_up, slice(None), idx.parents[:, None],
+        _levels(idx.depths)[1:])  # the roots (depth 0) are in no level
     return states
 
 
@@ -391,13 +417,13 @@ def _require_downward(states: NodeStates, params: ModelParams, what: str) -> Non
 
 def attention_pool(states: NodeStates, params: ModelParams,
                    tape: Tape) -> AttentionResult:
-    """Score every node against the context vector and pool.
+    """Score every node against the context vector and pool each tree.
 
     Over the node matrix C (H_up, or [H_up; H_down] for treebigru) the
-    scores are u_w . tanh(W_w C + b_w), normalized as
-    ``params.attention_norm`` says (softmax, or "linear", which divides
-    raw scores by their sum for comparison); the sentence vector is C
-    times the weights.
+    scores are u_w . tanh(W_w C + b_w), normalized over each tree's nodes
+    as ``params.attention_norm`` says (softmax, or "linear", which
+    divides raw scores by their sum for comparison); a tree's sentence
+    vector is its columns of C times its weights.
     """
     if not params.attention:
         raise ModelError("parameters carry no attention tensors")
@@ -408,13 +434,14 @@ def attention_pool(states: NodeStates, params: ModelParams,
         nodes = ad.concat(tape, [states.H_up, states.H_down])
     projected = ad.tanh(tape, ad.matmul(tape, p("W_w"), nodes, bias=p("b_w")))
     scores = ad.matmul(tape, p("u_w"), projected)
+    offsets = states.index.offsets
     if params.attention_norm == "softmax":
-        weights = ad.softmax(tape, scores)
+        weights = ad.softmax(tape, scores, offsets)
     elif params.attention_norm == "linear":
-        weights = ad.linear_norm(tape, scores)
+        weights = ad.linear_norm(tape, scores, offsets)
     else:
         raise ModelError(f"unknown attention norm {params.attention_norm!r}")
-    return AttentionResult(weights, ad.matmul(tape, nodes, weights))
+    return AttentionResult(weights, ad.pool(tape, nodes, weights, offsets))
 
 
 def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
@@ -423,11 +450,11 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     """Class logits, distributions, and argmax labels of every node.
 
     The state classifier maps the node matrices to a classes x nodes
-    logit matrix in one product; with attention the root's logits come
-    from the pooled sentence vector instead, and the matrix's root
-    column goes unused.  ``feature_mask`` (dropout) draws one mask per
-    classifier input.  Ties in the argmax resolve to the lowest class
-    index.
+    logit matrix in one product; with attention the roots' logits come
+    from the pooled sentence vectors instead (a classes x trees matrix),
+    and the matrix's root columns go unused.  ``feature_mask`` (dropout)
+    draws one mask per classifier input matrix.  Ties in the argmax
+    resolve to the lowest class index.
     """
     if params.attention and attn is None:
         raise ModelError("attention parameters require an AttentionResult")
@@ -452,7 +479,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     if attn is not None:
         root = ad.matmul(tape, p(sentence_weights), masked(attn.sentence),
                          bias=p(sentence_bias))
-        probs[0] = _softmax_columns(tape.value(root))
+        probs[states.index.roots] = _softmax_columns(tape.value(root)).T
     return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
 
 

@@ -3,9 +3,11 @@
 The objective is the summed negative log-likelihood of every supervised
 node label in a minibatch plus an L2 penalty (l2/2)*||theta||^2 over the
 weight matrices and the embedding rows the batch touched; bias vectors
-are exempt.  Optimization is plain AdaGrad.  Training shuffles the
-sentences every epoch, evaluates dev root accuracy a fixed number of
-times per epoch, and keeps the parameters with the best dev score.
+are exempt.  Optimization is plain AdaGrad.  A minibatch is one forest
+on one tape, and evaluation scores a corpus in forests of SCORE_CHUNK
+trees.  Training shuffles the sentences every epoch, evaluates dev root
+accuracy a fixed number of times per epoch, and keeps the parameters
+with the best dev score.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ ADAGRAD_EPS = 1e-8
 GRAD_NORM_WARN = 1e3
 FD_EPSILON = 1e-5
 REL_ERR_FLOOR = 1e-3  # below this magnitude FD noise dominates; compare absolutely
+SCORE_CHUNK = 32  # trees per forest when scoring; bounds a scoring tape's memory
 
 LOG_HEADER = "epoch\tstep\ttrain_loss\tdev_root_acc\twall_seconds"
 
@@ -64,6 +67,8 @@ class TrainConfig:
 class SplitCorpora:
     train: Corpus
     dev: Corpus
+    # never read by training; kept because benchmarks/bench.py builds
+    # SplitCorpora(train=, dev=, test=) to hold its test split
     test: Optional[Corpus] = None
 
 
@@ -99,7 +104,7 @@ class GradTable(dict):
     """Gradients keyed by parameter slot (see ``model.slot``): a tensor
     name, or ``("emb", row)`` for an embedding row a batch touched."""
 
-    def add(self, other: "GradTable") -> None:
+    def add(self, other: dict) -> None:
         for key, g in other.items():
             held = self.get(key)
             self[key] = g if held is None else held + g
@@ -147,10 +152,7 @@ def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None
     """Add l2 * theta for every weight matrix and touched embedding row."""
     if l2 <= 0.0:
         return
-    for key in _l2_slots(params, grads):
-        t = m.slot(params.tensors, key)
-        held = grads.get(key)
-        grads[key] = l2 * t if held is None else held + l2 * t
+    grads.add({key: l2 * m.slot(params.tensors, key) for key in _l2_slots(params, grads)})
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +177,30 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
 
 
 # ---------------------------------------------------------------------------
-# per-sentence graphs
+# forest graphs
 
 @dataclass
-class SentenceGraph:
+class ForestGraph:
     states: m.NodeStates
     attn: Optional[m.AttentionResult]
     preds: m.NodePredictions
-    loss: Optional[ad.ValueRef]  # summed node NLL; None if nothing is supervised
+    tree_losses: Optional[ad.ValueRef]  # (trees,) summed node NLL per tree
+    loss: Optional[ad.ValueRef]  # their sum; both None if nothing is supervised
 
 
-def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
-                         vocab: Vocabulary, train_mode: bool = False,
-                         dropout: float = 0.0, rng=None) -> SentenceGraph:
-    """Forward graph for one sentence: passes, classifiers, and data loss."""
+def build_forest_graph(tape: Tape, trees: Sequence[LabeledTree],
+                       params: m.ModelParams, vocab: Vocabulary,
+                       train_mode: bool = False, dropout: float = 0.0,
+                       rng=None) -> ForestGraph:
+    """Forward graph for a list of sentences laid out as one forest:
+    passes, classifiers, and data loss."""
     input_mask = None
     if train_mode and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires a random generator")
         input_mask = partial(dropout_mask, p_drop=dropout, rng=rng, dtype=params.dtype)
 
-    states = m.upward_pass(tree, params, tape, vocab, input_mask=input_mask)
+    states = m.upward_pass(trees, params, tape, vocab, input_mask=input_mask)
     if params.variant == m.VARIANT_TREEBIGRU:
         m.downward_pass(states, params, tape)
     attn = None
@@ -203,36 +208,49 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
         attn = m.attention_pool(states, params, tape)
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
 
-    # one fused op over the logit matrix, plus one for an attention root
-    gold = states.index.gold
+    # one fused op over the logit matrix, plus one over the attention roots
+    idx = states.index
+    if not np.any(idx.gold >= 0):
+        return ForestGraph(states, attn, preds, None, None)
+    gold = idx.gold
     terms = []
     if preds.root is not None:
-        if gold[0] >= 0:
-            terms.append(ad.softmax_cross_entropy(tape, preds.root, int(gold[0])))
-        gold = np.concatenate(([-1], gold[1:]))
-    if np.any(gold >= 0):
-        terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold))
-    loss = reduce(partial(ad.add, tape), terms) if terms else None
-    return SentenceGraph(states, attn, preds, loss)
+        terms.append(ad.softmax_cross_entropy(tape, preds.root, gold[idx.roots],
+                                              np.arange(len(trees) + 1)))
+        gold = gold.copy()
+        gold[idx.roots] = -1
+    terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold, idx.offsets))
+    tree_losses = reduce(partial(ad.add, tape), terms)
+    ones = tape.input(np.ones(len(trees), dtype=params.dtype))
+    return ForestGraph(states, attn, preds, tree_losses,
+                       ad.matmul(tape, ones, tree_losses))
 
 
-def sentence_gradients(tree: LabeledTree, params: m.ModelParams, vocab: Vocabulary,
-                       train_mode: bool = False, dropout: float = 0.0,
-                       rng=None) -> tuple[float, GradTable]:
-    """One forward/backward sweep; returns (data loss, gradient table)."""
+def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
+                         vocab: Vocabulary, train_mode: bool = False,
+                         dropout: float = 0.0, rng=None) -> ForestGraph:
+    """``build_forest_graph`` of the one sentence ``tree``."""
+    return build_forest_graph(tape, [tree], params, vocab, train_mode=train_mode,
+                              dropout=dropout, rng=rng)
+
+
+def sentence_gradients(trees: Sequence[LabeledTree], params: m.ModelParams,
+                       vocab: Vocabulary, train_mode: bool = False,
+                       dropout: float = 0.0, rng=None) -> tuple[np.ndarray, GradTable]:
+    """One forward/backward sweep over the forest ``trees``; returns each
+    tree's data loss and the gradient table of their sum."""
     tape = Tape()
-    graph = build_sentence_graph(tape, tree, params, vocab, train_mode=train_mode,
-                                 dropout=dropout, rng=rng)
+    graph = build_forest_graph(tape, trees, params, vocab, train_mode=train_mode,
+                               dropout=dropout, rng=rng)
     table = GradTable()
     if graph.loss is None:
-        return 0.0, table
-    loss_value = float(tape.value(graph.loss))
+        return np.zeros(len(trees)), table
     grads = ad.backward(tape, graph.loss)
     for key, ref in tape.keyed.items():
         g = grads[ref.index]
         if g is not None:
             table[key] = g
-    return loss_value, table
+    return tape.value(graph.tree_losses), table
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +280,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         if log_fn is not None:
             log_fn(line)
 
-    best = params.copy()
+    best = None  # the first evaluation always takes a snapshot
     best_acc = -1.0
     best_step = 0
     global_step = 0
@@ -281,6 +299,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
              f"{metrics.root_accuracy:.6f}\t{time.perf_counter() - start:.3f}")
         if metrics.root_accuracy > best_acc:
             best_acc = metrics.root_accuracy
+            best = None  # never hold two snapshots at once
             best = params.copy()
             best_step = global_step
 
@@ -304,16 +323,12 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
 
 
 def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
-    total = GradTable()
-    batch_loss = 0.0
-    for idx in ids:
-        loss, table = sentence_gradients(sentences[idx], params, vocab, train_mode=True,
-                                         dropout=config.dropout, rng=rng)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss at sentence index {idx}")
-        batch_loss += loss
-        total.add(table)
-    batch_loss += l2_penalty(params, config.l2, total)
+    losses, total = sentence_gradients([sentences[i] for i in ids], params, vocab,
+                                       train_mode=True, dropout=config.dropout, rng=rng)
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise TrainingError(f"non-finite loss at sentence index {ids[bad[0]]}")
+    batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total)
     add_l2_gradients(total, params, config.l2)
     gnorm = total.norm()
     if gnorm > GRAD_NORM_WARN:
@@ -335,20 +350,22 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
     if not corpus.trees:
         raise ValueError("cannot evaluate an empty corpus")
 
-    def one(tree):
+    root_ok = hits = supervised = 0
+    loss = 0.0
+    for start in range(0, len(corpus.trees), SCORE_CHUNK):
         tape = Tape()
-        graph = build_sentence_graph(tape, tree, params, vocab)
-        gold = graph.states.index.gold
-        labels = np.asarray(graph.preds.labels)
-        supervised = gold >= 0
-        root_ok = int(supervised[0] and labels[0] == gold[0])
-        hits = int(np.sum(labels[supervised] == gold[supervised]))
-        loss = float(tape.value(graph.loss)) if graph.loss is not None else 0.0
-        return root_ok, hits, int(supervised.sum()), loss
-
+        graph = build_forest_graph(tape, corpus.trees[start:start + SCORE_CHUNK],
+                                   params, vocab)
+        idx = graph.states.index
+        labels, gold = np.asarray(graph.preds.labels), idx.gold
+        sup = gold >= 0
+        roots = idx.roots
+        root_ok += int(np.sum(sup[roots] & (labels[roots] == gold[roots])))
+        hits += int(np.sum(labels[sup] == gold[sup]))
+        supervised += int(sup.sum())
+        if graph.loss is not None:
+            loss += float(tape.value(graph.loss))
     n = len(corpus.trees)
-    root_ok, hits, supervised, loss = (sum(column) for column in
-                                       zip(*[one(tree) for tree in corpus.trees]))
     return Metrics(root_accuracy=root_ok / n, node_accuracy=hits / max(1, supervised),
                    loss=loss / n)
 
@@ -364,28 +381,28 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def gradient_check(variant: str, attention: bool, dim: int,
-                   tree: Optional[LabeledTree] = None, seed: int = 0,
-                   l2: float = 1e-4, attention_norm: str = "softmax") -> float:
-    """Compare tape gradients of the full objective against central finite
-    differences over every parameter element; returns the max relative error.
+def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
+                   seed: int = 0, l2: float = 1e-4,
+                   attention_norm: str = "softmax") -> float:
+    """Compare tape gradients of the full objective over one forest of
+    ``trees`` random trees against central finite differences over every
+    parameter element; returns the max relative error.
 
-    The objective is the sentence data loss plus the L2 penalty, without
+    The objective is the forest's data loss plus the L2 penalty, without
     dropout.  Parameters are drawn uniformly (the identity-based init is
     too symmetric to exercise every path).
     """
     if dim > 16:
         raise ValueError("gradient checks are restricted to dim <= 16")
     rng = np.random.default_rng(seed)
-    if tree is None:
-        tree = random_tree(rng, _CHECK_TOKENS)
-    vocab = build_vocab(Corpus([tree], "check", "fine", 5))
+    forest = [random_tree(rng, _CHECK_TOKENS) for _ in range(trees)]
+    vocab = build_vocab(Corpus(forest, "check", "fine", 5))
     params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
                            attention_norm=attention_norm)
     for name, t in params.tensors.items():
         params.tensors[name] = rng.uniform(-0.5, 0.5, t.shape)
 
-    _, grads = sentence_gradients(tree, params, vocab)
+    _, grads = sentence_gradients(forest, params, vocab)
     add_l2_gradients(grads, params, l2)
     analytic = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     for key, g in grads.items():
@@ -393,7 +410,7 @@ def gradient_check(variant: str, attention: bool, dim: int,
 
     def objective() -> float:
         probe = Tape()
-        got = build_sentence_graph(probe, tree, params, vocab)
+        got = build_forest_graph(probe, forest, params, vocab)
         return float(probe.value(got.loss)) + l2_penalty(params, l2, grads)
 
     worst = 0.0

@@ -12,7 +12,7 @@ import pytest
 
 from arbogru.embeddings import Vocabulary, build_vocab
 from arbogru.model import init_params
-from arbogru.treebank import Corpus, LabeledTree
+from arbogru.treebank import Corpus, LabeledTree, parse_tree
 
 WORD_SCORES = {
     "awful": 0, "dreadful": 0, "wretched": 0,
@@ -72,6 +72,31 @@ def random_params(variant, attention, dim, vocab, classes=5, seed=0, scale=0.5):
     params = init_params(variant, dim, vocab, classes, 2, rng, attention=attention)
     for name, tensor in params.tensors.items():
         params.tensors[name] = rng.uniform(-scale, scale, tensor.shape)
+    return params
+
+
+# every variant, with each attention normalization where there is attention
+FOREST_CASES = [(variant, attention, norm)
+                for variant, attention in [("treegru", False), ("treegru", True),
+                                           ("treebigru", False), ("treebigru", True)]
+                for norm in (("softmax", "linear") if attention else ("softmax",))]
+
+
+def mixed_forest(rng):
+    """A one-leaf tree, a unary chain and trees of different heights."""
+    return [synth_tree(rng, max_nodes=9), parse_tree("(3 good)"),
+            parse_tree("(1 (1 (2 (1 dull))))"), full_binary_tree(rng, 3),
+            synth_tree(rng, max_nodes=15)]
+
+
+def forest_params(variant, attention, norm, dim, seed):
+    """``random_params`` scoring attention with ``norm``; linear scores are
+    kept positive so the sum-normalization stays well conditioned."""
+    params = random_params(variant, attention, dim, synth_vocab(), seed=seed)
+    params.attention_norm = norm
+    if norm == "linear":
+        params.tensors["b_w"] = np.full_like(params.tensors["b_w"], 3.0)
+        params.tensors["u_w"] = np.abs(params.tensors["u_w"]) + 0.1
     return params
 
 

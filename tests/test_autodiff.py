@@ -229,6 +229,76 @@ def test_cross_entropy_matrix_sums_supervised_columns(rng):
     assert np.array_equal(grad[:, 1], np.zeros(5))  # the unsupervised column
 
 
+# segments of a 7-long axis: 3 nodes, a 1-node segment, 3 nodes
+SEGMENTS = np.array([0, 3, 4, 7])
+
+
+def test_fd_segment_softmax(rng):
+    probe = rnd(rng, 7)
+    check_op(lambda t, r: ad.matmul(t, ad.softmax(t, r[0], SEGMENTS), t.input(probe)),
+             [rnd(rng, 7)])
+
+
+def test_fd_segment_linear_norm(rng):
+    probe = rnd(rng, 7)
+    check_op(lambda t, r: ad.matmul(t, ad.linear_norm(t, r[0], SEGMENTS),
+                                    t.input(probe)),
+             [rng.uniform(0.5, 2.0, 7)])
+
+
+def test_segment_norms_equal_one_call_per_segment(rng):
+    x = rng.uniform(0.5, 2.0, 7)
+    for op in (ad.softmax, ad.linear_norm):
+        tape = Tape()
+        whole = tape.value(op(tape, tape.input(x), SEGMENTS))
+        for lo, hi in zip(SEGMENTS[:-1], SEGMENTS[1:]):
+            alone = tape.value(op(tape, tape.input(x[lo:hi])))
+            np.testing.assert_allclose(whole[lo:hi], alone, rtol=1e-15, atol=0)
+        assert whole[3] == 1.0  # a 1-node segment takes all its weight
+
+
+def test_linear_norm_names_the_degenerate_segment():
+    tape = Tape()
+    scores = tape.input(np.array([1.0, 2.0, 0.5, -0.5, 3.0]))
+    with pytest.raises(FloatingPointError, match="segment 1 sum to ~0"):
+        ad.linear_norm(tape, scores, [0, 2, 4, 5])
+
+
+def test_fd_pool(rng):
+    left, right = rnd(rng, 4), rnd(rng, 3)
+    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
+        t, ad.pool(t, r[0], r[1], SEGMENTS), t.input(right))),
+             [rnd(rng, 4, 7), rnd(rng, 7)])
+
+
+def test_pool_weights_each_segment_on_its_own(rng):
+    C, w = rnd(rng, 4, 7), rnd(rng, 7)
+    tape = Tape()
+    pooled = tape.value(ad.pool(tape, tape.input(C), tape.input(w), SEGMENTS))
+    assert pooled.shape == (4, 3)
+    for t, (lo, hi) in enumerate(zip(SEGMENTS[:-1], SEGMENTS[1:])):
+        np.testing.assert_allclose(pooled[:, t], C[:, lo:hi] @ w[lo:hi],
+                                   rtol=1e-14, atol=1e-15)
+
+
+def test_fd_segment_cross_entropy(rng):
+    probe = rnd(rng, 3)
+    gold = np.array([1, -1, 4, 0, 2, -1, 3])
+    check_op(lambda t, r: ad.matmul(t, ad.softmax_cross_entropy(t, r[0], gold, SEGMENTS),
+                                    t.input(probe)),
+             [rnd(rng, 5, 7)])
+
+
+def test_segment_cross_entropy_sums_each_segment(rng):
+    logits, gold = rnd(rng, 5, 7), np.array([1, -1, 4, 0, 2, -1, 3])
+    tape = Tape()
+    per_segment = tape.value(ad.softmax_cross_entropy(tape, tape.input(logits), gold,
+                                                      SEGMENTS))
+    for t, (lo, hi) in enumerate(zip(SEGMENTS[:-1], SEGMENTS[1:])):
+        alone = ad.softmax_cross_entropy(tape, tape.input(logits[:, lo:hi]), gold[lo:hi])
+        assert per_segment[t] == pytest.approx(float(tape.value(alone)), rel=1e-14)
+
+
 def test_fd_stack(rng):
     left, right = rnd(rng, 3), rnd(rng, 2)
 

@@ -104,6 +104,15 @@ def test_gradcheck_attention_bigru(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variant", ["treegru", "treebigru"])
+def test_gradcheck_linear_norm_on_a_forest(variant, capsys):
+    code = main(["gradcheck", "--variant", variant, "--attention",
+                 "--attention-norm", "linear", "--dim", "4", "--seed", "2",
+                 "--trees", "4"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_gradcheck_rejects_dim_zero():
     assert main(["gradcheck", "--dim", "0"]) == 2
 
@@ -148,6 +157,12 @@ def test_train_with_glove_coverage(data_dir, tmp_path):
     assert main(train_args(data_dir, out, glove=glove)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["coverage"] > 0.0
+
+
+def test_train_ignores_a_malformed_test_split(data_dir, tmp_path, capsys):
+    (data_dir / "test.txt").write_text("(0 broken\n")
+    assert main(train_args(data_dir, tmp_path / "run")) == 0
+    assert "best dev root accuracy" in capsys.readouterr().out
 
 
 def test_train_missing_data_dir(tmp_path):
@@ -522,6 +537,47 @@ def test_predict_deep_chain(tmp_path, capsys):
     out = capsys.readouterr().out.strip().split("\t")
     assert code == 0
     assert len(out[2].split()) == 5001
+
+
+def one_tree_rows(params, vocab, lines, show_attention=False):
+    """What predict prints for ``lines``, scoring one tree per tape."""
+    from arbogru.autodiff import Tape
+    from arbogru.training import build_sentence_graph
+
+    rows = []
+    for line in lines:
+        tape = Tape()
+        graph = build_sentence_graph(tape, parse_tree(line), params, vocab)
+        fields = [str(graph.preds.labels[0]),
+                  " ".join(f"{p:.4f}" for p in graph.preds.probs[0])]
+        if show_attention:
+            fields.append(" ".join(f"{w:.4f}" for w in tape.value(graph.attn.weights)))
+        rows.append("\t".join(fields))
+    return rows
+
+
+def test_predict_reports_a_bad_line_inside_a_chunk(tmp_path, capsys):
+    # 40 lines span two forests; line 20 sits inside the first one
+    from arbogru.checkpoint import load_checkpoint
+    from arbogru.embeddings import load_vocab
+
+    ckpt = save_model(tmp_path / "model", "treebigru", attention=True)
+    good = [serialize_tree(t) for t in synth_corpus(39, seed=6, max_nodes=11).trees]
+    lines = good[:19] + ["(0 (2 good) (2 bad) (2 movie))"] + good[19:]
+    inp = tmp_path / "inp.txt"
+    inp.write_text("\n".join(lines) + "\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp),
+                 "--show-attention"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("line 20: ") and "arity 3" in captured.err
+    printed = captured.out.splitlines()
+    params, vocab = load_checkpoint(ckpt), load_vocab(ckpt.parent / "vocab.txt")
+    assert printed == one_tree_rows(params, vocab, good, show_attention=True)
+    for row, line in zip(printed, good):
+        weights = [float(w) for w in row.split("\t")[2].split()]
+        assert len(weights) == line.count("(")  # one per node
+        assert sum(weights) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_predict_reports_and_skips_wide_nodes(tmp_path, capsys):

@@ -13,7 +13,8 @@ from arbogru.model import (ModelError, attention_pool, count_parameters,
 from arbogru.treebank import Corpus, LabeledTree, parse_tree
 
 import oracles
-from conftest import WORDS, full_binary_tree, random_params, synth_tree, synth_vocab
+from conftest import (FOREST_CASES, WORDS, forest_params, full_binary_tree,
+                      mixed_forest, random_params, synth_tree, synth_vocab)
 
 VARIANT_CASES = [("treegru", False), ("treegru", True),
                  ("treebigru", False), ("treebigru", True)]
@@ -21,7 +22,7 @@ VARIANT_CASES = [("treegru", False), ("treegru", True),
 
 def forward(tree, params, vocab):
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     if params.variant == "treebigru":
         downward_pass(states, params, tape)
     attn = attention_pool(states, params, tape) if params.attention else None
@@ -79,7 +80,7 @@ def test_upward_leaf_with_zero_embedding():
     params.tensors["emb"][:] = 0.0
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     assert np.allclose(states.z_up[:, 0], 0.5)
     assert np.allclose(states.cand_up[:, 0], 0.0)
     assert np.allclose(tape.value(states.H_up)[:, 0], 0.0)
@@ -95,7 +96,7 @@ def test_upward_leaf_scalar_hand_values():
     params = init_params("treegru", 1, vocab, 5, 2, np.random.default_rng(0))
     params.tensors["emb"][vocab.lookup("word")] = 1.0
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     assert states.z_up[0, 0] == pytest.approx(0.6224593312, abs=1e-9)
     assert states.cand_up[0, 0] == pytest.approx(0.4621171573, abs=1e-9)
     assert tape.value(states.H_up)[0, 0] == pytest.approx(0.1744680, abs=1e-6)
@@ -107,7 +108,7 @@ def test_upward_rejects_wide_nodes():
     wide = LabeledTree(2, children=tuple(
         LabeledTree(2, token=WORDS[i]) for i in range(3)))
     with pytest.raises(ModelError, match="arity"):
-        upward_pass(wide, params, Tape(), vocab)
+        upward_pass([wide], params, Tape(), vocab)
 
 
 def test_upward_matches_oracle():
@@ -117,7 +118,7 @@ def test_upward_matches_oracle():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treegru", False, 8, vocab, seed=seed)
         tape = Tape()
-        states = upward_pass(tree, params, tape, vocab)
+        states = upward_pass([tree], params, tape, vocab)
         expected = oracles.upward_states(tree, params.tensors, vocab)
         assert len(expected) == len(states.index)
         for j, slot in enumerate(expected):
@@ -135,7 +136,7 @@ def test_downward_single_leaf_equals_upward():
     params = random_params("treebigru", False, 6, vocab, seed=1)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
     assert np.array_equal(tape.value(states.H_down)[:, 0], tape.value(states.H_up)[:, 0])
 
 
@@ -147,7 +148,7 @@ def test_downward_zero_fixed_point():
     rng = np.random.default_rng(4)
     tree = synth_tree(rng, max_nodes=9)
     tape = Tape()
-    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
     for j in range(len(states.index)):
         assert np.allclose(tape.value(states.H_up)[:, j], 0.0)
         assert np.allclose(tape.value(states.H_down)[:, j], 0.0)
@@ -160,7 +161,7 @@ def test_downward_matches_oracle():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treebigru", False, 8, vocab, seed=seed)
         tape = Tape()
-        states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+        states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
         for j, slot in enumerate(down):
@@ -176,7 +177,7 @@ def test_downward_requires_bidirectional_params():
     params = random_params("treegru", False, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     with pytest.raises(ModelError, match="treebigru"):
         downward_pass(states, params, tape)
 
@@ -189,19 +190,79 @@ SHAPED = "(3 (1 (2 good)) (4 (2 bad) (2 movie)))"
 
 
 def test_index_tree_slots_heights_depths():
-    idx = index_tree(parse_tree(SHAPED), 2)
+    idx = index_tree([parse_tree(SHAPED)], 2)
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3]
     assert idx.slots.tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5], [-1, -1], [-1, -1]]
     assert idx.heights.tolist() == [2, 1, 0, 1, 0, 0]
     assert idx.depths.tolist() == [0, 1, 2, 1, 2, 2]
     assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2]
     with pytest.raises(ModelError, match="arity 2 exceeds K=1"):
-        index_tree(parse_tree(SHAPED), 1)
+        index_tree([parse_tree(SHAPED)], 1)
+
+
+def test_index_tree_lays_out_a_forest():
+    # a one-leaf tree between two copies of SHAPED: indices shift by the
+    # tree's offset, -1 stays "none", and the roots sit at the offsets
+    trees = [parse_tree(SHAPED), parse_tree("(0 awful)"), parse_tree(SHAPED)]
+    idx = index_tree(trees, 2)
+    one = index_tree(trees[:1], 2)
+    assert idx.offsets.tolist() == [0, 6, 7, 13]
+    assert idx.roots.tolist() == [0, 6, 7]
+    assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3, -1, -1, 7, 8, 7, 10, 10]
+    assert idx.slots[7:].tolist() == np.where(one.slots >= 0, one.slots + 7, -1).tolist()
+    assert idx.slots[6].tolist() == [-1, -1]
+    assert idx.heights.tolist() == one.heights.tolist() + [0] + one.heights.tolist()
+    assert idx.depths.tolist() == one.depths.tolist() + [0] + one.depths.tolist()
+    assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2, 0, 3, 1, 2, 4, 2, 2]
+
+
+def test_index_tree_names_the_tree_with_a_wide_node():
+    wide = LabeledTree(2, children=tuple(LabeledTree(2, token=w) for w in WORDS[:3]))
+    with pytest.raises(ModelError, match="arity 3 exceeds K=2 in tree 2"):
+        index_tree([parse_tree(SHAPED), parse_tree("(0 awful)"), wide], 2)
+
+
+@pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
+def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
+    # each tree's columns of a forest equal the oracles run on that tree
+    vocab = synth_vocab()
+    trees = mixed_forest(np.random.default_rng(41))
+    params = forest_params(variant, attention, norm, 5, seed=8)
+    t = params.tensors
+    tape = Tape()
+    states = upward_pass(trees, params, tape, vocab)
+    if variant == "treebigru":
+        downward_pass(states, params, tape)
+    attn = attention_pool(states, params, tape) if attention else None
+    preds = predict_nodes(states, params, tape, attn=attn)
+    offsets = states.index.offsets
+    for i, tree in enumerate(trees):
+        cols = slice(offsets[i], offsets[i + 1])
+        up = oracles.upward_states(tree, t, vocab)
+        want_up = np.array([slot["h"] for slot in up]).T
+        np.testing.assert_allclose(tape.value(states.H_up)[:, cols], want_up,
+                                   rtol=0, atol=1e-12)
+        down = sentence = None
+        if variant == "treebigru":
+            down = oracles.downward_states(tree, up, t)
+            want_down = np.array([slot["h"] for slot in down]).T
+            np.testing.assert_allclose(tape.value(states.H_down)[:, cols], want_down,
+                                       rtol=0, atol=1e-12)
+        if attention:
+            reps = ([np.concatenate([u["h"], d["h"]]) for u, d in zip(up, down)]
+                    if down else [u["h"] for u in up])
+            weights, sentence = oracles.attention(reps, t, norm=norm)
+            np.testing.assert_allclose(tape.value(attn.weights)[cols], weights,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tape.value(attn.sentence)[:, i], sentence,
+                                       rtol=0, atol=1e-12)
+        want = oracles.predictions(up, down, sentence, t, variant, attention)
+        np.testing.assert_allclose(preds.probs[cols], np.array(want), rtol=0, atol=1e-12)
 
 
 def recurrence_loss(tree, params, vocab, tape, probes):
     """sum(P_up * H_up) + sum(P_down * H_down): every state column counts."""
-    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
     terms = []
     for H, probe in zip((states.H_up, states.H_down), probes):
         ones = [tape.input(np.ones(n, dtype=probe.dtype)) for n in probe.shape]
@@ -270,10 +331,10 @@ def test_recurrence_tape_entries_do_not_grow_with_the_tree():
     for depth in (1, 4):
         tape = Tape()
         tree = full_binary_tree(np.random.default_rng(depth), depth)
-        states = upward_pass(tree, params, tape, vocab)
+        states = upward_pass([tree], params, tape, vocab)
         downward_pass(states, params, tape)
         counts.append(len(tape) - len(tape.keyed))
-    assert counts[0] == counts[1] == 4  # leaf zero, input stack, two ops
+    assert counts[0] == counts[1] == 3  # leaf input stack, two ops
 
 
 def test_upward_states_shared_between_variants():
@@ -287,8 +348,8 @@ def test_upward_states_shared_between_variants():
         if name in bi.tensors and not name.startswith(("W_s", "b_s")):
             bi.tensors[name] = tensor.copy()
     t1, t2 = Tape(), Tape()
-    s1 = upward_pass(tree, uni, t1, vocab)
-    s2 = upward_pass(tree, bi, t2, vocab)
+    s1 = upward_pass([tree], uni, t1, vocab)
+    s2 = upward_pass([tree], bi, t2, vocab)
     for j in range(len(s1.index)):
         np.testing.assert_allclose(t1.value(s1.H_up)[:, j], t2.value(s2.H_up)[:, j],
                                    rtol=0, atol=0)
@@ -324,9 +385,9 @@ def test_sibling_permutation_with_swapped_weights():
 
     mirrored_tree = mirror(tree)
     t1 = Tape()
-    s1 = upward_pass(tree, params, t1, vocab)
+    s1 = upward_pass([tree], params, t1, vocab)
     t2 = Tape()
-    s2 = upward_pass(mirrored_tree, swapped, t2, vocab)
+    s2 = upward_pass([mirrored_tree], swapped, t2, vocab)
     orig_order = index_of(tree)
     mirr_order = index_of(mirrored_tree)
 
@@ -348,10 +409,10 @@ def test_attention_single_node():
     params = random_params("treegru", True, 5, vocab, seed=2)
     tree = LabeledTree(2, token=WORDS[1])
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     attn = attention_pool(states, params, tape)
     assert np.allclose(tape.value(attn.weights), [1.0])
-    np.testing.assert_allclose(tape.value(attn.sentence),
+    np.testing.assert_allclose(tape.value(attn.sentence)[:, 0],
                                tape.value(states.H_up)[:, 0], rtol=0, atol=0)
 
 
@@ -362,7 +423,7 @@ def test_attention_identical_nodes_split_evenly():
     tree = LabeledTree(2, children=(LabeledTree(2, token=WORDS[0]),
                                     LabeledTree(2, token=WORDS[0])))
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     attn = attention_pool(states, params, tape)
     weights = tape.value(attn.weights)
     assert weights[1] == pytest.approx(weights[2], abs=1e-12)
@@ -375,13 +436,13 @@ def test_attention_matches_oracle_treegru():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treegru", True, 4, vocab, seed=seed)
         tape = Tape()
-        states = upward_pass(tree, params, tape, vocab)
+        states = upward_pass([tree], params, tape, vocab)
         attn = attention_pool(states, params, tape)
         reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
         weights, pooled = oracles.attention(reps, params.tensors)
         np.testing.assert_allclose(tape.value(attn.weights), weights,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tape.value(attn.sentence), pooled,
+        np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled,
                                    rtol=0, atol=1e-12)
 
 
@@ -392,7 +453,7 @@ def test_attention_matches_oracle_treebigru():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treebigru", True, 4, vocab, seed=seed)
         tape = Tape()
-        states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
+        states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
         attn = attention_pool(states, params, tape)
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
@@ -400,7 +461,7 @@ def test_attention_matches_oracle_treebigru():
         weights, pooled = oracles.attention(reps, params.tensors)
         np.testing.assert_allclose(tape.value(attn.weights), weights,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tape.value(attn.sentence), pooled,
+        np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled,
                                    rtol=0, atol=1e-12)
 
 
@@ -411,7 +472,7 @@ def test_attention_weights_normalized():
         tree = synth_tree(rng, max_nodes=11)
         params = random_params("treegru", True, 6, vocab, seed=seed, scale=1.5)
         tape = Tape()
-        attn = attention_pool(upward_pass(tree, params, tape, vocab), params, tape)
+        attn = attention_pool(upward_pass([tree], params, tape, vocab), params, tape)
         weights = tape.value(attn.weights)
         assert np.all(weights >= 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-9
@@ -434,12 +495,12 @@ def test_attention_linear_norm_matches_oracle():
     params = random_params("treegru", True, 4, vocab, seed=6, scale=0.4)
     params.attention_norm = "linear"
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     attn = attention_pool(states, params, tape)
     reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
     weights, pooled = oracles.attention(reps, params.tensors, norm="linear")
     np.testing.assert_allclose(tape.value(attn.weights), weights, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tape.value(attn.sentence), pooled, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled, rtol=0, atol=1e-12)
     assert tape.value(attn.weights).sum() == pytest.approx(1.0)
 
 
@@ -448,7 +509,7 @@ def test_attention_requires_attention_params():
     params = random_params("treegru", False, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     with pytest.raises(ModelError, match="attention"):
         attention_pool(states, params, tape)
 
@@ -463,7 +524,7 @@ def test_predict_uniform_with_zero_classifier():
     params.tensors["b_s"][:] = 0.0
     tree = parse_tree("(3 (2 good) (2 movie))")
     tape = Tape()
-    preds = predict_nodes(upward_pass(tree, params, tape, vocab), params, tape)
+    preds = predict_nodes(upward_pass([tree], params, tape, vocab), params, tape)
     for dist, label in zip(preds.probs, preds.labels):
         np.testing.assert_allclose(dist, 0.2, rtol=0, atol=1e-12)
         assert label == 0  # tie-break to the lowest class
@@ -527,7 +588,7 @@ def test_gates_bounded_and_finite():
             tree = synth_tree(rng, max_nodes=11)
             params = random_params(variant, False, 6, vocab, seed=seed, scale=2.0)
             tape = Tape()
-            states = upward_pass(tree, params, tape, vocab)
+            states = upward_pass([tree], params, tape, vocab)
             if variant == "treebigru":
                 downward_pass(states, params, tape)
             for j in range(len(states.index)):
@@ -717,7 +778,7 @@ def test_node_representation_requires_downward():
     params = random_params("treebigru", True, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     with pytest.raises(ModelError, match="downward"):
         attention_pool(states, params, tape)
     params.attention = False
@@ -744,7 +805,7 @@ def test_passes_register_each_parameter_slot_once():
     params = random_params("treebigru", True, 3, vocab, seed=2)
     tree = parse_tree("(3 (2 good) (3 (2 good) (2 movie)))")
     tape = Tape()
-    states = upward_pass(tree, params, tape, vocab)
+    states = upward_pass([tree], params, tape, vocab)
     downward_pass(states, params, tape)
     predict_nodes(states, params, tape, attn=attention_pool(states, params, tape))
     rows = {("emb", vocab.lookup("good")), ("emb", vocab.lookup("movie"))}

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
-from arbogru.model import downward_pass, init_params, predict_nodes, upward_pass
+from arbogru.model import downward_pass, init_params, upward_pass
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
                               build_sentence_graph, dropout_mask, evaluate,
@@ -13,8 +12,8 @@ from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               sentence_gradients, train)
 from arbogru.treebank import Corpus, parse_tree, to_binary_task
 
-from conftest import (full_binary_tree, random_params, synth_corpus, synth_tree,
-                      synth_vocab)
+from conftest import (FOREST_CASES, forest_params, full_binary_tree, mixed_forest,
+                      random_params, synth_corpus, synth_tree, synth_vocab)
 from oracles import compute_loss
 
 VARIANT_CASES = [("treegru", False), ("treegru", True),
@@ -239,37 +238,29 @@ def test_l2_only_gradient_matches_fd_exactly():
         np.testing.assert_allclose(analytic, fd, rtol=1e-8, atol=1e-8)
 
 
+def assert_relative(got, want, tol=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= tol * scale
+
+
 def test_batch_gradient_equals_sum_of_sentence_gradients():
-    # one tape holding two sentences must agree with per-sentence tapes
+    # one forest on one tape must agree with one tape per sentence
     vocab = synth_vocab()
-    params = random_params("treegru", False, 6, vocab, seed=3)
-    rng = np.random.default_rng(9)
-    trees = [synth_tree(rng, max_nodes=9), synth_tree(rng, max_nodes=9)]
-
-    summed = GradTable()
-    for tree in trees:
-        _, table = sentence_gradients(tree, params, vocab)
-        summed.add(table)
-
-    # the sentences share one tape, so they share its parameter slots
-    tape = Tape()
-    losses = []
-    for tree in trees:
-        states = upward_pass(tree, params, tape, vocab)
-        preds = predict_nodes(states, params, tape)
-        losses.append(ad.softmax_cross_entropy(tape, preds.logits, states.index.gold))
-    joint = ad.add(tape, *losses)
-    grads = ad.backward(tape, joint)
-    reached = {key for key, ref in tape.keyed.items() if grads[ref.index] is not None}
-    assert reached == set(summed)
-    assert any(isinstance(key, tuple) for key in reached)  # embedding rows too
-    # absent entries mean a zero gradient (e.g. U_r never reaches the loss:
-    # leaves do not gate children and internal nodes have zero input vectors)
-    for key, ref in tape.keyed.items():
-        joint_g = grads[ref.index]
-        joint_g = np.zeros(ref.shape) if joint_g is None else joint_g
-        sent_g = summed.get(key, np.zeros(ref.shape))
-        np.testing.assert_allclose(joint_g, sent_g, rtol=0, atol=1e-10)
+    trees = mixed_forest(np.random.default_rng(9))
+    for variant, attention, norm in FOREST_CASES:
+        params = forest_params(variant, attention, norm, 6, seed=3)
+        losses, forest = sentence_gradients(trees, params, vocab)
+        assert losses.shape == (len(trees),)
+        summed = {}
+        for t, tree in enumerate(trees):
+            loss, table = sentence_gradients([tree], params, vocab)
+            assert_relative(losses[t], loss[0])
+            for key, g in table.items():
+                summed[key] = summed[key] + g if key in summed else g
+        assert set(forest) == set(summed), (variant, attention, norm)
+        assert any(isinstance(key, tuple) for key in forest)  # embedding rows too
+        for key, g in forest.items():
+            assert_relative(g, summed[key])
 
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)
@@ -363,6 +354,21 @@ def test_train_propagates_nonfinite_loss():
         train(config, data, params, vocab)
 
 
+def test_train_names_the_sentence_with_a_nonfinite_loss():
+    # one word's row is NaN: only the sentence holding it loses finiteness,
+    # and the error names its corpus index whatever the batch order
+    vocab = synth_vocab()
+    lines = ["(3 good)", "(2 (2 the) (1 dull))", "(1 (2 plot) (0 awful))",
+             "(4 superb)", "(3 (3 solid) (2 film))"]
+    corpus = Corpus([parse_tree(line) for line in lines], "train", "fine", 5)
+    params = init_params("treegru", 4, vocab, 5, 2, np.random.default_rng(0))
+    params.tensors["emb"][vocab.lookup("awful")] = np.nan
+    config = TrainConfig(variant="treegru", dim=4, batch_size=5, epochs=1,
+                         dropout=0.0, seed=1)
+    with pytest.raises(TrainingError, match="sentence index 2$"):
+        train(config, SplitCorpora(corpus, corpus), params, vocab)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -409,6 +415,31 @@ def test_evaluate_binary_task_skips_unsupervised_nodes():
     assert metrics.root_accuracy in (0.0, 1.0)
 
 
+def test_evaluate_in_chunks_equals_per_tree_scoring():
+    # two full chunks and a partial one
+    from arbogru.training import SCORE_CHUNK
+
+    vocab = synth_vocab()
+    corpus = synth_corpus(2 * SCORE_CHUNK + 5, seed=14, max_nodes=9)
+    assert len(corpus) % SCORE_CHUNK
+    for variant, attention in VARIANT_CASES:
+        params = random_params(variant, attention, 4, vocab, seed=16)
+        root_ok = hits = supervised = 0
+        loss = 0.0
+        for tree in corpus.trees:
+            tape = Tape()
+            graph = build_sentence_graph(tape, tree, params, vocab)
+            labels, gold = np.asarray(graph.preds.labels), graph.states.index.gold
+            root_ok += int(labels[0] == gold[0])
+            hits += int(np.sum(labels == gold))
+            supervised += len(gold)
+            loss += float(tape.value(graph.loss))
+        got = evaluate(corpus, params, vocab)
+        assert got.root_accuracy == root_ok / len(corpus)
+        assert got.node_accuracy == hits / supervised
+        assert got.loss == pytest.approx(loss / len(corpus), rel=1e-12)
+
+
 def test_eval_mode_ignores_dropout_config():
     # dropout is a training-only concern; evaluation never draws masks
     vocab = synth_vocab()
@@ -440,7 +471,7 @@ def test_head_and_loss_tape_entries_do_not_grow_with_nodes(variant, attention):
 
     def head_entries(tree):
         passes = Tape()
-        states = upward_pass(tree, params, passes, vocab)
+        states = upward_pass([tree], params, passes, vocab)
         if variant == "treebigru":
             downward_pass(states, params, passes)
         full = Tape()
