@@ -84,16 +84,18 @@ def load_checkpoint(path) -> ModelParams:
             try:
                 name, shape, tag = row
                 shape = tuple(int(s) for s in shape)
+                if any(s < 0 for s in shape):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise CheckpointError(f"{path}: malformed tensor entry {row!r}") from None
             dtype = _DTYPES.get(str(tag))
             if dtype is None:
                 raise CheckpointError(f"{path}: unknown element type {tag!r}")
-            count = int(np.prod(shape)) if shape else 1
-            raw = handle.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            # read straight into the tensor: no second copy of the bytes
+            tensor = np.empty(shape, dtype=dtype)
+            if handle.readinto(tensor) != tensor.nbytes:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            tensors[name] = tensor
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 

@@ -23,8 +23,9 @@ defined as its upward state.
 ``gru_tree`` applies the rule to a whole forest as one tape op: the
 states form a d x nodes matrix, one column per node, filled level by
 level (upward by height, downward by depth), with each gate of a level
-one matrix product over the level's nodes of every tree and a zero pad
-column standing in for a missing child.  The attention head and
+one matrix product per child slot over the level's nodes of every tree
+and a zero pad state standing in for a missing child.  Inside the op
+the buffers are node-major (one row per node).  The attention head and
 classifiers work on these matrices whole; attention normalizes and
 pools each tree's columns on their own.
 """
@@ -304,9 +305,14 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     ``names`` are a direction's tensor-name templates; ``inputs`` holds
     the input columns of the nodes ``columns`` (an index array or a
     slice), and the input terms vanish at every other node.  Row j of
-    ``slots`` lists node j's children, -1 for none (a zero pad column).
+    ``slots`` lists node j's children, -1 for none (a zero pad state).
     ``levels`` are node index arrays whose children all lie in earlier
-    levels; a node in no level takes its input column as its state.
+    levels; a node in no level takes its input column as its state and
+    keeps zero gates.
+
+    Inside, every buffer is node-major (row j is node j), so a level
+    gathers and writes whole rows; the results are transposed views.
+    A child slot that is pad throughout a level costs no product.
     """
     u_name, w_name, b_name = names
     n, n_kids = slots.shape
@@ -320,63 +326,84 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
+    X = x.T  # one row per input node
     d = x.shape[0]
-    H = np.zeros((d, n + 1), dtype=x.dtype)  # column n (index -1) is the pad
-    H[:, :n][:, columns] = x
-    Z, R, C = (np.zeros((d, n), dtype=x.dtype) for _ in range(3))
-
-    def input_terms(U, b):  # of every node at once, outside the recurrence
-        A = np.repeat(b[:, None], n, axis=1)
-        A[:, columns] += U @ x
-        return A
-
-    A_z, A_r, A_h = (input_terms(U, b) for U, b in ((U_z, b_z), (U_r, b_r), (U_h, b_h)))
+    H = np.zeros((n + 1, d), dtype=x.dtype)  # row n (slot -1) is the pad
+    H[:n][columns] = X
+    # the gate buffers start as the pre-activations' bias and input
+    # terms, one product over every input node outside the recurrence
+    Z, R, C = (np.empty((n, d), dtype=x.dtype) for _ in range(3))
+    for P, U, b in ((Z, U_z, b_z), (R, U_r, b_r), (C, U_h, b_h)):
+        P[...] = b
+        P[columns] += X @ U.T
+    # each level with the child slots it uses: (slot, child rows, whether
+    # a child row repeats, as siblings share their parent downward)
+    plan = []
+    free = np.ones(n, dtype=bool)
     for lv in levels:
-        kids = [H[:, slots[lv, k]] for k in range(n_kids)]
-        z = _sigmoid(A_z[:, lv] + sum(W @ h for W, h in zip(W_z, kids)))
-        r = _sigmoid(A_r[:, lv] + sum(W @ h for W, h in zip(W_r, kids)))
-        c = np.tanh(A_h[:, lv] + sum(W @ (h * r) for W, h in zip(W_h, kids)))
-        H[:, lv] = z * sum(kids) + (1.0 - z) * c
-        Z[:, lv], R[:, lv], C[:, lv] = z, r, c
+        free[lv] = False
+        used = []
+        for k in range(n_kids):
+            kids = slots[lv, k]
+            real = kids[kids >= 0]
+            if real.size:
+                used.append((k, kids, np.unique(real).size < real.size))
+        plan.append((lv, used))
+
+    for lv, used in plan:
+        kids = [H[s] for _, s, _ in used]
+        z, r, c = Z[lv], R[lv], C[lv]
+        for (k, _, _), h in zip(used, kids):
+            z += h @ W_z[k].T
+            r += h @ W_r[k].T
+        z, r = _sigmoid(z), _sigmoid(r)
+        for (k, _, _), h in zip(used, kids):
+            c += (h * r) @ W_h[k].T
+        c = np.tanh(c)
+        H[lv] = z * sum(kids) + (1.0 - z) * c
+        Z[lv], R[lv], C[lv] = z, r, c
+    Z[free] = R[free] = C[free] = 0.0
 
     def vjp(g):
-        G = np.zeros_like(H)  # gradient reaching each state
-        G[:, :n] = g
+        G = np.zeros_like(H)  # gradient reaching each state; row n is junk
+        G[:n] = g.T
         dZ, dR, dC = (np.zeros_like(Z) for _ in range(3))  # pre-activation grads
-        for lv in reversed(levels):
-            gh = G[:, lv]
-            G[:, lv] = 0.0  # consumed; what stays belongs to free nodes
-            kids = [H[:, slots[lv, k]] for k in range(n_kids)]
-            z, r, c = Z[:, lv], R[:, lv], C[:, lv]
+        for lv, used in reversed(plan):
+            gh = G[lv]
+            G[lv] = 0.0  # consumed; what stays belongs to free nodes
+            kids = [H[s] for _, s, _ in used]
+            z, r, c = Z[lv], R[lv], C[lv]
             dc = gh * (1.0 - z) * (1.0 - c * c)
             dz = gh * (sum(kids) - c) * z * (1.0 - z)
-            d_kr = [W.T @ dc for W in W_h]  # gradients of h_k * r
+            d_kr = [dc @ W_h[k] for k, _, _ in used]  # gradients of h_k * r
             dr = sum(dk * h for dk, h in zip(d_kr, kids)) * r * (1.0 - r)
-            for k in range(n_kids):
-                # siblings share their parent's column in the downward
-                # direction, so fancy-indexed += would drop all but one
-                np.add.at(G, (slice(None), slots[lv, k]),
-                          gh * z + d_kr[k] * r + W_z[k].T @ dz + W_r[k].T @ dr)
-            dZ[:, lv], dR[:, lv], dC[:, lv] = dz, dr, dc
+            for (k, s, repeats), dk in zip(used, d_kr):
+                dh = gh * z + dk * r + dz @ W_z[k] + dr @ W_r[k]
+                if repeats:
+                    np.add.at(G, s, dh)  # += would add one of the repeats
+                else:
+                    G[s] += dh
+            dZ[lv], dR[lv], dC[lv] = dz, dr, dc
 
-        # each weight gradient is one product over the whole forest, the
-        # child weights' one child slot at a time
+        # each weight gradient is one product over the whole forest, a
+        # child weight's over the nodes with a real child in its slot
         d_child = ([], [], [])
         for k in range(n_kids):
-            h = H[:, slots[:, k]]
-            d_child[0].append(dZ @ h.T)
-            d_child[1].append(dR @ h.T)
-            h *= R
-            d_child[2].append(dC @ h.T)
-        d_in = [dP[:, columns] for dP in (dZ, dR, dC)]
-        grads = [U_z.T @ d_in[0] + U_r.T @ d_in[1] + U_h.T @ d_in[2]
-                 + G[:, :n][:, columns]]
+            rows = np.flatnonzero(slots[:, k] >= 0)
+            h = H[slots[rows, k]]
+            d_child[0].append(dZ[rows].T @ h)
+            d_child[1].append(dR[rows].T @ h)
+            h *= R[rows]
+            d_child[2].append(dC[rows].T @ h)
+        d_in = [dP[columns] for dP in (dZ, dR, dC)]
+        grads = [(d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h
+                  + G[:n][columns]).T]
         for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
-            grads += [dP_in @ x.T, dP.sum(axis=1), *dW]
+            grads += [dP_in.T @ X, dP.sum(axis=0), *dW]
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
-    return tape.append(H[:, :n], parents, vjp), (Z, R, C)
+    return tape.append(H[:n].T, parents, vjp), (Z.T, R.T, C.T)
 
 
 def upward_pass(trees: Sequence[LabeledTree], params: ModelParams, tape: Tape,

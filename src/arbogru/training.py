@@ -285,6 +285,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
     best_step = 0
     global_step = 0
     losses_since_eval: list[float] = []
+    norms_over: list[float] = []  # of those batches, gradient norms > GRAD_NORM_WARN
     start = time.perf_counter()
 
     def run_eval(epoch):
@@ -294,6 +295,12 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
             mean_loss = sum(losses_since_eval) / len(losses_since_eval)
         else:
             mean_loss = float("nan")
+        if norms_over:
+            log.warning("%d of %d batches since the last evaluation had a gradient "
+                        "norm above %.0e, the largest %.3e (no clipping applied)",
+                        len(norms_over), len(losses_since_eval), GRAD_NORM_WARN,
+                        max(norms_over))
+            norms_over.clear()
         losses_since_eval.clear()
         emit(f"{epoch}\t{global_step}\t{mean_loss:.6f}\t"
              f"{metrics.root_accuracy:.6f}\t{time.perf_counter() - start:.3f}")
@@ -309,9 +316,11 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         evaluated_last = False
         for b in range(n_batches):
             ids = order[b * config.batch_size:(b + 1) * config.batch_size]
-            batch_loss = _train_batch(ids, sentences, params, vocab, opt,
-                                      config, rng)
+            batch_loss, gnorm = _train_batch(ids, sentences, params, vocab, opt,
+                                             config, rng)
             losses_since_eval.append(batch_loss)
+            if gnorm > GRAD_NORM_WARN:
+                norms_over.append(gnorm)
             global_step += 1
             evaluated_last = (b + 1) % eval_every == 0
             if evaluated_last:
@@ -322,7 +331,10 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
     return TrainResult(best, best_acc, best_step, params, lines)
 
 
-def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
+def _train_batch(ids, sentences, params, vocab, opt, config,
+                 rng) -> tuple[float, float]:
+    """One AdaGrad step on the sentences ``ids``; returns the batch's
+    objective and its gradient norm."""
     losses, total = sentence_gradients([sentences[i] for i in ids], params, vocab,
                                        train_mode=True, dropout=config.dropout, rng=rng)
     bad = np.flatnonzero(~np.isfinite(losses))
@@ -331,11 +343,8 @@ def _train_batch(ids, sentences, params, vocab, opt, config, rng) -> float:
     batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total)
     add_l2_gradients(total, params, config.l2)
     gnorm = total.norm()
-    if gnorm > GRAD_NORM_WARN:
-        log.warning("gradient norm %.3e exceeds %.0e (no clipping applied)",
-                    gnorm, GRAD_NORM_WARN)
     adagrad_step(params, total, opt, config.learning_rate)
-    return batch_loss
+    return batch_loss, gnorm
 
 
 # ---------------------------------------------------------------------------

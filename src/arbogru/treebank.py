@@ -9,6 +9,7 @@ found in the file); any case folding happens at embedding lookup.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from dataclasses import dataclass
@@ -200,24 +201,34 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
     applies to_binary_task after loading.  Parse errors, including a
     node wider than ``max_arity``, are re-raised with the file and the
     offending line number.
+
+    The cyclic garbage collector is paused while the trees are built:
+    they hold no cycles, and each full collection would traverse every
+    tree made so far.  The caller's collector state is restored.
     """
     if task not in (TASK_FINE, TASK_BINARY):
         raise ValueError(f"unknown task {task!r}")
     if split_name is None:
         split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    trees = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trees.append(parse_tree(line, max_arity=max_arity))
-            except TreebankError as err:
-                raise TreebankError(f"{path}, line {lineno}: {err}") from None
-    corpus = Corpus(trees, split_name, TASK_FINE, FINE_CLASSES)
-    if task == TASK_BINARY:
-        corpus = to_binary_task(corpus)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        trees = []
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    trees.append(parse_tree(line, max_arity=max_arity))
+                except TreebankError as err:
+                    raise TreebankError(f"{path}, line {lineno}: {err}") from None
+        corpus = Corpus(trees, split_name, TASK_FINE, FINE_CLASSES)
+        if task == TASK_BINARY:
+            corpus = to_binary_task(corpus)
+    finally:
+        if collecting:
+            gc.enable()
     return corpus
 
 

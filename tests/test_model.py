@@ -260,9 +260,10 @@ def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
         np.testing.assert_allclose(preds.probs[cols], np.array(want), rtol=0, atol=1e-12)
 
 
-def recurrence_loss(tree, params, vocab, tape, probes):
-    """sum(P_up * H_up) + sum(P_down * H_down): every state column counts."""
-    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
+def recurrence_loss(trees, params, vocab, tape, probes):
+    """sum(P_up * H_up) + sum(P_down * H_down) over the forest ``trees``:
+    every state column counts."""
+    states = downward_pass(upward_pass(trees, params, tape, vocab), params, tape)
     terms = []
     for H, probe in zip((states.H_up, states.H_down), probes):
         ones = [tape.input(np.ones(n, dtype=probe.dtype)) for n in probe.shape]
@@ -271,24 +272,18 @@ def recurrence_loss(tree, params, vocab, tape, probes):
     return states, ad.add(tape, *terms)
 
 
-def test_gru_tree_matches_finite_differences():
-    # upward: the unary node's second child is the zero pad column;
-    # downward: the root is a free column, and two pairs of siblings share
-    # their parent's column, whose gradient must sum over both
-    vocab = synth_vocab()
-    tree = parse_tree(SHAPED)
-    params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
-    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3, 6))
+def check_recurrence_gradients(trees, params, vocab, probes) -> Tape:
+    """Every keyed gradient of ``recurrence_loss`` against central
+    differences; returns the tape."""
     tape = Tape()
-    _, loss = recurrence_loss(tree, params, vocab, tape, probes)
+    _, loss = recurrence_loss(trees, params, vocab, tape, probes)
     grads = ad.backward(tape, loss)
 
     def objective():
         probe_tape = Tape()
         return float(probe_tape.value(
-            recurrence_loss(tree, params, vocab, probe_tape, probes)[1]))
+            recurrence_loss(trees, params, vocab, probe_tape, probes)[1]))
 
-    assert len(tape.keyed) == 12 + 9 + 3  # up and down tensors, three words
     for key, ref in tape.keyed.items():
         flat = slot(params.tensors, key).reshape(-1)
         fd = np.zeros(flat.size)
@@ -303,6 +298,63 @@ def test_gru_tree_matches_finite_differences():
         analytic = grads[ref.index].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
         assert np.max(np.abs(analytic - fd) / denom) < 1e-6, key
+    return tape
+
+
+def test_gru_tree_matches_finite_differences():
+    # upward: the unary node's second child is the zero pad row;
+    # downward: the root is a free row, and two pairs of siblings share
+    # their parent's row, whose gradient must sum over both
+    vocab = synth_vocab()
+    params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
+    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3, 6))
+    tape = check_recurrence_gradients([parse_tree(SHAPED)], params, vocab, probes)
+    assert len(tape.keyed) == 12 + 9 + 3  # up and down tensors, three words
+
+
+# heights 1 and 2 mix unary and binary nodes, so their second child slot
+# is partly pad; height 3 holds only the chain's top, so it is all pad
+PADDED_FOREST = ("(3 (2 (2 good) (2 movie)) (1 (1 dull)))", "(1 (1 (2 (1 bad))))")
+
+
+def test_gru_tree_matches_finite_differences_over_pad_slots():
+    vocab = synth_vocab()
+    trees = [parse_tree(s) for s in PADDED_FOREST]
+    idx = index_tree(trees, 2)
+    second = [idx.slots[idx.heights == h, 1] for h in (1, 2, 3)]
+    assert all((kids >= 0).any() and (kids < 0).any() for kids in second[:2])
+    assert (second[2] < 0).all()
+    params = random_params("treebigru", False, 3, vocab, seed=5, scale=0.8)
+    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, len(idx)))
+    check_recurrence_gradients(trees, params, vocab, probes)
+
+
+def test_unary_chains_give_second_child_weights_zero_gradient():
+    vocab = synth_vocab()
+    trees = [parse_tree(s) for s in ("(1 (1 (2 (1 bad))))", "(3 (3 good))", "(2 movie)")]
+    params = random_params("treebigru", False, 3, vocab, seed=6)
+    probes = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3, 7))
+    tape = Tape()
+    _, loss = recurrence_loss(trees, params, vocab, tape, probes)
+    grads = ad.backward(tape, loss)
+    for gate in ("z", "r", "h"):
+        assert np.all(grads[tape.keyed[f"W_{gate}_2"].index] == 0.0)
+        assert np.any(grads[tape.keyed[f"W_{gate}_1"].index] != 0.0)
+
+
+def test_downward_gates_of_every_root_are_zero():
+    # the roots are in no downward level: their state is their upward one
+    vocab = synth_vocab()
+    params = random_params("treebigru", False, 4, vocab, seed=7)
+    tape = Tape()
+    states = upward_pass(mixed_forest(np.random.default_rng(3)), params, tape, vocab)
+    downward_pass(states, params, tape)
+    roots = states.index.roots
+    for gates in (states.z_down, states.r_down, states.cand_down):
+        assert np.all(gates[:, roots] == 0.0)
+        assert np.all(np.delete(gates, roots, axis=1) != 0.0)
+    np.testing.assert_array_equal(tape.value(states.H_down)[:, roots],
+                                  tape.value(states.H_up)[:, roots])
 
 
 def test_gru_tree_keeps_float32():
@@ -312,7 +364,8 @@ def test_gru_tree_keeps_float32():
         params.tensors[name] = tensor.astype(np.float32)
     probes = np.ones((2, 3, 6), dtype=np.float32)
     tape = Tape()
-    states, loss = recurrence_loss(parse_tree(SHAPED), params, vocab, tape, probes)
+    states, loss = recurrence_loss([parse_tree(SHAPED)], params, vocab, tape,
+                                   probes)
     for array in (tape.value(states.H_up), tape.value(states.H_down), states.z_up,
                   states.r_up, states.cand_up, states.z_down, states.r_down,
                   states.cand_down, tape.value(loss)):
@@ -746,10 +799,11 @@ def test_checkpoint_manifest_types_checked(tmp_path):
         write_checkpoint_by_hand(path, dict(good, **{key: bad}), params.tensors)
         with pytest.raises(CheckpointError, match=f"'{key}' must be of type"):
             load_checkpoint(path)
-    broken = dict(good, tensors=[["emb", 3]] + good["tensors"][1:])
-    write_checkpoint_by_hand(path, broken, params.tensors)
-    with pytest.raises(CheckpointError, match="malformed tensor entry"):
-        load_checkpoint(path)
+    for entry in (["emb", 3], ["emb", [-1, 3], "<f8"]):
+        broken = dict(good, tensors=[entry] + good["tensors"][1:])
+        write_checkpoint_by_hand(path, broken, params.tensors)
+        with pytest.raises(CheckpointError, match="malformed tensor entry"):
+            load_checkpoint(path)
     write_checkpoint_by_hand(path, good, params.tensors)
     assert load_checkpoint(path).max_children == 2
 
@@ -769,6 +823,19 @@ def test_checkpoint_truncated(tmp_path):
     clipped = tmp_path / "clipped.bin"
     clipped.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(clipped)
+
+
+def test_checkpoint_cut_inside_a_tensor_names_it(tmp_path):
+    params = init_params("treegru", 4, synth_vocab(), 5, 2, np.random.default_rng(0))
+    path = tmp_path / "ok.bin"
+    save_checkpoint(path, params)
+    data = path.read_bytes()
+    emb_end = len(data) - sum(t.nbytes for t in params.tensors.values()) \
+        + params.tensors["emb"].nbytes
+    clipped = tmp_path / "clipped.bin"
+    clipped.write_bytes(data[:emb_end - 8])
+    with pytest.raises(CheckpointError, match="truncated tensor 'emb'"):
         load_checkpoint(clipped)
 
 

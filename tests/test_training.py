@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from arbogru import training
 from arbogru.autodiff import Tape
 from arbogru.model import downward_pass, init_params, upward_pass
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
@@ -343,6 +345,27 @@ def test_loss_decreases_over_first_epochs(variant, attention):
     result = train(config, data, params, vocab)
     losses = [float(line.split("\t")[2]) for line in result.log_lines]
     assert losses[-1] < losses[0]
+
+
+def test_gradient_norm_warning_once_per_evaluation(caplog, monkeypatch):
+    # 12 sentences in batches of 4, one evaluation per epoch: every batch
+    # exceeds the threshold, and each evaluation warns once with the count
+    config = TrainConfig(variant="treegru", dim=4, batch_size=4, epochs=2,
+                         dropout=0.0, seed=1, evals_per_epoch=1)
+    monkeypatch.setattr(training, "GRAD_NORM_WARN", 0.0)
+    data, params, vocab = tiny_setup(seed=6, dim=4)
+    with caplog.at_level(logging.WARNING, logger="arbogru"):
+        result = train(config, data, params, vocab)
+    messages = [r.getMessage() for r in caplog.records if "gradient norm" in r.getMessage()]
+    assert len(messages) == len(result.log_lines) == 2
+    assert all(message.startswith("3 of 3 batches") for message in messages)
+
+    caplog.clear()
+    monkeypatch.setattr(training, "GRAD_NORM_WARN", math.inf)
+    data, params, vocab = tiny_setup(seed=6, dim=4)
+    with caplog.at_level(logging.WARNING, logger="arbogru"):
+        train(config, data, params, vocab)
+    assert not caplog.records
 
 
 def test_train_propagates_nonfinite_loss():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,32 @@ def test_load_corpus_reports_line(tmp_path):
     path.write_text("(2 ok)\n(7 over)\n")
     with pytest.raises(TreebankError, match="line 2"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_corpus_pauses_and_restores_the_collector(tmp_path, monkeypatch,
+                                                       collecting):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("(3 (2 good) (2 movie))\n(0 (0 awful) (2 plot))\n")
+    bad.write_text("(2 ok)\n(7 over)\n")
+    seen = []
+
+    def parse(line, **kwargs):
+        seen.append(gc.isenabled())
+        return parse_tree(line, **kwargs)
+
+    monkeypatch.setattr("arbogru.treebank.parse_tree", parse)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert len(load_corpus(good, task="binary")) == 2
+        assert gc.isenabled() == collecting
+        with pytest.raises(TreebankError, match="line 2"):
+            load_corpus(bad)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
 
 
 def test_load_corpus_rejects_unknown_task(tmp_path):
