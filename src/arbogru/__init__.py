@@ -11,15 +11,15 @@ from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
 from .training import (Metrics, OptimizerState, SplitCorpora, TrainConfig,
                        TrainResult, adagrad_step, build_sentence_graph,
                        evaluate, gradient_check, train)
-from .treebank import (Corpus, LabeledTree, TreebankError, load_corpus,
+from .treebank import (Corpus, Forest, LabeledTree, TreebankError, load_corpus,
                        parse_tree, serialize_tree, to_binary_task)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttentionResult", "CheckpointError", "Corpus", "EmbeddingMatrix",
-    "LabeledTree", "Metrics", "ModelParams", "NodeStates", "OptimizerState",
-    "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
+    "Forest", "LabeledTree", "Metrics", "ModelParams", "NodeStates",
+    "OptimizerState", "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
     "Vocabulary",
     "ValueRef", "adagrad_step", "attention_pool", "backward",
     "build_sentence_graph", "build_vocab", "count_parameters",

@@ -33,13 +33,14 @@ class ValueRef:
 class Tape:
     """Append-only computation record; insertion order is topological order."""
 
-    __slots__ = ("_values", "_parents", "_vjps", "keyed")
+    __slots__ = ("_values", "_parents", "_vjps", "keyed", "_constants")
 
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
         self.keyed: dict[Hashable, ValueRef] = {}  # key -> leaf, in first-use order
+        self._constants: set[int] = set()  # leaves that need no gradient
 
     def __len__(self) -> int:
         return len(self._values)
@@ -53,13 +54,24 @@ class Tape:
             self.keyed[key] = self.append(np.asarray(value), (), None)
         return self.keyed[key]
 
+    def constant(self, value) -> ValueRef:
+        """Register a leaf that needs no gradient, such as a dropout mask:
+        the ops that check ``needs_grad`` compute none for it."""
+        ref = self.input(value)
+        self._constants.add(ref.index)
+        return ref
+
+    def needs_grad(self, ref: ValueRef) -> bool:
+        return ref.index not in self._constants
+
     def value(self, ref: ValueRef) -> np.ndarray:
         return self._values[ref.index]
 
     def append(self, value, parents, vjp) -> ValueRef:
         """Record ``value``, computed from the values at the tape indices
         ``parents``; ``vjp`` maps its output gradient to one gradient per
-        parent, in order (None for a leaf)."""
+        parent, in order, None for a parent that needs none (``vjp`` is
+        None for a leaf)."""
         self._values.append(value)
         self._parents.append(parents)
         self._vjps.append(vjp)
@@ -105,13 +117,14 @@ def add(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
 
 
 def mul(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
-    """Elementwise (Hadamard) product."""
+    """Elementwise (Hadamard) product; no gradient for a constant operand."""
     av, bv = tape.value(a), tape.value(b)
     if av.shape != bv.shape:
         _fail("mul", av.shape, bv.shape)
+    grad_a, grad_b = tape.needs_grad(a), tape.needs_grad(b)
 
     def vjp(g):
-        return g * bv, g * av
+        return g * bv if grad_a else None, g * av if grad_b else None
 
     return tape.append(av * bv, (a.index, b.index), vjp)
 
@@ -264,8 +277,8 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
     """Gradients of a scalar ``loss`` with respect to every tape value.
 
     Returns a list aligned with tape indices; entries are ``None`` for
-    values the loss does not depend on.  Contributions at fan-out
-    points are summed, and the sweep is fully deterministic.
+    values the loss does not depend on and for constants.  Contributions
+    at fan-out points are summed, and the sweep is fully deterministic.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -277,6 +290,8 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
         if g is None or vjp is None:
             continue
         for parent, pg in zip(tape._parents[i], vjp(g)):
+            if pg is None:
+                continue
             if grads[parent] is None:
                 grads[parent] = pg
             else:

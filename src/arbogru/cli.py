@@ -310,7 +310,7 @@ def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
     weights."""
     tape = Tape()
     graph = build_forest_graph(tape, trees, params, vocab)
-    offsets = graph.states.index.offsets
+    offsets = graph.states.forest.offsets
     for root, end in zip(offsets[:-1], offsets[1:]):
         fields = [str(graph.preds.labels[root]),
                   " ".join(f"{p:.4f}" for p in graph.preds.probs[root])]

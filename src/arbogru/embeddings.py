@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .treebank import Corpus, iter_nodes
+from .treebank import Corpus
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -55,16 +55,16 @@ class EmbeddingMatrix:
 
 def build_vocab(corpus: Corpus) -> Vocabulary:
     """Distinct leaf tokens of ``corpus`` in first-occurrence order, plus UNK."""
-    if not corpus.trees:
+    forest = corpus.trees
+    if not len(forest):
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    leaf_words = forest.words[forest.words >= 0]
+    distinct, first = np.unique(leaf_words, return_index=True)
+    words = forest.lexicon.words
     id_to_word = [UNK_TOKEN]
-    word_to_id = {UNK_TOKEN: UNK_ID}
-    for tree in corpus.trees:
-        for node in iter_nodes(tree):
-            if node.is_leaf and node.token not in word_to_id:
-                word_to_id[node.token] = len(id_to_word)
-                id_to_word.append(node.token)
-    return Vocabulary(word_to_id, id_to_word)
+    id_to_word += [words[w] for w in distinct[np.argsort(first)].tolist()
+                   if words[w] != UNK_TOKEN]
+    return Vocabulary({word: i for i, word in enumerate(id_to_word)}, id_to_word)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

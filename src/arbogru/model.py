@@ -4,8 +4,9 @@ Four networks: an upward-only tree GRU ("treegru") and a bidirectional
 one adding a top-down phase ("treebigru"), each with or without a
 structural attention head that pools every node representation into a
 sentence vector.  All passes are pure functions from (forest,
-parameters) to tape values, where a forest is a list of trees laid out
-as one node set; parameters are immutable while a tape is alive.
+parameters) to tape values, where a forest is a ``treebank.Forest``
+(trees as flat node columns; a list of trees is flattened once);
+parameters are immutable while a tape is alive.
 
 Update rules, per node j with children k = 1..N (N <= K):
 
@@ -34,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, ValueRef
 from .embeddings import Vocabulary
-from .treebank import LabeledTree
+from .treebank import Forest, Trees, as_forest
 
 VARIANT_TREEGRU = "treegru"
 VARIANT_TREEBIGRU = "treebigru"
@@ -169,57 +170,22 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
 
 
 # ---------------------------------------------------------------------------
-# tree flattening and tape plumbing
+# forest layout and tape plumbing
 
-@dataclass
-class TreeIndex:
-    """Pre-order flattening of a forest: tree t holds the nodes
-    ``offsets[t]:offsets[t+1]``, its root first; parents precede their
-    children."""
-
-    nodes: list[LabeledTree]
-    parents: np.ndarray          # -1 at a root
-    slots: np.ndarray            # (nodes, K): children in order; -1 = none
-    heights: np.ndarray          # 0 at leaves
-    depths: np.ndarray           # 0 at the roots
-    gold: np.ndarray             # node labels; -1 where unsupervised
-    offsets: np.ndarray          # (trees + 1,)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def roots(self) -> np.ndarray:
-        return self.offsets[:-1]
-
-
-def index_tree(trees: Sequence[LabeledTree], max_children: int) -> TreeIndex:
-    """Flatten the forest ``trees``; a node with more than ``max_children``
-    (K) children raises ModelError naming its tree's position."""
-    nodes, parents, slots, depths, gold, offsets = [], [], [], [], [], [0]
-    for t, tree in enumerate(trees):
-        stack = [(tree, -1, 0, 0)]
-        while stack:
-            node, parent, position, depth = stack.pop()
-            if len(node.children) > max_children:
-                raise ModelError(f"node arity {len(node.children)} exceeds "
-                                 f"K={max_children} in tree {t}")
-            if parent >= 0:
-                slots[parent][position] = len(nodes)
-            stack.extend((child, len(nodes), k, depth + 1)
-                         for k, child in reversed(list(enumerate(node.children))))
-            nodes.append(node)
-            parents.append(parent)
-            slots.append([-1] * max_children)
-            depths.append(depth)
-            gold.append(-1 if node.label is None else node.label)
-        offsets.append(len(nodes))
-    heights = np.zeros(len(nodes), dtype=int)
-    for j in range(len(nodes) - 1, -1, -1):  # reversed pre-order: children first
-        if parents[j] >= 0:
-            heights[parents[j]] = max(heights[parents[j]], heights[j] + 1)
-    return TreeIndex(nodes, np.array(parents), np.array(slots), heights,
-                     np.array(depths), np.array(gold), np.array(offsets))
+def child_slots(forest: Forest, max_children: int) -> np.ndarray:
+    """Row j lists node j's children in slot order, -1 for none; a node
+    with more than ``max_children`` (K) children raises ModelError naming
+    its tree's position."""
+    wide = forest.slots >= max_children
+    if wide.any():
+        node = forest.parents[wide].min()  # the first wide node in pre-order
+        arity = forest.slots[forest.parents == node].max() + 1
+        tree = np.searchsorted(forest.offsets, node, side="right") - 1
+        raise ModelError(f"node arity {arity} exceeds K={max_children} in tree {tree}")
+    kids = np.flatnonzero(forest.parents >= 0)
+    slots = np.full((forest.node_count, max_children), -1, dtype=np.intp)
+    slots[forest.parents[kids], forest.slots[kids]] = kids
+    return slots
 
 
 def _levels(rank: np.ndarray) -> list[np.ndarray]:
@@ -248,13 +214,13 @@ def _param(tape: Tape, params: ModelParams, key) -> ValueRef:
 
 @dataclass
 class NodeStates:
-    """Activations of every node, one column per node of ``index``.
+    """Activations of every node, one column per node of ``forest``.
 
     The states ``H_*`` are tape values; the gates are plain arrays (the
     downward root has none, so its gate columns are zero).
     """
 
-    index: TreeIndex
+    forest: Forest
     H_up: ValueRef                        # (dim, nodes)
     z_up: np.ndarray
     r_up: np.ndarray
@@ -289,11 +255,16 @@ class NodePredictions:
 # (input, child, bias) tensor names of each direction's gates
 _UPWARD = ("U_{g}", "W_{g}_{k}", "b_{g}")
 _DOWNWARD = ("Ud_{g}", "Wd_{g}", "bd_{g}")
-_SIG_CLIP = 60.0  # |x| beyond this saturates sigmoid past float64 resolution
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SIG_CLIP, _SIG_CLIP)))
+    """The logistic function, computed in place in ``x`` as
+    0.5 * tanh(0.5 x) + 0.5, which never overflows."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
@@ -406,19 +377,20 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     return tape.append(H[:n].T, parents, vjp), (Z.T, R.T, C.T)
 
 
-def upward_pass(trees: Sequence[LabeledTree], params: ModelParams, tape: Tape,
-                vocab: Vocabulary, input_mask: MaskFn = None) -> NodeStates:
+def upward_pass(trees: Trees, params: ModelParams, tape: Tape, vocab: Vocabulary,
+                input_mask: MaskFn = None) -> NodeStates:
     """Bottom-up phase over the forest ``trees``; leaves read (optionally
     masked) embedding rows, and only leaves have an input."""
-    idx = index_tree(trees, params.max_children)
-    leaves = np.flatnonzero(idx.heights == 0)
-    inputs = ad.stack(tape, [
-        _param(tape, params, ("emb", vocab.lookup(idx.nodes[j].token))) for j in leaves])
+    forest = as_forest(trees)
+    slots = child_slots(forest, params.max_children)
+    leaves = np.flatnonzero(forest.heights == 0)
+    rows = forest.lexicon.ids(vocab)[forest.words[leaves]]
+    inputs = ad.stack(tape, [_param(tape, params, ("emb", row)) for row in rows.tolist()])
     if input_mask is not None:
-        inputs = ad.mul(tape, inputs, tape.input(input_mask(inputs.shape)))
-    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, idx.slots,
-                        _levels(idx.heights))
-    return NodeStates(idx, H, *gates)
+        inputs = ad.mul(tape, inputs, tape.constant(input_mask(inputs.shape)))
+    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots,
+                        _levels(forest.heights))
+    return NodeStates(forest, H, *gates)
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
@@ -430,10 +402,10 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
     """
     if params.variant != VARIANT_TREEBIGRU:
         raise ModelError("downward pass needs treebigru parameters")
-    idx = states.index
+    forest = states.forest
     states.H_down, (states.z_down, states.r_down, states.cand_down) = gru_tree(
-        tape, params, _DOWNWARD, states.H_up, slice(None), idx.parents[:, None],
-        _levels(idx.depths)[1:])  # the roots (depth 0) are in no level
+        tape, params, _DOWNWARD, states.H_up, slice(None), forest.parents[:, None],
+        _levels(forest.depths)[1:])  # the roots (depth 0) are in no level
     return states
 
 
@@ -461,7 +433,7 @@ def attention_pool(states: NodeStates, params: ModelParams,
         nodes = ad.concat(tape, [states.H_up, states.H_down])
     projected = ad.tanh(tape, ad.matmul(tape, p("W_w"), nodes, bias=p("b_w")))
     scores = ad.matmul(tape, p("u_w"), projected)
-    offsets = states.index.offsets
+    offsets = states.forest.offsets
     if params.attention_norm == "softmax":
         weights = ad.softmax(tape, scores, offsets)
     elif params.attention_norm == "linear":
@@ -491,7 +463,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     def masked(ref):
         if feature_mask is None:
             return ref
-        return ad.mul(tape, ref, tape.input(feature_mask(ref.shape)))
+        return ad.mul(tape, ref, tape.constant(feature_mask(ref.shape)))
 
     if params.variant == VARIANT_TREEBIGRU:
         logits = ad.add(tape, ad.matmul(tape, p("W_s_up"), masked(states.H_up)),
@@ -506,7 +478,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     if attn is not None:
         root = ad.matmul(tape, p(sentence_weights), masked(attn.sentence),
                          bias=p(sentence_bias))
-        probs[states.index.roots] = _softmax_columns(tape.value(root)).T
+        probs[states.forest.roots] = _softmax_columns(tape.value(root)).T
     return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
 
 

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import model as m
 from .autodiff import Tape
 from .embeddings import Vocabulary, build_vocab
-from .treebank import Corpus, LabeledTree, random_tree
+from .treebank import Corpus, Forest, LabeledTree, Trees, as_forest, random_tree
 
 log = logging.getLogger("arbogru")
 
@@ -102,15 +102,32 @@ class OptimizerState:
 
 class GradTable(dict):
     """Gradients keyed by parameter slot (see ``model.slot``): a tensor
-    name, or ``("emb", row)`` for an embedding row a batch touched."""
+    name, or ``("emb", row)`` for an embedding row a batch touched.  The
+    table owns its arrays, which the L2 term updates in place."""
 
-    def add(self, other: dict) -> None:
-        for key, g in other.items():
-            held = self.get(key)
-            self[key] = g if held is None else held + g
+    def add(self, key, g: np.ndarray) -> None:
+        """Accumulate ``g`` at ``key``: in place if the table holds a
+        gradient there, else as a copy."""
+        held = self.get(key)
+        if held is None:
+            self[key] = g.copy()
+        else:
+            held += g
 
     def norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(g * g)) for g in self.values()))
+        return math.sqrt(_squares(self.values()))
+
+
+def _squares(arrays) -> float:
+    """Summed squared entries of ``arrays``."""
+    return sum(float(np.vdot(a, a)) for a in arrays)
+
+
+def _scratch(size: int, dtype):
+    """One buffer of ``size`` entries, lent out as a temporary shaped like
+    any array up to that size."""
+    buffer = np.empty(size, dtype=dtype)
+    return lambda like: buffer[:like.size].reshape(like.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +158,19 @@ def l2_penalty(params: m.ModelParams, l2: float, keys=()) -> float:
     among the slot ``keys``."""
     if l2 <= 0.0:
         return 0.0
-    total = 0.0
-    for key in _l2_slots(params, keys):
-        t = m.slot(params.tensors, key)
-        total += float(np.sum(t * t))
-    return 0.5 * l2 * total
+    return 0.5 * l2 * _squares(m.slot(params.tensors, key)
+                               for key in _l2_slots(params, keys))
 
 
 def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None:
     """Add l2 * theta for every weight matrix and touched embedding row."""
     if l2 <= 0.0:
         return
-    grads.add({key: l2 * m.slot(params.tensors, key) for key in _l2_slots(params, grads)})
+    keys = _l2_slots(params, grads)
+    slots = [m.slot(params.tensors, key) for key in keys]
+    scratch = _scratch(max(t.size for t in slots), params.dtype)
+    for key, t in zip(keys, slots):
+        grads.add(key, np.multiply(t, l2, out=scratch(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +180,35 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
                  learning_rate: float) -> m.ModelParams:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
-    The step aborts (nothing mutated) if any gradient is non-finite.
+    The step aborts (nothing mutated) if any gradient is non-finite; a
+    finite gradient whose square overflows still steps.  The touched
+    embedding rows are updated as one block, and every temporary lives
+    in one scratch buffer.
     """
-    for key, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {key!r}")
+    if not math.isfinite(_squares(grads.values())):
+        for key, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {key!r}")
 
-    for key, g in grads.items():
-        acc = m.slot(opt.accumulators, key)
-        acc += g * g
-        theta = m.slot(params.tensors, key)
-        theta -= learning_rate * g / (np.sqrt(acc) + opt.eps)
+    blocks = [(params.tensors[key], opt.accumulators[key], g)
+              for key, g in grads.items() if not isinstance(key, tuple)]
+    rows = np.array([key[1] for key in grads if isinstance(key, tuple)], dtype=np.intp)
+    if rows.size:
+        emb = (params.tensors["emb"][rows], opt.accumulators["emb"][rows],
+               np.array([g for key, g in grads.items() if isinstance(key, tuple)]))
+        blocks.append(emb)
+    scratch = _scratch(max((g.size for _, _, g in blocks), default=0), params.dtype)
+    for theta, acc, g in blocks:
+        s = scratch(g)
+        np.multiply(g, g, out=s)
+        acc += s
+        np.sqrt(acc, out=s)
+        s += opt.eps
+        np.divide(g, s, out=s)
+        s *= learning_rate
+        theta -= s
+    if rows.size:
+        params.tensors["emb"][rows], opt.accumulators["emb"][rows] = emb[:2]
     return params
 
 
@@ -188,19 +224,19 @@ class ForestGraph:
     loss: Optional[ad.ValueRef]  # their sum; both None if nothing is supervised
 
 
-def build_forest_graph(tape: Tape, trees: Sequence[LabeledTree],
-                       params: m.ModelParams, vocab: Vocabulary,
-                       train_mode: bool = False, dropout: float = 0.0,
-                       rng=None) -> ForestGraph:
-    """Forward graph for a list of sentences laid out as one forest:
+def build_forest_graph(tape: Tape, trees: Trees, params: m.ModelParams,
+                       vocab: Vocabulary, train_mode: bool = False,
+                       dropout: float = 0.0, rng=None) -> ForestGraph:
+    """Forward graph for the sentences of a forest (or a list of trees):
     passes, classifiers, and data loss."""
+    forest = as_forest(trees)
     input_mask = None
     if train_mode and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires a random generator")
         input_mask = partial(dropout_mask, p_drop=dropout, rng=rng, dtype=params.dtype)
 
-    states = m.upward_pass(trees, params, tape, vocab, input_mask=input_mask)
+    states = m.upward_pass(forest, params, tape, vocab, input_mask=input_mask)
     if params.variant == m.VARIANT_TREEBIGRU:
         m.downward_pass(states, params, tape)
     attn = None
@@ -209,19 +245,18 @@ def build_forest_graph(tape: Tape, trees: Sequence[LabeledTree],
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
 
     # one fused op over the logit matrix, plus one over the attention roots
-    idx = states.index
-    if not np.any(idx.gold >= 0):
+    gold = forest.gold
+    if not np.any(gold >= 0):
         return ForestGraph(states, attn, preds, None, None)
-    gold = idx.gold
     terms = []
     if preds.root is not None:
-        terms.append(ad.softmax_cross_entropy(tape, preds.root, gold[idx.roots],
-                                              np.arange(len(trees) + 1)))
+        terms.append(ad.softmax_cross_entropy(tape, preds.root, gold[forest.roots],
+                                              np.arange(len(forest) + 1)))
         gold = gold.copy()
-        gold[idx.roots] = -1
-    terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold, idx.offsets))
+        gold[forest.roots] = -1
+    terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold, forest.offsets))
     tree_losses = reduce(partial(ad.add, tape), terms)
-    ones = tape.input(np.ones(len(trees), dtype=params.dtype))
+    ones = tape.input(np.ones(len(forest), dtype=params.dtype))
     return ForestGraph(states, attn, preds, tree_losses,
                        ad.matmul(tape, ones, tree_losses))
 
@@ -234,7 +269,7 @@ def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
                               dropout=dropout, rng=rng)
 
 
-def sentence_gradients(trees: Sequence[LabeledTree], params: m.ModelParams,
+def sentence_gradients(trees: Trees, params: m.ModelParams,
                        vocab: Vocabulary, train_mode: bool = False,
                        dropout: float = 0.0, rng=None) -> tuple[np.ndarray, GradTable]:
     """One forward/backward sweep over the forest ``trees``; returns each
@@ -335,7 +370,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config,
                  rng) -> tuple[float, float]:
     """One AdaGrad step on the sentences ``ids``; returns the batch's
     objective and its gradient norm."""
-    losses, total = sentence_gradients([sentences[i] for i in ids], params, vocab,
+    losses, total = sentence_gradients(sentences.select(ids), params, vocab,
                                        train_mode=True, dropout=config.dropout, rng=rng)
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
@@ -365,10 +400,10 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
         tape = Tape()
         graph = build_forest_graph(tape, corpus.trees[start:start + SCORE_CHUNK],
                                    params, vocab)
-        idx = graph.states.index
-        labels, gold = np.asarray(graph.preds.labels), idx.gold
+        forest = graph.states.forest
+        labels, gold = np.asarray(graph.preds.labels), forest.gold
         sup = gold >= 0
-        roots = idx.roots
+        roots = forest.roots
         root_ok += int(np.sum(sup[roots] & (labels[roots] == gold[roots])))
         hits += int(np.sum(labels[sup] == gold[sup]))
         supervised += int(sup.sum())
@@ -404,7 +439,7 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     if dim > 16:
         raise ValueError("gradient checks are restricted to dim <= 16")
     rng = np.random.default_rng(seed)
-    forest = [random_tree(rng, _CHECK_TOKENS) for _ in range(trees)]
+    forest = Forest.from_trees([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
     vocab = build_vocab(Corpus(forest, "check", "fine", 5))
     params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
                            attention_norm=attention_norm)

@@ -5,15 +5,22 @@ The input format is one parenthesized tree per line, e.g.
 label; a leaf carries exactly one token and an internal node carries one
 or more children.  Trees are kept lossless (tokens case-sensitive as
 found in the file); any case folding happens at embedding lookup.
+
+A loaded corpus is a ``Forest``: flat per-node columns in pre-order and
+per-tree offsets, with no Python object per node.  ``LabeledTree`` is
+the interchange type of ``parse_tree`` and ``random_tree``; a forest
+makes one on access and is built from a list of them in one walk.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import re
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 FINE_CLASSES = 5
 BINARY_CLASSES = 2
@@ -22,6 +29,7 @@ TASK_BINARY = "binary"
 
 _NEUTRAL = 2
 _TOKENS = re.compile(r"[()]|[^ \t()]+")  # parentheses and space-free words
+_FINE_LABELS = {str(label): label for label in range(FINE_CLASSES)}  # the common spellings
 
 
 class TreebankError(ValueError):
@@ -63,7 +71,12 @@ class LabeledTree:
         return self.label is not None
 
     def _preorder(self) -> tuple:
-        return tuple((n.label, n.token, len(n.children)) for n in iter_nodes(self))
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.label, node.token, len(node.children)))
+            stack.extend(reversed(node.children))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledTree):
@@ -77,24 +90,153 @@ class LabeledTree:
         return f"LabeledTree({self._preorder()!r})"
 
 
-@dataclass
-class Corpus:
-    trees: list[LabeledTree]
-    split_name: str
-    task: str
-    class_count: int
+class Lexicon:
+    """The distinct leaf words of a forest, in first-occurrence order.
+
+    The forests selected from one forest share its lexicon, and with it
+    the mapping of the words to a vocabulary's ids, made once per
+    vocabulary.
+    """
+
+    __slots__ = ("words", "_mapped")
+
+    def __init__(self, words: Sequence[str]):
+        self.words = words
+        self._mapped = (None, None)  # (vocabulary, ids) of the last lookup
+
+    def ids(self, vocab) -> np.ndarray:
+        """``vocab.lookup`` of every word, indexed like ``words``."""
+        held, ids = self._mapped
+        if held is not vocab:
+            ids = np.array([vocab.lookup(word) for word in self.words], dtype=np.intp)
+            self._mapped = (vocab, ids)
+        return ids
+
+
+@dataclass(eq=False)
+class Forest:
+    """Trees as flat node columns, a sized sequence of trees.
+
+    Tree t holds the rows ``offsets[t]:offsets[t+1]`` in pre-order, its
+    root first; parents precede their children.  Indexing with an int
+    makes the tree's ``LabeledTree``; a slice or ``select`` gives the
+    chosen trees' rows as a new forest with shifted offsets.
+    """
+
+    parents: np.ndarray   # int32: row of the parent; -1 at a root
+    slots: np.ndarray     # int32: the child slot a node fills (0 at a root)
+    words: np.ndarray     # int32: lexicon index at a leaf; -1 elsewhere
+    gold: np.ndarray      # int16: label; -1 where unsupervised
+    heights: np.ndarray   # int32: 0 at leaves
+    depths: np.ndarray    # int32: 0 at the roots
+    offsets: np.ndarray   # int64, (trees + 1,)
+    lexicon: Lexicon
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return len(self.offsets) - 1
+
+    @property
+    def node_count(self) -> int:
+        return len(self.parents)
+
+    @property
+    def roots(self) -> np.ndarray:
+        return self.offsets[:-1]
+
+    def __getitem__(self, key: Union[int, slice]):
+        if isinstance(key, slice):
+            return self.select(np.arange(len(self))[key])
+        t = range(len(self))[key]  # an IndexError past the end stops iteration
+        rows = slice(self.offsets[t], self.offsets[t + 1])
+        return _make_tree((self.parents[rows] - self.offsets[t]).tolist(),
+                          self.words[rows].tolist(), self.gold[rows].tolist(),
+                          self.lexicon.words)
+
+    def __iter__(self) -> Iterator[LabeledTree]:
+        return (self[t] for t in range(len(self)))
+
+    def select(self, trees) -> "Forest":
+        """The trees at the indices ``trees``, in that order."""
+        trees = np.asarray(trees, dtype=np.intp)
+        starts = self.offsets[trees]
+        sizes = self.offsets[trees + 1] - starts
+        offsets = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        shift = np.repeat(offsets[:-1] - starts, sizes)
+        rows = np.arange(offsets[-1]) - shift
+        parents = self.parents[rows]
+        parents = np.where(parents >= 0, parents + shift, -1).astype(np.int32)
+        return Forest(parents, self.slots[rows], self.words[rows], self.gold[rows],
+                      self.heights[rows], self.depths[rows], offsets, self.lexicon)
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[LabeledTree]) -> "Forest":
+        """Flatten ``LabeledTree``s in one pre-order walk."""
+        columns, lexicon, offsets = _Columns(), {}, [0]
+        for tree in trees:
+            stack = [(tree, -1, 0, 0)]
+            while stack:
+                node, parent, slot, depth = stack.pop()
+                row = len(columns.parents)
+                columns.parents.append(parent)
+                columns.slots.append(slot)
+                columns.words.append(-1 if node.token is None
+                                     else lexicon.setdefault(node.token, len(lexicon)))
+                columns.gold.append(-1 if node.label is None else node.label)
+                columns.heights.append(0)
+                columns.depths.append(depth)
+                stack.extend((child, row, k, depth + 1)
+                             for k, child in reversed(list(enumerate(node.children))))
+            offsets.append(len(columns.parents))
+        heights = columns.heights
+        for j in range(len(heights) - 1, -1, -1):  # children before parents
+            p = columns.parents[j]
+            if p >= 0 and heights[p] <= heights[j]:
+                heights[p] = heights[j] + 1
+        return columns.forest(offsets, list(lexicon))
 
 
-def iter_nodes(tree: LabeledTree) -> Iterator[LabeledTree]:
-    """Yield nodes in pre-order (node before its children)."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+Trees = Union[Forest, Sequence[LabeledTree]]  # what the passes accept
+
+
+def as_forest(trees: Trees) -> Forest:
+    """``trees`` if it is a forest, else the forest of the listed trees."""
+    return trees if isinstance(trees, Forest) else Forest.from_trees(trees)
+
+
+class _Columns:
+    """The node columns of a forest while it is built, in pre-order:
+    lists for a few trees, typed arrays (no object per value) for a
+    whole corpus."""
+
+    def __init__(self, compact: bool = False):
+        def column(typecode):
+            return array(typecode) if compact else []
+
+        self.parents, self.slots, self.words = column("i"), column("i"), column("i")
+        self.gold, self.heights, self.depths = column("h"), column("i"), column("i")
+
+    def forest(self, offsets, words: Sequence[str]) -> Forest:
+        """The forest of these columns; typed arrays are shared, not copied."""
+        return Forest(np.asarray(self.parents, np.int32), np.asarray(self.slots, np.int32),
+                      np.asarray(self.words, np.int32), np.asarray(self.gold, np.int16),
+                      np.asarray(self.heights, np.int32), np.asarray(self.depths, np.int32),
+                      np.asarray(offsets, np.int64), Lexicon(words))
+
+
+def _make_tree(parents: list, words: list, gold: list,
+               lexicon: Sequence[str]) -> LabeledTree:
+    """The ``LabeledTree`` of one tree's rows (tree-local parent rows)."""
+    children: list[list] = [[] for _ in parents]
+    for j in range(len(parents) - 1, -1, -1):  # children before parents
+        label = gold[j] if gold[j] >= 0 else None
+        if words[j] >= 0:
+            node = LabeledTree(label, lexicon[words[j]])
+        else:
+            node = LabeledTree(label, children=tuple(reversed(children[j])))
+        if parents[j] >= 0:
+            children[parents[j]].append(node)
+    return node
 
 
 def parse_tree(line: str, num_classes: int = FINE_CLASSES,
@@ -108,40 +250,84 @@ def parse_tree(line: str, num_classes: int = FINE_CLASSES,
     parenthesis).  Open nodes wait on an explicit stack, so depth is
     limited only by memory.
     """
-    tokens = _TOKENS.findall(line) + [""]  # "" marks the end of input
+    columns, lexicon = _Columns(), {}
+    _parse_into(columns, line, num_classes, max_arity, lexicon)
+    return _make_tree(columns.parents, columns.words, columns.gold, list(lexicon))
+
+
+def _parse_into(columns: _Columns, line: str, num_classes: int,
+                max_arity: Optional[int], lexicon: dict) -> None:
+    """Append the nodes of the tree ``line`` to ``columns``; a new word
+    enters ``lexicon`` (word -> index) in first-occurrence order."""
+    tokens = _tokens(line)
+    tokens.append("")  # marks the end of input
     if not tokens[0]:
         raise TreebankError("empty input", 0)
-    open_nodes: list[tuple[int, list]] = []  # (label, children so far)
+    labels = _FINE_LABELS if num_classes == FINE_CLASSES else {}
+    parents, heights = columns.parents, columns.heights
+    add_parent, add_slot, add_word = parents.append, columns.slots.append, columns.words.append
+    add_height, add_depth = heights.append, columns.depths.append
+    add_gold, word_id = columns.gold.append, lexicon.setdefault
+    open_nodes: list[list] = []  # [row, children so far, height so far]
     i = 0
     while True:
         # a node opens: a first child follows, or a leaf token and ')'
         if tokens[i] != "(":
             raise TreebankError("expected '('", _offset(line, i))
-        label = _parse_label(line, tokens, i + 1, num_classes)
-        i += 2
-        if tokens[i] == "(":
-            open_nodes.append((label, []))
+        label = labels.get(tokens[i + 1])
+        if label is None:
+            label = _parse_label(line, tokens, i + 1, num_classes)
+        add_gold(label)
+        add_height(0)
+        add_depth(len(open_nodes))
+        if open_nodes:
+            parent = open_nodes[-1]
+            add_parent(parent[0])
+            add_slot(parent[1])
+            parent[1] += 1
+        else:
+            add_parent(-1)
+            add_slot(0)
+        token = tokens[i + 2]
+        if token == "(":
+            add_word(-1)
+            open_nodes.append([len(parents) - 1, 0, 0])
+            i += 2
             continue
-        if tokens[i] in ("", ")"):
-            _close(line, tokens, i)  # an unbalanced end is reported as such
-            raise TreebankError("empty node", _offset(line, i))
-        node = LabeledTree(label, tokens[i])
-        i = _close(line, tokens, i + 1)
-        # hand the node to its parent, closing parents that have no next child
+        if token == "" or token == ")":
+            _close(line, tokens, i + 2)  # an unbalanced end is reported as such
+            raise TreebankError("empty node", _offset(line, i + 2))
+        add_word(word_id(token, len(lexicon)))
+        if tokens[i + 3] != ")":
+            _close(line, tokens, i + 3)
+        i += 4
+        # the closed node's height reaches its parent, closing parents
+        # that have no next child
+        height = 0
         while open_nodes:
-            open_nodes[-1][1].append(node)
+            parent = open_nodes[-1]
+            if parent[2] <= height:
+                parent[2] = height + 1
             if tokens[i] == "(":
                 break
-            i = _close(line, tokens, i)
-            label, children = open_nodes.pop()
-            if max_arity is not None and len(children) > max_arity:
-                raise TreebankError(f"node arity {len(children)} exceeds K={max_arity}",
+            if tokens[i] != ")":
+                _close(line, tokens, i)
+            i += 1
+            row, arity, height = open_nodes.pop()
+            if max_arity is not None and arity > max_arity:
+                raise TreebankError(f"node arity {arity} exceeds K={max_arity}",
                                     _offset(line, i - 1))
-            node = LabeledTree(label, children=tuple(children))
+            heights[row] = height
         else:
             if tokens[i]:
                 raise TreebankError("trailing text after tree", _offset(line, i))
-            return node
+            return
+
+
+def _tokens(line: str) -> list[str]:
+    """``_TOKENS.findall(line)``, by faster string operations."""
+    spaced = line.replace("(", " ( ").replace(")", " ) ").replace("\t", " ")
+    return list(filter(None, spaced.split(" ")))
 
 
 def _offset(line: str, i: int) -> int:
@@ -193,6 +379,23 @@ def serialize_tree(tree: LabeledTree) -> str:
     return "".join(parts)[1:]
 
 
+@dataclass
+class Corpus:
+    """One split; ``trees`` may be given as a list of ``LabeledTree``s
+    and is kept as their forest."""
+
+    trees: Forest
+    split_name: str
+    task: str
+    class_count: int
+
+    def __post_init__(self):
+        self.trees = as_forest(self.trees)
+
+    def __len__(self) -> int:
+        return len(self.trees)
+
+
 def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
                 max_arity: Optional[int] = None) -> Corpus:
     """Load a treebank file (one tree per line; blank lines skipped).
@@ -200,36 +403,27 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
     The file is always in fine-grained (5-class) form; ``task="binary"``
     applies to_binary_task after loading.  Parse errors, including a
     node wider than ``max_arity``, are re-raised with the file and the
-    offending line number.
-
-    The cyclic garbage collector is paused while the trees are built:
-    they hold no cycles, and each full collection would traverse every
-    tree made so far.  The caller's collector state is restored.
+    offending line number.  The trees are parsed straight into the
+    columns of one forest.
     """
     if task not in (TASK_FINE, TASK_BINARY):
         raise ValueError(f"unknown task {task!r}")
     if split_name is None:
         split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        trees = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    trees.append(parse_tree(line, max_arity=max_arity))
-                except TreebankError as err:
-                    raise TreebankError(f"{path}, line {lineno}: {err}") from None
-        corpus = Corpus(trees, split_name, TASK_FINE, FINE_CLASSES)
-        if task == TASK_BINARY:
-            corpus = to_binary_task(corpus)
-    finally:
-        if collecting:
-            gc.enable()
-    return corpus
+    columns, lexicon, offsets = _Columns(compact=True), {}, array("q", [0])
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                _parse_into(columns, line, FINE_CLASSES, max_arity, lexicon)
+            except TreebankError as err:
+                raise TreebankError(f"{path}, line {lineno}: {err}") from None
+            offsets.append(len(columns.parents))
+    corpus = Corpus(columns.forest(offsets, list(lexicon)), split_name, TASK_FINE,
+                    FINE_CLASSES)
+    return to_binary_task(corpus) if task == TASK_BINARY else corpus
 
 
 def to_binary_task(corpus: Corpus) -> Corpus:
@@ -242,22 +436,12 @@ def to_binary_task(corpus: Corpus) -> Corpus:
     """
     if corpus.task != TASK_FINE:
         raise ValueError("corpus is already binary")
-    trees = [
-        _map_binary(tree) for tree in corpus.trees if tree.label != _NEUTRAL
-    ]
-    return Corpus(trees, corpus.split_name, TASK_BINARY, BINARY_CLASSES)
-
-
-def _map_binary(tree: LabeledTree) -> LabeledTree:
-    mapped: dict[int, LabeledTree] = {}  # id(original node) -> mapped node
-    for node in reversed(list(iter_nodes(tree))):  # children before parents
-        if node.label == _NEUTRAL:
-            label = None
-        else:
-            label = 0 if node.label < _NEUTRAL else 1
-        children = tuple(mapped[id(child)] for child in node.children)
-        mapped[id(node)] = LabeledTree(label, node.token, children)
-    return mapped[id(tree)]
+    fine = corpus.trees
+    kept = fine.select(np.flatnonzero(fine.gold[fine.roots] != _NEUTRAL))
+    gold = kept.gold
+    kept.gold = (gold > _NEUTRAL).astype(gold.dtype)
+    kept.gold[(gold == _NEUTRAL) | (gold < 0)] = -1
+    return Corpus(kept, corpus.split_name, TASK_BINARY, BINARY_CLASSES)
 
 
 def random_tree(rng, tokens, max_nodes: int = 9,

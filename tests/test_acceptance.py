@@ -217,7 +217,7 @@ def test_criterion_6_invariant_suite():
             tape = Tape()
             states = downward_pass(upward_pass([tree], params, tape, vocab),
                                    params, tape)
-            for j in range(len(states.index)):
+            for j in range(states.forest.node_count):
                 z = states.z_up[:, j]
                 assert np.all((z > 0.0) & (z < 1.0))
                 if j > 0:

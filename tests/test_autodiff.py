@@ -174,6 +174,21 @@ def test_fd_add_mul(rng):
              [rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)])
 
 
+def test_fd_mul_by_constant_leaves_the_constant_without_gradient(rng):
+    # a dropout mask is a constant: its operand's gradient is unchanged,
+    # and the mask's own gradient is never computed
+    x, mask, probe = rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)
+    check_op(lambda t, r: ad.matmul(t, ad.mul(t, r[0], t.constant(mask)), t.input(probe)),
+             [x])
+    tape = Tape()
+    xr, mr = tape.input(x), tape.constant(mask)
+    loss = ad.matmul(tape, ad.mul(tape, xr, mr), tape.input(probe))
+    grads = backward(tape, loss)
+    assert grads[mr.index] is None
+    np.testing.assert_array_equal(grads[xr.index], probe * mask)
+    assert not tape.needs_grad(mr) and tape.needs_grad(xr)
+
+
 def test_fd_tanh(rng):
     probe = rnd(rng, 6)
     check_op(lambda t, r: ad.matmul(t, ad.tanh(t, ad.tanh(t, r[0])), t.input(probe)),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,16 @@ def train_args(data_dir, out, **overrides):
 
 # ---------------------------------------------------------------------------
 # params
+
+def test_runs_as_a_module_from_a_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "arbogru", "params", "--dim", "4",
+                          "--vocab", "10"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("tensor")
+
 
 def test_params_treegru_reference(capsys):
     assert main(["params", "--variant", "treegru"]) == 0

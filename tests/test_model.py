@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
 from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab
-from arbogru.model import (ModelError, attention_pool, count_parameters,
-                           downward_pass, index_tree, init_params,
+from arbogru.model import (ModelError, _sigmoid, attention_pool, count_parameters,
+                           child_slots, downward_pass, init_params,
                            itemize_parameters, predict_nodes, slot, upward_pass)
-from arbogru.treebank import Corpus, LabeledTree, parse_tree
+from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
 
 import oracles
 from conftest import (FOREST_CASES, WORDS, forest_params, full_binary_tree,
@@ -120,7 +121,7 @@ def test_upward_matches_oracle():
         tape = Tape()
         states = upward_pass([tree], params, tape, vocab)
         expected = oracles.upward_states(tree, params.tensors, vocab)
-        assert len(expected) == len(states.index)
+        assert len(expected) == states.forest.node_count
         for j, slot in enumerate(expected):
             for ours, theirs in ((tape.value(states.H_up), "h"), (states.z_up, "z"),
                                  (states.r_up, "r"), (states.cand_up, "cand")):
@@ -149,7 +150,7 @@ def test_downward_zero_fixed_point():
     tree = synth_tree(rng, max_nodes=9)
     tape = Tape()
     states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
-    for j in range(len(states.index)):
+    for j in range(states.forest.node_count):
         assert np.allclose(tape.value(states.H_up)[:, j], 0.0)
         assert np.allclose(tape.value(states.H_down)[:, j], 0.0)
 
@@ -189,28 +190,44 @@ def test_downward_requires_bidirectional_params():
 SHAPED = "(3 (1 (2 good)) (4 (2 bad) (2 movie)))"
 
 
+def test_sigmoid_in_place_matches_the_logistic_function():
+    x = np.linspace(-800.0, 800.0, 160001)
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x.copy())
+        small = x[::1000].astype(np.float32)
+        again = _sigmoid(small)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert again is small and again.dtype == np.float32
+
+
 def test_index_tree_slots_heights_depths():
-    idx = index_tree([parse_tree(SHAPED)], 2)
+    idx = Forest.from_trees([parse_tree(SHAPED)])
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3]
-    assert idx.slots.tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5], [-1, -1], [-1, -1]]
+    assert idx.slots.tolist() == [0, 0, 0, 1, 0, 1]
+    assert child_slots(idx, 2).tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5],
+                                            [-1, -1], [-1, -1]]
     assert idx.heights.tolist() == [2, 1, 0, 1, 0, 0]
     assert idx.depths.tolist() == [0, 1, 2, 1, 2, 2]
     assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2]
     with pytest.raises(ModelError, match="arity 2 exceeds K=1"):
-        index_tree([parse_tree(SHAPED)], 1)
+        child_slots(idx, 1)
 
 
 def test_index_tree_lays_out_a_forest():
     # a one-leaf tree between two copies of SHAPED: indices shift by the
     # tree's offset, -1 stays "none", and the roots sit at the offsets
     trees = [parse_tree(SHAPED), parse_tree("(0 awful)"), parse_tree(SHAPED)]
-    idx = index_tree(trees, 2)
-    one = index_tree(trees[:1], 2)
+    idx = Forest.from_trees(trees)
+    one = Forest.from_trees(trees[:1])
+    slots, one_slots = child_slots(idx, 2), child_slots(one, 2)
     assert idx.offsets.tolist() == [0, 6, 7, 13]
     assert idx.roots.tolist() == [0, 6, 7]
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3, -1, -1, 7, 8, 7, 10, 10]
-    assert idx.slots[7:].tolist() == np.where(one.slots >= 0, one.slots + 7, -1).tolist()
-    assert idx.slots[6].tolist() == [-1, -1]
+    assert slots[7:].tolist() == np.where(one_slots >= 0, one_slots + 7, -1).tolist()
+    assert slots[6].tolist() == [-1, -1]
     assert idx.heights.tolist() == one.heights.tolist() + [0] + one.heights.tolist()
     assert idx.depths.tolist() == one.depths.tolist() + [0] + one.depths.tolist()
     assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2, 0, 3, 1, 2, 4, 2, 2]
@@ -219,7 +236,8 @@ def test_index_tree_lays_out_a_forest():
 def test_index_tree_names_the_tree_with_a_wide_node():
     wide = LabeledTree(2, children=tuple(LabeledTree(2, token=w) for w in WORDS[:3]))
     with pytest.raises(ModelError, match="arity 3 exceeds K=2 in tree 2"):
-        index_tree([parse_tree(SHAPED), parse_tree("(0 awful)"), wide], 2)
+        child_slots(Forest.from_trees([parse_tree(SHAPED), parse_tree("(0 awful)"),
+                                       wide]), 2)
 
 
 @pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
@@ -235,7 +253,7 @@ def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
         downward_pass(states, params, tape)
     attn = attention_pool(states, params, tape) if attention else None
     preds = predict_nodes(states, params, tape, attn=attn)
-    offsets = states.index.offsets
+    offsets = states.forest.offsets
     for i, tree in enumerate(trees):
         cols = slice(offsets[i], offsets[i + 1])
         up = oracles.upward_states(tree, t, vocab)
@@ -320,12 +338,12 @@ PADDED_FOREST = ("(3 (2 (2 good) (2 movie)) (1 (1 dull)))", "(1 (1 (2 (1 bad))))
 def test_gru_tree_matches_finite_differences_over_pad_slots():
     vocab = synth_vocab()
     trees = [parse_tree(s) for s in PADDED_FOREST]
-    idx = index_tree(trees, 2)
-    second = [idx.slots[idx.heights == h, 1] for h in (1, 2, 3)]
+    idx = Forest.from_trees(trees)
+    second = [child_slots(idx, 2)[idx.heights == h, 1] for h in (1, 2, 3)]
     assert all((kids >= 0).any() and (kids < 0).any() for kids in second[:2])
     assert (second[2] < 0).all()
     params = random_params("treebigru", False, 3, vocab, seed=5, scale=0.8)
-    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, len(idx)))
+    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, idx.node_count))
     check_recurrence_gradients(trees, params, vocab, probes)
 
 
@@ -349,7 +367,7 @@ def test_downward_gates_of_every_root_are_zero():
     tape = Tape()
     states = upward_pass(mixed_forest(np.random.default_rng(3)), params, tape, vocab)
     downward_pass(states, params, tape)
-    roots = states.index.roots
+    roots = states.forest.roots
     for gates in (states.z_down, states.r_down, states.cand_down):
         assert np.all(gates[:, roots] == 0.0)
         assert np.all(np.delete(gates, roots, axis=1) != 0.0)
@@ -403,7 +421,7 @@ def test_upward_states_shared_between_variants():
     t1, t2 = Tape(), Tape()
     s1 = upward_pass([tree], uni, t1, vocab)
     s2 = upward_pass([tree], bi, t2, vocab)
-    for j in range(len(s1.index)):
+    for j in range(s1.forest.node_count):
         np.testing.assert_allclose(t1.value(s1.H_up)[:, j], t2.value(s2.H_up)[:, j],
                                    rtol=0, atol=0)
 
@@ -644,7 +662,7 @@ def test_gates_bounded_and_finite():
             states = upward_pass([tree], params, tape, vocab)
             if variant == "treebigru":
                 downward_pass(states, params, tape)
-            for j in range(len(states.index)):
+            for j in range(states.forest.node_count):
                 z = states.z_up[:, j]
                 r = states.r_up[:, j]
                 cand = states.cand_up[:, j]

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbogru.autodiff import Tape
+from arbogru.model import child_slots
 from arbogru.training import build_sentence_graph
-from arbogru.treebank import LabeledTree, parse_tree, serialize_tree
+from arbogru.treebank import (_TOKENS, Forest, LabeledTree, _tokens, load_corpus,
+                              parse_tree, serialize_tree)
 
 import oracles
 from conftest import WORDS, random_params, synth_vocab
@@ -38,6 +40,73 @@ def test_serialize_parse_roundtrip(tree):
     assert serialize_tree(parse_tree(line)) == line
 
 
+@PROPERTY
+@given(st.text(alphabet=" \t()ab7\r\xa0", max_size=40))
+def test_tokens_match_the_token_pattern(line):
+    assert _tokens(line) == _TOKENS.findall(line)
+
+
+def walk_index(trees, max_children=2):
+    """Reference layout of a list of trees by a pre-order walk: parents,
+    children by slot, heights, depths, gold labels (-1 = unsupervised),
+    leaf tokens and per-tree offsets."""
+    parents, slots, depths, gold, tokens, offsets = [], [], [], [], [], [0]
+    for tree in trees:
+        stack = [(tree, -1, 0, 0)]
+        while stack:
+            node, parent, position, depth = stack.pop()
+            if parent >= 0:
+                slots[parent][position] = len(parents)
+            stack.extend((child, len(parents), k, depth + 1)
+                         for k, child in reversed(list(enumerate(node.children))))
+            parents.append(parent)
+            slots.append([-1] * max_children)
+            depths.append(depth)
+            gold.append(-1 if node.label is None else node.label)
+            if node.is_leaf:
+                tokens.append(node.token)
+        offsets.append(len(parents))
+    heights = [0] * len(parents)
+    for j in range(len(parents) - 1, -1, -1):  # children first
+        if parents[j] >= 0:
+            heights[parents[j]] = max(heights[parents[j]], heights[j] + 1)
+    return parents, slots, heights, depths, gold, tokens, offsets
+
+
+def binary_tree(tree):
+    """The binary-task form of a fine-grained tree, node by node."""
+    label = None if tree.label == 2 else int(tree.label > 2)
+    return LabeledTree(label, tree.token, tuple(binary_tree(c) for c in tree.children))
+
+
+def forest_index(forest):
+    leaves = forest.words[forest.words >= 0]
+    return (forest.parents.tolist(), child_slots(forest, 2).tolist(),
+            forest.heights.tolist(), forest.depths.tolist(), forest.gold.tolist(),
+            [forest.lexicon.words[w] for w in leaves], forest.offsets.tolist())
+
+
+@PROPERTY
+@given(forest=st.lists(trees, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=8),
+       task=st.sampled_from(["fine", "binary"]))
+def test_batch_from_corpus_rows_matches_a_walk(tmp_path_factory, forest, picks, task):
+    # a batch is a row selection of the loaded corpus: its layout must be
+    # the one a walk over the same trees gives
+    path = tmp_path_factory.mktemp("corpus") / "train.txt"
+    path.write_text("".join(serialize_tree(tree) + "\n" for tree in forest))
+    corpus = load_corpus(path, task=task)
+    if task == "binary":
+        forest = [binary_tree(tree) for tree in forest if tree.label != 2]
+    assert len(corpus) == len(forest)
+    ids = [p % len(forest) for p in picks] if forest else []
+    batch = corpus.trees.select(ids)
+    want = walk_index([forest[i] for i in ids])
+    assert forest_index(batch) == want
+    assert forest_index(Forest.from_trees(list(batch))) == want
+    assert list(batch) == [forest[i] for i in ids]
+
+
 @pytest.mark.parametrize("variant,attention,norm", VARIANT_CASES)
 @PROPERTY
 @given(tree=trees, seed=st.integers(0, 2 ** 16))
@@ -64,6 +133,5 @@ def test_distributions_match_oracles(variant, attention, norm, tree, seed):
                                    rtol=0, atol=1e-12)
     want = oracles.predictions(up, down, sentence, t, variant, attention)
     np.testing.assert_allclose(graph.preds.probs, np.array(want), rtol=0, atol=1e-12)
-    nodes = graph.states.index.nodes
     assert float(tape.value(graph.loss)) == pytest.approx(
-        oracles.compute_loss(want, [n.label for n in nodes]), rel=1e-12)
+        oracles.compute_loss(want, graph.states.forest.gold.tolist()), rel=1e-12)

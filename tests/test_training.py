@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from arbogru import autodiff as ad
 from arbogru import training
 from arbogru.autodiff import Tape
 from arbogru.model import downward_pass, init_params, upward_pass
 from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               TrainConfig, TrainingError, adagrad_step,
-                              build_sentence_graph, dropout_mask, evaluate,
+                              build_forest_graph, build_sentence_graph,
+                              dropout_mask, evaluate,
                               gradient_check, l2_penalty, max_relative_error,
                               sentence_gradients, train)
 from arbogru.treebank import Corpus, parse_tree, to_binary_task
@@ -171,6 +173,33 @@ def test_adagrad_rejects_nonfinite_and_leaves_params_untouched():
     for name, t in params.tensors.items():
         assert np.array_equal(t, snapshot[name])
     assert all(np.all(acc == 0.0) for acc in opt.accumulators.values())
+
+
+def test_adagrad_steps_when_only_the_squares_overflow():
+    # every entry is finite, so the step must not abort; the huge entry's
+    # accumulator saturates and only the others move
+    params = make_tiny_params()
+    opt = OptimizerState.for_params(params)
+    before = params.tensors["b_z"].copy()
+    with np.errstate(over="ignore"):
+        adagrad_step(params, GradTable({"b_z": np.array([1e200, 2.0])}), opt, 0.1)
+    assert opt.accumulators["b_z"].tolist() == [np.inf, 4.0]
+    np.testing.assert_allclose(before - params.tensors["b_z"], [0.0, 0.1],
+                               rtol=0, atol=1e-8)
+
+
+def test_dropout_masks_get_no_gradient():
+    vocab = synth_vocab()
+    params = random_params("treebigru", True, 4, vocab, seed=3)
+    tape = Tape()
+    graph = build_forest_graph(tape, mixed_forest(np.random.default_rng(0)), params,
+                               vocab, train_mode=True, dropout=0.5,
+                               rng=np.random.default_rng(1))
+    grads = ad.backward(tape, graph.loss)
+    masks = [i for i in range(len(tape)) if not tape.needs_grad(ad.ValueRef(i, ()))]
+    assert len(masks) == 4  # the input and the three classifier inputs
+    assert all(grads[i] is None for i in masks)
+    assert all(grads[ref.index] is not None for ref in tape.keyed.values())
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +481,7 @@ def test_evaluate_in_chunks_equals_per_tree_scoring():
         for tree in corpus.trees:
             tape = Tape()
             graph = build_sentence_graph(tape, tree, params, vocab)
-            labels, gold = np.asarray(graph.preds.labels), graph.states.index.gold
+            labels, gold = np.asarray(graph.preds.labels), graph.states.forest.gold
             root_ok += int(labels[0] == gold[0])
             hits += int(np.sum(labels == gold))
             supervised += len(gold)
@@ -478,9 +507,10 @@ def test_build_sentence_graph_loss_matches_compute_loss():
     tree = synth_tree(rng, max_nodes=9)
     tape = Tape()
     graph = build_sentence_graph(tape, tree, params, vocab)
-    nodes = graph.states.index.nodes
-    dists = [graph.preds.probs[j] for j, n in enumerate(nodes) if n.supervised]
-    labels = [n.label for n in nodes if n.supervised]
+    gold = graph.states.forest.gold
+    supervised = np.flatnonzero(gold >= 0)
+    dists = [graph.preds.probs[j] for j in supervised]
+    labels = gold[supervised].tolist()
     assert float(tape.value(graph.loss)) == pytest.approx(
         compute_loss(dists, labels), rel=1e-12)
 

@@ -1,13 +1,24 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from arbogru.treebank import (Corpus, LabeledTree, TreebankError, iter_nodes,
-                              load_corpus, parse_tree, random_tree,
+from arbogru.model import child_slots
+from arbogru.treebank import (Corpus, LabeledTree, TreebankError, load_corpus,
+                              parse_tree, random_tree,
                               serialize_tree, to_binary_task)
 
-from conftest import synth_corpus
+from conftest import WORDS, synth_corpus
+
+
+def iter_nodes(tree):
+    """Nodes in pre-order (node before its children)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def node_count(tree):
@@ -144,7 +155,7 @@ def test_load_corpus_empty_file(tmp_path):
     path = tmp_path / "dev.txt"
     path.write_text("")
     corpus = load_corpus(path)
-    assert corpus.trees == []
+    assert len(corpus.trees) == 0
 
 
 def test_load_corpus_reports_line(tmp_path):
@@ -154,30 +165,42 @@ def test_load_corpus_reports_line(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("collecting", [True, False])
-def test_load_corpus_pauses_and_restores_the_collector(tmp_path, monkeypatch,
-                                                       collecting):
-    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-    good.write_text("(3 (2 good) (2 movie))\n(0 (0 awful) (2 plot))\n")
-    bad.write_text("(2 ok)\n(7 over)\n")
-    seen = []
-
-    def parse(line, **kwargs):
-        seen.append(gc.isenabled())
-        return parse_tree(line, **kwargs)
-
-    monkeypatch.setattr("arbogru.treebank.parse_tree", parse)
-    was = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
+def test_load_corpus_holds_columns_not_node_objects(tmp_path):
+    rng = np.random.default_rng(9)
+    lines = [serialize_tree(random_tree(rng, WORDS, max_nodes=41)) for _ in range(2000)]
+    path = tmp_path / "train.txt"
+    path.write_text("\n".join(lines) + "\n")
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
     try:
-        assert len(load_corpus(good, task="binary")) == 2
-        assert gc.isenabled() == collecting
-        with pytest.raises(TreebankError, match="line 2"):
-            load_corpus(bad)
-        assert gc.isenabled() == collecting
+        corpus = load_corpus(path)
+        held, _ = tracemalloc.get_traced_memory()
     finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False] * 4
+        tracemalloc.stop()
+    nodes = corpus.trees.node_count
+    assert nodes == sum(line.count("(") for line in lines) > 10 * len(lines)
+    assert held <= 32 * nodes
+    gc.collect()
+    assert len(gc.get_objects()) - objects < len(lines)  # O(trees), not O(nodes)
+
+
+def test_deep_chain_loads_batches_and_serializes(tmp_path):
+    # far deeper than the interpreter's recursion limit
+    depth = 5000
+    line = "(3 " * depth + "(4 good)" + ")" * depth
+    path = tmp_path / "deep.txt"
+    path.write_text(line + "\n(1 bad)\n")
+    forest = load_corpus(path, max_arity=2).trees
+    assert forest.offsets.tolist() == [0, depth + 1, depth + 2]
+    assert forest.heights[0] == forest.depths[depth] == depth
+    batch = forest.select([1, 0])  # the short tree first: the chain shifts by one
+    assert batch.offsets.tolist() == [0, 1, depth + 2]
+    assert batch.parents[1:].tolist() == [-1] + list(range(1, depth + 1))
+    slots = child_slots(batch, 2)
+    assert slots[1:depth + 1, 0].tolist() == list(range(2, depth + 2))
+    assert (slots[:, 1] == -1).all()
+    assert serialize_tree(batch[1]) == line
 
 
 def test_load_corpus_rejects_unknown_task(tmp_path):
@@ -223,7 +246,7 @@ def test_binary_task_label_mapping_and_structure():
 
 def test_binary_task_single_neutral_root_gives_empty_corpus():
     corpus = Corpus([parse_tree("(2 hello)")], "train", "fine", 5)
-    assert to_binary_task(corpus).trees == []
+    assert len(to_binary_task(corpus).trees) == 0
 
 
 def test_binary_task_rejects_binary_input():
