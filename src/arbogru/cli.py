@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
                        build_forest_graph, evaluate, gradient_check, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
-                       TreebankError, load_corpus, parse_tree)
+                       TreebankError, as_forest, load_corpus, parse_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -308,8 +308,11 @@ def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
     """Score ``trees`` as one forest and print a line per tree, in order:
     root class, root distribution and, if asked, the tree's attention
     weights."""
+    forest = as_forest(trees)
+    # predict reads no labels, so the graph supervises nothing and builds no loss
+    forest = replace(forest, gold=np.full_like(forest.gold, -1))
     tape = Tape()
-    graph = build_forest_graph(tape, trees, params, vocab)
+    graph = build_forest_graph(tape, forest, params, vocab)
     offsets = graph.states.forest.offsets
     for root, end in zip(offsets[:-1], offsets[1:]):
         fields = [str(graph.preds.labels[root]),

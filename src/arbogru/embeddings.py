@@ -18,6 +18,7 @@ from .treebank import Corpus
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
 OOV_RANGE = 0.05
+PARSE_BLOCK = 4096  # kept GloVe lines parsed per np.loadtxt call
 
 
 class EmbeddingError(ValueError):
@@ -85,54 +86,107 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
                dtype=np.float64) -> EmbeddingMatrix:
     """Read pretrained vectors for ``vocab`` from a GloVe text file.
 
-    A vocabulary word matches a file entry exactly or by lowercasing.
-    Every file line must carry exactly ``dim`` values, and the rows the
-    vocabulary uses must be finite in ``dtype``; otherwise EmbeddingError
-    names the line.  Rows for missing words (including
-    UNK) are drawn from the passed generator in id order, so the result
-    is reproducible for a fixed seed.
+    A vocabulary word matches a file entry exactly or by lowercasing; the
+    first line of a word wins, and an exact match beats a lowercase one.
+    Every non-empty line must carry exactly ``dim`` values, and every line
+    kept for a wanted word must parse and be finite in ``dtype``;
+    otherwise EmbeddingError names the first faulty line.  Rows for
+    missing words (including UNK) are drawn from the passed generator in
+    id order, so the result is reproducible for a fixed seed.
+
+    One scan reads each line once: it counts the fields without splitting
+    the line and keeps the values text of the first line of each wanted
+    word.  Every PARSE_BLOCK kept lines are parsed together and scattered
+    into the vocabulary-ordered matrix, so the scan holds at most one
+    block of text besides the matrix.
     """
-    wanted = set()
-    for word in vocab.id_to_word:
-        wanted.add(word)
-        wanted.add(word.lower())
-    found: dict[str, np.ndarray] = {}
+    exact_ids: dict[str, list[int]] = {}
+    lower_ids: dict[str, list[int]] = {}
+    for i, word in enumerate(vocab.id_to_word):
+        exact_ids.setdefault(word, []).append(i)
+        lower_ids.setdefault(word.lower(), []).append(i)
+    source = np.full(vocab.size, -1, dtype=np.intp)  # the kept line filling each row
+    exact = np.zeros(vocab.size, dtype=bool)  # rows whose word itself was kept
+    vectors = np.empty((vocab.size, dim), dtype=dtype)
+    seen: set[str] = set()
+    rows: list[str] = []  # values text of the kept lines not yet parsed
+    linenos: list[int] = []
+
+    def flush() -> None:
+        if rows:
+            start = len(seen) - len(rows)
+            block = _parse_block(path, rows, linenos, dim, dtype)
+            ids = np.flatnonzero(source >= start)  # rows filled from this block
+            vectors[ids] = block[source[ids] - start]
+            rows.clear()
+            linenos.clear()
+
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
+            found = line.count(" ")
+            if found != dim:
+                flush()  # a faulty kept line above this one is reported first
                 raise EmbeddingError(
-                    f"{path}, line {lineno}: expected {dim} values, found {len(parts) - 1}"
-                )
-            if parts[0] in wanted and parts[0] not in found:
+                    f"{path}, line {lineno}: expected {dim} values, found {found}")
+            word, _, values = line.partition(" ")
+            if word in seen or (word not in exact_ids and word not in lower_ids):
+                continue
+            for i in lower_ids.get(word, ()):
+                if not exact[i]:
+                    source[i] = len(seen)
+            for i in exact_ids.get(word, ()):
+                source[i], exact[i] = len(seen), True
+            seen.add(word)
+            rows.append(values)
+            linenos.append(lineno)
+            if len(rows) == PARSE_BLOCK:
+                flush()
+    flush()
+
+    missing = np.flatnonzero(source < 0)
+    for start in range(0, len(missing), PARSE_BLOCK):
+        # k draws of ``dim`` values are one draw of (k, dim): the same stream
+        ids = missing[start:start + PARSE_BLOCK]
+        vectors[ids] = rng.uniform(-OOV_RANGE, OOV_RANGE, (len(ids), dim))
+    return EmbeddingMatrix(vectors, (vocab.size - len(missing)) / vocab.size)
+
+
+def _parse_block(path, rows: list[str], linenos: list[int], dim: int,
+                 dtype) -> np.ndarray:
+    """The values text ``rows`` as a (rows, dim) array of ``dtype``.
+
+    Raises EmbeddingError for the first row that does not parse or is not
+    finite in ``dtype``, naming its line from ``linenos``."""
+    with np.errstate(over="ignore"):  # an overflow reads as inf below
+        try:
+            block = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None,
+                               quotechar=None, ndmin=2).astype(dtype, copy=False)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (len(rows), dim):
+            # numpy rejects some values float() reads ("1_0") and skips
+            # blank rows: parse value by value, as float() does, checking
+            # each row at once so the first faulty line is the one reported
+            block = np.empty((len(rows), dim), dtype=dtype)
+            for i, (values, lineno) in enumerate(zip(rows, linenos)):
                 try:
-                    with np.errstate(over="ignore"):  # an overflow reads as inf below
-                        row = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                    block[i] = np.asarray(
+                        [float(v) for v in values.rstrip("\n").split(" ")], dtype=dtype)
                 except ValueError as err:
                     raise EmbeddingError(f"{path}, line {lineno}: {err}") from None
-                if not np.all(np.isfinite(row)):
+                if not np.all(np.isfinite(block[i])):
                     raise EmbeddingError(f"{path}, line {lineno}: non-finite value")
-                found[parts[0]] = row
-
-    vectors = np.empty((vocab.size, dim), dtype=dtype)
-    hits = 0
-    for idx, word in enumerate(vocab.id_to_word):
-        row = found.get(word)
-        if row is None:
-            row = found.get(word.lower())
-        if row is None:
-            vectors[idx] = rng.uniform(-OOV_RANGE, OOV_RANGE, dim)
-        else:
-            vectors[idx] = row
-            hits += 1
-    return EmbeddingMatrix(vectors, hits / vocab.size)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        lineno = linenos[np.argmin(finite)]
+        raise EmbeddingError(f"{path}, line {lineno}: non-finite value")
+    return block
 
 
 def random_embeddings(vocab: Vocabulary, dim: int, rng,
                       dtype=np.float64) -> EmbeddingMatrix:
     """Uniform [-0.05, 0.05] rows; the fallback when no GloVe file is given."""
-    vectors = rng.uniform(-OOV_RANGE, OOV_RANGE, (vocab.size, dim)).astype(dtype)
-    return EmbeddingMatrix(vectors, 0.0)
+    vectors = rng.uniform(-OOV_RANGE, OOV_RANGE, (vocab.size, dim))
+    return EmbeddingMatrix(vectors.astype(dtype, copy=False), 0.0)

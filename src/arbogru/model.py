@@ -144,8 +144,10 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
     attention tensors from a scaled standard normal, biases at zero.
 
     ``embeddings`` is an EmbeddingMatrix; omitted, rows are drawn
-    uniformly from [-0.05, 0.05].  ``attention_norm`` (one of
-    ATTENTION_NORMS) travels with the parameters into the checkpoint.
+    uniformly from [-0.05, 0.05].  A matrix already in ``dtype`` becomes
+    the ``emb`` parameter itself, so training updates the caller's array;
+    another dtype is copied.  ``attention_norm`` (one of ATTENTION_NORMS)
+    travels with the parameters into the checkpoint.
     """
     shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
     random_init = {"W_s", "W_s_up", "W_s_dn", "W_s_att", "W_w", "u_w"}
@@ -156,7 +158,7 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
                 if embeddings.vectors.shape != shape:
                     raise ModelError(
                         f"embedding matrix shape {embeddings.vectors.shape} != {shape}")
-                tensors[name] = embeddings.vectors.astype(dtype)
+                tensors[name] = embeddings.vectors.astype(dtype, copy=False)
             else:
                 tensors[name] = rng.uniform(-0.05, 0.05, shape).astype(dtype)
         elif is_bias(name):

@@ -1,14 +1,19 @@
-"""Tape-free reference implementations of the forward passes.
+"""Tape-free reference implementations of the forward passes, and the
+line-by-line GloVe reader.
 
 Straight-line recursive numpy, written directly from the update rules
 and kept independent of the package's tape machinery on purpose: these
 are the oracles the autodiff-backed passes are checked against.  Slot
 lists are in pre-order, matching the package's tree indexing.
+``load_glove`` converts every value with ``float()``, one line at a
+time; the package's block parser must match it bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from arbogru.embeddings import OOV_RANGE, EmbeddingError, EmbeddingMatrix
 
 
 def sigmoid(x):
@@ -121,3 +126,44 @@ def predictions(up_slots, down_slots, sentence_vec, tensors, variant, use_attent
             logits = tensors["W_s"] @ up_slots[j]["h"] + tensors["b_s"]
         probs.append(softmax(logits))
     return probs
+
+
+def load_glove(path, vocab, dim, rng, dtype=np.float64):
+    """``embeddings.load_glove`` one line and one value at a time."""
+    wanted = set()
+    for word in vocab.id_to_word:
+        wanted.add(word)
+        wanted.add(word.lower())
+    found = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != dim + 1:
+                raise EmbeddingError(
+                    f"{path}, line {lineno}: expected {dim} values, found {len(parts) - 1}"
+                )
+            if parts[0] in wanted and parts[0] not in found:
+                try:
+                    with np.errstate(over="ignore"):  # an overflow reads as inf below
+                        row = np.asarray([float(v) for v in parts[1:]], dtype=dtype)
+                except ValueError as err:
+                    raise EmbeddingError(f"{path}, line {lineno}: {err}") from None
+                if not np.all(np.isfinite(row)):
+                    raise EmbeddingError(f"{path}, line {lineno}: non-finite value")
+                found[parts[0]] = row
+
+    vectors = np.empty((vocab.size, dim), dtype=dtype)
+    hits = 0
+    for idx, word in enumerate(vocab.id_to_word):
+        row = found.get(word)
+        if row is None:
+            row = found.get(word.lower())
+        if row is None:
+            vectors[idx] = rng.uniform(-OOV_RANGE, OOV_RANGE, dim)
+        else:
+            vectors[idx] = row
+            hits += 1
+    return EmbeddingMatrix(vectors, hits / vocab.size)

@@ -300,6 +300,35 @@ def test_predict_outputs_distribution(trained, tmp_path, capsys):
         assert sum(probs) == pytest.approx(1.0, abs=5e-4)
 
 
+def test_predict_binary_checkpoint_on_fine_labels(data_dir, tmp_path, capsys):
+    # predict reads no labels: gold labels outside a 2-class model are no error
+    out = tmp_path / "binary"
+    assert main(train_args(data_dir, out, task="binary", attention=True, dim=8)) == 0
+    capsys.readouterr()
+    inp = data_dir / "test.txt"
+    lines = inp.read_text().splitlines()
+    assert any(parse_tree(line).label > 1 for line in lines)
+    code = main(["predict", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--input", str(inp)])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(printed) == len(lines)
+    assert {row.split("\t")[0] for row in printed} <= {"0", "1"}
+
+
+def test_predict_root_labels_agree_with_eval(trained, data_dir, capsys):
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--data", str(data_dir), "--split", "test"]) == 0
+    accuracy = capsys.readouterr().out.splitlines()[0]
+    inp = data_dir / "test.txt"
+    assert main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--input", str(inp)]) == 0
+    labels = [int(row.split("\t")[0]) for row in capsys.readouterr().out.splitlines()]
+    gold = [parse_tree(line).label for line in inp.read_text().splitlines()]
+    hits = sum(p == g for p, g in zip(labels, gold))
+    assert accuracy == f"root_accuracy {hits / len(gold):.4f}"
+
+
 def test_predict_handles_parse_errors(trained, tmp_path, capsys):
     inp = tmp_path / "inp.txt"
     inp.write_text("(0 (2 good) (2 movie))\n(0 broken\n(0 fine)\n")

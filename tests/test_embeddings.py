@@ -1,10 +1,19 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arbogru import embeddings
 from arbogru.embeddings import (OOV_RANGE, UNK_ID, UNK_TOKEN, EmbeddingError,
-                                build_vocab, load_glove, load_vocab,
+                                Vocabulary, build_vocab, load_glove, load_vocab,
                                 random_embeddings, save_vocab)
 from arbogru.treebank import Corpus, parse_tree
+
+import oracles
 
 
 def corpus_of(*lines):
@@ -166,3 +175,120 @@ def test_load_glove_float32_overflow_is_non_finite(tmp_path):
     assert np.isfinite(load_glove(path, vocab, 2, np.random.default_rng(0)).vectors).all()
     with pytest.raises(EmbeddingError, match="line 1"):
         load_glove(path, vocab, 2, np.random.default_rng(0), np.float32)
+
+
+# ---------------------------------------------------------------------------
+# the block parser against the line-by-line reference (oracles.load_glove)
+
+def load_both(path, vocab, dim, dtype=np.float64, seed=7):
+    """Each loader's result (or error text) and its generator state after."""
+    outcomes = []
+    for load in (load_glove, oracles.load_glove):
+        rng = np.random.default_rng(seed)
+        try:
+            result = load(path, vocab, dim, rng, dtype)
+        except EmbeddingError as err:
+            result = str(err)
+        outcomes.append((result, rng.bit_generator.state))
+    return outcomes
+
+
+def assert_same_load(path, vocab, dim, dtype=np.float64):
+    (new, new_state), (ref, ref_state) = load_both(path, vocab, dim, dtype)
+    if isinstance(ref, str):
+        assert new == ref
+        return ref
+    assert not isinstance(new, str), new
+    assert new.vectors.dtype == ref.vectors.dtype
+    assert new.vectors.tobytes() == ref.vectors.tobytes()
+    assert new.coverage == ref.coverage
+    assert new_state == ref_state
+    return new
+
+
+def test_load_glove_first_occurrence_and_exact_match_win(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 Good) (2 Movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("movie 1 1\nGood 2 2\ngood 3 3\nMovie 4 4\nGood 5 5\nMovie 6 6\n")
+    emb = assert_same_load(path, vocab, 2)
+    assert np.array_equal(emb.vectors[vocab.word_to_id["Good"]], [2.0, 2.0])
+    assert np.array_equal(emb.vectors[vocab.word_to_id["Movie"]], [4.0, 4.0])
+
+
+def test_load_glove_reads_what_float_reads(tmp_path):
+    # numpy's parser rejects "1_0"; the block falls back to float()
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("good 1_0 +2.5e-3\r\nmovie \t4 5\r\n")
+    emb = assert_same_load(path, vocab, 2)
+    assert np.array_equal(emb.vectors[vocab.word_to_id["good"]], [10.0, 2.5e-3])
+
+
+def test_load_glove_reports_a_kept_line_before_a_count_error(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("other x y\ngood 0.1 abc\nmovie 1 2 3\n")
+    with pytest.raises(EmbeddingError, match=r"line 2: .*'abc'"):
+        load_glove(path, vocab, 2, np.random.default_rng(0))
+
+
+def test_load_glove_checks_unused_kept_lines(tmp_path):
+    # "good" is kept for Good's lowercase fallback, then Good matches exactly
+    vocab = build_vocab(corpus_of("(3 (2 Good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("good 1 inf\nGood 1 2\n")
+    with pytest.raises(EmbeddingError, match="line 1: non-finite"):
+        load_glove(path, vocab, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "other 1 2\nelse x y\n"])
+def test_load_glove_without_kept_lines_parses_nothing(tmp_path, text):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text(text)
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+        emb = load_glove(path, vocab, 2, np.random.default_rng(0))
+    assert emb.coverage == 0.0
+
+
+POOL = ["good", "Good", "GOOD", "the", "The", "x"]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True))
+ODD_VALUES = st.sampled_from(["1_0", "nan", "-Infinity", "1e400", "1e39", "4.9e-324",
+                              "abc", "", "1,0", "0x1p3", "\u0663"])
+
+
+@st.composite
+def glove_files(draw):
+    """A vocabulary, a dimension and GloVe text: duplicate words and case
+    variants, blank lines, LF or CRLF endings, and now and then a value
+    only float() reads, a non-finite or unparsable value, or a line with
+    the wrong field count."""
+    dim = draw(st.integers(1, 3))
+    words = [UNK_TOKEN] + draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=6,
+                                        unique=True))
+    vocab = Vocabulary({w: i for i, w in enumerate(words)}, words)
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            lines.append("")
+            continue
+        count = dim + draw(st.sampled_from([-1, 1])) if kind == 1 else dim
+        values = [draw(ODD_VALUES if draw(st.integers(0, 7)) == 0 else NUMBERS)
+                  for _ in range(count)]
+        lines.append(" ".join([draw(st.sampled_from(POOL + ["zebra"])), *values]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return vocab, dim, ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(glove_files(), st.sampled_from([np.float64, np.float32]), st.sampled_from([1, 2, 4096]))
+def test_load_glove_matches_line_by_line_reference(case, dtype, block):
+    vocab, dim, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "glove.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(embeddings, "PARSE_BLOCK", block):
+            assert_same_load(path, vocab, dim, dtype)

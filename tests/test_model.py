@@ -7,7 +7,7 @@ import pytest
 from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
 from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from arbogru.embeddings import build_vocab
+from arbogru.embeddings import build_vocab, random_embeddings
 from arbogru.model import (ModelError, _sigmoid, attention_pool, count_parameters,
                            child_slots, downward_pass, init_params,
                            itemize_parameters, predict_nodes, slot, upward_pass)
@@ -70,6 +70,18 @@ def test_init_deterministic():
                       attention=True)
     for name in one.tensors:
         assert np.array_equal(one.tensors[name], two.tensors[name])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_init_adopts_embeddings_of_its_dtype(dtype):
+    vocab = synth_vocab()
+    emb = random_embeddings(vocab, 4, np.random.default_rng(0), np.float64)
+    params = init_params("treegru", 4, vocab, 5, 2, np.random.default_rng(0),
+                         embeddings=emb, dtype=dtype)
+    tensor = params.tensors["emb"]
+    assert tensor.dtype == dtype
+    assert np.shares_memory(tensor, emb.vectors) == (dtype == np.float64)
+    assert np.array_equal(tensor, emb.vectors.astype(dtype))
 
 
 # ---------------------------------------------------------------------------
