@@ -94,12 +94,16 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
     missing words (including UNK) are drawn from the passed generator in
     id order, so the result is reproducible for a fixed seed.
 
-    One scan reads each line once: it counts the fields without splitting
-    the line and keeps the values text of the first line of each wanted
-    word.  Every PARSE_BLOCK kept lines are parsed together and scattered
-    into the vocabulary-ordered matrix, so the scan holds at most one
-    block of text besides the matrix.
+    One scan reads each line once, with C-level string operations: it
+    splits off the word with ``str.find`` and keeps the values text of the
+    first line of each wanted word; any other line has its fields counted
+    with ``str.count``.  Every PARSE_BLOCK kept lines are parsed together,
+    which also checks their field counts, and scattered into the
+    vocabulary-ordered matrix, so the scan holds at most one block of text
+    besides the matrix.
     """
+    if dim < 1:  # a line without values has no word to split off
+        raise ValueError(f"dim must be positive, got {dim}")
     exact_ids: dict[str, list[int]] = {}
     lower_ids: dict[str, list[int]] = {}
     for i, word in enumerate(vocab.id_to_word):
@@ -125,13 +129,14 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
         for lineno, line in enumerate(handle, start=1):
             if line == "\n":
                 continue
-            found = line.count(" ")
-            if found != dim:
-                flush()  # a faulty kept line above this one is reported first
-                raise EmbeddingError(
-                    f"{path}, line {lineno}: expected {dim} values, found {found}")
-            word, _, values = line.partition(" ")
-            if word in seen or (word not in exact_ids and word not in lower_ids):
+            cut = line.find(" ")
+            word = line[:cut]
+            if cut < 0 or word in seen or (word not in exact_ids and word not in lower_ids):
+                found = line.count(" ")
+                if found != dim:
+                    flush()  # a faulty kept line above this one is reported first
+                    raise EmbeddingError(
+                        f"{path}, line {lineno}: expected {dim} values, found {found}")
                 continue
             for i in lower_ids.get(word, ()):
                 if not exact[i]:
@@ -139,7 +144,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
             for i in exact_ids.get(word, ()):
                 source[i], exact[i] = len(seen), True
             seen.add(word)
-            rows.append(values)
+            rows.append(line[cut + 1:])
             linenos.append(lineno)
             if len(rows) == PARSE_BLOCK:
                 flush()
@@ -157,8 +162,9 @@ def _parse_block(path, rows: list[str], linenos: list[int], dim: int,
                  dtype) -> np.ndarray:
     """The values text ``rows`` as a (rows, dim) array of ``dtype``.
 
-    Raises EmbeddingError for the first row that does not parse or is not
-    finite in ``dtype``, naming its line from ``linenos``."""
+    Raises EmbeddingError for the first row without ``dim`` values, with a
+    value that does not parse, or with one not finite in ``dtype``, naming
+    its line from ``linenos``."""
     with np.errstate(over="ignore"):  # an overflow reads as inf below
         try:
             block = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None,
@@ -166,11 +172,16 @@ def _parse_block(path, rows: list[str], linenos: list[int], dim: int,
         except ValueError:
             block = None
         if block is None or block.shape != (len(rows), dim):
-            # numpy rejects some values float() reads ("1_0") and skips
-            # blank rows: parse value by value, as float() does, checking
-            # each row at once so the first faulty line is the one reported
+            # a wrong field count, or a value numpy rejects and float() may
+            # read ("1_0"), or a blank row numpy skips: parse value by value,
+            # as float() does, checking each row at once so the first
+            # faulty line is the one reported
             block = np.empty((len(rows), dim), dtype=dtype)
             for i, (values, lineno) in enumerate(zip(rows, linenos)):
+                found = values.count(" ") + 1
+                if found != dim:
+                    raise EmbeddingError(
+                        f"{path}, line {lineno}: expected {dim} values, found {found}")
                 try:
                     block[i] = np.asarray(
                         [float(v) for v in values.rstrip("\n").split(" ")], dtype=dtype)

@@ -232,6 +232,16 @@ def test_load_glove_reports_a_kept_line_before_a_count_error(tmp_path):
         load_glove(path, vocab, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("text, found", [("good\n", 0), ("good 1 2 3\n", 3), ("good 1\n", 1)])
+def test_load_glove_counts_the_values_of_a_wanted_line(tmp_path, text, found):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("movie 1 2\n" + text)
+    assert_same_load(path, vocab, 2)
+    with pytest.raises(EmbeddingError, match=f"line 2: expected 2 values, found {found}$"):
+        load_glove(path, vocab, 2, np.random.default_rng(0))
+
+
 def test_load_glove_checks_unused_kept_lines(tmp_path):
     # "good" is kept for Good's lowercase fallback, then Good matches exactly
     vocab = build_vocab(corpus_of("(3 (2 Good) (2 movie))"))
@@ -239,6 +249,14 @@ def test_load_glove_checks_unused_kept_lines(tmp_path):
     path.write_text("good 1 inf\nGood 1 2\n")
     with pytest.raises(EmbeddingError, match="line 1: non-finite"):
         load_glove(path, vocab, 2, np.random.default_rng(0))
+
+
+def test_load_glove_rejects_a_dimension_below_one(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "glove.txt"
+    path.write_text("good\n")
+    with pytest.raises(ValueError, match="dim must be positive"):
+        load_glove(path, vocab, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "other 1 2\nelse x y\n"])
