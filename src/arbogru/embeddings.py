@@ -104,10 +104,9 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
     """
     if dim < 1:  # a line without values has no word to split off
         raise ValueError(f"dim must be positive, got {dim}")
-    exact_ids: dict[str, list[int]] = {}
+    exact_ids = vocab.word_to_id
     lower_ids: dict[str, list[int]] = {}
     for i, word in enumerate(vocab.id_to_word):
-        exact_ids.setdefault(word, []).append(i)
         lower_ids.setdefault(word.lower(), []).append(i)
     source = np.full(vocab.size, -1, dtype=np.intp)  # the kept line filling each row
     exact = np.zeros(vocab.size, dtype=bool)  # rows whose word itself was kept
@@ -141,7 +140,8 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
             for i in lower_ids.get(word, ()):
                 if not exact[i]:
                     source[i] = len(seen)
-            for i in exact_ids.get(word, ()):
+            i = exact_ids.get(word)
+            if i is not None:
                 source[i], exact[i] = len(seen), True
             seen.add(word)
             rows.append(line[cut + 1:])

@@ -22,7 +22,7 @@ def bench_pairs(tmp_path, monkeypatch):
     return module
 
 
-def write_run(checkout, seed, setup_s, trace=0, when=0.0):
+def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": {"value": setup_s, "unit": "s"},
@@ -31,7 +31,7 @@ def write_run(checkout, seed, setup_s, trace=0, when=0.0):
               "trace": trace, "scale": "recipe", "env": {"nproc": 2, "git": None},
               "result": {"correct": True, "attempted": 10, "failed": 0,
                          "metrics": metrics}}
-    path = out / f"run-{seed}-{trace}.json"
+    path = out / (name or f"run-{seed}-{trace}.json")
     path.write_text(json.dumps(record))
     os.utime(path, (when, when))
 
@@ -69,4 +69,17 @@ def test_refuses_a_checkout_without_records(bench_pairs, tmp_path, capsys):
                              "--change", str(tmp_path / "none"), "--parent-commit", "a",
                              "--change-commit", "b"]) == 2
     assert "no recipe records" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_refuses_two_records_of_one_run(bench_pairs, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, 1, 3.0)
+    write_run(change, 1, 2.0)
+    write_run(change, 1, 2.5, name="rerun.json")
+    assert bench_pairs.main(["--label", "t", "--parent", str(parent), "--change",
+                             str(change), "--parent-commit", "a",
+                             "--change-commit", "b"]) == 2
+    err = capsys.readouterr().err
+    assert "rerun.json" in err and "run-1-0.json" in err and "seed 1 trace 0" in err
     assert not (tmp_path / "BENCH_t.json").exists()

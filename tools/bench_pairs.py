@@ -18,7 +18,10 @@ root of this repository with, per workload:
   the metric's direction in ``BENCHMARK.json``;
 - ``traced``: the per-layer metrics of each side's ``--trace 1`` runs.
 
-Only seeds that both checkouts ran at the same scale are paired.
+Only recipe-scale records are read, and only seeds that both checkouts
+ran are paired.  A checkout with two records of the same workload, seed
+and trace (a rerun, or a round of another commit) is refused, since the
+script could not tell which one belongs to the commit it is given.
 """
 
 from __future__ import annotations
@@ -32,16 +35,29 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+SCALE = "recipe"
 
 
-def read_records(checkout: str, scale: str) -> list[dict]:
-    """Every run record of ``checkout`` at ``scale``, with its mtime."""
-    records = []
-    for path in glob.glob(os.path.join(checkout, ".bench_out", "*.json")):
+class DuplicateRun(Exception):
+    pass
+
+
+def read_records(checkout: str) -> list[dict]:
+    """Every run record of ``checkout`` at SCALE, with its mtime.
+
+    Raises DuplicateRun naming the files when two records share a
+    workload, seed and trace."""
+    records, paths = [], {}
+    for path in sorted(glob.glob(os.path.join(checkout, ".bench_out", "*.json"))):
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
-        if record.get("scale") != scale:
+        if record.get("scale") != SCALE:
             continue
+        key = (record["workload"], record["seed"], record["trace"])
+        if key in paths:
+            raise DuplicateRun(f"{paths[key]} and {path} are both a run of "
+                               "workload {} seed {} trace {}".format(*key))
+        paths[key] = path
         record["mtime"] = os.path.getmtime(path)
         records.append(record)
     return records
@@ -117,16 +133,19 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="change checkout directory")
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
-    parser.add_argument("--scale", default="recipe")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    records = {side: read_records(getattr(args, side), args.scale) for side in SIDES}
+    try:
+        records = {side: read_records(getattr(args, side)) for side in SIDES}
+    except DuplicateRun as err:
+        print(f"bench_pairs: {err}", file=sys.stderr)
+        return 2
     for side in SIDES:
         if not records[side]:
-            print(f"bench_pairs: no {args.scale} records under "
+            print(f"bench_pairs: no {SCALE} records under "
                   f"{getattr(args, side)}/.bench_out", file=sys.stderr)
             return 2
     environments = {side: sorted({json.dumps({k: v for k, v in r["env"].items()
@@ -138,7 +157,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "command": "python3 benchmarks/bench.py --workload W --seed S "
                    f"--seconds {'/'.join(f'{s:g}' for s in seconds)} --trace T",
-        "scale": args.scale,
+        "scale": SCALE,
         "parent": {"commit": args.parent_commit,
                    "env": [json.loads(e) for e in environments["parent"]]},
         "change": {"commit": args.change_commit,
