@@ -13,7 +13,7 @@ of the inputs (float64 for tests and gradient checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,15 +39,16 @@ class Tape:
         self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
-        self.keyed: dict[Hashable, ValueRef] = {}  # key -> leaf, in first-use order
+        self.keyed: dict[str, ValueRef] = {}  # tensor name -> leaf, in first-use order
         self._constants: set[int] = set()  # leaves that need no gradient
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def input(self, value, key: Optional[Hashable] = None) -> ValueRef:
-        """Register a leaf value (parameter or constant); a keyed leaf is
-        registered on first use only, so all its uses share one gradient."""
+    def input(self, value, key: Optional[str] = None) -> ValueRef:
+        """Register a leaf value (parameter or constant); a leaf keyed by a
+        parameter tensor's name is registered on first use only, so all its
+        uses share one gradient."""
         if key is None:
             return self.append(np.asarray(value), (), None)
         if key not in self.keyed:
@@ -246,17 +247,19 @@ def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold,
     return tape.append(loss, (logits.index,), vjp)
 
 
-def stack(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
-    """Equal-shaped values side by side along a new last axis: scalars
-    give a vector, vectors the columns of a matrix."""
-    values = [tape.value(r) for r in refs]
-    if not values or any(v.shape != values[0].shape for v in values):
-        _fail("stack", *[v.shape for v in values])
+def gather(tape: Tape, table: ValueRef, index) -> ValueRef:
+    """Rows ``index`` of the matrix ``table`` as the columns of a matrix;
+    the gradient of a repeated row sums its columns in index order."""
+    t = tape.value(table)
+    if t.ndim != 2:
+        _fail("gather", t.shape)
 
     def vjp(g):
-        return tuple(g[..., i] for i in range(len(refs)))
+        grad = np.zeros_like(t)
+        np.add.at(grad, index, g.T)
+        return (grad,)
 
-    return tape.append(np.stack(values, axis=-1), tuple(r.index for r in refs), vjp)
+    return tape.append(t[index].T, (table.index,), vjp)
 
 
 def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:

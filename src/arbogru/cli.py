@@ -182,6 +182,9 @@ def run_train(args) -> int:
         _require(path.exists(), f"missing treebank file {path}")
     load = partial(load_corpus, task=args.task, max_arity=MAX_CHILDREN)
     corpora = SplitCorpora(*map(load, paths))
+    for path, corpus in zip(paths, (corpora.train, corpora.dev)):
+        _require(len(corpus.trees) > 0, f"treebank file {path} holds no sentence" + (
+            " with a non-neutral root" if args.task == TASK_BINARY else ""))
     config = TrainConfig(
         variant=args.variant, attention=args.attention, task=args.task,
         dim=args.dim, learning_rate=args.lr, batch_size=args.batch, l2=args.l2,

@@ -196,22 +196,9 @@ def _levels(rank: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(rank))[:-1])
 
 
-def slot(tensors: dict[str, np.ndarray], key) -> np.ndarray:
-    """The array that parameter slot ``key`` names in ``tensors``.
-
-    A key is a tensor name, or ``("emb", row)`` for one embedding row (a
-    view).  Parameters, AdaGrad accumulators and gradient buffers are
-    all name -> array maps, so one key addresses a slot in each.
-    """
-    if isinstance(key, tuple):
-        name, row = key
-        return tensors[name][row]
-    return tensors[key]
-
-
-def _param(tape: Tape, params: ModelParams, key) -> ValueRef:
-    """Slot ``key`` of ``params`` as a keyed leaf of ``tape``."""
-    return tape.input(slot(params.tensors, key), key=key)
+def _param(tape: Tape, params: ModelParams, name: str) -> ValueRef:
+    """Tensor ``name`` of ``params`` as a keyed leaf of ``tape``."""
+    return tape.input(params.tensors[name], key=name)
 
 
 @dataclass
@@ -219,10 +206,12 @@ class NodeStates:
     """Activations of every node, one column per node of ``forest``.
 
     The states ``H_*`` are tape values; the gates are plain arrays (the
-    downward root has none, so its gate columns are zero).
+    downward root has none, so its gate columns are zero).  The tape's
+    ``"emb"`` leaf holds the embedding ``rows`` the leaves read, ascending.
     """
 
     forest: Forest
+    rows: np.ndarray
     H_up: ValueRef                        # (dim, nodes)
     z_up: np.ndarray
     r_up: np.ndarray
@@ -386,13 +375,14 @@ def upward_pass(trees: Trees, params: ModelParams, tape: Tape, vocab: Vocabulary
     forest = as_forest(trees)
     slots = child_slots(forest, params.max_children)
     leaves = np.flatnonzero(forest.heights == 0)
-    rows = forest.lexicon.ids(vocab)[forest.words[leaves]]
-    inputs = ad.stack(tape, [_param(tape, params, ("emb", row)) for row in rows.tolist()])
+    rows, index = np.unique(forest.lexicon.ids(vocab)[forest.words[leaves]],
+                            return_inverse=True)
+    inputs = ad.gather(tape, tape.input(params.tensors["emb"][rows], key="emb"), index)
     if input_mask is not None:
         inputs = ad.mul(tape, inputs, tape.constant(input_mask(inputs.shape)))
     H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots,
                         _levels(forest.heights))
-    return NodeStates(forest, H, *gates)
+    return NodeStates(forest, rows, H, *gates)
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:

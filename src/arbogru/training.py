@@ -101,16 +101,20 @@ class OptimizerState:
 
 
 class GradTable(dict):
-    """Gradients keyed by parameter slot (see ``model.slot``): a tensor
-    name, or ``("emb", row)`` for an embedding row a batch touched.  The
-    table owns its arrays, which the L2 term updates in place."""
+    """Gradients keyed by tensor name; the ``"emb"`` entry holds only the
+    embedding rows ``rows`` a batch touched, in that order.  The table
+    owns its arrays, which the L2 term updates in place."""
 
-    def add(self, key, g: np.ndarray) -> None:
-        """Accumulate ``g`` at ``key``: in place if the table holds a
+    def __init__(self, grads=(), rows=()):
+        super().__init__(grads)
+        self.rows = np.asarray(rows, dtype=np.intp)
+
+    def add(self, name: str, g: np.ndarray) -> None:
+        """Accumulate ``g`` at ``name``: in place if the table holds a
         gradient there, else as a copy."""
-        held = self.get(key)
+        held = self.get(name)
         if held is None:
-            self[key] = g.copy()
+            self[name] = g.copy()
         else:
             held += g
 
@@ -146,31 +150,32 @@ def dropout_mask(size: int, p_drop: float, rng, dtype=np.float64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loss
 
-def _l2_slots(params: m.ModelParams, keys) -> list:
-    """Every weight matrix, plus the embedding rows among ``keys``: L2
+def _l2_terms(params: m.ModelParams, rows) -> dict[str, np.ndarray]:
+    """Every weight matrix, plus the embedding ``rows`` as one block: L2
     covers the rows a batch touched, not all of ``emb``."""
-    return ([name for name in params.tensors if name != "emb" and not m.is_bias(name)]
-            + [key for key in keys if isinstance(key, tuple)])
+    terms = {name: t for name, t in params.tensors.items()
+             if name != "emb" and not m.is_bias(name)}
+    terms["emb"] = params.tensors["emb"][np.asarray(rows, dtype=np.intp)]
+    return terms
 
 
-def l2_penalty(params: m.ModelParams, l2: float, keys=()) -> float:
-    """(l2/2) * squared norm of weight matrices plus the embedding rows
-    among the slot ``keys``."""
+def l2_penalty(params: m.ModelParams, l2: float, rows=()) -> float:
+    """(l2/2) * squared norm of the weight matrices plus the embedding
+    ``rows``."""
     if l2 <= 0.0:
         return 0.0
-    return 0.5 * l2 * _squares(m.slot(params.tensors, key)
-                               for key in _l2_slots(params, keys))
+    return 0.5 * l2 * _squares(_l2_terms(params, rows).values())
 
 
 def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None:
-    """Add l2 * theta for every weight matrix and touched embedding row."""
+    """Add l2 * theta for every weight matrix and the embedding rows
+    ``grads.rows``."""
     if l2 <= 0.0:
         return
-    keys = _l2_slots(params, grads)
-    slots = [m.slot(params.tensors, key) for key in keys]
-    scratch = _scratch(max(t.size for t in slots), params.dtype)
-    for key, t in zip(keys, slots):
-        grads.add(key, np.multiply(t, l2, out=scratch(t)))
+    terms = _l2_terms(params, grads.rows)
+    scratch = _scratch(max(t.size for t in terms.values()), params.dtype)
+    for name, t in terms.items():
+        grads.add(name, np.multiply(t, l2, out=scratch(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +186,20 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
     The step aborts (nothing mutated) if any gradient is non-finite; a
-    finite gradient whose square overflows still steps.  The touched
-    embedding rows are updated as one block, and every temporary lives
-    in one scratch buffer.
+    finite gradient whose square overflows still steps.  The embedding
+    rows ``grads.rows`` are gathered, updated as one block and scattered
+    back, and every temporary lives in one scratch buffer.
     """
     if not math.isfinite(_squares(grads.values())):
-        for key, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {key!r}")
+        for name, g in grads.items():
+            bad = ~np.isfinite(g)
+            if bad.any():
+                row = f" row {grads.rows[bad.any(axis=1).argmax()]}" if name == "emb" else ""
+                raise TrainingError(f"non-finite gradient for parameter {name!r}{row}")
 
-    blocks = [(params.tensors[key], opt.accumulators[key], g)
-              for key, g in grads.items() if not isinstance(key, tuple)]
-    rows = np.array([key[1] for key in grads if isinstance(key, tuple)], dtype=np.intp)
-    if rows.size:
-        emb = (params.tensors["emb"][rows], opt.accumulators["emb"][rows],
-               np.array([g for key, g in grads.items() if isinstance(key, tuple)]))
-        blocks.append(emb)
+    emb = params.tensors["emb"][grads.rows], opt.accumulators["emb"][grads.rows]
+    blocks = [emb + (g,) if name == "emb" else
+              (params.tensors[name], opt.accumulators[name], g) for name, g in grads.items()]
     scratch = _scratch(max((g.size for _, _, g in blocks), default=0), params.dtype)
     for theta, acc, g in blocks:
         s = scratch(g)
@@ -207,8 +210,7 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
         np.divide(g, s, out=s)
         s *= learning_rate
         theta -= s
-    if rows.size:
-        params.tensors["emb"][rows], opt.accumulators["emb"][rows] = emb[:2]
+    params.tensors["emb"][grads.rows], opt.accumulators["emb"][grads.rows] = emb
     return params
 
 
@@ -277,14 +279,14 @@ def sentence_gradients(trees: Trees, params: m.ModelParams,
     tape = Tape()
     graph = build_forest_graph(tape, trees, params, vocab, train_mode=train_mode,
                                dropout=dropout, rng=rng)
-    table = GradTable()
     if graph.loss is None:
-        return np.zeros(len(trees)), table
+        return np.zeros(len(trees)), GradTable()
     grads = ad.backward(tape, graph.loss)
-    for key, ref in tape.keyed.items():
+    table = GradTable(rows=graph.states.rows)
+    for name, ref in tape.keyed.items():
         g = grads[ref.index]
         if g is not None:
-            table[key] = g
+            table[name] = g
     return tape.value(graph.tree_losses), table
 
 
@@ -375,7 +377,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config,
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise TrainingError(f"non-finite loss at sentence index {ids[bad[0]]}")
-    batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total)
+    batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total.rows)
     add_l2_gradients(total, params, config.l2)
     gnorm = total.norm()
     adagrad_step(params, total, opt, config.learning_rate)
@@ -449,13 +451,13 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     _, grads = sentence_gradients(forest, params, vocab)
     add_l2_gradients(grads, params, l2)
     analytic = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    for key, g in grads.items():
-        m.slot(analytic, key)[...] = g
+    for name, g in grads.items():
+        analytic[name][grads.rows if name == "emb" else ...] = g
 
     def objective() -> float:
         probe = Tape()
         got = build_forest_graph(probe, forest, params, vocab)
-        return float(probe.value(got.loss)) + l2_penalty(params, l2, grads)
+        return float(probe.value(got.loss)) + l2_penalty(params, l2, grads.rows)
 
     worst = 0.0
     for name, t in params.tensors.items():

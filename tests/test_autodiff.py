@@ -134,7 +134,7 @@ def test_backward_deterministic():
     (lambda t, r: ad.matmul(t, r[0], r[1]), [(3,), (4,)], "matmul"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(2, 3), (3, 2)], "add"),
     (lambda t, r: ad.mul(t, r[0], r[1]), [(2, 3), (2,)], "mul"),
-    (lambda t, r: ad.stack(t, r), [(), (3,)], "stack"),
+    (lambda t, r: ad.gather(t, r[0], [0]), [(3,)], "gather"),
     (lambda t, r: ad.concat(t, r), [(2, 3), (2, 4)], "concat"),
     (lambda t, r: ad.matmul(t, r[0], r[1], bias=r[2]), [(2, 3), (3, 4), (4,)], "matmul"),
     (lambda t, r: ad.matmul(t, r[0], r[1]), [(2, 3, 4), (4,)], "matmul"),
@@ -314,17 +314,25 @@ def test_segment_cross_entropy_sums_each_segment(rng):
         assert per_segment[t] == pytest.approx(float(tape.value(alone)), rel=1e-14)
 
 
-def test_fd_stack(rng):
-    left, right = rnd(rng, 3), rnd(rng, 2)
+def test_fd_gather(rng):
+    # row 2 is read twice and rows 1 and 3 never
+    table, index = rnd(rng, 4, 2), [2, 0, 2]
+    left, right = rnd(rng, 2), rnd(rng, 3)
 
     def build(t, r):
-        scores = ad.softmax(t, ad.stack(t, [ad.matmul(t, r[0], r[1]),
-                                            ad.matmul(t, r[1], r[1])]))
-        columns = ad.stack(t, [r[0], r[1]])  # (3, 2)
-        return ad.matmul(t, t.input(left), ad.matmul(
-            t, columns, ad.mul(t, scores, t.input(right))))
+        return ad.matmul(t, t.input(left),
+                         ad.matmul(t, ad.gather(t, r[0], index), t.input(right)))
 
-    check_op(build, [rnd(rng, 3), rnd(rng, 3)])
+    check_op(build, [table])
+    tape = Tape()
+    ref = tape.input(table)
+    columns = ad.gather(tape, ref, index)
+    np.testing.assert_array_equal(tape.value(columns), table[index].T)
+    grad = backward(tape, build(tape, [ref]))[ref.index]
+    outer = np.multiply.outer(left, right)  # the gradient of each column
+    np.testing.assert_array_equal(grad[[1, 3]], 0.0)
+    np.testing.assert_array_equal(grad[2], outer[:, 0] + outer[:, 2])
+    np.testing.assert_array_equal(grad[0], outer[:, 1])
 
 
 def test_fd_concat(rng):

@@ -22,11 +22,11 @@ def bench_pairs(tmp_path, monkeypatch):
     return module
 
 
-def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None):
+def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None, sent_per_s=70.0):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": {"value": setup_s, "unit": "s"},
-               "sent_per_s": {"value": 70.0, "unit": "1/s"}}
+               "sent_per_s": {"value": sent_per_s, "unit": "1/s"}}
     record = {"workload": "train_bigru_att_sst", "seed": seed, "seconds": 15.0,
               "trace": trace, "scale": "recipe", "env": {"nproc": 2, "git": None},
               "result": {"correct": True, "attempted": 10, "failed": 0,
@@ -58,6 +58,7 @@ def test_pairs_runs_by_seed_and_counts_wins(bench_pairs, tmp_path, capsys):
     assert setup["parent"]["median"] == pytest.approx(3.1)
     assert setup["change"]["median"] == pytest.approx(2.6)
     assert work["summary"]["sent_per_s"]["ties"] == 2
+    assert setup["verdict"] == work["summary"]["sent_per_s"]["verdict"] == "ok"
     assert [t["seed"] for t in work["traced"]["parent"]] == [9]
     assert work["traced"]["change"] == []
     assert "wrote" in capsys.readouterr().out
@@ -83,3 +84,36 @@ def test_refuses_two_records_of_one_run(bench_pairs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rerun.json" in err and "run-1-0.json" in err and "seed 1 trace 0" in err
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def verdicts(bench_pairs, tmp_path, parent_runs, change_runs):
+    """Each metric's verdict over runs given as (setup_s, sent_per_s)."""
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        for seed, (setup, rate) in enumerate(runs):
+            write_run(tmp_path / side, seed, setup, sent_per_s=rate)
+    assert bench_pairs.main(["--label", "v", "--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--parent-commit", "a", "--change-commit", "b"]) == 0
+    result = json.loads((tmp_path / "BENCH_v.json").read_text())
+    summary = result["workloads"]["train_bigru_att_sst"]["summary"]
+    return {metric: s["verdict"] for metric, s in summary.items()}
+
+
+def test_verdict_worse_past_the_bound(bench_pairs, tmp_path, capsys):
+    # BENCHMARK.json bounds both metrics at 0.25: setup 2.0 -> 2.6 s is
+    # 30% worse, 70 -> 56 sent/s is 20% worse and within the bound
+    got = verdicts(bench_pairs, tmp_path, [(2.0, 70.0)] * 3, [(2.6, 56.0)] * 3)
+    assert got == {"setup_s": "worse", "sent_per_s": "ok"}
+    assert "worse" in capsys.readouterr().out
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound(bench_pairs,
+                                                                   tmp_path):
+    # parent sent/s quartiles 60 and 80 around 70: a spread of 29% of the
+    # median; the change's median is better, yet one change run loses to
+    # a parent run.  Setup spreads by 40%, but every change run beats
+    # every parent run.
+    parent = [(1.5, 50.0), (2.5, 70.0), (3.5, 90.0)]
+    change = [(1.2, 72.0), (1.3, 75.0), (1.4, 80.0)]
+    assert verdicts(bench_pairs, tmp_path, parent, change) == {
+        "setup_s": "ok", "sent_per_s": "unresolved"}

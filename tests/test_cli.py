@@ -202,6 +202,23 @@ def test_train_binary_task(data_dir, tmp_path):
     assert manifest["classes"] == 2
 
 
+@pytest.mark.parametrize("split", ["train", "dev"])
+@pytest.mark.parametrize("task", ["fine", "binary"])
+def test_train_rejects_an_empty_split_before_training(data_dir, tmp_path, capsys,
+                                                      split, task):
+    path = data_dir / f"{split}.txt"
+    if task == "fine":
+        path.write_text("\n")
+    else:  # only neutral roots, which the binary task drops
+        path.write_text("(2 (3 good) (1 bad))\n(2 movie)\n")
+    out = tmp_path / "run"
+    assert main(train_args(data_dir, out, task=task)) == 2
+    err = capsys.readouterr().err
+    assert f"treebank file {path} holds no sentence" in err
+    assert ("non-neutral root" in err) == (task == "binary")
+    assert not (out / "train.log").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -10,7 +10,7 @@ from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab, random_embeddings
 from arbogru.model import (ModelError, _sigmoid, attention_pool, count_parameters,
                            child_slots, downward_pass, init_params,
-                           itemize_parameters, predict_nodes, slot, upward_pass)
+                           itemize_parameters, predict_nodes, upward_pass)
 from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
 
 import oracles
@@ -304,9 +304,10 @@ def recurrence_loss(trees, params, vocab, tape, probes):
 
 def check_recurrence_gradients(trees, params, vocab, probes) -> Tape:
     """Every keyed gradient of ``recurrence_loss`` against central
-    differences; returns the tape."""
+    differences over the whole tensor (an embedding row the forest does
+    not read has gradient 0); returns the tape."""
     tape = Tape()
-    _, loss = recurrence_loss(trees, params, vocab, tape, probes)
+    states, loss = recurrence_loss(trees, params, vocab, tape, probes)
     grads = ad.backward(tape, loss)
 
     def objective():
@@ -315,7 +316,11 @@ def check_recurrence_gradients(trees, params, vocab, probes) -> Tape:
             recurrence_loss(trees, params, vocab, probe_tape, probes)[1]))
 
     for key, ref in tape.keyed.items():
-        flat = slot(params.tensors, key).reshape(-1)
+        analytic = grads[ref.index]
+        if key == "emb":
+            analytic = np.zeros_like(params.tensors[key])
+            analytic[states.rows] = grads[ref.index]
+        flat = params.tensors[key].reshape(-1)
         fd = np.zeros(flat.size)
         for i in range(flat.size):
             saved = flat[i]
@@ -325,7 +330,7 @@ def check_recurrence_gradients(trees, params, vocab, probes) -> Tape:
             lo = objective()
             flat[i] = saved
             fd[i] = (hi - lo) / 2e-5
-        analytic = grads[ref.index].reshape(-1)
+        analytic = analytic.reshape(-1)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
         assert np.max(np.abs(analytic - fd) / denom) < 1e-6, key
     return tape
@@ -339,7 +344,7 @@ def test_gru_tree_matches_finite_differences():
     params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
     probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3, 6))
     tape = check_recurrence_gradients([parse_tree(SHAPED)], params, vocab, probes)
-    assert len(tape.keyed) == 12 + 9 + 3  # up and down tensors, three words
+    assert len(tape.keyed) == 12 + 9 + 1  # up and down tensors, emb
 
 
 # heights 1 and 2 mix unary and binary nodes, so their second child slot
@@ -406,8 +411,8 @@ def test_gru_tree_keeps_float32():
 
 
 def test_recurrence_tape_entries_do_not_grow_with_the_tree():
-    # one op per direction: beyond its keyed leaves (weights and word
-    # rows), a pass records the same entries for 3 nodes as for 31
+    # one op per direction: beyond its keyed leaves (one per tensor), a
+    # pass records the same entries for 3 nodes as for 31
     vocab = synth_vocab()
     params = random_params("treebigru", False, 4, vocab, seed=1)
     counts = []
@@ -417,7 +422,7 @@ def test_recurrence_tape_entries_do_not_grow_with_the_tree():
         states = upward_pass([tree], params, tape, vocab)
         downward_pass(states, params, tape)
         counts.append(len(tape) - len(tape.keyed))
-    assert counts[0] == counts[1] == 3  # leaf input stack, two ops
+    assert counts[0] == counts[1] == 3  # leaf input gather, two ops
 
 
 def test_upward_states_shared_between_variants():
@@ -884,28 +889,24 @@ def test_node_representation_requires_downward():
 
 
 # ---------------------------------------------------------------------------
-# parameter slots
-
-def test_slot_addresses_tensor_and_embedding_row():
-    params = random_params("treegru", False, 3, synth_vocab(), seed=1)
-    assert slot(params.tensors, "U_z") is params.tensors["U_z"]
-    before = params.tensors["emb"][2].copy()
-    row = slot(params.tensors, ("emb", 2))
-    np.testing.assert_array_equal(row, before)
-    row += 1.0  # a view: writes land in the tensor
-    np.testing.assert_array_equal(params.tensors["emb"][2], before + 1.0)
-
+# parameter leaves
 
 def test_passes_register_each_parameter_slot_once():
-    # a repeated word reads one embedding row; each weight is one tape leaf
+    # one leaf per tensor; the emb leaf holds the distinct rows the leaves
+    # read, ascending, though "movie" comes first and twice
     vocab = synth_vocab()
     params = random_params("treebigru", True, 3, vocab, seed=2)
-    tree = parse_tree("(3 (2 good) (3 (2 good) (2 movie)))")
+    tree = parse_tree("(3 (2 movie) (3 (2 good) (2 movie)))")
     tape = Tape()
     states = upward_pass([tree], params, tape, vocab)
     downward_pass(states, params, tape)
     predict_nodes(states, params, tape, attn=attention_pool(states, params, tape))
-    rows = {("emb", vocab.lookup("good")), ("emb", vocab.lookup("movie"))}
-    assert set(tape.keyed) == (set(params.tensors) - {"emb"}) | rows
+    assert set(tape.keyed) == set(params.tensors)
+    rows = sorted({vocab.lookup("good"), vocab.lookup("movie")})
+    assert rows[0] != vocab.lookup("movie")
+    assert states.rows.tolist() == rows
+    np.testing.assert_array_equal(tape.value(tape.keyed["emb"]),
+                                  params.tensors["emb"][rows])
     for key, ref in tape.keyed.items():
-        assert np.shares_memory(tape.value(ref), slot(params.tensors, key))
+        if key != "emb":
+            assert tape.value(ref) is params.tensors[key]

@@ -16,8 +16,9 @@ from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               sentence_gradients, train)
 from arbogru.treebank import Corpus, parse_tree, to_binary_task
 
-from conftest import (FOREST_CASES, forest_params, full_binary_tree, mixed_forest,
-                      random_params, synth_corpus, synth_tree, synth_vocab)
+from conftest import (FOREST_CASES, WORDS, forest_params, full_binary_tree,
+                      mixed_forest, random_params, synth_corpus, synth_tree,
+                      synth_vocab)
 from oracles import compute_loss
 
 VARIANT_CASES = [("treegru", False), ("treegru", True),
@@ -48,19 +49,18 @@ def test_loss_includes_l2_penalty():
     params = random_params("treegru", False, 3, vocab, seed=5)
     emb = params.tensors["emb"]
     bare = l2_penalty(params, 0.01)
-    with_rows = l2_penalty(params, 0.01, [("emb", 1), ("emb", 2)])
+    with_rows = l2_penalty(params, 0.01, [1, 2])
     assert bare > 0.0
     assert with_rows == pytest.approx(
         bare + 0.005 * (np.sum(emb[1] ** 2) + np.sum(emb[2] ** 2)))
-    assert l2_penalty(params, 0.0, [("emb", 1), ("emb", 2)]) == 0.0
-    # tensor keys among the slots neither count twice nor bring in biases
-    assert l2_penalty(params, 0.01, ["U_z", "b_z", ("emb", 1), ("emb", 2)]) == with_rows
+    assert l2_penalty(params, 0.01, np.array([1, 2])) == with_rows
+    assert l2_penalty(params, 0.0, [1, 2]) == 0.0
 
 
 def test_l2_penalty_skips_biases_and_untouched_rows():
     vocab = synth_vocab()
     params = random_params("treegru", False, 3, vocab, seed=6)
-    value = l2_penalty(params, 2.0, [("emb", 0)])
+    value = l2_penalty(params, 2.0, [0])
     expected = 0.0
     for name, t in params.tensors.items():
         if name == "emb" or name.startswith("b"):
@@ -127,7 +127,7 @@ def test_adagrad_sparse_embedding_rows():
     opt = OptimizerState.for_params(params)
     emb_before = params.tensors["emb"].copy()
     g = np.array([1.0, -1.0])
-    adagrad_step(params, GradTable({("emb", 2): g}), opt, 0.01)
+    adagrad_step(params, GradTable({"emb": g[None]}, rows=[2]), opt, 0.01)
     changed = np.where(np.any(params.tensors["emb"] != emb_before, axis=1))[0]
     assert list(changed) == [2]
 
@@ -137,24 +137,29 @@ def test_adagrad_step_updates_row_and_tensor_alike():
     opt = OptimizerState.for_params(params)
     emb_before = params.tensors["emb"].copy()
     bias_before = params.tensors["b_z"].copy()
-    grads = GradTable({("emb", 2): np.array([3.0, -4.0]), "b_z": np.array([2.0, 0.5])})
+    rows = [1, 3]  # the block's row i is emb row rows[i]
+    grads = GradTable({"emb": np.array([[3.0, -4.0], [-0.5, 1.0]]),
+                       "b_z": np.array([2.0, 0.5])}, rows=rows)
     adagrad_step(params, grads, opt, 0.1)
     # first step: g / sqrt(g^2) = sign(g), so each coordinate moves by lr
-    np.testing.assert_allclose(emb_before[2] - params.tensors["emb"][2], [0.1, -0.1],
-                               rtol=0, atol=1e-8)
-    np.testing.assert_array_equal(opt.accumulators["emb"][2], [9.0, 16.0])
+    np.testing.assert_allclose(emb_before[rows] - params.tensors["emb"][rows],
+                               [[0.1, -0.1], [-0.1, 0.1]], rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(opt.accumulators["emb"][rows],
+                                  [[9.0, 16.0], [0.25, 1.0]])
     np.testing.assert_allclose(bias_before - params.tensors["b_z"], [0.1, 0.1],
                                rtol=0, atol=1e-8)
     np.testing.assert_array_equal(opt.accumulators["b_z"], [4.0, 0.25])
-    others = np.arange(len(emb_before)) != 2
+    others = ~np.isin(np.arange(len(emb_before)), rows)
     np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
     assert np.all(opt.accumulators["emb"][others] == 0.0)
-    # second step on the row alone: acc = (10, 16), step = lr * g / sqrt(acc)
-    row_before = params.tensors["emb"][2].copy()
-    adagrad_step(params, GradTable({("emb", 2): np.array([1.0, 0.0])}), opt, 0.1)
-    np.testing.assert_allclose(row_before - params.tensors["emb"][2],
+    # second step on row 1 alone: acc = (10, 16), step = lr * g / sqrt(acc)
+    block_before = params.tensors["emb"][rows].copy()
+    adagrad_step(params, GradTable({"emb": np.array([[1.0, 0.0]])}, rows=[1]), opt, 0.1)
+    np.testing.assert_allclose(block_before[0] - params.tensors["emb"][1],
                                [0.1 / np.sqrt(10.0), 0.0], rtol=0, atol=1e-9)
-    np.testing.assert_array_equal(opt.accumulators["emb"][2], [10.0, 16.0])
+    np.testing.assert_array_equal(opt.accumulators["emb"][1], [10.0, 16.0])
+    np.testing.assert_array_equal(params.tensors["emb"][3], block_before[1])
+    np.testing.assert_array_equal(opt.accumulators["emb"][3], [0.25, 1.0])
     np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
 
 
@@ -164,11 +169,11 @@ def test_adagrad_rejects_nonfinite_and_leaves_params_untouched():
     snapshot = {k: v.copy() for k, v in params.tensors.items()}
     bad = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
                      "U_z": np.full_like(params.tensors["U_z"], np.nan)})
-    with pytest.raises(TrainingError, match="U_z"):
+    with pytest.raises(TrainingError, match="parameter 'U_z'$"):
         adagrad_step(params, bad, opt, 0.01)
     bad_row = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
-                         ("emb", 3): np.array([0.0, np.inf])})
-    with pytest.raises(TrainingError, match=r"\('emb', 3\)"):
+                         "emb": np.array([[1.0, 2.0], [0.0, np.inf]])}, rows=[1, 3])
+    with pytest.raises(TrainingError, match="parameter 'emb' row 3$"):
         adagrad_step(params, bad_row, opt, 0.01)
     for name, t in params.tensors.items():
         assert np.array_equal(t, snapshot[name])
@@ -251,7 +256,7 @@ def test_l2_only_gradient_matches_fd_exactly():
     vocab = synth_vocab()
     params = random_params("treegru", False, 3, vocab, seed=9)
     l2 = 1e-4
-    touched = [("emb", 0), ("emb", 1)]
+    touched = [0, 1]
     eps = 1e-5
     for name in ("U_z", "W_s"):
         t = params.tensors[name]
@@ -274,6 +279,16 @@ def assert_relative(got, want, tol=1e-12):
     assert float(np.max(np.abs(got - want))) <= tol * scale
 
 
+def dense_gradients(table, params):
+    """``table`` with its embedding row block scattered into a zero matrix
+    shaped like ``emb``."""
+    dense = dict(table)
+    if "emb" in table:
+        dense["emb"] = np.zeros_like(params.tensors["emb"])
+        dense["emb"][table.rows] = table["emb"]
+    return dense
+
+
 def test_batch_gradient_equals_sum_of_sentence_gradients():
     # one forest on one tape must agree with one tape per sentence
     vocab = synth_vocab()
@@ -282,16 +297,42 @@ def test_batch_gradient_equals_sum_of_sentence_gradients():
         params = forest_params(variant, attention, norm, 6, seed=3)
         losses, forest = sentence_gradients(trees, params, vocab)
         assert losses.shape == (len(trees),)
-        summed = {}
+        summed, rows = {}, set()
         for t, tree in enumerate(trees):
             loss, table = sentence_gradients([tree], params, vocab)
             assert_relative(losses[t], loss[0])
-            for key, g in table.items():
+            rows.update(table.rows.tolist())
+            for key, g in dense_gradients(table, params).items():
                 summed[key] = summed[key] + g if key in summed else g
-        assert set(forest) == set(summed), (variant, attention, norm)
-        assert any(isinstance(key, tuple) for key in forest)  # embedding rows too
+        assert set(forest) == set(summed) == set(params.tensors), (variant, attention,
+                                                                    norm)
+        assert forest.rows.tolist() == sorted(rows)
+        dense = dense_gradients(forest, params)
+        for row in range(vocab.size):  # embedding rows one by one
+            assert_relative(dense["emb"][row], summed["emb"][row])
         for key, g in forest.items():
-            assert_relative(g, summed[key])
+            if key != "emb":
+                assert_relative(g, summed[key])
+
+
+@pytest.mark.parametrize("variant,attention", VARIANT_CASES)
+def test_training_batch_tape_has_one_leaf_per_tensor(variant, attention):
+    # 25 trees of one shape, reading one word or every word of the
+    # vocabulary: the embedding rows are one leaf, so the tape is as long
+    vocab = synth_vocab()
+    params = random_params(variant, attention, 4, vocab, seed=4)
+    shape = "(2 (2 (2 {}) (2 {})) (2 {}))"
+    words = [WORDS[i % len(WORDS)] for i in range(75)]
+    lengths = []
+    for batch in (["good"] * 75, words):
+        trees = [parse_tree(shape.format(*batch[3 * t:3 * t + 3])) for t in range(25)]
+        tape = Tape()
+        graph = build_forest_graph(tape, trees, params, vocab, train_mode=True,
+                                   dropout=0.5, rng=np.random.default_rng(0))
+        assert set(tape.keyed) == set(params.tensors)
+        assert graph.states.rows.size == len(set(batch))
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1]
 
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)

@@ -13,9 +13,14 @@ root of this repository with, per workload:
 - ``runs``: every untraced run's end-to-end metrics and correctness, by
   seed and side, with its place in the run order (the records'
   modification times, over both checkouts);
-- ``summary``: per end-to-end metric, each side's median and quartiles
-  and the change's wins, losses and ties over the seed pairs, judged by
-  the metric's direction in ``BENCHMARK.json``;
+- ``summary``: per end-to-end metric, each side's median and quartiles,
+  the change's wins, losses and ties over the seed pairs, judged by the
+  metric's direction in ``BENCHMARK.json``, and a no-regression
+  ``verdict`` against the metric's relative ``bound`` there: ``worse``
+  when the change's median is worse than the parent's by more than the
+  bound; else ``unresolved`` when the parent's quartile spread exceeds
+  the bound times its median and not every change run beats every
+  parent run; else ``ok``;
 - ``traced``: the per-layer metrics of each side's ``--trace 1`` runs.
 
 Only recipe-scale records are read, and only seeds that both checkouts
@@ -73,28 +78,44 @@ def metrics_of(record: dict) -> dict:
     return {name: m["value"] for name, m in record["result"]["metrics"].items()}
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
+def verdict(parent: list[float], change: list[float], sign: float,
+            bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok``: see the module docstring."""
+    p, c = quartiles(parent), quartiles(change)
+    scale = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) < -scale:
+        return "worse"
+    if p["q3"] - p["q1"] > scale and not (
+            min(sign * x for x in change) > max(sign * x for x in parent)):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list[dict], spec: dict) -> dict:
     summary = {}
-    for metric, direction in better.items():
+    for metric, m in spec.items():
         pairs = [(run["parent"]["metrics"][metric], run["change"]["metrics"][metric])
                  for run in runs
                  if metric in run["parent"]["metrics"] and metric in run["change"]["metrics"]]
         if not pairs:
             continue
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if m["better"] == "higher" else -1.0
         gains = [sign * (change - parent) for parent, change in pairs]
+        parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         summary[metric] = {
-            "better": direction,
-            "parent": quartiles([p for p, _ in pairs]),
-            "change": quartiles([c for _, c in pairs]),
+            "better": m["better"],
+            "parent": quartiles(parent),
+            "change": quartiles(change),
             "wins": sum(g > 0 for g in gains),
             "losses": sum(g < 0 for g in gains),
             "ties": sum(g == 0 for g in gains),
+            "bound": m["bound"],
+            "verdict": verdict(parent, change, sign, m["bound"]),
         }
     return summary
 
 
-def pair_up(records: dict, better: dict) -> dict:
+def pair_up(records: dict, spec: dict) -> dict:
     """Per workload: the paired untraced runs, their summary, the traced runs."""
     order = sorted((r["mtime"], side, r["workload"], r["seed"], r["trace"])
                    for side in SIDES for r in records[side])
@@ -121,7 +142,7 @@ def pair_up(records: dict, better: dict) -> dict:
                           "correct": r["result"]["correct"], "metrics": metrics_of(r)}
                          for (seed, trace), r in sorted(by_side[side].items()) if trace == 1]
                   for side in SIDES}
-        out[workload] = {"runs": runs, "summary": summarize(runs, better),
+        out[workload] = {"runs": runs, "summary": summarize(runs, spec),
                          "traced": traced}
     return out
 
@@ -136,8 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        spec = json.load(handle)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
     try:
         records = {side: read_records(getattr(args, side)) for side in SIDES}
     except DuplicateRun as err:
@@ -162,7 +182,7 @@ def main(argv=None) -> int:
                    "env": [json.loads(e) for e in environments["parent"]]},
         "change": {"commit": args.change_commit,
                    "env": [json.loads(e) for e in environments["change"]]},
-        "workloads": pair_up(records, better),
+        "workloads": pair_up(records, spec),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -175,7 +195,7 @@ def main(argv=None) -> int:
                   f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
                   f"change {s['change']['median']:.4g} "
                   f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
-                  f"wins {s['wins']}/{len(data['runs'])}")
+                  f"wins {s['wins']}/{len(data['runs'])}  {s['verdict']}")
     print(f"wrote {path}")
     return 0
 
