@@ -371,7 +371,8 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
 def upward_pass(trees: Trees, params: ModelParams, tape: Tape, vocab: Vocabulary,
                 input_mask: MaskFn = None) -> NodeStates:
     """Bottom-up phase over the forest ``trees``; leaves read (optionally
-    masked) embedding rows, and only leaves have an input."""
+    masked) embedding rows, and only leaves have an input.  One call per
+    tape: the tape's ``"emb"`` leaf holds this forest's rows."""
     forest = as_forest(trees)
     slots = child_slots(forest, params.max_children)
     leaves = np.flatnonzero(forest.heights == 0)
