@@ -7,7 +7,8 @@ per sentence, so one tape is built per forest (a minibatch, or a chunk
 of a corpus being scored) and discarded after the backward sweep.  The
 ops that work per sentence take ``offsets``: segment t of a forest's
 node axis is ``offsets[t]:offsets[t+1]``.  Everything runs in the dtype
-of the inputs (float64 for tests and gradient checks).
+of the inputs (float64 for tests and gradient checks).  Every
+node-indexed matrix is node-major: row j is node j.
 """
 
 from __future__ import annotations
@@ -84,27 +85,28 @@ def _fail(op: str, *shapes) -> None:
     raise ShapeMismatch(f"{op}: operand shapes do not conform: {pretty}")
 
 
-def matmul(tape: Tape, a: ValueRef, b: ValueRef,
+def linear(tape: Tape, x: ValueRef, w: ValueRef,
            bias: Optional[ValueRef] = None) -> ValueRef:
-    """``a @ b`` with numpy semantics on 1-D/2-D operands, plus an optional
-    ``bias`` added to every column of the result."""
-    av, bv = tape.value(a), tape.value(b)
-    if not (0 < av.ndim <= 2 and 0 < bv.ndim <= 2 and av.shape[-1] == bv.shape[0]):
-        _fail("matmul", av.shape, bv.shape)
-    out = av @ bv
-    parents = (a.index, b.index)
+    """``x @ w.T + bias``: each row of ``x`` is one input, ``w`` is an
+    (out, in) matrix or an (in,) vector, and ``bias`` (one entry per
+    output) is added to every row of a matrix result."""
+    xv, wv = tape.value(x), tape.value(w)
+    if not (0 < xv.ndim <= 2 and 0 < wv.ndim <= 2 and xv.shape[-1] == wv.shape[-1]):
+        _fail("linear", xv.shape, wv.shape)
+    out = xv @ wv.T
+    parents = (x.index, w.index)
     if bias is not None:
         cv = tape.value(bias)
-        if cv.shape != out.shape[:1]:
-            _fail("matmul", av.shape, bv.shape, cv.shape)
-        out = out + (cv[:, None] if out.ndim == 2 else cv)
+        if out.ndim != 2 or cv.shape != out.shape[1:]:
+            _fail("linear", xv.shape, wv.shape, cv.shape)
+        out = out + cv
         parents += (bias.index,)
 
     def vjp(g):
-        grads = (g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv),
-                 av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
+        grads = (g @ wv if wv.ndim == 2 else np.multiply.outer(g, wv),
+                 g.T @ xv if xv.ndim == 2 else np.multiply.outer(g, xv))
         if bias is not None:
-            grads += (g.sum(axis=1) if g.ndim == 2 else g,)
+            grads += (g.sum(axis=0),)
         return grads
 
     return tape.append(np.asarray(out), parents, vjp)
@@ -139,141 +141,124 @@ def tanh(tape: Tape, a: ValueRef) -> ValueRef:
     return tape.append(y, (a.index,), vjp)
 
 
-def _segments(offsets, n: int) -> np.ndarray:
-    """Segment bounds along an axis of length ``n``; None is one segment."""
-    return np.array([0, n]) if offsets is None else np.asarray(offsets)
-
-
 def _segment_sum(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of each segment of the last axis of ``x`` (segments are non-empty)."""
-    return np.add.reduceat(x, offsets[:-1], axis=-1)
+    """Sums of each segment of the first axis of ``x`` (segments are non-empty)."""
+    return np.add.reduceat(x, offsets[:-1], axis=0)
 
 
 def _spread(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each segment's entry of ``s`` repeated over the segment's positions."""
-    return np.repeat(s, np.diff(offsets), axis=-1)
+    return np.repeat(s, np.diff(offsets), axis=0)
 
 
-def softmax(tape: Tape, a: ValueRef, offsets=None) -> ValueRef:
+def softmax(tape: Tape, a: ValueRef, offsets) -> ValueRef:
     """Exponential-normalized weighting of a vector, per segment
     (max-shifted for stability)."""
     x = tape.value(a)
     if x.ndim != 1:
         _fail("softmax", x.shape)
-    seg = _segments(offsets, x.shape[0])
-    e = np.exp(x - _spread(np.maximum.reduceat(x, seg[:-1]), seg))
-    y = e / _spread(_segment_sum(e, seg), seg)
+    e = np.exp(x - _spread(np.maximum.reduceat(x, offsets[:-1]), offsets))
+    y = e / _spread(_segment_sum(e, offsets), offsets)
 
     def vjp(g):
-        return (y * (g - _spread(_segment_sum(g * y, seg), seg)),)
+        return (y * (g - _spread(_segment_sum(g * y, offsets), offsets)),)
 
     return tape.append(y, (a.index,), vjp)
 
 
-def linear_norm(tape: Tape, a: ValueRef, offsets=None) -> ValueRef:
+def linear_norm(tape: Tape, a: ValueRef, offsets) -> ValueRef:
     """Literal linear normalization ``x / sum(x)`` per segment; sign-unsafe
     by design."""
     x = tape.value(a)
     if x.ndim != 1:
         _fail("linear_norm", x.shape)
-    seg = _segments(offsets, x.shape[0])
-    totals = _segment_sum(x, seg)
+    totals = _segment_sum(x, offsets)
     degenerate = np.flatnonzero(np.abs(totals) < 1e-12)
     if degenerate.size:
         raise FloatingPointError(
             f"linear_norm: scores of segment {degenerate[0]} sum to ~0")
-    total = _spread(totals, seg)
+    total = _spread(totals, offsets)
     y = x / total
 
     def vjp(g):
-        return ((g - _spread(_segment_sum(g * y, seg), seg)) / total,)
+        return ((g - _spread(_segment_sum(g * y, offsets), offsets)) / total,)
 
     return tape.append(y, (a.index,), vjp)
 
 
 def pool(tape: Tape, nodes: ValueRef, weights: ValueRef, offsets) -> ValueRef:
-    """Per segment, the columns of ``nodes`` weighted by ``weights`` and
-    summed: a rows x segments matrix."""
+    """Per segment, the rows of ``nodes`` weighted by ``weights`` and
+    summed: a segments x width matrix."""
     C, w = tape.value(nodes), tape.value(weights)
-    if C.ndim != 2 or w.shape != C.shape[1:]:
+    if C.ndim != 2 or w.shape != C.shape[:1]:
         _fail("pool", C.shape, w.shape)
-    seg = np.asarray(offsets)
 
     def vjp(g):
-        spread = _spread(g, seg)  # each column's segment gradient
-        return spread * w, np.einsum("ij,ij->j", C, spread)
+        spread = _spread(g, offsets)  # each row's segment gradient
+        return spread * w[:, None], np.einsum("ij,ij->i", C, spread)
 
-    return tape.append(_segment_sum(C * w, seg), (nodes.index, weights.index), vjp)
+    return tape.append(_segment_sum(C * w[:, None], offsets),
+                       (nodes.index, weights.index), vjp)
 
 
-def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold,
-                          offsets=None) -> ValueRef:
+def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold, offsets) -> ValueRef:
     """Fused ``-log softmax(logits)[gold]`` via max-shifted log-sum-exp.
 
-    ``logits`` is a vector with an int ``gold``, or a classes x nodes
-    matrix with one gold label per column; a negative label marks a
-    column as unsupervised.  The loss is the sum over the columns, or,
-    given ``offsets``, the vector of the sums over each segment of them.
+    ``logits`` is a nodes x classes matrix with one gold label per row; a
+    negative label marks a row as unsupervised.  The loss is the vector
+    of the sums over each segment of the rows.
     """
-    x = tape.value(logits)
-    if x.ndim == 1 and np.ndim(gold) == 0:
-        if not 0 <= gold < x.shape[0]:
-            raise IndexError(f"gold label {gold} outside logits of length {x.shape[0]}")
-        cols, labels = x[:, None], np.array([gold])
-    elif x.ndim == 2 and np.shape(gold) == x.shape[1:]:
-        cols, labels = x, np.asarray(gold)
-        if np.any(labels >= x.shape[0]):
-            raise IndexError(f"gold label {labels.max()} outside logits of length "
-                             f"{x.shape[0]}")
-    else:
-        _fail("softmax_cross_entropy", x.shape, np.shape(gold))
+    x, labels = tape.value(logits), np.asarray(gold)
+    if x.ndim != 2 or labels.shape != x.shape[:1]:
+        _fail("softmax_cross_entropy", x.shape, labels.shape)
+    if np.any(labels >= x.shape[1]):
+        raise IndexError(f"gold label {labels.max()} outside {x.shape[1]} classes")
     supervised = labels >= 0
     sup = np.flatnonzero(supervised)
-    rows = labels[sup]
-    shifted = cols - np.max(cols, axis=0)
+    cols = labels[sup]
+    shifted = x - np.max(x, axis=1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=0)
-    terms = np.zeros(cols.shape[1], dtype=cols.dtype)  # one per column
-    terms[sup] = np.log(total[sup]) - shifted[rows, sup]
-    loss = np.asarray(terms.sum()) if offsets is None else _segment_sum(terms, offsets)
+    total = e.sum(axis=1, keepdims=True)
+    terms = np.zeros(x.shape[0], dtype=x.dtype)  # one per row
+    terms[sup] = np.log(total[sup, 0]) - shifted[sup, cols]
     probs = e / total
 
     def vjp(g):
-        per_column = supervised * (g if offsets is None else _spread(g, offsets))
-        grad = probs * per_column
-        grad[rows, sup] -= per_column[sup]
-        return (grad.reshape(x.shape),)
+        per_row = supervised * _spread(g, offsets)
+        grad = probs * per_row[:, None]
+        grad[sup, cols] -= per_row[sup]
+        return (grad,)
 
-    return tape.append(loss, (logits.index,), vjp)
+    return tape.append(_segment_sum(terms, offsets), (logits.index,), vjp)
 
 
 def gather(tape: Tape, table: ValueRef, index) -> ValueRef:
-    """Rows ``index`` of the matrix ``table`` as the columns of a matrix;
-    the gradient of a repeated row sums its columns in index order."""
+    """Rows ``index`` of the matrix ``table``; the gradient of a repeated
+    row sums its rows' gradients in index order."""
     t = tape.value(table)
     if t.ndim != 2:
         _fail("gather", t.shape)
 
     def vjp(g):
         grad = np.zeros_like(t)
-        np.add.at(grad, index, g.T)
+        np.add.at(grad, index, g)
         return (grad,)
 
-    return tape.append(t[index].T, (table.index,), vjp)
+    return tape.append(t[index], (table.index,), vjp)
 
 
 def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
-    """Values joined along their first axis; the other axes must agree."""
+    """Values joined along their last axis; the other axes must agree."""
     values = [tape.value(r) for r in refs]
-    if not values or any(v.ndim == 0 or v.shape[1:] != values[0].shape[1:]
+    if not values or any(v.ndim == 0 or v.shape[:-1] != values[0].shape[:-1]
                          for v in values):
         _fail("concat", *[v.shape for v in values])
-    offsets = np.cumsum([0] + [v.shape[0] for v in values])
+    offsets = np.cumsum([0] + [v.shape[-1] for v in values])
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(refs)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(refs)))
 
-    return tape.append(np.concatenate(values), tuple(r.index for r in refs), vjp)
+    return tape.append(np.concatenate(values, axis=-1), tuple(r.index for r in refs), vjp)
 
 
 def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:

@@ -13,7 +13,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
                        build_forest_graph, evaluate, gradient_check, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
-                       TreebankError, as_forest, load_corpus, parse_tree)
+                       TreebankError, as_forest, load_corpus, open_text, parse_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -177,14 +176,8 @@ def run_train(args) -> int:
     _require(args.l2 >= 0.0, "--l2 must be nonnegative")
     _require(args.evals_per_epoch >= 1, "--evals-per-epoch must be at least 1")
 
-    paths = [Path(args.data) / f"{split}.txt" for split in ("train", "dev")]
-    for path in paths:
-        _require(path.exists(), f"missing treebank file {path}")
-    load = partial(load_corpus, task=args.task, max_arity=MAX_CHILDREN)
-    corpora = SplitCorpora(*map(load, paths))
-    for path, corpus in zip(paths, (corpora.train, corpora.dev)):
-        _require(len(corpus.trees) > 0, f"treebank file {path} holds no sentence" + (
-            " with a non-neutral root" if args.task == TASK_BINARY else ""))
+    corpora = SplitCorpora(*(_load_split(args.data, split, args.task, MAX_CHILDREN)
+                             for split in ("train", "dev")))
     config = TrainConfig(
         variant=args.variant, attention=args.attention, task=args.task,
         dim=args.dim, learning_rate=args.lr, batch_size=args.batch, l2=args.l2,
@@ -241,6 +234,17 @@ def run_train(args) -> int:
     return 0
 
 
+def _load_split(data: str, split: str, task: str, max_arity: int):
+    """The corpus of treebank file ``<split>.txt`` under ``data``;
+    UsageError if it is missing or holds no sentence the task keeps."""
+    path = Path(data) / f"{split}.txt"
+    _require(path.exists(), f"missing treebank file {path}")
+    corpus = load_corpus(path, task, max_arity=max_arity)
+    _require(len(corpus.trees) > 0, f"treebank file {path} holds no sentence" + (
+        " with a non-neutral root" if task == TASK_BINARY else ""))
+    return corpus
+
+
 @contextmanager
 def _replacing(path: Path):
     """Yield a temporary path next to ``path`` that replaces it once the
@@ -273,9 +277,7 @@ def run_eval(args) -> int:
              f"checkpoint has {params.classes} classes; eval scores "
              f"{FINE_CLASSES}-class ({TASK_FINE}) or "
              f"{BINARY_CLASSES}-class ({TASK_BINARY}) models")
-    split_path = Path(args.data) / f"{args.split}.txt"
-    _require(split_path.exists(), f"missing treebank file {split_path}")
-    corpus = load_corpus(split_path, task, max_arity=params.max_children)
+    corpus = _load_split(args.data, args.split, task, params.max_children)
     metrics = evaluate(corpus, params, vocab)
     print(f"root_accuracy {metrics.root_accuracy:.4f}")
     print(f"node_accuracy {metrics.node_accuracy:.4f}")
@@ -289,7 +291,7 @@ def run_predict(args) -> int:
                          "with --attention")
     failures = 0
     chunk: list = []
-    with open(args.input, encoding="utf-8") as handle:
+    with open_text(args.input, UsageError) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

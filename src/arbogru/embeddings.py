@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .treebank import Corpus
+from .treebank import Corpus, open_text
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
@@ -75,7 +75,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, EmbeddingError) as handle:
         id_to_word = [line.rstrip("\n") for line in handle]
     if not id_to_word or id_to_word[UNK_ID] != UNK_TOKEN:
         raise EmbeddingError(f"{path}: not a vocabulary file")
@@ -89,10 +89,10 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
     A vocabulary word matches a file entry exactly or by lowercasing; the
     first line of a word wins, and an exact match beats a lowercase one.
     Every non-empty line must carry exactly ``dim`` values, and every line
-    kept for a wanted word must parse and be finite in ``dtype``;
-    otherwise EmbeddingError names the first faulty line.  Rows for
-    missing words (including UNK) are drawn from the passed generator in
-    id order, so the result is reproducible for a fixed seed.
+    kept for a wanted word must parse and be finite in ``dtype``; otherwise,
+    or if a line is not UTF-8, EmbeddingError names the first faulty line.
+    Rows for missing words (including UNK) are drawn from the passed
+    generator in id order, so the result is reproducible for a fixed seed.
 
     One scan reads each line once, with C-level string operations: it
     splits off the word with ``str.find`` and keeps the values text of the
@@ -124,7 +124,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, rng,
             rows.clear()
             linenos.clear()
 
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, EmbeddingError) as handle:
         for lineno, line in enumerate(handle, start=1):
             if line == "\n":
                 continue

@@ -21,14 +21,14 @@ with its own Ud/Wd/bd tensors, the node's upward state as input and the
 parent's downward state as the only child; the root's downward state is
 defined as its upward state.
 
-``gru_tree`` applies the rule to a whole forest as one tape op: the
-states form a d x nodes matrix, one column per node, filled level by
-level (upward by height, downward by depth), with each gate of a level
-one matrix product per child slot over the level's nodes of every tree
-and a zero pad state standing in for a missing child.  Inside the op
-the buffers are node-major (one row per node).  The attention head and
-classifiers work on these matrices whole; attention normalizes and
-pools each tree's columns on their own.
+Every node-indexed matrix, from the embedding gather to the loss, is
+node-major: row j is node j.  ``gru_tree`` applies the rule to a whole
+forest as one tape op: the states form a nodes x d matrix, filled level
+by level (upward by height, downward by depth), with each gate of a
+level one matrix product per child slot over the level's nodes of every
+tree and a zero pad state standing in for a missing child.  The
+attention head and classifiers work on these matrices whole; attention
+normalizes and pools each tree's rows on their own.
 """
 
 from __future__ import annotations
@@ -203,16 +203,16 @@ def _param(tape: Tape, params: ModelParams, name: str) -> ValueRef:
 
 @dataclass
 class NodeStates:
-    """Activations of every node, one column per node of ``forest``.
+    """Activations of every node, row j for node j of ``forest``.
 
     The states ``H_*`` are tape values; the gates are plain arrays (the
-    downward root has none, so its gate columns are zero).  The tape's
+    downward root has none, so its gate rows are zero).  The tape's
     ``"emb"`` leaf holds the embedding ``rows`` the leaves read, ascending.
     """
 
     forest: Forest
     rows: np.ndarray
-    H_up: ValueRef                        # (dim, nodes)
+    H_up: ValueRef                        # (nodes, dim)
     z_up: np.ndarray
     r_up: np.ndarray
     cand_up: np.ndarray
@@ -227,15 +227,15 @@ class AttentionResult:
     """Node weights, normalized per tree, and the pooled sentence vectors."""
 
     weights: ValueRef   # (node count,)
-    sentence: ValueRef  # (node representation width, trees)
+    sentence: ValueRef  # (trees, node representation width)
 
 
 @dataclass
 class NodePredictions:
-    """Classifier outputs; column or row j belongs to node j."""
+    """Classifier outputs; row j belongs to node j."""
 
-    logits: ValueRef            # (classes, nodes), from the state classifier
-    root: Optional[ValueRef]    # (classes, trees), from the sentence vectors
+    logits: ValueRef            # (nodes, classes), from the state classifier
+    root: Optional[ValueRef]    # (trees, classes), from the sentence vectors
     probs: np.ndarray           # (nodes, classes); root rows follow ``root`` if set
     labels: list[int]
 
@@ -262,18 +262,17 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
              inputs: ValueRef, columns, slots: np.ndarray, levels: list[np.ndarray]):
     """The rule of the module docstring over a forest, recorded as one
     tape op; returns (H, (Z, R, C)), the states as a tape value and the
-    z/r/candidate gates as plain arrays, all d x nodes.
+    z/r/candidate gates as plain arrays, all nodes x d.
 
     ``names`` are a direction's tensor-name templates; ``inputs`` holds
-    the input columns of the nodes ``columns`` (an index array or a
-    slice), and the input terms vanish at every other node.  Row j of
-    ``slots`` lists node j's children, -1 for none (a zero pad state).
-    ``levels`` are node index arrays whose children all lie in earlier
-    levels; a node in no level takes its input column as its state and
-    keeps zero gates.
+    the input rows of the nodes ``columns`` (an index array or a slice),
+    and the input terms vanish at every other node.  Row j of ``slots``
+    lists node j's children, -1 for none (a zero pad state).  ``levels``
+    are node index arrays whose children all lie in earlier levels; a
+    node in no level takes its input row as its state and keeps zero
+    gates.
 
-    Inside, every buffer is node-major (row j is node j), so a level
-    gathers and writes whole rows; the results are transposed views.
+    Every buffer is node-major, so a level gathers and writes whole rows.
     A child slot that is pad throughout a level costs no product.
     """
     u_name, w_name, b_name = names
@@ -288,16 +287,14 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
-    X = x.T  # one row per input node
-    d = x.shape[0]
-    H = np.zeros((n + 1, d), dtype=x.dtype)  # row n (slot -1) is the pad
-    H[:n][columns] = X
+    H = np.zeros((n + 1, x.shape[1]), dtype=x.dtype)  # row n (slot -1) is the pad
+    H[:n][columns] = x
     # the gate buffers start as the pre-activations' bias and input
     # terms, one product over every input node outside the recurrence
-    Z, R, C = (np.empty((n, d), dtype=x.dtype) for _ in range(3))
+    Z, R, C = (np.empty_like(H[:n]) for _ in range(3))
     for P, U, b in ((Z, U_z, b_z), (R, U_r, b_r), (C, U_h, b_h)):
         P[...] = b
-        P[columns] += X @ U.T
+        P[columns] += x @ U.T
     # each level with the child slots it uses: (slot, child rows, whether
     # a child row repeats, as siblings share their parent downward)
     plan = []
@@ -328,7 +325,7 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
 
     def vjp(g):
         G = np.zeros_like(H)  # gradient reaching each state; row n is junk
-        G[:n] = g.T
+        G[:n] = g
         dZ, dR, dC = (np.zeros_like(Z) for _ in range(3))  # pre-activation grads
         for lv, used in reversed(plan):
             gh = G[lv]
@@ -358,14 +355,13 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             h *= R[rows]
             d_child[2].append(dC[rows].T @ h)
         d_in = [dP[columns] for dP in (dZ, dR, dC)]
-        grads = [(d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h
-                  + G[:n][columns]).T]
+        grads = [d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h + G[:n][columns]]
         for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
-            grads += [dP_in.T @ X, dP.sum(axis=0), *dW]
+            grads += [dP_in.T @ x, dP.sum(axis=0), *dW]
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
-    return tape.append(H[:n].T, parents, vjp), (Z.T, R.T, C.T)
+    return tape.append(H[:n], parents, vjp), (Z, R, C)
 
 
 def upward_pass(trees: Trees, params: ModelParams, tape: Tape, vocab: Vocabulary,
@@ -411,11 +407,11 @@ def attention_pool(states: NodeStates, params: ModelParams,
                    tape: Tape) -> AttentionResult:
     """Score every node against the context vector and pool each tree.
 
-    Over the node matrix C (H_up, or [H_up; H_down] for treebigru) the
-    scores are u_w . tanh(W_w C + b_w), normalized over each tree's nodes
-    as ``params.attention_norm`` says (softmax, or "linear", which
-    divides raw scores by their sum for comparison); a tree's sentence
-    vector is its columns of C times its weights.
+    Over the node matrix C (H_up, or [H_up, H_down] for treebigru) the
+    scores are u_w . tanh(W_w c_j + b_w) for each row c_j, normalized over
+    each tree's nodes as ``params.attention_norm`` says (softmax, or
+    "linear", which divides raw scores by their sum for comparison); a
+    tree's sentence vector is its weights times its rows of C.
     """
     if not params.attention:
         raise ModelError("parameters carry no attention tensors")
@@ -424,8 +420,8 @@ def attention_pool(states: NodeStates, params: ModelParams,
     nodes = states.H_up
     if params.variant == VARIANT_TREEBIGRU:
         nodes = ad.concat(tape, [states.H_up, states.H_down])
-    projected = ad.tanh(tape, ad.matmul(tape, p("W_w"), nodes, bias=p("b_w")))
-    scores = ad.matmul(tape, p("u_w"), projected)
+    projected = ad.tanh(tape, ad.linear(tape, nodes, p("W_w"), bias=p("b_w")))
+    scores = ad.linear(tape, projected, p("u_w"))
     offsets = states.forest.offsets
     if params.attention_norm == "softmax":
         weights = ad.softmax(tape, scores, offsets)
@@ -441,10 +437,10 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
                   feature_mask: MaskFn = None) -> NodePredictions:
     """Class logits, distributions, and argmax labels of every node.
 
-    The state classifier maps the node matrices to a classes x nodes
+    The state classifier maps the node matrices to a nodes x classes
     logit matrix in one product; with attention the roots' logits come
-    from the pooled sentence vectors instead (a classes x trees matrix),
-    and the matrix's root columns go unused.  ``feature_mask`` (dropout)
+    from the pooled sentence vectors instead (a trees x classes matrix),
+    and the matrix's root rows go unused.  ``feature_mask`` (dropout)
     draws one mask per classifier input matrix.  Ties in the argmax
     resolve to the lowest class index.
     """
@@ -459,25 +455,25 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
         return ad.mul(tape, ref, tape.constant(feature_mask(ref.shape)))
 
     if params.variant == VARIANT_TREEBIGRU:
-        logits = ad.add(tape, ad.matmul(tape, p("W_s_up"), masked(states.H_up)),
-                        ad.matmul(tape, p("W_s_dn"), masked(states.H_down),
+        logits = ad.add(tape, ad.linear(tape, masked(states.H_up), p("W_s_up")),
+                        ad.linear(tape, masked(states.H_down), p("W_s_dn"),
                                   bias=p("b_s")))
         sentence_weights, sentence_bias = "W_s_att", "b_s_att"
     else:
-        logits = ad.matmul(tape, p("W_s"), masked(states.H_up), bias=p("b_s"))
+        logits = ad.linear(tape, masked(states.H_up), p("W_s"), bias=p("b_s"))
         sentence_weights, sentence_bias = "W_s", "b_s"
-    probs = _softmax_columns(tape.value(logits)).T
+    probs = _softmax_rows(tape.value(logits))
     root = None
     if attn is not None:
-        root = ad.matmul(tape, p(sentence_weights), masked(attn.sentence),
+        root = ad.linear(tape, masked(attn.sentence), p(sentence_weights),
                          bias=p(sentence_bias))
-        probs[states.forest.roots] = _softmax_columns(tape.value(root)).T
+        probs[states.forest.roots] = _softmax_rows(tape.value(root))
     return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
 
 
-def _softmax_columns(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=0))
-    return e / e.sum(axis=0)
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

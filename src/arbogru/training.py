@@ -260,7 +260,7 @@ def build_forest_graph(tape: Tape, trees: Trees, params: m.ModelParams,
     tree_losses = reduce(partial(ad.add, tape), terms)
     ones = tape.input(np.ones(len(forest), dtype=params.dtype))
     return ForestGraph(states, attn, preds, tree_losses,
-                       ad.matmul(tape, ones, tree_losses))
+                       ad.linear(tape, tree_losses, ones))
 
 
 def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -396,6 +397,21 @@ class Corpus:
         return len(self.trees)
 
 
+@contextmanager
+def open_text(path, error=ValueError):
+    """``path`` opened as UTF-8 text; a byte the block cannot decode raises
+    ``error`` naming the line, found by rescanning the bytes only then."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:  # text mode also ends a line at \r
+            lines = (line for chunk in handle for line in chunk.splitlines())
+            lineno = next((n for n, line in enumerate(lines, start=1)
+                           if line.decode(errors="ignore").encode() != line), "?")
+        raise error(f"{path}, line {lineno}: not UTF-8 text") from None
+
+
 def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
                 max_arity: Optional[int] = None) -> Corpus:
     """Load a treebank file (one tree per line; blank lines skipped).
@@ -403,15 +419,15 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
     The file is always in fine-grained (5-class) form; ``task="binary"``
     applies to_binary_task after loading.  Parse errors, including a
     node wider than ``max_arity``, are re-raised with the file and the
-    offending line number.  The trees are parsed straight into the
-    columns of one forest.
+    offending line number, and so is a line that is not UTF-8.  The trees
+    are parsed straight into the columns of one forest.
     """
     if task not in (TASK_FINE, TASK_BINARY):
         raise ValueError(f"unknown task {task!r}")
     if split_name is None:
         split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     columns, lexicon, offsets = _Columns(compact=True), {}, array("q", [0])
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, TreebankError) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

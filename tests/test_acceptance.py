@@ -85,14 +85,14 @@ def test_criterion_2_forward_oracle_equivalence():
                 states = upward_pass([tree], params, tape, vocab)
                 up = oracles.upward_states(tree, params.tensors, vocab)
                 for j, slot in enumerate(up):
-                    np.testing.assert_allclose(tape.value(states.H_up)[:, j],
+                    np.testing.assert_allclose(tape.value(states.H_up)[j],
                                                slot["h"], rtol=0, atol=1e-12)
                 down = None
                 if variant == "treebigru":
                     downward_pass(states, params, tape)
                     down = oracles.downward_states(tree, up, params.tensors)
                     for j, slot in enumerate(down):
-                        np.testing.assert_allclose(tape.value(states.H_down)[:, j],
+                        np.testing.assert_allclose(tape.value(states.H_down)[j],
                                                    slot["h"], rtol=0, atol=1e-12)
                 if attention:
                     attn = attention_pool(states, params, tape)
@@ -104,7 +104,7 @@ def test_criterion_2_forward_oracle_equivalence():
                     weights, pooled = oracles.attention(reps, params.tensors)
                     np.testing.assert_allclose(tape.value(attn.weights), weights,
                                                rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled,
+                    np.testing.assert_allclose(tape.value(attn.sentence)[0], pooled,
                                                rtol=0, atol=1e-12)
                 pairs += 1
         elapsed = time.perf_counter() - start
@@ -218,10 +218,10 @@ def test_criterion_6_invariant_suite():
             states = downward_pass(upward_pass([tree], params, tape, vocab),
                                    params, tape)
             for j in range(states.forest.node_count):
-                z = states.z_up[:, j]
+                z = states.z_up[j]
                 assert np.all((z > 0.0) & (z < 1.0))
                 if j > 0:
-                    zd = states.z_down[:, j]
+                    zd = states.z_down[j]
                     assert np.all((zd > 0.0) & (zd < 1.0))
 
         # evaluation-mode determinism

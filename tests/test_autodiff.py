@@ -61,13 +61,13 @@ def test_tanh_at_zero():
 
 def test_softmax_symmetry():
     tape = Tape()
-    out = ad.softmax(tape, tape.input(np.zeros(2)))
+    out = ad.softmax(tape, tape.input(np.zeros(2)), [0, 2])
     assert np.allclose(tape.value(out), [0.5, 0.5])
 
 
 def test_softmax_handles_large_logits():
     tape = Tape()
-    out = ad.softmax(tape, tape.input(np.array([1000.0, 1000.0, -1000.0])))
+    out = ad.softmax(tape, tape.input(np.array([1000.0, 1000.0, -1000.0])), [0, 3])
     value = tape.value(out)
     assert np.isfinite(value).all()
     assert value.sum() == pytest.approx(1.0)
@@ -75,9 +75,9 @@ def test_softmax_handles_large_logits():
 
 def test_cross_entropy_matches_log():
     tape = Tape()
-    logits = tape.input(np.zeros(5))
-    loss = ad.softmax_cross_entropy(tape, logits, 2)
-    assert float(tape.value(loss)) == pytest.approx(np.log(5.0))
+    logits = tape.input(np.zeros((1, 5)))
+    loss = ad.softmax_cross_entropy(tape, logits, [2], [0, 1])
+    assert tape.value(loss) == pytest.approx([np.log(5.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_dot_gradient_is_bilinear():
     tape = Tape()
     w = tape.input(np.array([1.0, 2.0]))
     x = tape.input(np.array([3.0, 4.0]))
-    grads = backward(tape, ad.matmul(tape, w, x))
+    grads = backward(tape, ad.linear(tape, w, x))
     assert np.array_equal(grads[w.index], [3.0, 4.0])
     assert np.array_equal(grads[x.index], [1.0, 2.0])
 
@@ -95,7 +95,7 @@ def test_dot_gradient_is_bilinear():
 def test_fanout_accumulates():
     tape = Tape()
     w = tape.input(np.array([1.5, -2.0]))
-    loss = ad.matmul(tape, w, w)
+    loss = ad.linear(tape, w, w)
     grads = backward(tape, loss)
     assert np.allclose(grads[w.index], 2.0 * np.array([1.5, -2.0]))
 
@@ -114,8 +114,8 @@ def test_backward_deterministic():
     def run():
         tape = Tape()
         m, x, y = (tape.input(a) for a in arrays)
-        h = ad.tanh(tape, ad.matmul(tape, m, x))
-        loss = ad.matmul(tape, ad.mul(tape, h, y), y)
+        h = ad.tanh(tape, ad.linear(tape, m, x))
+        loss = ad.linear(tape, ad.mul(tape, h, y), y)
         return backward(tape, loss), m, x, y
 
     first, m1, x1, y1 = run()
@@ -128,17 +128,17 @@ def test_backward_deterministic():
 # shape discipline
 
 @pytest.mark.parametrize("build,shapes,name", [
-    (lambda t, r: ad.matmul(t, r[0], r[1]), [(3, 3), (4,)], "matmul"),
+    (lambda t, r: ad.linear(t, r[0], r[1]), [(3, 3), (4,)], "linear"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(3,), (4,)], "add"),
     (lambda t, r: ad.mul(t, r[0], r[1]), [(3,), (4,)], "mul"),
-    (lambda t, r: ad.matmul(t, r[0], r[1]), [(3,), (4,)], "matmul"),
+    (lambda t, r: ad.linear(t, r[0], r[1]), [(3,), (4,)], "linear"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(2, 3), (3, 2)], "add"),
     (lambda t, r: ad.mul(t, r[0], r[1]), [(2, 3), (2,)], "mul"),
     (lambda t, r: ad.gather(t, r[0], [0]), [(3,)], "gather"),
-    (lambda t, r: ad.concat(t, r), [(2, 3), (2, 4)], "concat"),
-    (lambda t, r: ad.matmul(t, r[0], r[1], bias=r[2]), [(2, 3), (3, 4), (4,)], "matmul"),
-    (lambda t, r: ad.matmul(t, r[0], r[1]), [(2, 3, 4), (4,)], "matmul"),
-    (lambda t, r: ad.softmax_cross_entropy(t, r[0], [0, 1]), [(5, 3)],
+    (lambda t, r: ad.concat(t, r), [(2, 3), (3, 3)], "concat"),
+    (lambda t, r: ad.linear(t, r[0], r[1], bias=r[2]), [(4, 3), (2, 3), (4,)], "linear"),
+    (lambda t, r: ad.linear(t, r[0], r[1]), [(2, 3, 4), (4,)], "linear"),
+    (lambda t, r: ad.softmax_cross_entropy(t, r[0], [0, 1], [0, 2]), [(3, 5)],
      "softmax_cross_entropy"),
 ])
 def test_shape_mismatch_names_op(build, shapes, name):
@@ -150,27 +150,28 @@ def test_shape_mismatch_names_op(build, shapes, name):
 
 def test_cross_entropy_gold_bounds():
     tape = Tape()
-    logits = tape.input(np.zeros(3))
+    logits = tape.input(np.zeros((1, 3)))
     with pytest.raises(IndexError):
-        ad.softmax_cross_entropy(tape, logits, 3)
-    matrix = tape.input(np.zeros((3, 2)))
+        ad.softmax_cross_entropy(tape, logits, [3], [0, 1])
+    matrix = tape.input(np.zeros((2, 3)))
     with pytest.raises(IndexError):
-        ad.softmax_cross_entropy(tape, matrix, np.array([0, 3]))
+        ad.softmax_cross_entropy(tape, matrix, np.array([0, 3]), [0, 2])
 
 
 # ---------------------------------------------------------------------------
 # per-op finite-difference checks on random inputs in [-2, 2]
 
 def test_fd_matvec(rng):
+    # matrix times vector, as the attention scores apply u_w
     probe = rnd(rng, 3)
-    check_op(lambda t, r: ad.matmul(t, ad.matmul(t, r[0], r[1]), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.linear(t, r[0], r[1]), t.input(probe)),
              [rnd(rng, 3, 4), rnd(rng, 4)])
 
 
 def test_fd_add_mul(rng):
     probe = rnd(rng, 5)
-    check_op(lambda t, r: ad.matmul(t, ad.mul(t, ad.add(t, r[0], r[1]), r[2]),
-                                 t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.mul(t, ad.add(t, r[0], r[1]), r[2]),
+                                    t.input(probe)),
              [rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)])
 
 
@@ -178,11 +179,11 @@ def test_fd_mul_by_constant_leaves_the_constant_without_gradient(rng):
     # a dropout mask is a constant: its operand's gradient is unchanged,
     # and the mask's own gradient is never computed
     x, mask, probe = rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)
-    check_op(lambda t, r: ad.matmul(t, ad.mul(t, r[0], t.constant(mask)), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.mul(t, r[0], t.constant(mask)), t.input(probe)),
              [x])
     tape = Tape()
     xr, mr = tape.input(x), tape.constant(mask)
-    loss = ad.matmul(tape, ad.mul(tape, xr, mr), tape.input(probe))
+    loss = ad.linear(tape, ad.mul(tape, xr, mr), tape.input(probe))
     grads = backward(tape, loss)
     assert grads[mr.index] is None
     np.testing.assert_array_equal(grads[xr.index], probe * mask)
@@ -191,57 +192,72 @@ def test_fd_mul_by_constant_leaves_the_constant_without_gradient(rng):
 
 def test_fd_tanh(rng):
     probe = rnd(rng, 6)
-    check_op(lambda t, r: ad.matmul(t, ad.tanh(t, ad.tanh(t, r[0])), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.tanh(t, ad.tanh(t, r[0])), t.input(probe)),
              [rnd(rng, 6)])
 
 
-def test_fd_matmul_matrix_bias(rng):
-    left, right = rnd(rng, 3), rnd(rng, 4)
-    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
-        t, ad.matmul(t, r[0], r[1], bias=r[2]), t.input(right))),
-             [rnd(rng, 3, 5), rnd(rng, 5, 4), rnd(rng, 3)])
+def reduce_rows(t, matrix, row_probe, column_probe):
+    """``row_probe . matrix . column_probe`` as a scalar tape value."""
+    return ad.linear(t, ad.linear(t, matrix, t.input(column_probe)), t.input(row_probe))
 
 
-def test_fd_matmul_vector_matrix(rng):
-    probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.matmul(t, ad.matmul(t, r[0], r[1], bias=r[2]),
-                                    t.input(probe)),
-             [rnd(rng, 3), rnd(rng, 3, 4), rnd(rng, 4)])
+def test_fd_linear_matrix_bias(rng):
+    # rows of inputs through an (out, in) matrix, as the classifiers and
+    # the attention projection apply theirs, with and without a bias
+    rows, cols = rnd(rng, 4), rnd(rng, 3)
+    check_op(lambda t, r: reduce_rows(t, ad.linear(t, r[0], r[1], bias=r[2]), rows, cols),
+             [rnd(rng, 4, 5), rnd(rng, 3, 5), rnd(rng, 3)])
+    check_op(lambda t, r: reduce_rows(t, ad.linear(t, r[0], r[1]), rows, cols),
+             [rnd(rng, 4, 5), rnd(rng, 3, 5)])
+
+
+def test_fd_linear_dot(rng):
+    # vector times vector, as a batch sums its tree losses
+    check_op(lambda t, r: ad.linear(t, r[0], r[1]), [rnd(rng, 4), rnd(rng, 4)])
 
 
 def test_fd_softmax(rng):
     probe = rnd(rng, 5)
-    check_op(lambda t, r: ad.matmul(t, ad.softmax(t, r[0]), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.softmax(t, r[0], [0, 5]), t.input(probe)),
              [rnd(rng, 5)])
 
 
 def test_fd_linear_norm(rng):
     probe = rnd(rng, 4)
-    check_op(lambda t, r: ad.matmul(t, ad.linear_norm(t, r[0]), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.linear_norm(t, r[0], [0, 4]), t.input(probe)),
              [rng.uniform(0.5, 2.0, 4)])
 
 
 def test_fd_cross_entropy(rng):
-    check_op(lambda t, r: ad.softmax_cross_entropy(t, r[0], 1), [rnd(rng, 5)])
+    ones = np.ones(1)
+    check_op(lambda t, r: ad.linear(t, ad.softmax_cross_entropy(t, r[0], [1], [0, 1]),
+                                    t.input(ones)),
+             [rnd(rng, 1, 5)])
 
 
 def test_fd_cross_entropy_matrix(rng):
-    check_op(lambda t, r: ad.softmax_cross_entropy(t, r[0], np.array([1, -1, 4, 0])),
-             [rnd(rng, 5, 4)])
+    ones = np.ones(1)
+    check_op(lambda t, r: ad.linear(t, ad.softmax_cross_entropy(
+        t, r[0], np.array([1, -1, 4, 0]), [0, 4]), t.input(ones)),
+             [rnd(rng, 4, 5)])
 
 
 def test_cross_entropy_matrix_sums_supervised_columns(rng):
-    logits = rnd(rng, 5, 4)
+    # one gold label per row; the loss sums the supervised rows
+    logits = rnd(rng, 4, 5)
     gold = np.array([3, -1, 0, 3])
     tape = Tape()
     ref = tape.input(logits)
-    total = float(tape.value(ad.softmax_cross_entropy(tape, ref, gold)))
-    columns = [float(tape.value(ad.softmax_cross_entropy(tape, tape.input(logits[:, j]),
-                                                          int(gold[j]))))
-               for j in (0, 2, 3)]
-    assert total == pytest.approx(sum(columns), rel=1e-14)
-    grad = backward(tape, ad.softmax_cross_entropy(tape, ref, gold))[ref.index]
-    assert np.array_equal(grad[:, 1], np.zeros(5))  # the unsupervised column
+    total = tape.value(ad.softmax_cross_entropy(tape, ref, gold, [0, 4]))
+    rows = [float(tape.value(ad.softmax_cross_entropy(
+        tape, tape.input(logits[j:j + 1]), gold[j:j + 1], [0, 1]))[0])
+            for j in (0, 2, 3)]
+    assert total.shape == (1,)
+    assert total[0] == pytest.approx(sum(rows), rel=1e-14)
+    loss = ad.linear(tape, ad.softmax_cross_entropy(tape, ref, gold, [0, 4]),
+                     tape.input(np.ones(1)))
+    grad = backward(tape, loss)[ref.index]
+    assert np.array_equal(grad[1], np.zeros(5))  # the unsupervised row
 
 
 # segments of a 7-long axis: 3 nodes, a 1-node segment, 3 nodes
@@ -250,13 +266,13 @@ SEGMENTS = np.array([0, 3, 4, 7])
 
 def test_fd_segment_softmax(rng):
     probe = rnd(rng, 7)
-    check_op(lambda t, r: ad.matmul(t, ad.softmax(t, r[0], SEGMENTS), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.softmax(t, r[0], SEGMENTS), t.input(probe)),
              [rnd(rng, 7)])
 
 
 def test_fd_segment_linear_norm(rng):
     probe = rnd(rng, 7)
-    check_op(lambda t, r: ad.matmul(t, ad.linear_norm(t, r[0], SEGMENTS),
+    check_op(lambda t, r: ad.linear(t, ad.linear_norm(t, r[0], SEGMENTS),
                                     t.input(probe)),
              [rng.uniform(0.5, 2.0, 7)])
 
@@ -267,7 +283,7 @@ def test_segment_norms_equal_one_call_per_segment(rng):
         tape = Tape()
         whole = tape.value(op(tape, tape.input(x), SEGMENTS))
         for lo, hi in zip(SEGMENTS[:-1], SEGMENTS[1:]):
-            alone = tape.value(op(tape, tape.input(x[lo:hi])))
+            alone = tape.value(op(tape, tape.input(x[lo:hi]), [0, hi - lo]))
             np.testing.assert_allclose(whole[lo:hi], alone, rtol=1e-15, atol=0)
         assert whole[3] == 1.0  # a 1-node segment takes all its weight
 
@@ -280,72 +296,70 @@ def test_linear_norm_names_the_degenerate_segment():
 
 
 def test_fd_pool(rng):
-    left, right = rnd(rng, 4), rnd(rng, 3)
-    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
-        t, ad.pool(t, r[0], r[1], SEGMENTS), t.input(right))),
-             [rnd(rng, 4, 7), rnd(rng, 7)])
+    rows, cols = rnd(rng, 3), rnd(rng, 4)
+    check_op(lambda t, r: reduce_rows(t, ad.pool(t, r[0], r[1], SEGMENTS), rows, cols),
+             [rnd(rng, 7, 4), rnd(rng, 7)])
 
 
 def test_pool_weights_each_segment_on_its_own(rng):
-    C, w = rnd(rng, 4, 7), rnd(rng, 7)
+    C, w = rnd(rng, 7, 4), rnd(rng, 7)
     tape = Tape()
     pooled = tape.value(ad.pool(tape, tape.input(C), tape.input(w), SEGMENTS))
-    assert pooled.shape == (4, 3)
+    assert pooled.shape == (3, 4)
     for t, (lo, hi) in enumerate(zip(SEGMENTS[:-1], SEGMENTS[1:])):
-        np.testing.assert_allclose(pooled[:, t], C[:, lo:hi] @ w[lo:hi],
+        np.testing.assert_allclose(pooled[t], w[lo:hi] @ C[lo:hi],
                                    rtol=1e-14, atol=1e-15)
 
 
 def test_fd_segment_cross_entropy(rng):
     probe = rnd(rng, 3)
     gold = np.array([1, -1, 4, 0, 2, -1, 3])
-    check_op(lambda t, r: ad.matmul(t, ad.softmax_cross_entropy(t, r[0], gold, SEGMENTS),
+    check_op(lambda t, r: ad.linear(t, ad.softmax_cross_entropy(t, r[0], gold, SEGMENTS),
                                     t.input(probe)),
-             [rnd(rng, 5, 7)])
+             [rnd(rng, 7, 5)])
 
 
 def test_segment_cross_entropy_sums_each_segment(rng):
-    logits, gold = rnd(rng, 5, 7), np.array([1, -1, 4, 0, 2, -1, 3])
+    logits, gold = rnd(rng, 7, 5), np.array([1, -1, 4, 0, 2, -1, 3])
     tape = Tape()
     per_segment = tape.value(ad.softmax_cross_entropy(tape, tape.input(logits), gold,
                                                       SEGMENTS))
     for t, (lo, hi) in enumerate(zip(SEGMENTS[:-1], SEGMENTS[1:])):
-        alone = ad.softmax_cross_entropy(tape, tape.input(logits[:, lo:hi]), gold[lo:hi])
-        assert per_segment[t] == pytest.approx(float(tape.value(alone)), rel=1e-14)
+        alone = ad.softmax_cross_entropy(tape, tape.input(logits[lo:hi]), gold[lo:hi],
+                                         [0, hi - lo])
+        assert per_segment[t] == pytest.approx(float(tape.value(alone)[0]), rel=1e-14)
 
 
 def test_fd_gather(rng):
     # row 2 is read twice and rows 1 and 3 never
     table, index = rnd(rng, 4, 2), [2, 0, 2]
-    left, right = rnd(rng, 2), rnd(rng, 3)
+    rows, cols = rnd(rng, 3), rnd(rng, 2)
 
     def build(t, r):
-        return ad.matmul(t, t.input(left),
-                         ad.matmul(t, ad.gather(t, r[0], index), t.input(right)))
+        return reduce_rows(t, ad.gather(t, r[0], index), rows, cols)
 
     check_op(build, [table])
     tape = Tape()
     ref = tape.input(table)
-    columns = ad.gather(tape, ref, index)
-    np.testing.assert_array_equal(tape.value(columns), table[index].T)
+    gathered = ad.gather(tape, ref, index)
+    np.testing.assert_array_equal(tape.value(gathered), table[index])
     grad = backward(tape, build(tape, [ref]))[ref.index]
-    outer = np.multiply.outer(left, right)  # the gradient of each column
+    outer = np.multiply.outer(rows, cols)  # the gradient of each gathered row
     np.testing.assert_array_equal(grad[[1, 3]], 0.0)
-    np.testing.assert_array_equal(grad[2], outer[:, 0] + outer[:, 2])
-    np.testing.assert_array_equal(grad[0], outer[:, 1])
+    np.testing.assert_array_equal(grad[2], outer[0] + outer[2])
+    np.testing.assert_array_equal(grad[0], outer[1])
 
 
 def test_fd_concat(rng):
     probe = rnd(rng, 7)
-    check_op(lambda t, r: ad.matmul(t, ad.concat(t, list(r)), t.input(probe)),
+    check_op(lambda t, r: ad.linear(t, ad.concat(t, list(r)), t.input(probe)),
              [rnd(rng, 3), rnd(rng, 4)])
 
 
 def test_fd_concat_matrices(rng):
-    left, right = rnd(rng, 5), rnd(rng, 3)
-    check_op(lambda t, r: ad.matmul(t, t.input(left), ad.matmul(
-        t, ad.concat(t, list(r)), t.input(right))),
-             [rnd(rng, 2, 3), rnd(rng, 3, 3)])
+    rows, cols = rnd(rng, 3), rnd(rng, 5)
+    check_op(lambda t, r: reduce_rows(t, ad.concat(t, list(r)), rows, cols),
+             [rnd(rng, 3, 2), rnd(rng, 3, 3)])
 
 
 def test_fd_shared_weights(rng):
@@ -353,9 +367,9 @@ def test_fd_shared_weights(rng):
     probe = rnd(rng, 3)
 
     def build(t, r):
-        a = ad.tanh(t, ad.matmul(t, r[0], r[1]))
-        b = ad.tanh(t, ad.matmul(t, r[0], r[2]))
-        return ad.matmul(t, ad.mul(t, a, b), t.input(probe))
+        a = ad.tanh(t, ad.linear(t, r[0], r[1]))
+        b = ad.tanh(t, ad.linear(t, r[0], r[2]))
+        return ad.linear(t, ad.mul(t, a, b), t.input(probe))
 
     check_op(build, [rnd(rng, 3, 3), rnd(rng, 3), rnd(rng, 3)])
 
@@ -364,8 +378,8 @@ def test_tape_parents_precede_children(rng):
     tape = Tape()
     m = tape.input(rnd(rng, 3, 3))
     x = tape.input(rnd(rng, 3))
-    out = ad.tanh(tape, ad.matmul(tape, m, x))
-    loss = ad.matmul(tape, out, out)
+    out = ad.tanh(tape, ad.linear(tape, m, x))
+    loss = ad.linear(tape, out, out)
     for i in range(len(tape)):
         for parent in tape._parents[i]:
             assert parent < i
@@ -380,7 +394,7 @@ def test_keyed_input_registers_once_and_sums_gradients():
     assert again == w and len(tape) == 2
     assert tape.keyed == {"w": w}
     assert tape.input(np.zeros(2)) != tape.input(np.zeros(2))  # unkeyed: fresh leaves
-    loss = ad.add(tape, ad.matmul(tape, w, x), ad.matmul(tape, again, x))
+    loss = ad.add(tape, ad.linear(tape, w, x), ad.linear(tape, again, x))
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[w.index], [6.0, 8.0])
 
@@ -390,7 +404,7 @@ def test_backward_gradient_shapes_match_values(rng):
     m = tape.input(rnd(rng, 4, 3))
     x = tape.input(rnd(rng, 3))
     probe = tape.input(rnd(rng, 4))
-    loss = ad.matmul(tape, ad.tanh(tape, ad.matmul(tape, m, x)), probe)
+    loss = ad.linear(tape, ad.tanh(tape, ad.linear(tape, m, x)), probe)
     grads = backward(tape, loss)
     for i, g in enumerate(grads):
         if g is not None:

@@ -22,11 +22,14 @@ def bench_pairs(tmp_path, monkeypatch):
     return module
 
 
-def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None, sent_per_s=70.0):
+def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None, sent_per_s=70.0,
+              layers=None):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": {"value": setup_s, "unit": "s"},
                "sent_per_s": {"value": sent_per_s, "unit": "1/s"}}
+    metrics.update({name: {"value": value, "unit": ""}
+                    for name, value in (layers or {}).items()})
     record = {"workload": "train_bigru_att_sst", "seed": seed, "seconds": 15.0,
               "trace": trace, "scale": "recipe", "env": {"nproc": 2, "git": None},
               "result": {"correct": True, "attempted": 10, "failed": 0,
@@ -61,7 +64,33 @@ def test_pairs_runs_by_seed_and_counts_wins(bench_pairs, tmp_path, capsys):
     assert setup["verdict"] == work["summary"]["sent_per_s"]["verdict"] == "ok"
     assert [t["seed"] for t in work["traced"]["parent"]] == [9]
     assert work["traced"]["change"] == []
+    assert work["traced_summary"] == {}  # the change has no traced run
     assert "wrote" in capsys.readouterr().out
+
+
+def test_summarizes_each_layer_over_the_traced_seeds(bench_pairs, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, 1, 3.0)
+    write_run(change, 1, 3.0)
+    backward = {"parent": [150.0, 170.0, 190.0], "change": [140.0, 160.0, 145.0]}
+    for side, checkout in (("parent", parent), ("change", change)):
+        for seed, ms in enumerate(backward[side], start=10):
+            layers = {"autodiff.backward_ms": ms, "training.evaluate_sent_per_s": 200.0}
+            if side == "parent" and seed == 10:
+                layers["model.downward_pass.calls"] = 4.0  # no change run has it
+            write_run(checkout, seed, 3.0, trace=1, layers=layers)
+    assert bench_pairs.main(["--label", "t", "--parent", str(parent), "--change",
+                             str(change), "--parent-commit", "a",
+                             "--change-commit", "b"]) == 0
+    summary = json.loads((tmp_path / "BENCH_t.json").read_text())[
+        "workloads"]["train_bigru_att_sst"]["traced_summary"]
+    assert set(summary) == {"autodiff.backward_ms", "training.evaluate_sent_per_s"}
+    ms = summary["autodiff.backward_ms"]
+    assert ms["better"] == "lower"
+    assert ms["parent"] == {"median": 170.0, "q1": 160.0, "q3": 180.0, "n": 3}
+    assert ms["change"] == {"median": 145.0, "q1": 142.5, "q3": 152.5, "n": 3}
+    assert summary["training.evaluate_sent_per_s"]["better"] == "higher"
+    assert "autodiff.backward_ms" in capsys.readouterr().out
 
 
 def test_refuses_a_checkout_without_records(bench_pairs, tmp_path, capsys):

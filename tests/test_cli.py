@@ -219,6 +219,13 @@ def test_train_rejects_an_empty_split_before_training(data_dir, tmp_path, capsys
     assert not (out / "train.log").exists()
 
 
+def test_train_names_a_line_that_is_not_utf8(data_dir, tmp_path, capsys):
+    path = data_dir / "train.txt"
+    path.write_bytes(path.read_bytes() + b"(2 caf\xe9)\n")
+    assert main(train_args(data_dir, tmp_path / "run")) == 2
+    assert f"{path}, line 13: not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -227,6 +234,23 @@ def trained(data_dir, tmp_path):
     out = tmp_path / "trained"
     assert main(train_args(data_dir, out)) == 0
     return out
+
+
+@pytest.mark.parametrize("task", ["fine", "binary"])
+def test_eval_rejects_an_empty_split_naming_it(data_dir, tmp_path, capsys, task):
+    out = tmp_path / task
+    assert main(train_args(data_dir, out, task=task)) == 0
+    path = data_dir / "test.txt"
+    if task == "fine":
+        path.write_text("\n")
+    else:  # only neutral roots, which the binary task drops
+        path.write_text("(2 (3 good) (1 bad))\n(2 movie)\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--data", str(data_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"treebank file {path} holds no sentence" in err
+    assert ("non-neutral root" in err) == (task == "binary")
 
 
 def test_eval_prints_metrics(trained, data_dir, capsys):
@@ -355,6 +379,15 @@ def test_predict_handles_parse_errors(trained, tmp_path, capsys):
     assert code == 1
     assert len(captured.out.strip().splitlines()) == 2  # good lines still printed
     assert "line 2" in captured.err
+
+
+def test_predict_names_a_line_that_is_not_utf8(trained, tmp_path, capsys):
+    inp = tmp_path / "inp.txt"
+    inp.write_bytes(b"(0 (2 good) (2 movie))\n(0 caf\xe9)\n")
+    code = main(["predict", "--checkpoint", str(trained / "checkpoint.bin"),
+                 "--input", str(inp)])
+    assert code == 2
+    assert f"{inp}, line 2: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_predict_show_attention_requires_attention_model(trained, tmp_path, capsys):

@@ -68,6 +68,13 @@ def test_load_vocab_rejects_garbage(tmp_path):
         load_vocab(path)
 
 
+def test_load_vocab_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"<unk>\ngood\ncaf\xe9\n")
+    with pytest.raises(EmbeddingError, match=f"^{path}, line 3: not UTF-8 text$"):
+        load_vocab(path)
+
+
 def glove_file(tmp_path, rows, dim):
     path = tmp_path / "vectors.txt"
     with open(path, "w") as handle:
@@ -113,6 +120,14 @@ def test_load_glove_empty_file(tmp_path):
     assert emb.coverage == 0.0
     assert np.all(np.abs(emb.vectors) <= OOV_RANGE)
     assert emb.vectors.shape == (3, 4)
+
+
+def test_load_glove_names_a_line_that_is_not_utf8(tmp_path):
+    vocab = build_vocab(corpus_of("(3 (2 good) (2 movie))"))
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"other 1 2\n" * 3000 + b"caf\xe9 1 2\ngood 1 2\n")
+    with pytest.raises(EmbeddingError, match=f"^{path}, line 3001: not UTF-8 text$"):
+        load_glove(path, vocab, 2, np.random.default_rng(0))
 
 
 def test_load_glove_full_cover_zero_vectors(tmp_path):

@@ -21,9 +21,9 @@ VARIANT_CASES = [("treegru", False), ("treegru", True),
                  ("treebigru", False), ("treebigru", True)]
 
 
-def forward(tree, params, vocab):
+def forward(trees, params, vocab):
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(trees, params, tape, vocab)
     if params.variant == "treebigru":
         downward_pass(states, params, tape)
     attn = attention_pool(states, params, tape) if params.attention else None
@@ -94,9 +94,9 @@ def test_upward_leaf_with_zero_embedding():
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
     states = upward_pass([tree], params, tape, vocab)
-    assert np.allclose(states.z_up[:, 0], 0.5)
-    assert np.allclose(states.cand_up[:, 0], 0.0)
-    assert np.allclose(tape.value(states.H_up)[:, 0], 0.0)
+    assert np.allclose(states.z_up[0], 0.5)
+    assert np.allclose(states.cand_up[0], 0.0)
+    assert np.allclose(tape.value(states.H_up)[0], 0.0)
 
 
 def test_upward_leaf_scalar_hand_values():
@@ -137,7 +137,7 @@ def test_upward_matches_oracle():
         for j, slot in enumerate(expected):
             for ours, theirs in ((tape.value(states.H_up), "h"), (states.z_up, "z"),
                                  (states.r_up, "r"), (states.cand_up, "cand")):
-                np.testing.assert_allclose(ours[:, j], slot[theirs],
+                np.testing.assert_allclose(ours[j], slot[theirs],
                                            rtol=0, atol=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_downward_single_leaf_equals_upward():
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
     states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
-    assert np.array_equal(tape.value(states.H_down)[:, 0], tape.value(states.H_up)[:, 0])
+    assert np.array_equal(tape.value(states.H_down)[0], tape.value(states.H_up)[0])
 
 
 def test_downward_zero_fixed_point():
@@ -163,8 +163,8 @@ def test_downward_zero_fixed_point():
     tape = Tape()
     states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
     for j in range(states.forest.node_count):
-        assert np.allclose(tape.value(states.H_up)[:, j], 0.0)
-        assert np.allclose(tape.value(states.H_down)[:, j], 0.0)
+        assert np.allclose(tape.value(states.H_up)[j], 0.0)
+        assert np.allclose(tape.value(states.H_down)[j], 0.0)
 
 
 def test_downward_matches_oracle():
@@ -178,10 +178,10 @@ def test_downward_matches_oracle():
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
         for j, slot in enumerate(down):
-            np.testing.assert_allclose(tape.value(states.H_down)[:, j], slot["h"],
+            np.testing.assert_allclose(tape.value(states.H_down)[j], slot["h"],
                                        rtol=0, atol=1e-12)
             if j > 0:
-                np.testing.assert_allclose(states.z_down[:, j], slot["z"],
+                np.testing.assert_allclose(states.z_down[j], slot["z"],
                                            rtol=0, atol=1e-12)
 
 
@@ -254,7 +254,7 @@ def test_index_tree_names_the_tree_with_a_wide_node():
 
 @pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
 def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
-    # each tree's columns of a forest equal the oracles run on that tree
+    # each tree's rows of a forest equal the oracles run on that tree
     vocab = synth_vocab()
     trees = mixed_forest(np.random.default_rng(41))
     params = forest_params(variant, attention, norm, 5, seed=8)
@@ -267,38 +267,64 @@ def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
     preds = predict_nodes(states, params, tape, attn=attn)
     offsets = states.forest.offsets
     for i, tree in enumerate(trees):
-        cols = slice(offsets[i], offsets[i + 1])
+        rows = slice(offsets[i], offsets[i + 1])
         up = oracles.upward_states(tree, t, vocab)
-        want_up = np.array([slot["h"] for slot in up]).T
-        np.testing.assert_allclose(tape.value(states.H_up)[:, cols], want_up,
+        want_up = np.array([slot["h"] for slot in up])
+        np.testing.assert_allclose(tape.value(states.H_up)[rows], want_up,
                                    rtol=0, atol=1e-12)
         down = sentence = None
         if variant == "treebigru":
             down = oracles.downward_states(tree, up, t)
-            want_down = np.array([slot["h"] for slot in down]).T
-            np.testing.assert_allclose(tape.value(states.H_down)[:, cols], want_down,
+            want_down = np.array([slot["h"] for slot in down])
+            np.testing.assert_allclose(tape.value(states.H_down)[rows], want_down,
                                        rtol=0, atol=1e-12)
         if attention:
             reps = ([np.concatenate([u["h"], d["h"]]) for u, d in zip(up, down)]
                     if down else [u["h"] for u in up])
             weights, sentence = oracles.attention(reps, t, norm=norm)
-            np.testing.assert_allclose(tape.value(attn.weights)[cols], weights,
+            np.testing.assert_allclose(tape.value(attn.weights)[rows], weights,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(tape.value(attn.sentence)[:, i], sentence,
+            np.testing.assert_allclose(tape.value(attn.sentence)[i], sentence,
                                        rtol=0, atol=1e-12)
         want = oracles.predictions(up, down, sentence, t, variant, attention)
-        np.testing.assert_allclose(preds.probs[cols], np.array(want), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(preds.probs[rows], np.array(want), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant,attention", VARIANT_CASES)
+def test_node_indexed_outputs_are_node_major_and_contiguous(variant, attention):
+    # row j is node j (row t is tree t for the pooled sentences and root
+    # logits), and no output is a transposed view: each is C-contiguous
+    vocab = synth_vocab()
+    trees = mixed_forest(np.random.default_rng(9))
+    params = random_params(variant, attention, 4, vocab, seed=10)
+    tape, states, attn, preds = forward(trees, params, vocab)
+    nodes = states.forest.node_count
+    directions = ("up", "down") if variant == "treebigru" else ("up",)
+    outputs = [("logits", tape.value(preds.logits), (nodes, 5)),
+               ("probs", preds.probs, (nodes, 5))]
+    for direction in directions:
+        outputs.append((f"H_{direction}", tape.value(getattr(states, f"H_{direction}")),
+                        (nodes, 4)))
+        outputs += [(f"{gate}_{direction}", getattr(states, f"{gate}_{direction}"),
+                     (nodes, 4)) for gate in ("z", "r", "cand")]
+    if attention:
+        outputs += [("attn.sentence", tape.value(attn.sentence),
+                     (len(trees), 4 * len(directions))),
+                    ("root", tape.value(preds.root), (len(trees), 5))]
+    for name, value, shape in outputs:
+        assert value.shape == shape, name
+        assert value.flags.c_contiguous, name
 
 
 def recurrence_loss(trees, params, vocab, tape, probes):
     """sum(P_up * H_up) + sum(P_down * H_down) over the forest ``trees``:
-    every state column counts."""
+    every state row counts."""
     states = downward_pass(upward_pass(trees, params, tape, vocab), params, tape)
     terms = []
     for H, probe in zip((states.H_up, states.H_down), probes):
         ones = [tape.input(np.ones(n, dtype=probe.dtype)) for n in probe.shape]
         weighted = ad.mul(tape, H, tape.input(probe))
-        terms.append(ad.matmul(tape, ad.matmul(tape, ones[0], weighted), ones[1]))
+        terms.append(ad.linear(tape, ad.linear(tape, weighted, ones[1]), ones[0]))
     return states, ad.add(tape, *terms)
 
 
@@ -342,7 +368,7 @@ def test_gru_tree_matches_finite_differences():
     # their parent's row, whose gradient must sum over both
     vocab = synth_vocab()
     params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
-    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3, 6))
+    probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 6, 3))
     tape = check_recurrence_gradients([parse_tree(SHAPED)], params, vocab, probes)
     assert len(tape.keyed) == 12 + 9 + 1  # up and down tensors, emb
 
@@ -360,7 +386,7 @@ def test_gru_tree_matches_finite_differences_over_pad_slots():
     assert all((kids >= 0).any() and (kids < 0).any() for kids in second[:2])
     assert (second[2] < 0).all()
     params = random_params("treebigru", False, 3, vocab, seed=5, scale=0.8)
-    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, idx.node_count))
+    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, idx.node_count, 3))
     check_recurrence_gradients(trees, params, vocab, probes)
 
 
@@ -368,7 +394,7 @@ def test_unary_chains_give_second_child_weights_zero_gradient():
     vocab = synth_vocab()
     trees = [parse_tree(s) for s in ("(1 (1 (2 (1 bad))))", "(3 (3 good))", "(2 movie)")]
     params = random_params("treebigru", False, 3, vocab, seed=6)
-    probes = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 3, 7))
+    probes = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 7, 3))
     tape = Tape()
     _, loss = recurrence_loss(trees, params, vocab, tape, probes)
     grads = ad.backward(tape, loss)
@@ -386,10 +412,10 @@ def test_downward_gates_of_every_root_are_zero():
     downward_pass(states, params, tape)
     roots = states.forest.roots
     for gates in (states.z_down, states.r_down, states.cand_down):
-        assert np.all(gates[:, roots] == 0.0)
-        assert np.all(np.delete(gates, roots, axis=1) != 0.0)
-    np.testing.assert_array_equal(tape.value(states.H_down)[:, roots],
-                                  tape.value(states.H_up)[:, roots])
+        assert np.all(gates[roots] == 0.0)
+        assert np.all(np.delete(gates, roots, axis=0) != 0.0)
+    np.testing.assert_array_equal(tape.value(states.H_down)[roots],
+                                  tape.value(states.H_up)[roots])
 
 
 def test_gru_tree_keeps_float32():
@@ -397,7 +423,7 @@ def test_gru_tree_keeps_float32():
     params = random_params("treebigru", False, 3, vocab, seed=4)
     for name, tensor in params.tensors.items():
         params.tensors[name] = tensor.astype(np.float32)
-    probes = np.ones((2, 3, 6), dtype=np.float32)
+    probes = np.ones((2, 6, 3), dtype=np.float32)
     tape = Tape()
     states, loss = recurrence_loss([parse_tree(SHAPED)], params, vocab, tape,
                                    probes)
@@ -439,7 +465,7 @@ def test_upward_states_shared_between_variants():
     s1 = upward_pass([tree], uni, t1, vocab)
     s2 = upward_pass([tree], bi, t2, vocab)
     for j in range(s1.forest.node_count):
-        np.testing.assert_allclose(t1.value(s1.H_up)[:, j], t2.value(s2.H_up)[:, j],
+        np.testing.assert_allclose(t1.value(s1.H_up)[j], t2.value(s2.H_up)[j],
                                    rtol=0, atol=0)
 
 
@@ -481,7 +507,7 @@ def test_sibling_permutation_with_swapped_weights():
 
     def compare(a, b):
         i, j = orig_order[id(a)], mirr_order[id(b)]
-        np.testing.assert_allclose(t1.value(s1.H_up)[:, i], t2.value(s2.H_up)[:, j],
+        np.testing.assert_allclose(t1.value(s1.H_up)[i], t2.value(s2.H_up)[j],
                                    rtol=0, atol=1e-12)
         for ca, cb in zip(a.children, reversed(b.children)):
             compare(ca, cb)
@@ -500,8 +526,8 @@ def test_attention_single_node():
     states = upward_pass([tree], params, tape, vocab)
     attn = attention_pool(states, params, tape)
     assert np.allclose(tape.value(attn.weights), [1.0])
-    np.testing.assert_allclose(tape.value(attn.sentence)[:, 0],
-                               tape.value(states.H_up)[:, 0], rtol=0, atol=0)
+    np.testing.assert_allclose(tape.value(attn.sentence)[0],
+                               tape.value(states.H_up)[0], rtol=0, atol=0)
 
 
 def test_attention_identical_nodes_split_evenly():
@@ -530,7 +556,7 @@ def test_attention_matches_oracle_treegru():
         weights, pooled = oracles.attention(reps, params.tensors)
         np.testing.assert_allclose(tape.value(attn.weights), weights,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled,
+        np.testing.assert_allclose(tape.value(attn.sentence)[0], pooled,
                                    rtol=0, atol=1e-12)
 
 
@@ -549,7 +575,7 @@ def test_attention_matches_oracle_treebigru():
         weights, pooled = oracles.attention(reps, params.tensors)
         np.testing.assert_allclose(tape.value(attn.weights), weights,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled,
+        np.testing.assert_allclose(tape.value(attn.sentence)[0], pooled,
                                    rtol=0, atol=1e-12)
 
 
@@ -571,8 +597,8 @@ def test_attention_scores_shift_invariant():
     rng = np.random.default_rng(0)
     scores = rng.uniform(-2, 2, 6)
     t1, t2 = Tape(), Tape()
-    a1 = ad.softmax(t1, t1.input(scores))
-    a2 = ad.softmax(t2, t2.input(scores + 17.3))
+    a1 = ad.softmax(t1, t1.input(scores), [0, 6])
+    a2 = ad.softmax(t2, t2.input(scores + 17.3), [0, 6])
     np.testing.assert_allclose(t1.value(a1), t2.value(a2), rtol=0, atol=1e-12)
 
 
@@ -588,7 +614,7 @@ def test_attention_linear_norm_matches_oracle():
     reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
     weights, pooled = oracles.attention(reps, params.tensors, norm="linear")
     np.testing.assert_allclose(tape.value(attn.weights), weights, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tape.value(attn.sentence)[:, 0], pooled, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tape.value(attn.sentence)[0], pooled, rtol=0, atol=1e-12)
     assert tape.value(attn.weights).sum() == pytest.approx(1.0)
 
 
@@ -624,7 +650,7 @@ def test_predict_distributions_normalized():
         params = random_params(variant, attention, 5, vocab, seed=11, scale=1.0)
         rng = np.random.default_rng(31)
         tree = synth_tree(rng, max_nodes=9)
-        _, _, _, preds = forward(tree, params, vocab)
+        _, _, _, preds = forward([tree], params, vocab)
         for dist in preds.probs:
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert np.all(dist > 0.0)
@@ -635,11 +661,11 @@ def test_predict_argmax_matches_logits():
     params = random_params("treegru", False, 5, vocab, seed=13, scale=1.0)
     rng = np.random.default_rng(17)
     tree = synth_tree(rng, max_nodes=9)
-    tape, _, _, preds = forward(tree, params, vocab)
+    tape, _, _, preds = forward([tree], params, vocab)
     logits = tape.value(preds.logits)
-    assert logits.shape == (5, len(preds.labels))
+    assert logits.shape == (len(preds.labels), 5)
     for j, label in enumerate(preds.labels):
-        assert label == int(np.argmax(logits[:, j]))
+        assert label == int(np.argmax(logits[j]))
 
 
 def test_predict_full_pipeline_matches_oracle():
@@ -649,7 +675,7 @@ def test_predict_full_pipeline_matches_oracle():
             rng = np.random.default_rng(500 + seed)
             tree = synth_tree(rng, max_nodes=9)
             params = random_params(variant, attention, 4, vocab, seed=seed)
-            tape, states, attn, preds = forward(tree, params, vocab)
+            tape, states, attn, preds = forward([tree], params, vocab)
             up = oracles.upward_states(tree, params.tensors, vocab)
             down = None
             sentence = None
@@ -680,18 +706,18 @@ def test_gates_bounded_and_finite():
             if variant == "treebigru":
                 downward_pass(states, params, tape)
             for j in range(states.forest.node_count):
-                z = states.z_up[:, j]
-                r = states.r_up[:, j]
-                cand = states.cand_up[:, j]
-                h = tape.value(states.H_up)[:, j]
+                z = states.z_up[j]
+                r = states.r_up[j]
+                cand = states.cand_up[j]
+                h = tape.value(states.H_up)[j]
                 assert np.all((z > 0) & (z < 1))
                 assert np.all((r > 0) & (r < 1))
                 assert np.all((cand > -1) & (cand < 1))
                 assert np.all(np.isfinite(h))
                 if variant == "treebigru" and j > 0:
-                    zd = states.z_down[:, j]
+                    zd = states.z_down[j]
                     assert np.all((zd > 0) & (zd < 1))
-                    assert np.all(np.isfinite(tape.value(states.H_down)[:, j]))
+                    assert np.all(np.isfinite(tape.value(states.H_down)[j]))
 
 
 # ---------------------------------------------------------------------------

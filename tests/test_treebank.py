@@ -165,6 +165,14 @@ def test_load_corpus_reports_line(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_names_a_line_that_is_not_utf8(tmp_path):
+    # past the first read buffer, with the line ends text mode knows
+    path = tmp_path / "train.txt"
+    path.write_bytes(b"(2 ok)\r\n" * 2000 + b"(2 ok)\r(3 caf\xe9)\n(2 ok)\n")
+    with pytest.raises(TreebankError, match=f"^{path}, line 2002: not UTF-8 text$"):
+        load_corpus(path)
+
+
 def test_load_corpus_holds_columns_not_node_objects(tmp_path):
     rng = np.random.default_rng(9)
     lines = [serialize_tree(random_tree(rng, WORDS, max_nodes=41)) for _ in range(2000)]

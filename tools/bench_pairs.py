@@ -21,7 +21,11 @@ root of this repository with, per workload:
   bound; else ``unresolved`` when the parent's quartile spread exceeds
   the bound times its median and not every change run beats every
   parent run; else ``ok``;
-- ``traced``: the per-layer metrics of each side's ``--trace 1`` runs.
+- ``traced``: the per-layer metrics of each side's ``--trace 1`` runs;
+- ``traced_summary``: per per-layer metric that both sides report, its
+  direction from ``BENCHMARK.json`` and each side's median and quartiles
+  over that side's traced seeds.  One traced run per side cannot show a
+  layer's change, as single readings move by tens of percent.
 
 Only recipe-scale records are read, and only seeds that both checkouts
 ran are paired.  A checkout with two records of the same workload, seed
@@ -115,8 +119,20 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     return summary
 
 
-def pair_up(records: dict, spec: dict) -> dict:
-    """Per workload: the paired untraced runs, their summary, the traced runs."""
+def summarize_traced(traced: dict, layers: dict) -> dict:
+    summary = {}
+    for metric, m in layers.items():
+        values = {side: [run["metrics"][metric] for run in traced[side]
+                         if metric in run["metrics"]] for side in SIDES}
+        if all(values.values()):
+            summary[metric] = {"better": m["better"],
+                               **{side: quartiles(values[side]) for side in SIDES}}
+    return summary
+
+
+def pair_up(records: dict, spec: dict, layers: dict) -> dict:
+    """Per workload: the paired untraced runs, their summary, the traced
+    runs and theirs."""
     order = sorted((r["mtime"], side, r["workload"], r["seed"], r["trace"])
                    for side in SIDES for r in records[side])
     place = {key[1:]: i for i, key in enumerate(order)}
@@ -143,7 +159,8 @@ def pair_up(records: dict, spec: dict) -> dict:
                          for (seed, trace), r in sorted(by_side[side].items()) if trace == 1]
                   for side in SIDES}
         out[workload] = {"runs": runs, "summary": summarize(runs, spec),
-                         "traced": traced}
+                         "traced": traced,
+                         "traced_summary": summarize_traced(traced, layers)}
     return out
 
 
@@ -157,7 +174,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
+        benchmark = json.load(handle)
+    spec = {m["name"]: m for m in benchmark["end_to_end"]}
+    layers = {m["name"]: m for m in benchmark["per_layer"]}
     try:
         records = {side: read_records(getattr(args, side)) for side in SIDES}
     except DuplicateRun as err:
@@ -182,7 +201,7 @@ def main(argv=None) -> int:
                    "env": [json.loads(e) for e in environments["parent"]]},
         "change": {"commit": args.change_commit,
                    "env": [json.loads(e) for e in environments["change"]]},
-        "workloads": pair_up(records, spec),
+        "workloads": pair_up(records, spec, layers),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -196,6 +215,12 @@ def main(argv=None) -> int:
                   f"change {s['change']['median']:.4g} "
                   f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
                   f"wins {s['wins']}/{len(data['runs'])}  {s['verdict']}")
+        for metric, s in data["traced_summary"].items():
+            print(f"  {metric:<34} parent {s['parent']['median']:.4g} "
+                  f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
+                  f"change {s['change']['median']:.4g} "
+                  f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
+                  f"traced {s['parent']['n']}/{s['change']['n']}  {s['better']} is better")
     print(f"wrote {path}")
     return 0
 
