@@ -259,13 +259,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
-             inputs: ValueRef, columns, slots: np.ndarray, levels: list[np.ndarray]):
+             inputs: ValueRef, fed, slots: np.ndarray, levels: list[np.ndarray]):
     """The rule of the module docstring over a forest, recorded as one
     tape op; returns (H, (Z, R, C)), the states as a tape value and the
     z/r/candidate gates as plain arrays, all nodes x d.
 
     ``names`` are a direction's tensor-name templates; ``inputs`` holds
-    the input rows of the nodes ``columns`` (an index array or a slice),
+    the input rows of the nodes ``fed`` (an index array or a slice),
     and the input terms vanish at every other node.  Row j of ``slots``
     lists node j's children, -1 for none (a zero pad state).  ``levels``
     are node index arrays whose children all lie in earlier levels; a
@@ -288,13 +288,13 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
     H = np.zeros((n + 1, x.shape[1]), dtype=x.dtype)  # row n (slot -1) is the pad
-    H[:n][columns] = x
+    H[:n][fed] = x
     # the gate buffers start as the pre-activations' bias and input
     # terms, one product over every input node outside the recurrence
     Z, R, C = (np.empty_like(H[:n]) for _ in range(3))
     for P, U, b in ((Z, U_z, b_z), (R, U_r, b_r), (C, U_h, b_h)):
         P[...] = b
-        P[columns] += x @ U.T
+        P[fed] += x @ U.T
     # each level with the child slots it uses: (slot, child rows, whether
     # a child row repeats, as siblings share their parent downward)
     plan = []
@@ -354,8 +354,8 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             d_child[1].append(dR[rows].T @ h)
             h *= R[rows]
             d_child[2].append(dC[rows].T @ h)
-        d_in = [dP[columns] for dP in (dZ, dR, dC)]
-        grads = [d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h + G[:n][columns]]
+        d_in = [dP[fed] for dP in (dZ, dR, dC)]
+        grads = [d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h + G[:n][fed]]
         for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
             grads += [dP_in.T @ x, dP.sum(axis=0), *dW]
         return tuple(grads)

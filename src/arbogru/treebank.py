@@ -398,7 +398,7 @@ class Corpus:
 
 
 @contextmanager
-def open_text(path, error=ValueError):
+def open_text(path, error):
     """``path`` opened as UTF-8 text; a byte the block cannot decode raises
     ``error`` naming the line, found by rescanning the bytes only then."""
     try:

@@ -164,6 +164,12 @@ def pair_up(records: dict, spec: dict, layers: dict) -> dict:
     return out
 
 
+def sides(s: dict) -> str:
+    """Each side's median and quartiles from a summary entry, for printing."""
+    return "  ".join(f"{side} {s[side]['median']:.4g} [{s[side]['q1']:.4g}, "
+                     f"{s[side]['q3']:.4g}]" for side in SIDES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
@@ -210,17 +216,11 @@ def main(argv=None) -> int:
     for workload, data in result["workloads"].items():
         print(f"{workload}: {len(data['runs'])} pairs")
         for metric, s in data["summary"].items():
-            print(f"  {metric:<20} parent {s['parent']['median']:.4g} "
-                  f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
-                  f"change {s['change']['median']:.4g} "
-                  f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
-                  f"wins {s['wins']}/{len(data['runs'])}  {s['verdict']}")
+            print(f"  {metric:<20} {sides(s)}  wins {s['wins']}/{len(data['runs'])}  "
+                  f"{s['verdict']}")
         for metric, s in data["traced_summary"].items():
-            print(f"  {metric:<34} parent {s['parent']['median']:.4g} "
-                  f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  "
-                  f"change {s['change']['median']:.4g} "
-                  f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  "
-                  f"traced {s['parent']['n']}/{s['change']['n']}  {s['better']} is better")
+            print(f"  {metric:<34} {sides(s)}  traced {s['parent']['n']}/"
+                  f"{s['change']['n']}  {s['better']} is better")
     print(f"wrote {path}")
     return 0
 
