@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
                        build_forest_graph, evaluate, gradient_check, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
-                       TreebankError, as_forest, load_corpus, open_text, parse_tree)
+                       Forest, TreebankError, load_corpus, open_text, parse_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -313,9 +313,8 @@ def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
     """Score ``trees`` as one forest and print a line per tree, in order:
     root class, root distribution and, if asked, the tree's attention
     weights."""
-    forest = as_forest(trees)
-    # predict reads no labels, so the graph supervises nothing and builds no loss
-    forest = replace(forest, gold=np.full_like(forest.gold, -1))
+    forest = Forest.concat(trees)
+    forest.gold[:] = -1  # predict reads no labels: the graph builds no loss
     tape = Tape()
     graph = build_forest_graph(tape, forest, params, vocab)
     offsets = graph.states.forest.offsets

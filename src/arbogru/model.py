@@ -5,8 +5,8 @@ one adding a top-down phase ("treebigru"), each with or without a
 structural attention head that pools every node representation into a
 sentence vector.  All passes are pure functions from (forest,
 parameters) to tape values, where a forest is a ``treebank.Forest``
-(trees as flat node columns; a list of trees is flattened once);
-parameters are immutable while a tape is alive.
+(trees as flat node columns); parameters are immutable while a tape is
+alive.
 
 Update rules, per node j with children k = 1..N (N <= K):
 
@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, ValueRef
 from .embeddings import Vocabulary
-from .treebank import Forest, Trees, as_forest
+from .treebank import Forest
 
 VARIANT_TREEGRU = "treegru"
 VARIANT_TREEBIGRU = "treebigru"
@@ -364,12 +364,11 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     return tape.append(H[:n], parents, vjp), (Z, R, C)
 
 
-def upward_pass(trees: Trees, params: ModelParams, tape: Tape, vocab: Vocabulary,
+def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabulary,
                 input_mask: MaskFn = None) -> NodeStates:
-    """Bottom-up phase over the forest ``trees``; leaves read (optionally
+    """Bottom-up phase over ``forest``; leaves read (optionally
     masked) embedding rows, and only leaves have an input.  One call per
     tape: the tape's ``"emb"`` leaf holds this forest's rows."""
-    forest = as_forest(trees)
     slots = child_slots(forest, params.max_children)
     leaves = np.flatnonzero(forest.heights == 0)
     rows, index = np.unique(forest.lexicon.ids(vocab)[forest.words[leaves]],

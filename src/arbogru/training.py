@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import model as m
 from .autodiff import Tape
 from .embeddings import Vocabulary, build_vocab
-from .treebank import Corpus, Forest, LabeledTree, Trees, as_forest, random_tree
+from .treebank import Corpus, Forest, random_tree
 
 log = logging.getLogger("arbogru")
 
@@ -226,12 +226,11 @@ class ForestGraph:
     loss: Optional[ad.ValueRef]  # their sum; both None if nothing is supervised
 
 
-def build_forest_graph(tape: Tape, trees: Trees, params: m.ModelParams,
+def build_forest_graph(tape: Tape, forest: Forest, params: m.ModelParams,
                        vocab: Vocabulary, train_mode: bool = False,
                        dropout: float = 0.0, rng=None) -> ForestGraph:
-    """Forward graph for the sentences of a forest (or a list of trees):
-    passes, classifiers, and data loss."""
-    forest = as_forest(trees)
+    """Forward graph for the sentences of ``forest``: passes,
+    classifiers, and data loss."""
     input_mask = None
     if train_mode and dropout > 0.0:
         if rng is None:
@@ -263,24 +262,21 @@ def build_forest_graph(tape: Tape, trees: Trees, params: m.ModelParams,
                        ad.linear(tape, tree_losses, ones))
 
 
-def build_sentence_graph(tape: Tape, tree: LabeledTree, params: m.ModelParams,
-                         vocab: Vocabulary, train_mode: bool = False,
-                         dropout: float = 0.0, rng=None) -> ForestGraph:
-    """``build_forest_graph`` of the one sentence ``tree``."""
-    return build_forest_graph(tape, [tree], params, vocab, train_mode=train_mode,
-                              dropout=dropout, rng=rng)
+# a sentence is a forest of one; the name stays because
+# benchmarks/bench.py scores single trees through it
+build_sentence_graph = build_forest_graph
 
 
-def sentence_gradients(trees: Trees, params: m.ModelParams,
+def sentence_gradients(forest: Forest, params: m.ModelParams,
                        vocab: Vocabulary, train_mode: bool = False,
                        dropout: float = 0.0, rng=None) -> tuple[np.ndarray, GradTable]:
-    """One forward/backward sweep over the forest ``trees``; returns each
+    """One forward/backward sweep over ``forest``; returns each
     tree's data loss and the gradient table of their sum."""
     tape = Tape()
-    graph = build_forest_graph(tape, trees, params, vocab, train_mode=train_mode,
+    graph = build_forest_graph(tape, forest, params, vocab, train_mode=train_mode,
                                dropout=dropout, rng=rng)
     if graph.loss is None:
-        return np.zeros(len(trees)), GradTable()
+        return np.zeros(len(forest)), GradTable()
     grads = ad.backward(tape, graph.loss)
     table = GradTable(rows=graph.states.rows)
     for name, ref in tape.keyed.items():
@@ -441,7 +437,7 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     if dim > 16:
         raise ValueError("gradient checks are restricted to dim <= 16")
     rng = np.random.default_rng(seed)
-    forest = Forest.from_trees([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
+    forest = Forest.concat([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
     vocab = build_vocab(Corpus(forest, "check", "fine", 5))
     params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
                            attention_norm=attention_norm)

@@ -6,10 +6,11 @@ label; a leaf carries exactly one token and an internal node carries one
 or more children.  Trees are kept lossless (tokens case-sensitive as
 found in the file); any case folding happens at embedding lookup.
 
-A loaded corpus is a ``Forest``: flat per-node columns in pre-order and
-per-tree offsets, with no Python object per node.  ``LabeledTree`` is
-the interchange type of ``parse_tree`` and ``random_tree``; a forest
-makes one on access and is built from a list of them in one walk.
+The one tree type is the ``Forest``: flat per-node columns in pre-order
+and per-tree offsets, with no Python object per node.  A tree is a
+forest of one: ``parse_tree`` and ``random_tree`` return one, and its
+``label``, ``token`` and ``children`` read it.  ``Forest.concat`` joins
+forests, and ``select`` cuts trees out of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,61 +35,14 @@ _FINE_LABELS = {str(label): label for label in range(FINE_CLASSES)}  # the commo
 
 
 class TreebankError(ValueError):
-    """Malformed treebank input; ``offset`` is a byte offset into the line."""
+    """Malformed treebank input; ``offset`` is a character offset into the
+    line, surrounding whitespace removed."""
 
     def __init__(self, message: str, offset: Optional[int] = None):
         if offset is not None:
             message = f"{message} at offset {offset}"
         super().__init__(message)
         self.offset = offset
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class LabeledTree:
-    """One node of a sentiment parse tree.
-
-    A node carries either a ``token`` (leaf) or a non-empty ``children``
-    tuple, never both.  ``label`` is ``None`` only for nodes excluded
-    from supervision: neutral phrases kept for structure inside
-    binary-task trees.  Trees compare, hash and print as their pre-order
-    (label, token, arity) sequence, which determines the tree and takes
-    no recursion.
-    """
-
-    label: Optional[int]
-    token: Optional[str] = None
-    children: tuple["LabeledTree", ...] = ()
-
-    def __post_init__(self):
-        if (self.token is not None) == bool(self.children):
-            raise ValueError("a node must carry a token xor children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    @property
-    def supervised(self) -> bool:
-        return self.label is not None
-
-    def _preorder(self) -> tuple:
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            out.append((node.label, node.token, len(node.children)))
-            stack.extend(reversed(node.children))
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledTree):
-            return NotImplemented
-        return self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(self._preorder())
-
-    def __repr__(self) -> str:
-        return f"LabeledTree({self._preorder()!r})"
 
 
 class Lexicon:
@@ -119,9 +73,10 @@ class Forest:
     """Trees as flat node columns, a sized sequence of trees.
 
     Tree t holds the rows ``offsets[t]:offsets[t+1]`` in pre-order, its
-    root first; parents precede their children.  Indexing with an int
-    makes the tree's ``LabeledTree``; a slice or ``select`` gives the
-    chosen trees' rows as a new forest with shifted offsets.
+    root first; parents precede their children, so a subtree is a
+    contiguous range of rows.  A tree is a forest of one: indexing,
+    iteration and ``children`` give one-tree forests, and a slice or
+    ``select`` gives the chosen trees' rows as a new forest.
     """
 
     parents: np.ndarray   # int32: row of the parent; -1 at a root
@@ -144,107 +99,120 @@ class Forest:
     def roots(self) -> np.ndarray:
         return self.offsets[:-1]
 
-    def __getitem__(self, key: Union[int, slice]):
-        if isinstance(key, slice):
-            return self.select(np.arange(len(self))[key])
-        t = range(len(self))[key]  # an IndexError past the end stops iteration
-        rows = slice(self.offsets[t], self.offsets[t + 1])
-        return _make_tree((self.parents[rows] - self.offsets[t]).tolist(),
-                          self.words[rows].tolist(), self.gold[rows].tolist(),
-                          self.lexicon.words)
-
-    def __iter__(self) -> Iterator[LabeledTree]:
-        return (self[t] for t in range(len(self)))
+    def __getitem__(self, key: Union[int, slice]) -> "Forest":
+        # an int past the end raises IndexError, which also ends iteration
+        return self.select(np.atleast_1d(np.arange(len(self))[key]))
 
     def select(self, trees) -> "Forest":
         """The trees at the indices ``trees``, in that order."""
         trees = np.asarray(trees, dtype=np.intp)
-        starts = self.offsets[trees]
-        sizes = self.offsets[trees + 1] - starts
-        offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        shift = np.repeat(offsets[:-1] - starts, sizes)
+        return self._cut(self.offsets[trees], self.offsets[trees + 1])
+
+    def _cut(self, starts: np.ndarray, ends: np.ndarray) -> "Forest":
+        """The subtrees at the rows ``starts[i]:ends[i]``, in order, as the
+        trees of a new forest."""
+        sizes = ends - starts
+        offsets = np.cumsum(np.concatenate([[0], sizes]))
+        roots = offsets[:-1]
+        shift = np.repeat(roots - starts, sizes)
         rows = np.arange(offsets[-1]) - shift
-        parents = self.parents[rows]
-        parents = np.where(parents >= 0, parents + shift, -1).astype(np.int32)
-        return Forest(parents, self.slots[rows], self.words[rows], self.gold[rows],
-                      self.heights[rows], self.depths[rows], offsets, self.lexicon)
+        parents = (self.parents[rows] + shift).astype(np.int32)
+        parents[roots] = -1
+        slots = self.slots[rows]
+        slots[roots] = 0
+        depths = self.depths[rows] - np.repeat(self.depths[starts], sizes)
+        return Forest(parents, slots, self.words[rows], self.gold[rows],
+                      self.heights[rows], depths, offsets, self.lexicon)
+
+    def _one(self) -> None:
+        if len(self) != 1:
+            raise ValueError(f"a forest of {len(self)} trees is not one tree")
+
+    # the root of a forest of one: its label (None where unsupervised),
+    # its word (None at an internal node) and its subtrees in slot order
+    @property
+    def label(self) -> Optional[int]:
+        self._one()
+        return int(self.gold[0]) if self.gold[0] >= 0 else None
+
+    @property
+    def token(self) -> Optional[str]:
+        self._one()
+        return self.lexicon.words[self.words[0]] if self.words[0] >= 0 else None
+
+    @property
+    def children(self) -> tuple["Forest", ...]:
+        self._one()
+        starts = np.flatnonzero(self.parents == 0)
+        ends = np.append(starts[1:], self.node_count)
+        return tuple(self._cut(starts[k:k + 1], ends[k:k + 1]) for k in range(len(starts)))
 
     @classmethod
-    def from_trees(cls, trees: Sequence[LabeledTree]) -> "Forest":
-        """Flatten ``LabeledTree``s in one pre-order walk."""
-        columns, lexicon, offsets = _Columns(), {}, [0]
-        for tree in trees:
-            stack = [(tree, -1, 0, 0)]
-            while stack:
-                node, parent, slot, depth = stack.pop()
-                row = len(columns.parents)
-                columns.parents.append(parent)
-                columns.slots.append(slot)
-                columns.words.append(-1 if node.token is None
-                                     else lexicon.setdefault(node.token, len(lexicon)))
-                columns.gold.append(-1 if node.label is None else node.label)
-                columns.heights.append(0)
-                columns.depths.append(depth)
-                stack.extend((child, row, k, depth + 1)
-                             for k, child in reversed(list(enumerate(node.children))))
-            offsets.append(len(columns.parents))
-        heights = columns.heights
-        for j in range(len(heights) - 1, -1, -1):  # children before parents
-            p = columns.parents[j]
-            if p >= 0 and heights[p] <= heights[j]:
-                heights[p] = heights[j] + 1
-        return columns.forest(offsets, list(lexicon))
+    def concat(cls, forests: Sequence["Forest"]) -> "Forest":
+        """The trees of ``forests``, in order, as one forest.  Its lexicon
+        holds the words that their leaves use, in first-occurrence order."""
+        forests = [_Columns().forest([0], []), *forests]  # typed when no forest is given
+        sizes = [forest.node_count for forest in forests]
+
+        def column(name):
+            return np.concatenate([getattr(forest, name) for forest in forests])
+
+        parents, words, lexicon = column("parents"), column("words"), {}
+        shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        words[words >= 0] = [lexicon.setdefault(forest.lexicon.words[w], len(lexicon))
+                             for forest in forests
+                             for w in forest.words[forest.words >= 0].tolist()]
+        offsets = np.cumsum(np.concatenate([[0]] + [np.diff(f.offsets) for f in forests]))
+        return cls(np.where(parents >= 0, parents + shift, -1).astype(np.int32),
+                   column("slots"), words, column("gold"), column("heights"),
+                   column("depths"), offsets, Lexicon(list(lexicon)))
 
 
-Trees = Union[Forest, Sequence[LabeledTree]]  # what the passes accept
-
-
-def as_forest(trees: Trees) -> Forest:
-    """``trees`` if it is a forest, else the forest of the listed trees."""
-    return trees if isinstance(trees, Forest) else Forest.from_trees(trees)
+def LabeledTree(label: Optional[int], token: Optional[str] = None,
+                children: Sequence[Forest] = ()) -> Forest:
+    """A forest of one tree: a leaf of ``token``, or a node over the trees
+    of ``children``; ``label`` None leaves the node unsupervised.  The name
+    stays because ``benchmarks/gen.py`` builds its leaves with it."""
+    if (token is not None) == bool(children):
+        raise ValueError("a node must carry a token xor children")
+    root = Forest(np.array([-1], np.int32), np.zeros(1, np.int32),
+                  np.array([-1 if token is None else 0], np.int32),
+                  np.array([-1 if label is None else label], np.int16),
+                  np.zeros(1, np.int32), np.zeros(1, np.int32), np.array([0, 1]),
+                  Lexicon([] if token is None else [token]))
+    if token is not None:
+        return root
+    tree = Forest.concat([root, *children])
+    kids = tree.roots[1:]
+    tree.parents[kids] = 0
+    tree.slots[kids] = np.arange(len(kids))
+    tree.depths[1:] += 1
+    tree.heights[0] = tree.heights[kids].max() + 1
+    tree.offsets = tree.offsets[[0, -1]]
+    return tree
 
 
 class _Columns:
-    """The node columns of a forest while it is built, in pre-order:
-    lists for a few trees, typed arrays (no object per value) for a
-    whole corpus."""
+    """The node columns of a forest while it is built, in pre-order, as
+    typed arrays (no object per value)."""
 
-    def __init__(self, compact: bool = False):
-        def column(typecode):
-            return array(typecode) if compact else []
-
-        self.parents, self.slots, self.words = column("i"), column("i"), column("i")
-        self.gold, self.heights, self.depths = column("h"), column("i"), column("i")
+    def __init__(self):
+        self.parents, self.slots, self.words = array("i"), array("i"), array("i")
+        self.gold, self.heights, self.depths = array("h"), array("i"), array("i")
 
     def forest(self, offsets, words: Sequence[str]) -> Forest:
-        """The forest of these columns; typed arrays are shared, not copied."""
+        """The forest of these columns; the arrays are shared, not copied."""
         return Forest(np.asarray(self.parents, np.int32), np.asarray(self.slots, np.int32),
                       np.asarray(self.words, np.int32), np.asarray(self.gold, np.int16),
                       np.asarray(self.heights, np.int32), np.asarray(self.depths, np.int32),
                       np.asarray(offsets, np.int64), Lexicon(words))
 
 
-def _make_tree(parents: list, words: list, gold: list,
-               lexicon: Sequence[str]) -> LabeledTree:
-    """The ``LabeledTree`` of one tree's rows (tree-local parent rows)."""
-    children: list[list] = [[] for _ in parents]
-    for j in range(len(parents) - 1, -1, -1):  # children before parents
-        label = gold[j] if gold[j] >= 0 else None
-        if words[j] >= 0:
-            node = LabeledTree(label, lexicon[words[j]])
-        else:
-            node = LabeledTree(label, children=tuple(reversed(children[j])))
-        if parents[j] >= 0:
-            children[parents[j]].append(node)
-    return node
-
-
 def parse_tree(line: str, num_classes: int = FINE_CLASSES,
-               max_arity: Optional[int] = None) -> LabeledTree:
-    """Parse one parenthesized tree.
+               max_arity: Optional[int] = None) -> Forest:
+    """Parse one parenthesized tree into a forest of one.
 
-    Raises TreebankError (with the byte offset) on unbalanced
+    Raises TreebankError (with the character offset) on unbalanced
     parentheses, non-integer labels, labels outside
     ``0..num_classes-1``, empty nodes, and nodes with more than
     ``max_arity`` children (if given; the offset is the node's closing
@@ -253,7 +221,7 @@ def parse_tree(line: str, num_classes: int = FINE_CLASSES,
     """
     columns, lexicon = _Columns(), {}
     _parse_into(columns, line, num_classes, max_arity, lexicon)
-    return _make_tree(columns.parents, columns.words, columns.gold, list(lexicon))
+    return columns.forest([0, len(columns.parents)], list(lexicon))
 
 
 def _parse_into(columns: _Columns, line: str, num_classes: int,
@@ -332,7 +300,7 @@ def _tokens(line: str) -> list[str]:
 
 
 def _offset(line: str, i: int) -> int:
-    """Byte offset of token ``i`` (the end of input past the last token)."""
+    """Character offset of token ``i`` (the end of input past the last token)."""
     starts = [m.start() for m in _TOKENS.finditer(line)]
     return starts[i] if i < len(starts) else len(line)
 
@@ -361,29 +329,23 @@ def _close(line: str, tokens: list, i: int) -> int:
     return i + 1
 
 
-def serialize_tree(tree: LabeledTree) -> str:
-    """Inverse of parse_tree, single space between tokens, no trailing space."""
-    parts = []
-    pending: list = [tree]  # nodes, and the ")" of open ones
-    while pending:
-        node = pending.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif node.label is None:
-            raise ValueError("cannot serialize an unsupervised (label-less) node")
-        elif node.is_leaf:
-            parts.append(f" ({node.label} {node.token})")
-        else:
-            parts.append(f" ({node.label}")
-            pending.append(")")
-            pending.extend(reversed(node.children))
-    return "".join(parts)[1:]
+def serialize_tree(tree: Forest) -> str:
+    """Inverse of parse_tree, single space between tokens, no trailing
+    space.  Leaf j closes ``depths[j] - depths[j+1] + 1`` parentheses."""
+    tree._one()
+    if (tree.gold < 0).any():
+        raise ValueError("cannot serialize an unsupervised (label-less) node")
+    closes = tree.depths - np.append(tree.depths[1:], 0) + 1
+    words = tree.lexicon.words
+    return " ".join(f"({label}" if word < 0 else f"({label} {words[word]}" + ")" * close
+                    for label, word, close in zip(tree.gold.tolist(), tree.words.tolist(),
+                                                  closes.tolist()))
 
 
 @dataclass
 class Corpus:
-    """One split; ``trees`` may be given as a list of ``LabeledTree``s
-    and is kept as their forest."""
+    """One split; ``trees`` may be given as a list of forests and is kept
+    as their ``Forest.concat``."""
 
     trees: Forest
     split_name: str
@@ -391,7 +353,8 @@ class Corpus:
     class_count: int
 
     def __post_init__(self):
-        self.trees = as_forest(self.trees)
+        if not isinstance(self.trees, Forest):
+            self.trees = Forest.concat(self.trees)
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -426,7 +389,7 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
         raise ValueError(f"unknown task {task!r}")
     if split_name is None:
         split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    columns, lexicon, offsets = _Columns(compact=True), {}, array("q", [0])
+    columns, lexicon, offsets = _Columns(), {}, array("q", [0])
     with open_text(path, TreebankError) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -447,7 +410,7 @@ def to_binary_task(corpus: Corpus) -> Corpus:
 
     Sentences with a neutral root are dropped.  In surviving trees the
     labels map {0,1}->0 and {3,4}->1; internal neutral nodes keep their
-    place in the structure but lose their label (supervised == False),
+    place in the structure but lose their label (gold -1),
     so they contribute to neither loss nor accuracy.
     """
     if corpus.task != TASK_FINE:
@@ -461,21 +424,21 @@ def to_binary_task(corpus: Corpus) -> Corpus:
 
 
 def random_tree(rng, tokens, max_nodes: int = 9,
-                num_classes: int = FINE_CLASSES, leaf_prob: float = 0.3) -> LabeledTree:
-    """Random small tree with arity <= 2, for diagnostics and gradient checks."""
+                num_classes: int = FINE_CLASSES, leaf_prob: float = 0.3) -> Forest:
+    """Random small tree with arity <= 2, for diagnostics and gradient
+    checks.  A node's label is drawn after its subtree; the tree is
+    written as a line and parsed, so ``tokens`` must be treebank words."""
 
     def build(budget):
         if budget <= 2 or rng.random() < leaf_prob:
             token = tokens[int(rng.integers(len(tokens)))]
-            return LabeledTree(int(rng.integers(num_classes)), token=token), 1
+            return f"({int(rng.integers(num_classes))} {token})", 1
         if budget >= 5 and rng.random() < 0.8:
             left, used_l = build((budget - 1) // 2)
             right, used_r = build(budget - 1 - used_l)
-            kids, used = (left, right), used_l + used_r
+            kids, used = f"{left} {right}", used_l + used_r
         else:
-            only, used = build(budget - 1)
-            kids = (only,)
-        return LabeledTree(int(rng.integers(num_classes)), children=kids), used + 1
+            kids, used = build(budget - 1)
+        return f"({int(rng.integers(num_classes))} {kids})", used + 1
 
-    tree, _ = build(max_nodes)
-    return tree
+    return parse_tree(build(max_nodes)[0], num_classes)

@@ -12,7 +12,7 @@ import pytest
 
 from arbogru.embeddings import Vocabulary, build_vocab
 from arbogru.model import init_params
-from arbogru.treebank import Corpus, LabeledTree, parse_tree
+from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
 
 WORD_SCORES = {
     "awful": 0, "dreadful": 0, "wretched": 0,
@@ -24,27 +24,29 @@ WORD_SCORES = {
 WORDS = sorted(WORD_SCORES)
 
 
-def synth_tree(rng, max_nodes=15) -> LabeledTree:
-    tree, _ = _grow(rng, max_nodes)
-    return tree
+def synth_tree(rng, max_nodes=15) -> Forest:
+    line, _, _ = _grow(rng, max_nodes)
+    return parse_tree(line)
 
 
 def _grow(rng, budget):
+    """(line, label, node count) of a random subtree of at most ``budget``
+    nodes; written as text and parsed once, which is far cheaper than
+    joining a forest per node."""
     if budget <= 2 or rng.random() < 0.35:
         word = WORDS[int(rng.integers(len(WORDS)))]
-        return LabeledTree(WORD_SCORES[word], token=word), 1
+        return f"({WORD_SCORES[word]} {word})", WORD_SCORES[word], 1
     if budget >= 5 and rng.random() < 0.85:
-        left, used_l = _grow(rng, (budget - 1) // 2)
-        right, used_r = _grow(rng, budget - 1 - used_l)
-        kids, used = (left, right), used_l + used_r
+        left = _grow(rng, (budget - 1) // 2)
+        kids = (left, _grow(rng, budget - 1 - left[2]))
     else:
-        child, used = _grow(rng, budget - 1)
-        kids = (child,)
-    label = int(np.floor(np.mean([k.label for k in kids]) + 0.5))
-    return LabeledTree(label, children=kids), used + 1
+        kids = (_grow(rng, budget - 1),)
+    label = int(np.floor(np.mean([k[1] for k in kids]) + 0.5))
+    line = f"({label} {' '.join(k[0] for k in kids)})"
+    return line, label, sum(k[2] for k in kids) + 1
 
 
-def full_binary_tree(rng, depth) -> LabeledTree:
+def full_binary_tree(rng, depth) -> Forest:
     """Every internal node has exactly two children."""
     if depth == 0:
         word = WORDS[int(rng.integers(len(WORDS)))]
@@ -83,10 +85,11 @@ FOREST_CASES = [(variant, attention, norm)
 
 
 def mixed_forest(rng):
-    """A one-leaf tree, a unary chain and trees of different heights."""
-    return [synth_tree(rng, max_nodes=9), parse_tree("(3 good)"),
-            parse_tree("(1 (1 (2 (1 dull))))"), full_binary_tree(rng, 3),
-            synth_tree(rng, max_nodes=15)]
+    """A one-leaf tree, a unary chain and trees of different heights, as
+    one forest."""
+    return Forest.concat([synth_tree(rng, max_nodes=9), parse_tree("(3 good)"),
+                          parse_tree("(1 (1 (2 (1 dull))))"), full_binary_tree(rng, 3),
+                          synth_tree(rng, max_nodes=15)])
 
 
 def forest_params(variant, attention, norm, dim, seed):

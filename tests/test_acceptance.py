@@ -82,7 +82,7 @@ def test_criterion_2_forward_oracle_equivalence():
                 tree = synth_tree(rng, max_nodes=9)
                 params = random_params(variant, attention, 6, vocab, seed=seed)
                 tape = Tape()
-                states = upward_pass([tree], params, tape, vocab)
+                states = upward_pass(tree, params, tape, vocab)
                 up = oracles.upward_states(tree, params.tensors, vocab)
                 for j, slot in enumerate(up):
                     np.testing.assert_allclose(tape.value(states.H_up)[j],
@@ -202,7 +202,7 @@ def test_criterion_6_invariant_suite():
             tree = synth_tree(rng, max_nodes=11)
             params = random_params("treegru", True, 6, vocab, seed=seed, scale=1.2)
             tape = Tape()
-            attn = attention_pool(upward_pass([tree], params, tape, vocab),
+            attn = attention_pool(upward_pass(tree, params, tape, vocab),
                                   params, tape)
             weights = tape.value(attn.weights)
             assert np.all(weights >= 0.0)
@@ -215,7 +215,7 @@ def test_criterion_6_invariant_suite():
             params = random_params("treebigru", False, 6, vocab, seed=seed,
                                    scale=1.5)
             tape = Tape()
-            states = downward_pass(upward_pass([tree], params, tape, vocab),
+            states = downward_pass(upward_pass(tree, params, tape, vocab),
                                    params, tape)
             for j in range(states.forest.node_count):
                 z = states.z_up[j]

@@ -93,7 +93,7 @@ def test_upward_leaf_with_zero_embedding():
     params.tensors["emb"][:] = 0.0
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     assert np.allclose(states.z_up[0], 0.5)
     assert np.allclose(states.cand_up[0], 0.0)
     assert np.allclose(tape.value(states.H_up)[0], 0.0)
@@ -109,7 +109,7 @@ def test_upward_leaf_scalar_hand_values():
     params = init_params("treegru", 1, vocab, 5, 2, np.random.default_rng(0))
     params.tensors["emb"][vocab.lookup("word")] = 1.0
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     assert states.z_up[0, 0] == pytest.approx(0.6224593312, abs=1e-9)
     assert states.cand_up[0, 0] == pytest.approx(0.4621171573, abs=1e-9)
     assert tape.value(states.H_up)[0, 0] == pytest.approx(0.1744680, abs=1e-6)
@@ -121,7 +121,7 @@ def test_upward_rejects_wide_nodes():
     wide = LabeledTree(2, children=tuple(
         LabeledTree(2, token=WORDS[i]) for i in range(3)))
     with pytest.raises(ModelError, match="arity"):
-        upward_pass([wide], params, Tape(), vocab)
+        upward_pass(wide, params, Tape(), vocab)
 
 
 def test_upward_matches_oracle():
@@ -131,7 +131,7 @@ def test_upward_matches_oracle():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treegru", False, 8, vocab, seed=seed)
         tape = Tape()
-        states = upward_pass([tree], params, tape, vocab)
+        states = upward_pass(tree, params, tape, vocab)
         expected = oracles.upward_states(tree, params.tensors, vocab)
         assert len(expected) == states.forest.node_count
         for j, slot in enumerate(expected):
@@ -149,7 +149,7 @@ def test_downward_single_leaf_equals_upward():
     params = random_params("treebigru", False, 6, vocab, seed=1)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
+    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
     assert np.array_equal(tape.value(states.H_down)[0], tape.value(states.H_up)[0])
 
 
@@ -161,7 +161,7 @@ def test_downward_zero_fixed_point():
     rng = np.random.default_rng(4)
     tree = synth_tree(rng, max_nodes=9)
     tape = Tape()
-    states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
+    states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
     for j in range(states.forest.node_count):
         assert np.allclose(tape.value(states.H_up)[j], 0.0)
         assert np.allclose(tape.value(states.H_down)[j], 0.0)
@@ -174,7 +174,7 @@ def test_downward_matches_oracle():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treebigru", False, 8, vocab, seed=seed)
         tape = Tape()
-        states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
+        states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
         for j, slot in enumerate(down):
@@ -190,7 +190,7 @@ def test_downward_requires_bidirectional_params():
     params = random_params("treegru", False, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     with pytest.raises(ModelError, match="treebigru"):
         downward_pass(states, params, tape)
 
@@ -216,7 +216,7 @@ def test_sigmoid_in_place_matches_the_logistic_function():
 
 
 def test_index_tree_slots_heights_depths():
-    idx = Forest.from_trees([parse_tree(SHAPED)])
+    idx = parse_tree(SHAPED)
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3]
     assert idx.slots.tolist() == [0, 0, 0, 1, 0, 1]
     assert child_slots(idx, 2).tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5],
@@ -231,9 +231,8 @@ def test_index_tree_slots_heights_depths():
 def test_index_tree_lays_out_a_forest():
     # a one-leaf tree between two copies of SHAPED: indices shift by the
     # tree's offset, -1 stays "none", and the roots sit at the offsets
-    trees = [parse_tree(SHAPED), parse_tree("(0 awful)"), parse_tree(SHAPED)]
-    idx = Forest.from_trees(trees)
-    one = Forest.from_trees(trees[:1])
+    one = parse_tree(SHAPED)
+    idx = Forest.concat([one, parse_tree("(0 awful)"), parse_tree(SHAPED)])
     slots, one_slots = child_slots(idx, 2), child_slots(one, 2)
     assert idx.offsets.tolist() == [0, 6, 7, 13]
     assert idx.roots.tolist() == [0, 6, 7]
@@ -248,8 +247,7 @@ def test_index_tree_lays_out_a_forest():
 def test_index_tree_names_the_tree_with_a_wide_node():
     wide = LabeledTree(2, children=tuple(LabeledTree(2, token=w) for w in WORDS[:3]))
     with pytest.raises(ModelError, match="arity 3 exceeds K=2 in tree 2"):
-        child_slots(Forest.from_trees([parse_tree(SHAPED), parse_tree("(0 awful)"),
-                                       wide]), 2)
+        child_slots(Forest.concat([parse_tree(SHAPED), parse_tree("(0 awful)"), wide]), 2)
 
 
 @pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
@@ -369,7 +367,7 @@ def test_gru_tree_matches_finite_differences():
     vocab = synth_vocab()
     params = random_params("treebigru", False, 3, vocab, seed=4, scale=0.8)
     probes = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 6, 3))
-    tape = check_recurrence_gradients([parse_tree(SHAPED)], params, vocab, probes)
+    tape = check_recurrence_gradients(parse_tree(SHAPED), params, vocab, probes)
     assert len(tape.keyed) == 12 + 9 + 1  # up and down tensors, emb
 
 
@@ -380,19 +378,19 @@ PADDED_FOREST = ("(3 (2 (2 good) (2 movie)) (1 (1 dull)))", "(1 (1 (2 (1 bad))))
 
 def test_gru_tree_matches_finite_differences_over_pad_slots():
     vocab = synth_vocab()
-    trees = [parse_tree(s) for s in PADDED_FOREST]
-    idx = Forest.from_trees(trees)
-    second = [child_slots(idx, 2)[idx.heights == h, 1] for h in (1, 2, 3)]
+    trees = Forest.concat([parse_tree(s) for s in PADDED_FOREST])
+    second = [child_slots(trees, 2)[trees.heights == h, 1] for h in (1, 2, 3)]
     assert all((kids >= 0).any() and (kids < 0).any() for kids in second[:2])
     assert (second[2] < 0).all()
     params = random_params("treebigru", False, 3, vocab, seed=5, scale=0.8)
-    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, idx.node_count, 3))
+    probes = np.random.default_rng(1).uniform(-1.0, 1.0, (2, trees.node_count, 3))
     check_recurrence_gradients(trees, params, vocab, probes)
 
 
 def test_unary_chains_give_second_child_weights_zero_gradient():
     vocab = synth_vocab()
-    trees = [parse_tree(s) for s in ("(1 (1 (2 (1 bad))))", "(3 (3 good))", "(2 movie)")]
+    trees = Forest.concat([parse_tree(s) for s in ("(1 (1 (2 (1 bad))))", "(3 (3 good))",
+                                                   "(2 movie)")])
     params = random_params("treebigru", False, 3, vocab, seed=6)
     probes = np.random.default_rng(2).uniform(-1.0, 1.0, (2, 7, 3))
     tape = Tape()
@@ -425,8 +423,7 @@ def test_gru_tree_keeps_float32():
         params.tensors[name] = tensor.astype(np.float32)
     probes = np.ones((2, 6, 3), dtype=np.float32)
     tape = Tape()
-    states, loss = recurrence_loss([parse_tree(SHAPED)], params, vocab, tape,
-                                   probes)
+    states, loss = recurrence_loss(parse_tree(SHAPED), params, vocab, tape, probes)
     for array in (tape.value(states.H_up), tape.value(states.H_down), states.z_up,
                   states.r_up, states.cand_up, states.z_down, states.r_down,
                   states.cand_down, tape.value(loss)):
@@ -445,7 +442,7 @@ def test_recurrence_tape_entries_do_not_grow_with_the_tree():
     for depth in (1, 4):
         tape = Tape()
         tree = full_binary_tree(np.random.default_rng(depth), depth)
-        states = upward_pass([tree], params, tape, vocab)
+        states = upward_pass(tree, params, tape, vocab)
         downward_pass(states, params, tape)
         counts.append(len(tape) - len(tape.keyed))
     assert counts[0] == counts[1] == 3  # leaf input gather, two ops
@@ -462,8 +459,8 @@ def test_upward_states_shared_between_variants():
         if name in bi.tensors and not name.startswith(("W_s", "b_s")):
             bi.tensors[name] = tensor.copy()
     t1, t2 = Tape(), Tape()
-    s1 = upward_pass([tree], uni, t1, vocab)
-    s2 = upward_pass([tree], bi, t2, vocab)
+    s1 = upward_pass(tree, uni, t1, vocab)
+    s2 = upward_pass(tree, bi, t2, vocab)
     for j in range(s1.forest.node_count):
         np.testing.assert_allclose(t1.value(s1.H_up)[j], t2.value(s2.H_up)[j],
                                    rtol=0, atol=0)
@@ -480,39 +477,27 @@ def test_sibling_permutation_with_swapped_weights():
         swapped.tensors[f"W_{gate}_2"] = params.tensors[f"W_{gate}_1"].copy()
 
     def mirror(node):
-        if node.is_leaf:
+        if node.token is not None:
             return node
         return LabeledTree(node.label,
                            children=tuple(mirror(c) for c in reversed(node.children)))
 
-    def index_of(root):
-        order = {}
-
-        def visit(node, counter):
-            order[id(node)] = counter[0]
-            counter[0] += 1
-            for child in node.children:
-                visit(child, counter)
-
-        visit(root, [0])
-        return order
-
     mirrored_tree = mirror(tree)
     t1 = Tape()
-    s1 = upward_pass([tree], params, t1, vocab)
+    s1 = upward_pass(tree, params, t1, vocab)
     t2 = Tape()
-    s2 = upward_pass([mirrored_tree], swapped, t2, vocab)
-    orig_order = index_of(tree)
-    mirr_order = index_of(mirrored_tree)
-
-    def compare(a, b):
-        i, j = orig_order[id(a)], mirr_order[id(b)]
+    s2 = upward_pass(mirrored_tree, swapped, t2, vocab)
+    # row i of the tree against row j of the mirror, children paired in
+    # reverse slot order
+    slots, mirrored_slots = child_slots(tree, 2), child_slots(mirrored_tree, 2)
+    pairs = [(0, 0)]
+    while pairs:
+        i, j = pairs.pop()
         np.testing.assert_allclose(t1.value(s1.H_up)[i], t2.value(s2.H_up)[j],
                                    rtol=0, atol=1e-12)
-        for ca, cb in zip(a.children, reversed(b.children)):
-            compare(ca, cb)
-
-    compare(tree, mirrored_tree)
+        kids, mirrored_kids = slots[i][slots[i] >= 0], mirrored_slots[j][mirrored_slots[j] >= 0]
+        assert len(kids) == len(mirrored_kids)
+        pairs += zip(kids, mirrored_kids[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +508,7 @@ def test_attention_single_node():
     params = random_params("treegru", True, 5, vocab, seed=2)
     tree = LabeledTree(2, token=WORDS[1])
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     attn = attention_pool(states, params, tape)
     assert np.allclose(tape.value(attn.weights), [1.0])
     np.testing.assert_allclose(tape.value(attn.sentence)[0],
@@ -537,7 +522,7 @@ def test_attention_identical_nodes_split_evenly():
     tree = LabeledTree(2, children=(LabeledTree(2, token=WORDS[0]),
                                     LabeledTree(2, token=WORDS[0])))
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     attn = attention_pool(states, params, tape)
     weights = tape.value(attn.weights)
     assert weights[1] == pytest.approx(weights[2], abs=1e-12)
@@ -550,7 +535,7 @@ def test_attention_matches_oracle_treegru():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treegru", True, 4, vocab, seed=seed)
         tape = Tape()
-        states = upward_pass([tree], params, tape, vocab)
+        states = upward_pass(tree, params, tape, vocab)
         attn = attention_pool(states, params, tape)
         reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
         weights, pooled = oracles.attention(reps, params.tensors)
@@ -567,7 +552,7 @@ def test_attention_matches_oracle_treebigru():
         tree = synth_tree(rng, max_nodes=7)
         params = random_params("treebigru", True, 4, vocab, seed=seed)
         tape = Tape()
-        states = downward_pass(upward_pass([tree], params, tape, vocab), params, tape)
+        states = downward_pass(upward_pass(tree, params, tape, vocab), params, tape)
         attn = attention_pool(states, params, tape)
         up = oracles.upward_states(tree, params.tensors, vocab)
         down = oracles.downward_states(tree, up, params.tensors)
@@ -586,7 +571,7 @@ def test_attention_weights_normalized():
         tree = synth_tree(rng, max_nodes=11)
         params = random_params("treegru", True, 6, vocab, seed=seed, scale=1.5)
         tape = Tape()
-        attn = attention_pool(upward_pass([tree], params, tape, vocab), params, tape)
+        attn = attention_pool(upward_pass(tree, params, tape, vocab), params, tape)
         weights = tape.value(attn.weights)
         assert np.all(weights >= 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-9
@@ -609,7 +594,7 @@ def test_attention_linear_norm_matches_oracle():
     params = random_params("treegru", True, 4, vocab, seed=6, scale=0.4)
     params.attention_norm = "linear"
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     attn = attention_pool(states, params, tape)
     reps = [slot["h"] for slot in oracles.upward_states(tree, params.tensors, vocab)]
     weights, pooled = oracles.attention(reps, params.tensors, norm="linear")
@@ -623,7 +608,7 @@ def test_attention_requires_attention_params():
     params = random_params("treegru", False, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     with pytest.raises(ModelError, match="attention"):
         attention_pool(states, params, tape)
 
@@ -638,7 +623,7 @@ def test_predict_uniform_with_zero_classifier():
     params.tensors["b_s"][:] = 0.0
     tree = parse_tree("(3 (2 good) (2 movie))")
     tape = Tape()
-    preds = predict_nodes(upward_pass([tree], params, tape, vocab), params, tape)
+    preds = predict_nodes(upward_pass(tree, params, tape, vocab), params, tape)
     for dist, label in zip(preds.probs, preds.labels):
         np.testing.assert_allclose(dist, 0.2, rtol=0, atol=1e-12)
         assert label == 0  # tie-break to the lowest class
@@ -650,7 +635,7 @@ def test_predict_distributions_normalized():
         params = random_params(variant, attention, 5, vocab, seed=11, scale=1.0)
         rng = np.random.default_rng(31)
         tree = synth_tree(rng, max_nodes=9)
-        _, _, _, preds = forward([tree], params, vocab)
+        _, _, _, preds = forward(tree, params, vocab)
         for dist in preds.probs:
             assert abs(dist.sum() - 1.0) <= 1e-9
             assert np.all(dist > 0.0)
@@ -661,7 +646,7 @@ def test_predict_argmax_matches_logits():
     params = random_params("treegru", False, 5, vocab, seed=13, scale=1.0)
     rng = np.random.default_rng(17)
     tree = synth_tree(rng, max_nodes=9)
-    tape, _, _, preds = forward([tree], params, vocab)
+    tape, _, _, preds = forward(tree, params, vocab)
     logits = tape.value(preds.logits)
     assert logits.shape == (len(preds.labels), 5)
     for j, label in enumerate(preds.labels):
@@ -675,7 +660,7 @@ def test_predict_full_pipeline_matches_oracle():
             rng = np.random.default_rng(500 + seed)
             tree = synth_tree(rng, max_nodes=9)
             params = random_params(variant, attention, 4, vocab, seed=seed)
-            tape, states, attn, preds = forward([tree], params, vocab)
+            tape, states, attn, preds = forward(tree, params, vocab)
             up = oracles.upward_states(tree, params.tensors, vocab)
             down = None
             sentence = None
@@ -702,7 +687,7 @@ def test_gates_bounded_and_finite():
             tree = synth_tree(rng, max_nodes=11)
             params = random_params(variant, False, 6, vocab, seed=seed, scale=2.0)
             tape = Tape()
-            states = upward_pass([tree], params, tape, vocab)
+            states = upward_pass(tree, params, tape, vocab)
             if variant == "treebigru":
                 downward_pass(states, params, tape)
             for j in range(states.forest.node_count):
@@ -906,7 +891,7 @@ def test_node_representation_requires_downward():
     params = random_params("treebigru", True, 4, vocab)
     tree = LabeledTree(2, token=WORDS[0])
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     with pytest.raises(ModelError, match="downward"):
         attention_pool(states, params, tape)
     params.attention = False
@@ -924,7 +909,7 @@ def test_passes_register_each_parameter_slot_once():
     params = random_params("treebigru", True, 3, vocab, seed=2)
     tree = parse_tree("(3 (2 movie) (3 (2 good) (2 movie)))")
     tape = Tape()
-    states = upward_pass([tree], params, tape, vocab)
+    states = upward_pass(tree, params, tape, vocab)
     downward_pass(states, params, tape)
     predict_nodes(states, params, tape, attn=attention_pool(states, params, tape))
     assert set(tape.keyed) == set(params.tensors)

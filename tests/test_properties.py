@@ -63,7 +63,7 @@ def walk_index(trees, max_children=2):
             slots.append([-1] * max_children)
             depths.append(depth)
             gold.append(-1 if node.label is None else node.label)
-            if node.is_leaf:
+            if node.token is not None:
                 tokens.append(node.token)
         offsets.append(len(parents))
     heights = [0] * len(parents)
@@ -103,8 +103,8 @@ def test_batch_from_corpus_rows_matches_a_walk(tmp_path_factory, forest, picks, 
     batch = corpus.trees.select(ids)
     want = walk_index([forest[i] for i in ids])
     assert forest_index(batch) == want
-    assert forest_index(Forest.from_trees(list(batch))) == want
-    assert list(batch) == [forest[i] for i in ids]
+    assert forest_index(Forest.concat(list(batch))) == want
+    assert [forest_index(tree) for tree in batch] == [forest_index(forest[i]) for i in ids]
 
 
 @pytest.mark.parametrize("variant,attention,norm", VARIANT_CASES)

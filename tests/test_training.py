@@ -14,7 +14,7 @@ from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
                               dropout_mask, evaluate,
                               gradient_check, l2_penalty, max_relative_error,
                               sentence_gradients, train)
-from arbogru.treebank import Corpus, parse_tree, to_binary_task
+from arbogru.treebank import Corpus, Forest, parse_tree, to_binary_task
 
 from conftest import (FOREST_CASES, WORDS, forest_params, full_binary_tree,
                       mixed_forest, random_params, synth_corpus, synth_tree,
@@ -299,7 +299,7 @@ def test_batch_gradient_equals_sum_of_sentence_gradients():
         assert losses.shape == (len(trees),)
         summed, rows = {}, set()
         for t, tree in enumerate(trees):
-            loss, table = sentence_gradients([tree], params, vocab)
+            loss, table = sentence_gradients(tree, params, vocab)
             assert_relative(losses[t], loss[0])
             rows.update(table.rows.tolist())
             for key, g in dense_gradients(table, params).items():
@@ -325,7 +325,8 @@ def test_training_batch_tape_has_one_leaf_per_tensor(variant, attention):
     words = [WORDS[i % len(WORDS)] for i in range(75)]
     lengths = []
     for batch in (["good"] * 75, words):
-        trees = [parse_tree(shape.format(*batch[3 * t:3 * t + 3])) for t in range(25)]
+        trees = Forest.concat([parse_tree(shape.format(*batch[3 * t:3 * t + 3]))
+                               for t in range(25)])
         tape = Tape()
         graph = build_forest_graph(tape, trees, params, vocab, train_mode=True,
                                    dropout=0.5, rng=np.random.default_rng(0))
@@ -565,7 +566,7 @@ def test_head_and_loss_tape_entries_do_not_grow_with_nodes(variant, attention):
 
     def head_entries(tree):
         passes = Tape()
-        states = upward_pass([tree], params, passes, vocab)
+        states = upward_pass(tree, params, passes, vocab)
         if variant == "treebigru":
             downward_pass(states, params, passes)
         full = Tape()

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arbogru.embeddings import build_vocab
 from arbogru.model import child_slots
-from arbogru.treebank import (Corpus, LabeledTree, TreebankError, load_corpus,
+from arbogru.treebank import (Corpus, Forest, LabeledTree, TreebankError, load_corpus,
                               parse_tree, random_tree,
                               serialize_tree, to_binary_task)
 
@@ -21,18 +22,21 @@ def iter_nodes(tree):
         stack.extend(reversed(node.children))
 
 
-def node_count(tree):
-    return sum(1 for _ in iter_nodes(tree))
-
-
 def max_arity(tree):
     return max(len(node.children) for node in iter_nodes(tree))
+
+
+def columns(forest):
+    """Every node column and the offsets, as lists, with leaf words spelled out."""
+    words = [forest.lexicon.words[w] if w >= 0 else None for w in forest.words.tolist()]
+    return (forest.parents.tolist(), forest.slots.tolist(), words, forest.gold.tolist(),
+            forest.heights.tolist(), forest.depths.tolist(), forest.offsets.tolist())
 
 
 def test_parse_two_leaf_tree():
     tree = parse_tree("(3 (2 good) (2 movie))")
     assert tree.label == 3
-    assert not tree.is_leaf
+    assert tree.token is None
     assert [c.token for c in tree.children] == ["good", "movie"]
     assert [c.label for c in tree.children] == [2, 2]
 
@@ -81,7 +85,7 @@ def test_roundtrip_examples():
                  "(1 (1 (0 awful)))"]:
         tree = parse_tree(line)
         assert serialize_tree(tree) == line
-        assert parse_tree(serialize_tree(tree)) == tree
+        assert columns(parse_tree(serialize_tree(tree))) == columns(tree)
 
 
 def test_roundtrip_random_trees():
@@ -91,7 +95,7 @@ def test_roundtrip_random_trees():
         tree = random_tree(rng, words, max_nodes=13)
         line = serialize_tree(tree)
         again = parse_tree(line)
-        assert again == tree
+        assert columns(again) == columns(tree)
         assert serialize_tree(again) == line
 
 
@@ -99,7 +103,7 @@ def test_node_count_matches_open_parens():
     rng = np.random.default_rng(11)
     for _ in range(100):
         tree = random_tree(rng, ["x", "y"], max_nodes=11)
-        assert node_count(tree) == serialize_tree(tree).count("(")
+        assert tree.node_count == serialize_tree(tree).count("(")
 
 
 def test_whitespace_normalization():
@@ -114,31 +118,61 @@ def test_labeled_tree_token_xor_children():
         LabeledTree(2, token="x", children=(LabeledTree(2, token="y"),))
 
 
-def test_labeled_tree_structural_equality_and_repr():
+def test_labeled_tree_builds_the_parsed_columns():
     tree = parse_tree("(3 (2 good) (1 (2 movie)))")
-    assert tree == LabeledTree(3, children=(
-        LabeledTree(2, "good"), LabeledTree(1, children=(LabeledTree(2, "movie"),))))
-    assert tree != parse_tree("(3 (2 good) (1 (3 movie)))")
-    assert tree != "(3 (2 good) (1 (2 movie)))"
+    assert columns(tree) == columns(LabeledTree(3, children=(
+        LabeledTree(2, "good"), LabeledTree(1, children=(LabeledTree(2, "movie"),)))))
+    assert columns(tree) != columns(parse_tree("(3 (2 good) (1 (3 movie)))"))
+    assert columns(parse_tree(serialize_tree(tree))) == columns(tree)
     # same labels and tokens in pre-order, different shape
-    assert parse_tree("(1 (2 (3 a) (3 b)))") != parse_tree("(1 (2 (3 a)) (3 b))")
-    assert len({tree, parse_tree(serialize_tree(tree))}) == 1
-    # repr lists (label, token, arity) in pre-order
-    assert repr(parse_tree("(3 (1 (2 a)) (4 b))")) == (
-        "LabeledTree(((3, None, 2), (1, None, 1), (2, 'a', 0), (4, 'b', 0)))")
+    one, two = parse_tree("(1 (2 (3 a) (3 b)))"), parse_tree("(1 (2 (3 a)) (3 b))")
+    assert columns(one) != columns(two)
+    assert serialize_tree(one) != serialize_tree(two)
 
 
-def test_deep_chain_compares_hashes_and_prints():
-    # generated dataclass methods would recurse past the interpreter's limit
+def test_deep_chain_compares_by_columns():
+    # far deeper than the interpreter's recursion limit
     depth = 1500
     line = "(1 " * depth + "(4 good)" + ")" * depth
     one, two = parse_tree(line), parse_tree(line)
     assert one is not two
-    assert one == two
-    assert hash(one) == hash(two)
-    assert repr(one) == repr(two)
-    assert repr(one).count("(1, None, 1)") == depth
-    assert one != parse_tree("(1 " * depth + "(4 bad)" + ")" * depth)
+    assert columns(one) == columns(two)
+    assert one.gold.tolist().count(1) == (one.words < 0).sum() == depth
+    assert columns(one) != columns(parse_tree("(1 " * depth + "(4 bad)" + ")" * depth))
+
+
+def test_one_tree_accessors_refuse_other_tree_counts(tmp_path):
+    path = tmp_path / "two.txt"
+    path.write_text("(3 (2 good) (2 movie))\n(2 hello)\n")
+    for forest in (load_corpus(path).trees, Forest.concat([])):
+        for name in ("label", "token", "children"):
+            with pytest.raises(ValueError, match=f"forest of {len(forest)} trees"):
+                getattr(forest, name)
+
+
+def test_concat_joins_trees_and_the_words_they_use(tmp_path):
+    empty = Forest.concat([])
+    assert len(empty) == empty.node_count == 0
+    assert empty.offsets.tolist() == [0] and empty.lexicon.words == []
+    lines = ["(3 (2 good) (2 movie))", "(2 (2 the) (2 film))", "(1 (1 dull) (2 film))"]
+    path = tmp_path / "train.txt"
+    path.write_text("\n".join(lines) + "\n")
+    corpus = load_corpus(path)
+    cut = Forest.concat([corpus.trees[2], corpus.trees[0]])
+    assert [serialize_tree(tree) for tree in cut] == [lines[2], lines[0]]
+    assert cut.lexicon.words == ["dull", "film", "good", "movie"]
+    parsed = Corpus([parse_tree(line) for line in lines], "train", "fine", 5)
+    assert build_vocab(parsed).id_to_word == build_vocab(corpus).id_to_word
+
+
+def test_parse_error_offsets_count_characters_of_the_stripped_line(tmp_path):
+    line = "(3 (2 café) (x a))"
+    with pytest.raises(TreebankError, match="non-integer label 'x' at offset 13$"):
+        parse_tree(line)  # the character index of x; its UTF-8 byte index is 14
+    path = tmp_path / "train.txt"
+    path.write_text(f"(2 ok)\n  \t{line}  \n", encoding="utf-8")
+    with pytest.raises(TreebankError, match="line 2: non-integer label 'x' at offset 13$"):
+        load_corpus(path)
 
 
 def test_load_corpus(tmp_path):
@@ -248,7 +282,6 @@ def test_binary_task_label_mapping_and_structure():
     assert mapped.children[0].label == 0
     assert mapped.children[0].children[0].label == 0
     assert mapped.children[0].children[1].label is None
-    assert not mapped.children[0].children[1].supervised
     assert mapped.children[1].label == 1
 
 
@@ -267,14 +300,14 @@ def test_supervised_count_at_most_node_count():
     corpus = synth_corpus(30, seed=3)
     for tree in to_binary_task(corpus).trees:
         nodes = list(iter_nodes(tree))
-        assert sum(n.supervised for n in nodes) <= len(nodes)
+        assert sum(n.label is not None for n in nodes) <= len(nodes)
 
 
 def test_random_tree_respects_bounds():
     rng = np.random.default_rng(0)
     for _ in range(200):
         tree = random_tree(rng, ["a", "b", "c"], max_nodes=9)
-        assert 1 <= node_count(tree) <= 9
+        assert 1 <= tree.node_count <= 9
         assert max_arity(tree) <= 2
 
 
@@ -283,7 +316,7 @@ def test_deep_chain_roundtrip_and_binary_mapping():
     depth = 5000
     line = "(3 " * depth + "(4 good)" + ")" * depth
     tree = parse_tree(line)
-    assert node_count(tree) == depth + 1
+    assert tree.node_count == depth + 1
     assert serialize_tree(tree) == line
     binary = to_binary_task(Corpus([tree], "deep", "fine", 5))
-    assert {node.label for node in iter_nodes(binary.trees[0])} == {1}
+    assert set(binary.trees[0].gold.tolist()) == {1}
