@@ -63,9 +63,10 @@ def synth_corpus(n, seed, split="train", max_nodes=15) -> Corpus:
 
 
 def synth_vocab() -> Vocabulary:
-    """Vocabulary covering every synthetic word."""
-    trees = [LabeledTree(WORD_SCORES[w], token=w) for w in WORDS]
-    return build_vocab(Corpus(trees, "vocab", "fine", 5))
+    """Vocabulary covering every synthetic word: one tree whose leaves are
+    the words in order."""
+    line = "(2 " + " ".join(f"({WORD_SCORES[w]} {w})" for w in WORDS) + ")"
+    return build_vocab(Corpus(parse_tree(line), "vocab", "fine", 5))
 
 
 def random_params(variant, attention, dim, vocab, classes=5, seed=0, scale=0.5):
