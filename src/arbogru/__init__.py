@@ -6,8 +6,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (EmbeddingMatrix, Vocabulary, build_vocab, load_glove,
                          load_vocab, random_embeddings, save_vocab)
 from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
-                    count_parameters, downward_pass, init_params,
-                    itemize_parameters, predict_nodes, upward_pass)
+                    downward_pass, init_params, itemize_parameters,
+                    predict_nodes, upward_pass)
 from .training import (Metrics, OptimizerState, SplitCorpora, TrainConfig,
                        TrainResult, adagrad_step, build_sentence_graph,
                        evaluate, gradient_check, train)
@@ -22,7 +22,7 @@ __all__ = [
     "OptimizerState", "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
     "Vocabulary",
     "ValueRef", "adagrad_step", "attention_pool", "backward",
-    "build_sentence_graph", "build_vocab", "count_parameters",
+    "build_sentence_graph", "build_vocab",
     "downward_pass", "evaluate", "gradient_check",
     "init_params", "itemize_parameters", "load_checkpoint", "load_corpus",
     "load_glove", "load_vocab", "parse_tree", "predict_nodes",

@@ -8,7 +8,9 @@ of a corpus being scored) and discarded after the backward sweep.  The
 ops that work per sentence take ``offsets``: segment t of a forest's
 node axis is ``offsets[t]:offsets[t+1]``.  Everything runs in the dtype
 of the inputs (float64 for tests and gradient checks).  Every
-node-indexed matrix is node-major: row j is node j.
+node-indexed matrix is node-major: row j is node j.  Every leaf gets a
+gradient; an array that needs none, such as a dropout mask, is an
+argument of an op (``mask``), not a tape value.
 """
 
 from __future__ import annotations
@@ -34,20 +36,19 @@ class ValueRef:
 class Tape:
     """Append-only computation record; insertion order is topological order."""
 
-    __slots__ = ("_values", "_parents", "_vjps", "keyed", "_constants")
+    __slots__ = ("_values", "_parents", "_vjps", "keyed")
 
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
         self.keyed: dict[str, ValueRef] = {}  # tensor name -> leaf, in first-use order
-        self._constants: set[int] = set()  # leaves that need no gradient
 
     def __len__(self) -> int:
         return len(self._values)
 
     def input(self, value, key: Optional[str] = None) -> ValueRef:
-        """Register a leaf value (parameter or constant); a leaf keyed by a
+        """Register a leaf value (a parameter or an input); a leaf keyed by a
         parameter tensor's name is registered on first use only, so all its
         uses share one gradient."""
         if key is None:
@@ -56,24 +57,13 @@ class Tape:
             self.keyed[key] = self.append(np.asarray(value), (), None)
         return self.keyed[key]
 
-    def constant(self, value) -> ValueRef:
-        """Register a leaf that needs no gradient, such as a dropout mask:
-        the ops that check ``needs_grad`` compute none for it."""
-        ref = self.input(value)
-        self._constants.add(ref.index)
-        return ref
-
-    def needs_grad(self, ref: ValueRef) -> bool:
-        return ref.index not in self._constants
-
     def value(self, ref: ValueRef) -> np.ndarray:
         return self._values[ref.index]
 
     def append(self, value, parents, vjp) -> ValueRef:
         """Record ``value``, computed from the values at the tape indices
         ``parents``; ``vjp`` maps its output gradient to one gradient per
-        parent, in order, None for a parent that needs none (``vjp`` is
-        None for a leaf)."""
+        parent, in order (``vjp`` is None for a leaf)."""
         self._values.append(value)
         self._parents.append(parents)
         self._vjps.append(vjp)
@@ -119,17 +109,30 @@ def add(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
     return tape.append(av + bv, (a.index, b.index), lambda g: (g, g))
 
 
-def mul(tape: Tape, a: ValueRef, b: ValueRef) -> ValueRef:
-    """Elementwise (Hadamard) product; no gradient for a constant operand."""
+def mask(tape: Tape, x: ValueRef, m: np.ndarray) -> ValueRef:
+    """``x`` times the plain array ``m`` elementwise, such as a dropout
+    mask; ``m`` is no tape value and gets no gradient."""
+    xv = tape.value(x)
+    if xv.shape != m.shape:
+        _fail("mask", xv.shape, m.shape)
+    return tape.append(xv * m, (x.index,), lambda g: (g * m,))
+
+
+def put_rows(tape: Tape, a: ValueRef, rows, b: ValueRef) -> ValueRef:
+    """The matrix ``a`` with its rows ``rows`` (distinct) replaced by the
+    rows of ``b``, in order."""
     av, bv = tape.value(a), tape.value(b)
-    if av.shape != bv.shape:
-        _fail("mul", av.shape, bv.shape)
-    grad_a, grad_b = tape.needs_grad(a), tape.needs_grad(b)
+    if av.ndim != 2 or bv.shape != (len(rows), av.shape[1]):
+        _fail("put_rows", av.shape, bv.shape)
+    out = av.copy()
+    out[rows] = bv
 
     def vjp(g):
-        return g * bv if grad_a else None, g * av if grad_b else None
+        ga = g.copy()
+        ga[rows] = 0.0
+        return ga, g[rows]
 
-    return tape.append(av * bv, (a.index, b.index), vjp)
+    return tape.append(out, (a.index, b.index), vjp)
 
 
 def tanh(tape: Tape, a: ValueRef) -> ValueRef:
@@ -265,8 +268,8 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
     """Gradients of a scalar ``loss`` with respect to every tape value.
 
     Returns a list aligned with tape indices; entries are ``None`` for
-    values the loss does not depend on and for constants.  Contributions
-    at fan-out points are summed, and the sweep is fully deterministic.
+    values the loss does not depend on.  Contributions at fan-out points
+    are summed, and the sweep is fully deterministic.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -278,8 +281,6 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
         if g is None or vjp is None:
             continue
         for parent, pg in zip(tape._parents[i], vjp(g)):
-            if pg is None:
-                continue
             if grads[parent] is None:
                 grads[parent] = pg
             else:

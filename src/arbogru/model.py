@@ -41,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, ValueRef
-from .embeddings import Vocabulary
+from .embeddings import Vocabulary, random_embeddings
 from .treebank import Forest
 
 VARIANT_TREEGRU = "treegru"
@@ -143,24 +143,23 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
     """Build parameters: square recurrent matrices at 0.5*I, classifier and
     attention tensors from a scaled standard normal, biases at zero.
 
-    ``embeddings`` is an EmbeddingMatrix; omitted, rows are drawn
-    uniformly from [-0.05, 0.05].  A matrix already in ``dtype`` becomes
+    ``embeddings`` is an EmbeddingMatrix; omitted, ``random_embeddings``
+    draws one from ``rng`` before any other tensor.  A matrix already in ``dtype`` becomes
     the ``emb`` parameter itself, so training updates the caller's array;
     another dtype is copied.  ``attention_norm`` (one of ATTENTION_NORMS)
     travels with the parameters into the checkpoint.
     """
     shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
+    if embeddings is None:
+        embeddings = random_embeddings(vocab, dim, rng, dtype)
     random_init = {"W_s", "W_s_up", "W_s_dn", "W_s_att", "W_w", "u_w"}
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         if name == "emb":
-            if embeddings is not None:
-                if embeddings.vectors.shape != shape:
-                    raise ModelError(
-                        f"embedding matrix shape {embeddings.vectors.shape} != {shape}")
-                tensors[name] = embeddings.vectors.astype(dtype, copy=False)
-            else:
-                tensors[name] = rng.uniform(-0.05, 0.05, shape).astype(dtype)
+            if embeddings.vectors.shape != shape:
+                raise ModelError(
+                    f"embedding matrix shape {embeddings.vectors.shape} != {shape}")
+            tensors[name] = embeddings.vectors.astype(dtype, copy=False)
         elif is_bias(name):
             tensors[name] = np.zeros(shape, dtype=dtype)
         elif name in random_init:
@@ -232,12 +231,13 @@ class AttentionResult:
 
 @dataclass
 class NodePredictions:
-    """Classifier outputs; row j belongs to node j."""
+    """Classifier outputs; row j belongs to node j.  With attention a
+    root's row comes from its tree's sentence vector, every other row
+    from the node's states."""
 
-    logits: ValueRef            # (nodes, classes), from the state classifier
-    root: Optional[ValueRef]    # (trees, classes), from the sentence vectors
-    probs: np.ndarray           # (nodes, classes); root rows follow ``root`` if set
-    labels: list[int]
+    logits: ValueRef   # (nodes, classes)
+    probs: np.ndarray  # (nodes, classes), the softmax of each row
+    labels: np.ndarray  # (nodes,), the argmax of each row
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,7 @@ def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabula
                             return_inverse=True)
     inputs = ad.gather(tape, tape.input(params.tensors["emb"][rows], key="emb"), index)
     if input_mask is not None:
-        inputs = ad.mul(tape, inputs, tape.constant(input_mask(inputs.shape)))
+        inputs = ad.mask(tape, inputs, input_mask(inputs.shape))
     H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots,
                         _levels(forest.heights))
     return NodeStates(forest, rows, H, *gates)
@@ -437,11 +437,11 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     """Class logits, distributions, and argmax labels of every node.
 
     The state classifier maps the node matrices to a nodes x classes
-    logit matrix in one product; with attention the roots' logits come
-    from the pooled sentence vectors instead (a trees x classes matrix),
-    and the matrix's root rows go unused.  ``feature_mask`` (dropout)
-    draws one mask per classifier input matrix.  Ties in the argmax
-    resolve to the lowest class index.
+    logit matrix in one product; with attention the sentence classifier
+    maps the pooled sentence vectors to the roots' rows, which replace
+    the state classifier's there.  ``feature_mask`` (dropout) draws one
+    mask per classifier input matrix.  Ties in the argmax resolve to the
+    lowest class index.
     """
     if params.attention and attn is None:
         raise ModelError("attention parameters require an AttentionResult")
@@ -451,7 +451,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     def masked(ref):
         if feature_mask is None:
             return ref
-        return ad.mul(tape, ref, tape.constant(feature_mask(ref.shape)))
+        return ad.mask(tape, ref, feature_mask(ref.shape))
 
     if params.variant == VARIANT_TREEBIGRU:
         logits = ad.add(tape, ad.linear(tape, masked(states.H_up), p("W_s_up")),
@@ -461,18 +461,14 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     else:
         logits = ad.linear(tape, masked(states.H_up), p("W_s"), bias=p("b_s"))
         sentence_weights, sentence_bias = "W_s", "b_s"
-    probs = _softmax_rows(tape.value(logits))
-    root = None
     if attn is not None:
         root = ad.linear(tape, masked(attn.sentence), p(sentence_weights),
                          bias=p(sentence_bias))
-        probs[states.forest.roots] = _softmax_rows(tape.value(root))
-    return NodePredictions(logits, root, probs, probs.argmax(axis=1).tolist())
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
+        logits = ad.put_rows(tape, logits, states.forest.roots, root)
+    x = tape.value(logits)
     e = np.exp(x - np.max(x, axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return NodePredictions(logits, probs, probs.argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +480,3 @@ def itemize_parameters(variant: str, dim: int, vocab_size: int, classes: int,
     shapes = param_shapes(variant, dim, vocab_size, classes, max_children, attention)
     return [(name, shape, int(np.prod(shape))) for name, shape in shapes.items()]
 
-
-def count_parameters(variant: str, dim: int, vocab_size: int, classes: int,
-                     max_children: int = 2, attention: bool = False) -> int:
-    return sum(count for _, _, count in
-               itemize_parameters(variant, dim, vocab_size, classes,
-                                  max_children, attention))

@@ -16,7 +16,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,12 +227,12 @@ class ForestGraph:
 
 
 def build_forest_graph(tape: Tape, forest: Forest, params: m.ModelParams,
-                       vocab: Vocabulary, train_mode: bool = False,
-                       dropout: float = 0.0, rng=None) -> ForestGraph:
+                       vocab: Vocabulary, dropout: float = 0.0,
+                       rng=None) -> ForestGraph:
     """Forward graph for the sentences of ``forest``: passes,
-    classifiers, and data loss."""
+    classifiers, and data loss; ``dropout > 0`` draws masks from ``rng``."""
     input_mask = None
-    if train_mode and dropout > 0.0:
+    if dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires a random generator")
         input_mask = partial(dropout_mask, p_drop=dropout, rng=rng, dtype=params.dtype)
@@ -245,18 +245,10 @@ def build_forest_graph(tape: Tape, forest: Forest, params: m.ModelParams,
         attn = m.attention_pool(states, params, tape)
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
 
-    # one fused op over the logit matrix, plus one over the attention roots
-    gold = forest.gold
-    if not np.any(gold >= 0):
+    if not np.any(forest.gold >= 0):
         return ForestGraph(states, attn, preds, None, None)
-    terms = []
-    if preds.root is not None:
-        terms.append(ad.softmax_cross_entropy(tape, preds.root, gold[forest.roots],
-                                              np.arange(len(forest) + 1)))
-        gold = gold.copy()
-        gold[forest.roots] = -1
-    terms.append(ad.softmax_cross_entropy(tape, preds.logits, gold, forest.offsets))
-    tree_losses = reduce(partial(ad.add, tape), terms)
+    tree_losses = ad.softmax_cross_entropy(tape, preds.logits, forest.gold,
+                                           forest.offsets)
     ones = tape.input(np.ones(len(forest), dtype=params.dtype))
     return ForestGraph(states, attn, preds, tree_losses,
                        ad.linear(tape, tree_losses, ones))
@@ -268,13 +260,12 @@ build_sentence_graph = build_forest_graph
 
 
 def sentence_gradients(forest: Forest, params: m.ModelParams,
-                       vocab: Vocabulary, train_mode: bool = False,
-                       dropout: float = 0.0, rng=None) -> tuple[np.ndarray, GradTable]:
+                       vocab: Vocabulary, dropout: float = 0.0,
+                       rng=None) -> tuple[np.ndarray, GradTable]:
     """One forward/backward sweep over ``forest``; returns each
     tree's data loss and the gradient table of their sum."""
     tape = Tape()
-    graph = build_forest_graph(tape, forest, params, vocab, train_mode=train_mode,
-                               dropout=dropout, rng=rng)
+    graph = build_forest_graph(tape, forest, params, vocab, dropout=dropout, rng=rng)
     if graph.loss is None:
         return np.zeros(len(forest)), GradTable()
     grads = ad.backward(tape, graph.loss)
@@ -369,7 +360,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config,
     """One AdaGrad step on the sentences ``ids``; returns the batch's
     objective and its gradient norm."""
     losses, total = sentence_gradients(sentences.select(ids), params, vocab,
-                                       train_mode=True, dropout=config.dropout, rng=rng)
+                                       dropout=config.dropout, rng=rng)
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise TrainingError(f"non-finite loss at sentence index {ids[bad[0]]}")
@@ -399,7 +390,7 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
         graph = build_forest_graph(tape, corpus.trees[start:start + SCORE_CHUNK],
                                    params, vocab)
         forest = graph.states.forest
-        labels, gold = np.asarray(graph.preds.labels), forest.gold
+        labels, gold = graph.preds.labels, forest.gold
         sup = gold >= 0
         roots = forest.roots
         root_ok += int(np.sum(sup[roots] & (labels[roots] == gold[roots])))

@@ -115,7 +115,7 @@ def test_backward_deterministic():
         tape = Tape()
         m, x, y = (tape.input(a) for a in arrays)
         h = ad.tanh(tape, ad.linear(tape, m, x))
-        loss = ad.linear(tape, ad.mul(tape, h, y), y)
+        loss = ad.linear(tape, ad.mask(tape, h, arrays[2]), y)
         return backward(tape, loss), m, x, y
 
     first, m1, x1, y1 = run()
@@ -130,16 +130,19 @@ def test_backward_deterministic():
 @pytest.mark.parametrize("build,shapes,name", [
     (lambda t, r: ad.linear(t, r[0], r[1]), [(3, 3), (4,)], "linear"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(3,), (4,)], "add"),
-    (lambda t, r: ad.mul(t, r[0], r[1]), [(3,), (4,)], "mul"),
+    (lambda t, r: ad.mask(t, r[0], np.ones(4)), [(3,)], "mask"),
     (lambda t, r: ad.linear(t, r[0], r[1]), [(3,), (4,)], "linear"),
     (lambda t, r: ad.add(t, r[0], r[1]), [(2, 3), (3, 2)], "add"),
-    (lambda t, r: ad.mul(t, r[0], r[1]), [(2, 3), (2,)], "mul"),
+    (lambda t, r: ad.mask(t, r[0], np.ones(2)), [(2, 3)], "mask"),
     (lambda t, r: ad.gather(t, r[0], [0]), [(3,)], "gather"),
     (lambda t, r: ad.concat(t, r), [(2, 3), (3, 3)], "concat"),
     (lambda t, r: ad.linear(t, r[0], r[1], bias=r[2]), [(4, 3), (2, 3), (4,)], "linear"),
     (lambda t, r: ad.linear(t, r[0], r[1]), [(2, 3, 4), (4,)], "linear"),
     (lambda t, r: ad.softmax_cross_entropy(t, r[0], [0, 1], [0, 2]), [(3, 5)],
      "softmax_cross_entropy"),
+    (lambda t, r: ad.put_rows(t, r[0], [0], r[1]), [(3, 2), (1, 3)], "put_rows"),
+    (lambda t, r: ad.put_rows(t, r[0], [0], r[1]), [(3, 2), (2, 2)], "put_rows"),
+    (lambda t, r: ad.put_rows(t, r[0], [0], r[1]), [(3,), (1,)], "put_rows"),
 ])
 def test_shape_mismatch_names_op(build, shapes, name):
     tape = Tape()
@@ -168,26 +171,24 @@ def test_fd_matvec(rng):
              [rnd(rng, 3, 4), rnd(rng, 4)])
 
 
-def test_fd_add_mul(rng):
-    probe = rnd(rng, 5)
-    check_op(lambda t, r: ad.linear(t, ad.mul(t, ad.add(t, r[0], r[1]), r[2]),
+def test_fd_add_mask(rng):
+    mask, probe = rnd(rng, 5), rnd(rng, 5)
+    check_op(lambda t, r: ad.linear(t, ad.mask(t, ad.add(t, r[0], r[1]), mask),
                                     t.input(probe)),
-             [rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)])
+             [rnd(rng, 5), rnd(rng, 5)])
 
 
-def test_fd_mul_by_constant_leaves_the_constant_without_gradient(rng):
-    # a dropout mask is a constant: its operand's gradient is unchanged,
-    # and the mask's own gradient is never computed
-    x, mask, probe = rnd(rng, 5), rnd(rng, 5), rnd(rng, 5)
-    check_op(lambda t, r: ad.linear(t, ad.mul(t, r[0], t.constant(mask)), t.input(probe)),
-             [x])
+def test_mask_is_no_tape_value(rng):
+    # a dropout mask is a plain array: the masked value's gradient is
+    # the output gradient times the mask, and the mask is no leaf
+    x, mask, probe = rnd(rng, 2, 5), rnd(rng, 2, 5), rnd(rng, 5)
     tape = Tape()
-    xr, mr = tape.input(x), tape.constant(mask)
-    loss = ad.linear(tape, ad.mul(tape, xr, mr), tape.input(probe))
-    grads = backward(tape, loss)
-    assert grads[mr.index] is None
-    np.testing.assert_array_equal(grads[xr.index], probe * mask)
-    assert not tape.needs_grad(mr) and tape.needs_grad(xr)
+    xr = tape.input(x)
+    masked = ad.mask(tape, xr, mask)
+    assert len(tape) == 2 and tape._parents[masked.index] == (xr.index,)
+    np.testing.assert_array_equal(tape.value(masked), x * mask)
+    loss = reduce_rows(tape, masked, np.ones(2), probe)
+    np.testing.assert_array_equal(backward(tape, loss)[xr.index], probe * mask)
 
 
 def test_fd_tanh(rng):
@@ -350,6 +351,27 @@ def test_fd_gather(rng):
     np.testing.assert_array_equal(grad[0], outer[1])
 
 
+def test_fd_put_rows(rng):
+    # rows 2 and 0 of a replaced, as the sentence classifier's logits
+    # replace the roots' rows
+    a, b, rows = rnd(rng, 4, 3), rnd(rng, 2, 3), [2, 0]
+    probe_rows, cols = rnd(rng, 4), rnd(rng, 3)
+
+    def build(t, r):
+        return reduce_rows(t, ad.put_rows(t, r[0], rows, r[1]), probe_rows, cols)
+
+    check_op(build, [a, b])
+    tape = Tape()
+    ar, br = tape.input(a), tape.input(b)
+    out = tape.value(ad.put_rows(tape, ar, rows, br))
+    np.testing.assert_array_equal(out[rows], b)
+    np.testing.assert_array_equal(out[[1, 3]], a[[1, 3]])
+    grads = backward(tape, build(tape, [ar, br]))
+    np.testing.assert_array_equal(grads[ar.index][rows], 0.0)  # replaced rows
+    np.testing.assert_array_equal(grads[br.index],
+                                  np.multiply.outer(probe_rows[rows], cols))
+
+
 def test_fd_concat(rng):
     probe = rnd(rng, 7)
     check_op(lambda t, r: ad.linear(t, ad.concat(t, list(r)), t.input(probe)),
@@ -369,7 +391,7 @@ def test_fd_shared_weights(rng):
     def build(t, r):
         a = ad.tanh(t, ad.linear(t, r[0], r[1]))
         b = ad.tanh(t, ad.linear(t, r[0], r[2]))
-        return ad.linear(t, ad.mul(t, a, b), t.input(probe))
+        return ad.linear(t, ad.add(t, a, b), t.input(probe))
 
     check_op(build, [rnd(rng, 3, 3), rnd(rng, 3), rnd(rng, 3)])
 

@@ -8,9 +8,9 @@ from arbogru import autodiff as ad
 from arbogru.autodiff import Tape
 from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab, random_embeddings
-from arbogru.model import (ModelError, _sigmoid, attention_pool, count_parameters,
-                           child_slots, downward_pass, init_params,
-                           itemize_parameters, predict_nodes, upward_pass)
+from arbogru.model import (ModelError, _sigmoid, attention_pool, child_slots,
+                           downward_pass, init_params, itemize_parameters,
+                           predict_nodes, upward_pass)
 from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
 
 import oracles
@@ -290,8 +290,8 @@ def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)
 def test_node_indexed_outputs_are_node_major_and_contiguous(variant, attention):
-    # row j is node j (row t is tree t for the pooled sentences and root
-    # logits), and no output is a transposed view: each is C-contiguous
+    # row j is node j (row t is tree t for the pooled sentences), and no
+    # output is a transposed view: each is C-contiguous
     vocab = synth_vocab()
     trees = mixed_forest(np.random.default_rng(9))
     params = random_params(variant, attention, 4, vocab, seed=10)
@@ -306,9 +306,8 @@ def test_node_indexed_outputs_are_node_major_and_contiguous(variant, attention):
         outputs += [(f"{gate}_{direction}", getattr(states, f"{gate}_{direction}"),
                      (nodes, 4)) for gate in ("z", "r", "cand")]
     if attention:
-        outputs += [("attn.sentence", tape.value(attn.sentence),
-                     (len(trees), 4 * len(directions))),
-                    ("root", tape.value(preds.root), (len(trees), 5))]
+        outputs.append(("attn.sentence", tape.value(attn.sentence),
+                        (len(trees), 4 * len(directions))))
     for name, value, shape in outputs:
         assert value.shape == shape, name
         assert value.flags.c_contiguous, name
@@ -321,7 +320,7 @@ def recurrence_loss(trees, params, vocab, tape, probes):
     terms = []
     for H, probe in zip((states.H_up, states.H_down), probes):
         ones = [tape.input(np.ones(n, dtype=probe.dtype)) for n in probe.shape]
-        weighted = ad.mul(tape, H, tape.input(probe))
+        weighted = ad.mask(tape, H, probe)
         terms.append(ad.linear(tape, ad.linear(tape, weighted, ones[1]), ones[0]))
     return states, ad.add(tape, *terms)
 
@@ -653,6 +652,39 @@ def test_predict_argmax_matches_logits():
         assert label == int(np.argmax(logits[j]))
 
 
+@pytest.mark.parametrize("variant", ["treegru", "treebigru"])
+def test_attention_roots_take_the_sentence_classifier_rows(variant):
+    # the roots' logit rows are the sentence classifier's, every other
+    # row the node classifier's, which gets no gradient through a root
+    vocab = synth_vocab()
+    forest = mixed_forest(np.random.default_rng(41))
+    params = random_params(variant, True, 4, vocab, seed=42)
+    tape, states, attn, preds = forward(forest, params, vocab)
+    t, roots = params.tensors, forest.roots
+    if variant == "treebigru":
+        nodes = (tape.value(states.H_up) @ t["W_s_up"].T
+                 + tape.value(states.H_down) @ t["W_s_dn"].T + t["b_s"])
+        sentences = tape.value(attn.sentence) @ t["W_s_att"].T + t["b_s_att"]
+    else:
+        nodes = tape.value(states.H_up) @ t["W_s"].T + t["b_s"]
+        sentences = tape.value(attn.sentence) @ t["W_s"].T + t["b_s"]
+    logits = tape.value(preds.logits)
+    others = np.setdiff1d(np.arange(forest.node_count), roots)
+    np.testing.assert_allclose(logits[roots], sentences, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits[others], nodes[others], rtol=0, atol=1e-12)
+
+    rng = np.random.default_rng(43)
+    rows, cols = rng.uniform(-1, 1, forest.node_count), rng.uniform(-1, 1, 5)
+    loss = ad.linear(tape, ad.linear(tape, preds.logits, tape.input(cols)),
+                     tape.input(rows))
+    grads = ad.backward(tape, loss)
+    node_out, sentence_out = tape._parents[preds.logits.index]
+    expected = np.multiply.outer(rows, cols)
+    expected[roots] = 0.0
+    np.testing.assert_array_equal(grads[node_out], expected)
+    np.testing.assert_array_equal(grads[sentence_out], np.multiply.outer(rows[roots], cols))
+
+
 def test_predict_full_pipeline_matches_oracle():
     vocab = synth_vocab()
     for variant, attention in VARIANT_CASES:
@@ -708,15 +740,19 @@ def test_gates_bounded_and_finite():
 # ---------------------------------------------------------------------------
 # parameter audit
 
+def total_parameters(*config):
+    return sum(count for _, _, count in itemize_parameters(*config))
+
+
 def test_count_parameters_toy():
-    assert count_parameters("treegru", 2, 3, 2, 2, False) == 54
+    assert total_parameters("treegru", 2, 3, 2, 2, False) == 54
 
 
 def test_count_parameters_reference_config():
-    assert count_parameters("treegru", 300, 21702, 5, 2, False) == 7_323_005
-    assert count_parameters("treegru", 300, 21702, 5, 2, True) == 7_413_605
-    assert count_parameters("treebigru", 300, 21702, 5, 2, False) == 7_865_405
-    assert count_parameters("treebigru", 300, 21702, 5, 2, True) == 8_049_010
+    assert total_parameters("treegru", 300, 21702, 5, 2, False) == 7_323_005
+    assert total_parameters("treegru", 300, 21702, 5, 2, True) == 7_413_605
+    assert total_parameters("treebigru", 300, 21702, 5, 2, False) == 7_865_405
+    assert total_parameters("treebigru", 300, 21702, 5, 2, True) == 8_049_010
 
 
 def test_itemize_matches_init():

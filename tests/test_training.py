@@ -194,17 +194,21 @@ def test_adagrad_steps_when_only_the_squares_overflow():
 
 
 def test_dropout_masks_get_no_gradient():
+    # a mask is no tape value: dropout adds one op per masked matrix (the
+    # input and the three classifier inputs) and no leaf, and every leaf
+    # (the tensors and the vector summing the tree losses) gets a gradient
     vocab = synth_vocab()
     params = random_params("treebigru", True, 4, vocab, seed=3)
-    tape = Tape()
-    graph = build_forest_graph(tape, mixed_forest(np.random.default_rng(0)), params,
-                               vocab, train_mode=True, dropout=0.5,
+    forest = mixed_forest(np.random.default_rng(0))
+    plain, tape = Tape(), Tape()
+    build_forest_graph(plain, forest, params, vocab)
+    graph = build_forest_graph(tape, forest, params, vocab, dropout=0.5,
                                rng=np.random.default_rng(1))
+    assert len(tape) == len(plain) + 4
     grads = ad.backward(tape, graph.loss)
-    masks = [i for i in range(len(tape)) if not tape.needs_grad(ad.ValueRef(i, ()))]
-    assert len(masks) == 4  # the input and the three classifier inputs
-    assert all(grads[i] is None for i in masks)
-    assert all(grads[ref.index] is not None for ref in tape.keyed.values())
+    leaves = [i for i in range(len(tape)) if not tape._parents[i]]
+    assert len(leaves) == len(tape.keyed) + 1
+    assert all(grads[i] is not None for i in leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +224,17 @@ def test_dropout_zero_probability_identity():
 
 
 def test_dropout_eval_mode_identity():
-    # outside training mode no mask is drawn, whatever the dropout rate
+    # a graph without dropout, as evaluate and predict build theirs,
+    # draws no mask even when handed a generator
     vocab = synth_vocab()
     params = random_params("treegru", True, 5, vocab, seed=22)
     tree = synth_tree(np.random.default_rng(4), max_nodes=9)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
     plain, evalmode = Tape(), Tape()
     want = build_sentence_graph(plain, tree, params, vocab)
-    got = build_sentence_graph(evalmode, tree, params, vocab, dropout=0.9)
+    got = build_sentence_graph(evalmode, tree, params, vocab, dropout=0.0, rng=rng)
+    assert rng.bit_generator.state == state
     assert len(evalmode) == len(plain)
     for p, q in zip(got.preds.probs, want.preds.probs):
         assert np.array_equal(p, q)
@@ -328,8 +336,8 @@ def test_training_batch_tape_has_one_leaf_per_tensor(variant, attention):
         trees = Forest.concat([parse_tree(shape.format(*batch[3 * t:3 * t + 3]))
                                for t in range(25)])
         tape = Tape()
-        graph = build_forest_graph(tape, trees, params, vocab, train_mode=True,
-                                   dropout=0.5, rng=np.random.default_rng(0))
+        graph = build_forest_graph(tape, trees, params, vocab, dropout=0.5,
+                                   rng=np.random.default_rng(0))
         assert set(tape.keyed) == set(params.tensors)
         assert graph.states.rows.size == len(set(batch))
         lengths.append(len(tape))
