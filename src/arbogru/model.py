@@ -144,9 +144,9 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
     attention tensors from a scaled standard normal, biases at zero.
 
     ``embeddings`` is an EmbeddingMatrix; omitted, ``random_embeddings``
-    draws one from ``rng`` before any other tensor.  A matrix already in ``dtype`` becomes
-    the ``emb`` parameter itself, so training updates the caller's array;
-    another dtype is copied.  ``attention_norm`` (one of ATTENTION_NORMS)
+    draws one from ``rng`` before any other tensor.  A matrix already in
+    ``dtype`` becomes the ``emb`` parameter itself, so training updates
+    the caller's array; another dtype is copied.  ``attention_norm`` (one of ATTENTION_NORMS)
     travels with the parameters into the checkpoint.
     """
     shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
@@ -479,4 +479,3 @@ def itemize_parameters(variant: str, dim: int, vocab_size: int, classes: int,
     """(name, shape, count) per tensor, in canonical order."""
     shapes = param_shapes(variant, dim, vocab_size, classes, max_children, attention)
     return [(name, shape, int(np.prod(shape))) for name, shape in shapes.items()]
-
