@@ -265,16 +265,15 @@ def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
 
 
 def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
-    """Gradients of a scalar ``loss`` with respect to every tape value.
+    """Gradients of the sum of the entries of ``loss`` with respect to
+    every tape value.
 
     Returns a list aligned with tape indices; entries are ``None`` for
     values the loss does not depend on.  Contributions at fan-out points
     are summed, and the sweep is fully deterministic.
     """
-    if loss.shape != ():
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     grads: list[Optional[np.ndarray]] = [None] * len(tape)
-    grads[loss.index] = np.ones((), dtype=tape.value(loss).dtype)
+    grads[loss.index] = np.ones(loss.shape, dtype=tape.value(loss).dtype)
     for i in range(loss.index, -1, -1):
         g = grads[i]
         vjp = tape._vjps[i]

@@ -13,6 +13,8 @@ reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -80,6 +82,7 @@ def load_checkpoint(path) -> ModelParams:
                 raise CheckpointError(
                     f"{path}: manifest key {key!r} must be of type {kind.__name__}")
         tensors: dict[str, np.ndarray] = {}
+        left = os.fstat(handle.fileno()).st_size - handle.tell()  # unread bytes
         for row in manifest["tensors"]:
             try:
                 name, shape, tag = row
@@ -91,12 +94,16 @@ def load_checkpoint(path) -> ModelParams:
             dtype = _DTYPES.get(str(tag))
             if dtype is None:
                 raise CheckpointError(f"{path}: unknown element type {tag!r}")
-            # read straight into the tensor: no second copy of the bytes
-            tensor = np.empty(shape, dtype=dtype)
-            if handle.readinto(tensor) != tensor.nbytes:
+            # sized in Python ints before anything is allocated, so no
+            # declared shape can ask for more memory than the file holds
+            size = math.prod(shape) * dtype.itemsize
+            if size > left:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = tensor
-        if handle.read(1):
+            left -= size
+            # read straight into the tensor: no second copy of the bytes
+            tensors[name] = np.empty(shape, dtype=dtype)
+            handle.readinto(tensors[name])
+        if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
     params = ModelParams(manifest["variant"], manifest["attention"], norm,

@@ -19,8 +19,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .embeddings import (build_vocab, load_glove, load_vocab,
-                         random_embeddings, save_vocab)
+from .embeddings import build_vocab, load_glove, load_vocab, save_vocab
 from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
                        build_forest_graph, evaluate, gradient_check, train)
@@ -191,7 +190,7 @@ def run_train(args) -> int:
         emb = load_glove(args.glove, vocab, args.dim, rng, dtype)
         log.info("pretrained coverage %.3f over %d words", emb.coverage, vocab.size)
     else:
-        emb = random_embeddings(vocab, args.dim, rng, dtype)
+        emb = None  # init_params draws random embeddings from rng
         log.warning("no pretrained vectors supplied; "
                     "random embeddings, coverage 0.0")
 
@@ -220,7 +219,7 @@ def run_train(args) -> int:
         "max_children": result.best_params.max_children,
         "vocab_size": vocab.size,
         "classes": classes,
-        "coverage": emb.coverage,
+        "coverage": emb.coverage if emb else 0.0,
         "parameters": result.best_params.total_parameters(),
         "best_dev_accuracy": result.best_dev_accuracy,
         "best_step": result.best_step,
@@ -314,7 +313,7 @@ def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
     root class, root distribution and, if asked, the tree's attention
     weights."""
     forest = Forest.concat(trees)
-    forest.gold[:] = -1  # predict reads no labels: the graph builds no loss
+    forest.gold[:] = -1  # unread, and may lie outside a binary model's classes
     tape = Tape()
     graph = build_forest_graph(tape, forest, params, vocab)
     offsets = graph.states.forest.offsets

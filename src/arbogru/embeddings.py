@@ -34,9 +34,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_word)
 
-    def __len__(self) -> int:
-        return len(self.id_to_word)
-
     def lookup(self, word: str) -> int:
         """Exact match, then lowercase, then the unknown id. Never fails."""
         idx = self.word_to_id.get(word)

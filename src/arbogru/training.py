@@ -84,8 +84,6 @@ class TrainResult:
     best_params: m.ModelParams
     best_dev_accuracy: float
     best_step: int
-    final_params: m.ModelParams
-    log_lines: list[str]
 
 
 @dataclass
@@ -93,7 +91,6 @@ class OptimizerState:
     """Per-parameter accumulated squared gradients; grows monotonically."""
 
     accumulators: dict[str, np.ndarray]
-    eps: float = ADAGRAD_EPS
 
     @classmethod
     def for_params(cls, params: m.ModelParams) -> "OptimizerState":
@@ -110,13 +107,8 @@ class GradTable(dict):
         self.rows = np.asarray(rows, dtype=np.intp)
 
     def add(self, name: str, g: np.ndarray) -> None:
-        """Accumulate ``g`` at ``name``: in place if the table holds a
-        gradient there, else as a copy."""
-        held = self.get(name)
-        if held is None:
-            self[name] = g.copy()
-        else:
-            held += g
+        """Accumulate ``g`` in place at ``name``."""
+        self[name] += g
 
     def norm(self) -> float:
         return math.sqrt(_squares(self.values()))
@@ -206,7 +198,7 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
         np.multiply(g, g, out=s)
         acc += s
         np.sqrt(acc, out=s)
-        s += opt.eps
+        s += ADAGRAD_EPS
         np.divide(g, s, out=s)
         s *= learning_rate
         theta -= s
@@ -222,15 +214,15 @@ class ForestGraph:
     states: m.NodeStates
     attn: Optional[m.AttentionResult]
     preds: m.NodePredictions
-    tree_losses: Optional[ad.ValueRef]  # (trees,) summed node NLL per tree
-    loss: Optional[ad.ValueRef]  # their sum; both None if nothing is supervised
+    tree_losses: ad.ValueRef  # (trees,) summed node NLL per tree: the loss
 
 
 def build_forest_graph(tape: Tape, forest: Forest, params: m.ModelParams,
                        vocab: Vocabulary, dropout: float = 0.0,
                        rng=None) -> ForestGraph:
     """Forward graph for the sentences of ``forest``: passes,
-    classifiers, and data loss; ``dropout > 0`` draws masks from ``rng``."""
+    classifiers, and the per-tree data loss, 0 for a tree with no
+    supervised node; ``dropout > 0`` draws masks from ``rng``."""
     input_mask = None
     if dropout > 0.0:
         if rng is None:
@@ -244,14 +236,8 @@ def build_forest_graph(tape: Tape, forest: Forest, params: m.ModelParams,
     if params.attention:
         attn = m.attention_pool(states, params, tape)
     preds = m.predict_nodes(states, params, tape, attn=attn, feature_mask=input_mask)
-
-    if not np.any(forest.gold >= 0):
-        return ForestGraph(states, attn, preds, None, None)
-    tree_losses = ad.softmax_cross_entropy(tape, preds.logits, forest.gold,
-                                           forest.offsets)
-    ones = tape.input(np.ones(len(forest), dtype=params.dtype))
-    return ForestGraph(states, attn, preds, tree_losses,
-                       ad.linear(tape, tree_losses, ones))
+    return ForestGraph(states, attn, preds, ad.softmax_cross_entropy(
+        tape, preds.logits, forest.gold, forest.offsets))
 
 
 # a sentence is a forest of one; the name stays because
@@ -266,15 +252,10 @@ def sentence_gradients(forest: Forest, params: m.ModelParams,
     tree's data loss and the gradient table of their sum."""
     tape = Tape()
     graph = build_forest_graph(tape, forest, params, vocab, dropout=dropout, rng=rng)
-    if graph.loss is None:
-        return np.zeros(len(forest)), GradTable()
-    grads = ad.backward(tape, graph.loss)
-    table = GradTable(rows=graph.states.rows)
-    for name, ref in tape.keyed.items():
-        g = grads[ref.index]
-        if g is not None:
-            table[name] = g
-    return tape.value(graph.tree_losses), table
+    grads = ad.backward(tape, graph.tree_losses)
+    return tape.value(graph.tree_losses), GradTable(
+        {name: grads[ref.index] for name, ref in tape.keyed.items()},
+        rows=graph.states.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +264,13 @@ def sentence_gradients(forest: Forest, params: m.ModelParams,
 def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
           vocab: Vocabulary,
           log_fn: Optional[Callable[[str], None]] = None) -> TrainResult:
-    """Run the full schedule; return the best-dev checkpoint and the log.
+    """Run the full schedule, updating ``params`` in place; return the
+    best-dev checkpoint.
 
-    One log line per evaluation, tab separated: epoch, global step, mean
-    train loss since the previous evaluation, dev root accuracy, wall
-    seconds.  Fixed seeds reproduce everything but the wall clock.
+    ``log_fn`` gets one log line per evaluation, tab separated: epoch,
+    global step, mean train loss since the previous evaluation, dev root
+    accuracy, wall seconds.  Fixed seeds reproduce everything but the
+    wall clock.
     """
     rng = np.random.default_rng(config.seed)
     opt = OptimizerState.for_params(params)
@@ -296,13 +279,6 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         raise TrainingError("empty training corpus")
     n_batches = math.ceil(len(sentences) / config.batch_size)
     eval_every = max(1, math.ceil(n_batches / config.evals_per_epoch))
-
-    lines: list[str] = []
-
-    def emit(line):
-        lines.append(line)
-        if log_fn is not None:
-            log_fn(line)
 
     best = None  # the first evaluation always takes a snapshot
     best_acc = -1.0
@@ -326,8 +302,9 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
                         max(norms_over))
             norms_over.clear()
         losses_since_eval.clear()
-        emit(f"{epoch}\t{global_step}\t{mean_loss:.6f}\t"
-             f"{metrics.root_accuracy:.6f}\t{time.perf_counter() - start:.3f}")
+        if log_fn is not None:
+            log_fn(f"{epoch}\t{global_step}\t{mean_loss:.6f}\t"
+                   f"{metrics.root_accuracy:.6f}\t{time.perf_counter() - start:.3f}")
         if metrics.root_accuracy > best_acc:
             best_acc = metrics.root_accuracy
             best = None  # never hold two snapshots at once
@@ -352,7 +329,7 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
         if not evaluated_last:
             run_eval(epoch)
 
-    return TrainResult(best, best_acc, best_step, params, lines)
+    return TrainResult(best, best_acc, best_step)
 
 
 def _train_batch(ids, sentences, params, vocab, opt, config,
@@ -396,8 +373,7 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
         root_ok += int(np.sum(sup[roots] & (labels[roots] == gold[roots])))
         hits += int(np.sum(labels[sup] == gold[sup]))
         supervised += int(sup.sum())
-        if graph.loss is not None:
-            loss += float(tape.value(graph.loss))
+        loss += float(tape.value(graph.tree_losses).sum())
     n = len(corpus.trees)
     return Metrics(root_accuracy=root_ok / n, node_accuracy=hits / max(1, supervised),
                    loss=loss / n)
@@ -415,19 +391,19 @@ def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
-                   seed: int = 0, l2: float = 1e-4,
-                   attention_norm: str = "softmax") -> float:
+                   seed: int = 0, attention_norm: str = "softmax") -> float:
     """Compare tape gradients of the full objective over one forest of
     ``trees`` random trees against central finite differences over every
     parameter element; returns the max relative error.
 
-    The objective is the forest's data loss plus the L2 penalty, without
-    dropout.  Parameters are drawn uniformly (the identity-based init is
-    too symmetric to exercise every path).
+    The objective is the forest's data loss plus the recipe's L2 penalty,
+    without dropout.  Parameters are drawn uniformly (the identity-based
+    init is too symmetric to exercise every path).
     """
     if dim > 16:
         raise ValueError("gradient checks are restricted to dim <= 16")
     rng = np.random.default_rng(seed)
+    l2 = TrainConfig.l2
     forest = Forest.concat([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
     vocab = build_vocab(Corpus(forest, "check", "fine", 5))
     params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
@@ -444,7 +420,8 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     def objective() -> float:
         probe = Tape()
         got = build_forest_graph(probe, forest, params, vocab)
-        return float(probe.value(got.loss)) + l2_penalty(params, l2, grads.rows)
+        return (float(probe.value(got.tree_losses).sum())
+                + l2_penalty(params, l2, grads.rows))
 
     worst = 0.0
     for name, t in params.tensors.items():

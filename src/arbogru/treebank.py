@@ -208,31 +208,29 @@ class _Columns:
                       np.asarray(offsets, np.int64), Lexicon(words))
 
 
-def parse_tree(line: str, num_classes: int = FINE_CLASSES,
-               max_arity: Optional[int] = None) -> Forest:
+def parse_tree(line: str, max_arity: Optional[int] = None) -> Forest:
     """Parse one parenthesized tree into a forest of one.
 
     Raises TreebankError (with the character offset) on unbalanced
     parentheses, non-integer labels, labels outside
-    ``0..num_classes-1``, empty nodes, and nodes with more than
+    ``0..FINE_CLASSES-1``, empty nodes, and nodes with more than
     ``max_arity`` children (if given; the offset is the node's closing
     parenthesis).  Open nodes wait on an explicit stack, so depth is
     limited only by memory.
     """
     columns, lexicon = _Columns(), {}
-    _parse_into(columns, line, num_classes, max_arity, lexicon)
+    _parse_into(columns, line, max_arity, lexicon)
     return columns.forest([0, len(columns.parents)], list(lexicon))
 
 
-def _parse_into(columns: _Columns, line: str, num_classes: int,
-                max_arity: Optional[int], lexicon: dict) -> None:
+def _parse_into(columns: _Columns, line: str, max_arity: Optional[int],
+                lexicon: dict) -> None:
     """Append the nodes of the tree ``line`` to ``columns``; a new word
     enters ``lexicon`` (word -> index) in first-occurrence order."""
     tokens = _tokens(line)
     tokens.append("")  # marks the end of input
     if not tokens[0]:
         raise TreebankError("empty input", 0)
-    labels = _FINE_LABELS if num_classes == FINE_CLASSES else {}
     parents, heights = columns.parents, columns.heights
     add_parent, add_slot, add_word = parents.append, columns.slots.append, columns.words.append
     add_height, add_depth = heights.append, columns.depths.append
@@ -243,9 +241,9 @@ def _parse_into(columns: _Columns, line: str, num_classes: int,
         # a node opens: a first child follows, or a leaf token and ')'
         if tokens[i] != "(":
             raise TreebankError("expected '('", _offset(line, i))
-        label = labels.get(tokens[i + 1])
+        label = _FINE_LABELS.get(tokens[i + 1])
         if label is None:
-            label = _parse_label(line, tokens, i + 1, num_classes)
+            label = _parse_label(line, tokens, i + 1)
         add_gold(label)
         add_height(0)
         add_depth(len(open_nodes))
@@ -305,7 +303,7 @@ def _offset(line: str, i: int) -> int:
     return starts[i] if i < len(starts) else len(line)
 
 
-def _parse_label(line: str, tokens: list, i: int, num_classes: int) -> int:
+def _parse_label(line: str, tokens: list, i: int) -> int:
     text = tokens[i]
     if text in ("", "(", ")"):
         raise TreebankError("missing node label", _offset(line, i))
@@ -313,8 +311,8 @@ def _parse_label(line: str, tokens: list, i: int, num_classes: int) -> int:
         label = int(text)
     except ValueError:
         raise TreebankError(f"non-integer label {text!r}", _offset(line, i)) from None
-    if not 0 <= label < num_classes:
-        raise TreebankError(f"label {label} outside 0..{num_classes - 1}",
+    if not 0 <= label < FINE_CLASSES:
+        raise TreebankError(f"label {label} outside 0..{FINE_CLASSES - 1}",
                             _offset(line, i))
     return label
 
@@ -375,9 +373,10 @@ def open_text(path, error):
         raise error(f"{path}, line {lineno}: not UTF-8 text") from None
 
 
-def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
+def load_corpus(path, task: str = TASK_FINE,
                 max_arity: Optional[int] = None) -> Corpus:
-    """Load a treebank file (one tree per line; blank lines skipped).
+    """Load a treebank file (one tree per line; blank lines skipped) as
+    the split named by the file's base name.
 
     The file is always in fine-grained (5-class) form; ``task="binary"``
     applies to_binary_task after loading.  Parse errors, including a
@@ -387,8 +386,7 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
     """
     if task not in (TASK_FINE, TASK_BINARY):
         raise ValueError(f"unknown task {task!r}")
-    if split_name is None:
-        split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    split_name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     columns, lexicon, offsets = _Columns(), {}, array("q", [0])
     with open_text(path, TreebankError) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -396,7 +394,7 @@ def load_corpus(path, task: str = TASK_FINE, split_name: Optional[str] = None,
             if not line:
                 continue
             try:
-                _parse_into(columns, line, FINE_CLASSES, max_arity, lexicon)
+                _parse_into(columns, line, max_arity, lexicon)
             except TreebankError as err:
                 raise TreebankError(f"{path}, line {lineno}: {err}") from None
             offsets.append(len(columns.parents))
@@ -423,22 +421,21 @@ def to_binary_task(corpus: Corpus) -> Corpus:
     return Corpus(kept, corpus.split_name, TASK_BINARY, BINARY_CLASSES)
 
 
-def random_tree(rng, tokens, max_nodes: int = 9,
-                num_classes: int = FINE_CLASSES, leaf_prob: float = 0.3) -> Forest:
+def random_tree(rng, tokens, max_nodes: int = 9) -> Forest:
     """Random small tree with arity <= 2, for diagnostics and gradient
     checks.  A node's label is drawn after its subtree; the tree is
     written as a line and parsed, so ``tokens`` must be treebank words."""
 
     def build(budget):
-        if budget <= 2 or rng.random() < leaf_prob:
+        if budget <= 2 or rng.random() < 0.3:
             token = tokens[int(rng.integers(len(tokens)))]
-            return f"({int(rng.integers(num_classes))} {token})", 1
+            return f"({int(rng.integers(FINE_CLASSES))} {token})", 1
         if budget >= 5 and rng.random() < 0.8:
             left, used_l = build((budget - 1) // 2)
             right, used_r = build(budget - 1 - used_l)
             kids, used = f"{left} {right}", used_l + used_r
         else:
             kids, used = build(budget - 1)
-        return f"({int(rng.integers(num_classes))} {kids})", used + 1
+        return f"({int(rng.integers(FINE_CLASSES))} {kids})", used + 1
 
-    return parse_tree(build(max_nodes)[0], num_classes)
+    return parse_tree(build(max_nodes)[0])

@@ -184,8 +184,8 @@ def test_criterion_5_overfit_capacity():
                 epochs=200, evals_per_epoch=1, seed=1)
             params = init_params(variant, 50, vocab, 5, 2,
                                  np.random.default_rng(1), attention=attention)
-            result = train(config, data, params, vocab)
-            metrics = evaluate(corpus, result.final_params, vocab)
+            train(config, data, params, vocab)
+            metrics = evaluate(corpus, params, vocab)  # the last step's parameters
             elapsed = time.perf_counter() - start
             print(f"  {variant} attention={attention}: node accuracy "
                   f"{metrics.node_accuracy:.3f} in {elapsed:.0f}s")
@@ -237,9 +237,9 @@ def test_criterion_6_invariant_suite():
                                  epochs=2, dropout=0.5, seed=17)
             params = init_params("treegru", 5, vocab, 5, 2,
                                  np.random.default_rng(17))
-            result = train(config, data, params, vocab)
-            return (["\t".join(l.split("\t")[:4]) for l in result.log_lines],
-                    result.final_params)
+            lines = []
+            train(config, data, params, vocab, log_fn=lines.append)
+            return ["\t".join(l.split("\t")[:4]) for l in lines], params
 
         lines1, params1 = run()
         lines2, params2 = run()

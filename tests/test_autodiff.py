@@ -100,11 +100,22 @@ def test_fanout_accumulates():
     assert np.allclose(grads[w.index], 2.0 * np.array([1.5, -2.0]))
 
 
-def test_backward_requires_scalar():
-    tape = Tape()
-    v = tape.input(np.ones(3))
-    with pytest.raises(ValueError, match="scalar"):
-        backward(tape, v)
+def test_backward_of_vector_is_backward_of_its_sum():
+    # a vector loss is seeded with ones: the gradients are those of the
+    # sum of its entries, as if it were summed against a ones vector
+    rng = np.random.default_rng(4)
+    arrays = [rnd(rng, 3, 4), rnd(rng, 4)]
+
+    def run(summed):
+        tape = Tape()
+        m, x = (tape.input(a) for a in arrays)
+        loss = ad.tanh(tape, ad.linear(tape, m, x))
+        if summed:
+            loss = ad.linear(tape, loss, tape.input(np.ones(3)))
+        return [backward(tape, loss)[i] for i in (m.index, x.index)]
+
+    for got, want in zip(run(False), run(True)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_backward_deterministic():

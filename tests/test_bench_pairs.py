@@ -23,7 +23,7 @@ def bench_pairs(tmp_path, monkeypatch):
 
 
 def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None, sent_per_s=70.0,
-              layers=None):
+              layers=None, machine=None):
     out = checkout / ".bench_out"
     out.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": {"value": setup_s, "unit": "s"},
@@ -31,7 +31,8 @@ def write_run(checkout, seed, setup_s, trace=0, when=0.0, name=None, sent_per_s=
     metrics.update({name: {"value": value, "unit": ""}
                     for name, value in (layers or {}).items()})
     record = {"workload": "train_bigru_att_sst", "seed": seed, "seconds": 15.0,
-              "trace": trace, "scale": "recipe", "env": {"nproc": 2, "git": None},
+              "trace": trace, "scale": "recipe",
+              "env": {"nproc": 2, "git": None, **(machine or {})},
               "result": {"correct": True, "attempted": 10, "failed": 0,
                          "metrics": metrics}}
     path = out / (name or f"run-{seed}-{trace}.json")
@@ -91,6 +92,25 @@ def test_summarizes_each_layer_over_the_traced_seeds(bench_pairs, tmp_path, caps
     assert ms["change"] == {"median": 145.0, "q1": 142.5, "q3": 152.5, "n": 3}
     assert summary["training.evaluate_sent_per_s"]["better"] == "higher"
     assert "autodiff.backward_ms" in capsys.readouterr().out
+
+
+def test_each_run_keeps_its_machine_state(bench_pairs, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_run(parent, 1, 3.0, machine={"loadavg_1m_before": 0.5,
+                                       "loadavg_1m_after": 1.25,
+                                       "process.cpu_util": 0.98})
+    write_run(change, 1, 3.0, machine={"loadavg_1m_after": 2.0})
+    assert bench_pairs.main(["--label", "t", "--parent", str(parent), "--change",
+                             str(change), "--parent-commit", "a",
+                             "--change-commit", "b"]) == 0
+    result = json.loads((tmp_path / "BENCH_t.json").read_text())
+    (run,) = result["workloads"]["train_bigru_att_sst"]["runs"]
+    machine = ("loadavg_1m_before", "loadavg_1m_after", "process.cpu_util")
+    assert [run["parent"][key] for key in machine] == [0.5, 1.25, 0.98]
+    assert [run["change"][key] for key in machine] == [None, 2.0, None]
+    # the per-run state stays out of the checkouts' environments
+    assert result["parent"]["env"] == result["change"]["env"] == [
+        {"nproc": 2, "git": None}]
 
 
 def test_refuses_a_checkout_without_records(bench_pairs, tmp_path, capsys):

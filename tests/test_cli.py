@@ -693,6 +693,23 @@ def test_predict_incomplete_manifest_exits_2(tmp_path, capsys):
     assert "lacks the key 'variant'" in capsys.readouterr().err
 
 
+def test_predict_tensor_larger_than_the_file_exits_2(tmp_path, capsys):
+    # the manifest declares 2.4e14 bytes (above 2**47) for emb: the load
+    # must stop at the declaration instead of trying to allocate them
+    ckpt = save_model(tmp_path / "model")
+    magic, manifest, body = ckpt.read_bytes().split(b"\n", 2)
+    header = json.loads(manifest)
+    assert header["tensors"][0][0] == "emb"
+    header["tensors"][0][1] = [10**13, 3]
+    ckpt.write_bytes(b"\n".join([magic, json.dumps(header).encode(), body]))
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 good)\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin" in err and "truncated tensor 'emb'" in err
+
+
 def test_train_rejects_non_finite_glove(data_dir, tmp_path, capsys):
     from conftest import WORDS
 

@@ -133,5 +133,5 @@ def test_distributions_match_oracles(variant, attention, norm, tree, seed):
                                    rtol=0, atol=1e-12)
     want = oracles.predictions(up, down, sentence, t, variant, attention)
     np.testing.assert_allclose(graph.preds.probs, np.array(want), rtol=0, atol=1e-12)
-    assert float(tape.value(graph.loss)) == pytest.approx(
+    assert float(tape.value(graph.tree_losses).sum()) == pytest.approx(
         oracles.compute_loss(want, graph.states.forest.gold.tolist()), rel=1e-12)

@@ -196,7 +196,7 @@ def test_adagrad_steps_when_only_the_squares_overflow():
 def test_dropout_masks_get_no_gradient():
     # a mask is no tape value: dropout adds one op per masked matrix (the
     # input and the three classifier inputs) and no leaf, and every leaf
-    # (the tensors and the vector summing the tree losses) gets a gradient
+    # is a parameter tensor and gets a gradient
     vocab = synth_vocab()
     params = random_params("treebigru", True, 4, vocab, seed=3)
     forest = mixed_forest(np.random.default_rng(0))
@@ -205,10 +205,25 @@ def test_dropout_masks_get_no_gradient():
     graph = build_forest_graph(tape, forest, params, vocab, dropout=0.5,
                                rng=np.random.default_rng(1))
     assert len(tape) == len(plain) + 4
-    grads = ad.backward(tape, graph.loss)
+    grads = ad.backward(tape, graph.tree_losses)
     leaves = [i for i in range(len(tape)) if not tape._parents[i]]
-    assert len(leaves) == len(tape.keyed) + 1
+    assert leaves == [ref.index for ref in tape.keyed.values()]
     assert all(grads[i] is not None for i in leaves)
+
+
+@pytest.mark.parametrize("variant,attention", VARIANT_CASES)
+def test_unsupervised_forest_has_zero_loss_and_full_zero_gradients(variant, attention):
+    # a forest without a gold label still ends in the loss op: each tree
+    # contributes 0, and every tensor gets an all-zero gradient
+    vocab = synth_vocab()
+    params = random_params(variant, attention, 4, vocab, seed=3)
+    forest = mixed_forest(np.random.default_rng(0))
+    forest.gold[:] = -1
+    losses, table = sentence_gradients(forest, params, vocab)
+    assert losses.tolist() == [0.0] * len(forest)
+    assert set(table) == set(params.tensors)
+    assert table["emb"].shape == (len(table.rows), 4)
+    assert not any(g.any() for g in table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +394,28 @@ def test_train_is_deterministic():
     runs = []
     for _ in range(2):
         data, params, vocab = tiny_setup(seed=2)
-        result = train(config, data, params, vocab)
-        runs.append(result)
+        lines = []
+        result = train(config, data, params, vocab, log_fn=lines.append)
+        runs.append((lines, params, result))
     strip = lambda lines: ["\t".join(l.split("\t")[:4]) for l in lines]
-    assert strip(runs[0].log_lines) == strip(runs[1].log_lines)
-    for name in runs[0].final_params.tensors:
-        np.testing.assert_array_equal(runs[0].final_params.tensors[name],
-                                      runs[1].final_params.tensors[name])
-        np.testing.assert_array_equal(runs[0].best_params.tensors[name],
-                                      runs[1].best_params.tensors[name])
+    (lines_a, final_a, result_a), (lines_b, final_b, result_b) = runs
+    assert strip(lines_a) == strip(lines_b)
+    for name in final_a.tensors:
+        np.testing.assert_array_equal(final_a.tensors[name], final_b.tensors[name])
+        np.testing.assert_array_equal(result_a.best_params.tensors[name],
+                                      result_b.best_params.tensors[name])
 
 
 def test_train_returns_best_dev_checkpoint():
     config = TrainConfig(variant="treegru", dim=6, batch_size=4, epochs=3,
                          dropout=0.3, seed=5)
     data, params, vocab = tiny_setup(seed=4)
-    result = train(config, data, params, vocab)
-    logged = [float(line.split("\t")[3]) for line in result.log_lines]
+    lines = []
+    result = train(config, data, params, vocab, log_fn=lines.append)
+    logged = [float(line.split("\t")[3]) for line in lines]
     assert result.best_dev_accuracy == pytest.approx(max(logged))
     best_eval = evaluate(data.dev, result.best_params, vocab)
-    final_eval = evaluate(data.dev, result.final_params, vocab)
+    final_eval = evaluate(data.dev, params, vocab)  # train updates params in place
     assert best_eval.root_accuracy == pytest.approx(result.best_dev_accuracy)
     assert best_eval.root_accuracy >= final_eval.root_accuracy
 
@@ -408,9 +425,10 @@ def test_train_evaluation_schedule():
     config = TrainConfig(variant="treegru", dim=4, batch_size=4, epochs=2,
                          dropout=0.0, seed=1)
     data, params, vocab = tiny_setup(seed=6, dim=4)
-    result = train(config, data, params, vocab)
-    assert len(result.log_lines) == 6
-    steps = [int(line.split("\t")[1]) for line in result.log_lines]
+    lines = []
+    train(config, data, params, vocab, log_fn=lines.append)
+    assert len(lines) == 6
+    steps = [int(line.split("\t")[1]) for line in lines]
     assert steps == [1, 2, 3, 4, 5, 6]
 
 
@@ -421,8 +439,9 @@ def test_loss_decreases_over_first_epochs(variant, attention):
                          dropout=0.0, l2=0.0, seed=3,
                          evals_per_epoch=1)
     data, params, vocab = tiny_setup(variant, attention, n=12, dim=8, seed=8)
-    result = train(config, data, params, vocab)
-    losses = [float(line.split("\t")[2]) for line in result.log_lines]
+    lines = []
+    train(config, data, params, vocab, log_fn=lines.append)
+    losses = [float(line.split("\t")[2]) for line in lines]
     assert losses[-1] < losses[0]
 
 
@@ -433,10 +452,11 @@ def test_gradient_norm_warning_once_per_evaluation(caplog, monkeypatch):
                          dropout=0.0, seed=1, evals_per_epoch=1)
     monkeypatch.setattr(training, "GRAD_NORM_WARN", 0.0)
     data, params, vocab = tiny_setup(seed=6, dim=4)
+    lines = []
     with caplog.at_level(logging.WARNING, logger="arbogru"):
-        result = train(config, data, params, vocab)
+        train(config, data, params, vocab, log_fn=lines.append)
     messages = [r.getMessage() for r in caplog.records if "gradient norm" in r.getMessage()]
-    assert len(messages) == len(result.log_lines) == 2
+    assert len(messages) == len(lines) == 2
     assert all(message.startswith("3 of 3 batches") for message in messages)
 
     caplog.clear()
@@ -535,7 +555,7 @@ def test_evaluate_in_chunks_equals_per_tree_scoring():
             root_ok += int(labels[0] == gold[0])
             hits += int(np.sum(labels == gold))
             supervised += len(gold)
-            loss += float(tape.value(graph.loss))
+            loss += float(tape.value(graph.tree_losses).sum())
         got = evaluate(corpus, params, vocab)
         assert got.root_accuracy == root_ok / len(corpus)
         assert got.node_accuracy == hits / supervised
@@ -561,7 +581,7 @@ def test_build_sentence_graph_loss_matches_compute_loss():
     supervised = np.flatnonzero(gold >= 0)
     dists = [graph.preds.probs[j] for j in supervised]
     labels = gold[supervised].tolist()
-    assert float(tape.value(graph.loss)) == pytest.approx(
+    assert float(tape.value(graph.tree_losses).sum()) == pytest.approx(
         compute_loss(dists, labels), rel=1e-12)
 
 

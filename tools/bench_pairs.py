@@ -12,7 +12,12 @@ root of this repository with, per workload:
 
 - ``runs``: every untraced run's end-to-end metrics and correctness, by
   seed and side, with its place in the run order (the records'
-  modification times, over both checkouts);
+  modification times, over both checkouts) and the machine state the
+  run recorded: the one-minute load average before and after it
+  (``loadavg_1m_before``, ``loadavg_1m_after``) and the process's CPU
+  use over the timed work (``process.cpu_util``), null where a record
+  lacks one.  A reading that moves with the load tells drift from a
+  regression;
 - ``summary``: per end-to-end metric, each side's median and quartiles,
   the change's wins, losses and ties over the seed pairs, judged by the
   metric's direction in ``BENCHMARK.json``, and a no-regression
@@ -45,6 +50,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 SCALE = "recipe"
+# env keys that describe the machine during one run, not the checkout
+MACHINE = ("loadavg_1m_before", "loadavg_1m_after", "process.cpu_util")
 
 
 class DuplicateRun(Exception):
@@ -151,7 +158,8 @@ def pair_up(records: dict, spec: dict, layers: dict) -> dict:
                              "correct": record["result"]["correct"],
                              "attempted": record["result"]["attempted"],
                              "failed": record["result"]["failed"],
-                             "metrics": metrics_of(record)}
+                             "metrics": metrics_of(record),
+                             **{key: record["env"].get(key) for key in MACHINE}}
             run["first"] = min(SIDES, key=lambda s: run[s]["order"])
             runs.append(run)
         traced = {side: [{"seed": seed, "order": place[(side, workload, seed, 1)],
@@ -194,7 +202,7 @@ def main(argv=None) -> int:
                   f"{getattr(args, side)}/.bench_out", file=sys.stderr)
             return 2
     environments = {side: sorted({json.dumps({k: v for k, v in r["env"].items()
-                                              if not k.startswith(("loadavg", "process."))},
+                                              if k not in MACHINE},
                                              sort_keys=True) for r in records[side]})
                     for side in SIDES}
     seconds = sorted({r["seconds"] for side in SIDES for r in records[side]})
