@@ -9,8 +9,8 @@ from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
                     downward_pass, init_params, itemize_parameters,
                     predict_nodes, upward_pass)
 from .training import (Metrics, OptimizerState, SplitCorpora, TrainConfig,
-                       TrainResult, adagrad_step, build_sentence_graph,
-                       evaluate, gradient_check, train)
+                       TrainResult, adagrad_step, evaluate, gradient_check,
+                       train)
 from .treebank import (Corpus, Forest, TreebankError, load_corpus,
                        parse_tree, serialize_tree, to_binary_task)
 
@@ -21,8 +21,7 @@ __all__ = [
     "Forest", "Metrics", "ModelParams", "NodeStates",
     "OptimizerState", "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
     "Vocabulary",
-    "ValueRef", "adagrad_step", "attention_pool", "backward",
-    "build_sentence_graph", "build_vocab",
+    "ValueRef", "adagrad_step", "attention_pool", "backward", "build_vocab",
     "downward_pass", "evaluate", "gradient_check",
     "init_params", "itemize_parameters", "load_checkpoint", "load_corpus",
     "load_glove", "load_vocab", "parse_tree", "predict_nodes",

@@ -247,13 +247,23 @@ def _load_split(data: str, split: str, task: str, max_arity: int):
 @contextmanager
 def _replacing(path: Path):
     """Yield a temporary path next to ``path`` that replaces it once the
-    block has written it, so an interrupted write leaves the old file whole."""
+    block has written and synced it, so a crash leaves the old file whole."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         yield tmp
+        _fsync(tmp)
         os.replace(tmp, path)
+        _fsync(path.parent)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _load_model(checkpoint_path):

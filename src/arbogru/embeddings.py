@@ -58,7 +58,7 @@ def build_vocab(corpus: Corpus) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     leaf_words = forest.words[forest.words >= 0]
     distinct, first = np.unique(leaf_words, return_index=True)
-    words = forest.lexicon.words
+    words = forest.lexicon
     id_to_word = [UNK_TOKEN]
     id_to_word += [words[w] for w in distinct[np.argsort(first)].tolist()
                    if words[w] != UNK_TOKEN]
@@ -72,11 +72,18 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """``save_vocab``'s file; EmbeddingError names an empty or repeated word."""
     with open_text(path, EmbeddingError) as handle:
         id_to_word = [line.rstrip("\n") for line in handle]
     if not id_to_word or id_to_word[UNK_ID] != UNK_TOKEN:
         raise EmbeddingError(f"{path}: not a vocabulary file")
-    return Vocabulary({w: i for i, w in enumerate(id_to_word)}, id_to_word)
+    word_to_id = {word: i for i, word in enumerate(id_to_word)}
+    if len(word_to_id) < len(id_to_word) or "" in word_to_id:
+        first = {word: i for i, word in reversed(list(enumerate(id_to_word)))}
+        i = next(i for i, word in enumerate(id_to_word) if not word or first[word] < i)
+        fault = f"repeated word {id_to_word[i]!r}" if id_to_word[i] else "empty word"
+        raise EmbeddingError(f"{path}, line {i + 1}: {fault}")
+    return Vocabulary(word_to_id, id_to_word)
 
 
 def load_glove(path, vocab: Vocabulary, dim: int, rng,

@@ -366,13 +366,14 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
 
 def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabulary,
                 input_mask: MaskFn = None) -> NodeStates:
-    """Bottom-up phase over ``forest``; leaves read (optionally
-    masked) embedding rows, and only leaves have an input.  One call per
-    tape: the tape's ``"emb"`` leaf holds this forest's rows."""
+    """Bottom-up phase over ``forest``; each leaf reads the (optionally
+    masked) embedding row ``vocab.lookup`` gives its word, and only leaves
+    have an input.  One call per tape: the tape's ``"emb"`` leaf holds
+    this forest's rows."""
     slots = child_slots(forest, params.max_children)
     leaves = np.flatnonzero(forest.heights == 0)
-    rows, index = np.unique(forest.lexicon.ids(vocab)[forest.words[leaves]],
-                            return_inverse=True)
+    ids = [vocab.lookup(forest.lexicon[w]) for w in forest.words[leaves].tolist()]
+    rows, index = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
     inputs = ad.gather(tape, tape.input(params.tensors["emb"][rows], key="emb"), index)
     if input_mask is not None:
         inputs = ad.mask(tape, inputs, input_mask(inputs.shape))

@@ -110,9 +110,6 @@ class GradTable(dict):
         """Accumulate ``g`` in place at ``name``."""
         self[name] += g
 
-    def norm(self) -> float:
-        return math.sqrt(_squares(self.values()))
-
 
 def _squares(arrays) -> float:
     """Summed squared entries of ``arrays``."""
@@ -174,15 +171,17 @@ def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None
 # optimizer
 
 def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
-                 learning_rate: float) -> m.ModelParams:
-    """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
+                 learning_rate: float) -> float:
+    """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps);
+    returns the gradient's norm.
 
     The step aborts (nothing mutated) if any gradient is non-finite; a
     finite gradient whose square overflows still steps.  The embedding
     rows ``grads.rows`` are gathered, updated as one block and scattered
     back, and every temporary lives in one scratch buffer.
     """
-    if not math.isfinite(_squares(grads.values())):
+    squares = _squares(grads.values())
+    if not math.isfinite(squares):
         for name, g in grads.items():
             bad = ~np.isfinite(g)
             if bad.any():
@@ -203,7 +202,7 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
         s *= learning_rate
         theta -= s
     params.tensors["emb"][grads.rows], opt.accumulators["emb"][grads.rows] = emb
-    return params
+    return math.sqrt(squares)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +342,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config,
         raise TrainingError(f"non-finite loss at sentence index {ids[bad[0]]}")
     batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total.rows)
     add_l2_gradients(total, params, config.l2)
-    gnorm = total.norm()
-    adagrad_step(params, total, opt, config.learning_rate)
-    return batch_loss, gnorm
+    return batch_loss, adagrad_step(params, total, opt, config.learning_rate)
 
 
 # ---------------------------------------------------------------------------

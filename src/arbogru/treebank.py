@@ -7,10 +7,10 @@ or more children.  Trees are kept lossless (tokens case-sensitive as
 found in the file); any case folding happens at embedding lookup.
 
 The one tree type is the ``Forest``: flat per-node columns in pre-order
-and per-tree offsets, with no Python object per node.  A tree is a
-forest of one: ``parse_tree`` and ``random_tree`` return one, and its
-``label``, ``token`` and ``children`` read it.  ``Forest.concat`` joins
-forests, and ``select`` cuts trees out of one.
+and per-tree offsets, with no Python object per node, plus the list of
+its leaf words.  A tree is a forest of one: ``parse_tree`` and
+``random_tree`` return one.  ``Forest.concat`` joins forests, and
+``select`` cuts trees out of one.
 """
 
 from __future__ import annotations
@@ -45,29 +45,6 @@ class TreebankError(ValueError):
         self.offset = offset
 
 
-class Lexicon:
-    """The distinct leaf words of a forest, in first-occurrence order.
-
-    The forests selected from one forest share its lexicon, and with it
-    the mapping of the words to a vocabulary's ids, made once per
-    vocabulary.
-    """
-
-    __slots__ = ("words", "_mapped")
-
-    def __init__(self, words: Sequence[str]):
-        self.words = words
-        self._mapped = (None, None)  # (vocabulary, ids) of the last lookup
-
-    def ids(self, vocab) -> np.ndarray:
-        """``vocab.lookup`` of every word, indexed like ``words``."""
-        held, ids = self._mapped
-        if held is not vocab:
-            ids = np.array([vocab.lookup(word) for word in self.words], dtype=np.intp)
-            self._mapped = (vocab, ids)
-        return ids
-
-
 @dataclass(eq=False)
 class Forest:
     """Trees as flat node columns, a sized sequence of trees.
@@ -81,12 +58,12 @@ class Forest:
 
     parents: np.ndarray   # int32: row of the parent; -1 at a root
     slots: np.ndarray     # int32: the child slot a node fills (0 at a root)
-    words: np.ndarray     # int32: lexicon index at a leaf; -1 elsewhere
+    words: np.ndarray     # int32: index into ``lexicon`` at a leaf; -1 elsewhere
     gold: np.ndarray      # int16: label; -1 where unsupervised
     heights: np.ndarray   # int32: 0 at leaves
     depths: np.ndarray    # int32: 0 at the roots
     offsets: np.ndarray   # int64, (trees + 1,)
-    lexicon: Lexicon
+    lexicon: list[str]    # the leaf words; selected forests share it
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -128,17 +105,12 @@ class Forest:
         if len(self) != 1:
             raise ValueError(f"a forest of {len(self)} trees is not one tree")
 
-    # the root of a forest of one: its label (None where unsupervised),
-    # its word (None at an internal node) and its subtrees in slot order
+    # the root of a forest of one: its label (None where unsupervised)
+    # and its subtrees in slot order, for benchmarks/bench.py's tree walks
     @property
     def label(self) -> Optional[int]:
         self._one()
         return int(self.gold[0]) if self.gold[0] >= 0 else None
-
-    @property
-    def token(self) -> Optional[str]:
-        self._one()
-        return self.lexicon.words[self.words[0]] if self.words[0] >= 0 else None
 
     @property
     def children(self) -> tuple["Forest", ...]:
@@ -159,37 +131,13 @@ class Forest:
 
         parents, words, lexicon = column("parents"), column("words"), {}
         shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        words[words >= 0] = [lexicon.setdefault(forest.lexicon.words[w], len(lexicon))
+        words[words >= 0] = [lexicon.setdefault(forest.lexicon[w], len(lexicon))
                              for forest in forests
                              for w in forest.words[forest.words >= 0].tolist()]
         offsets = np.cumsum(np.concatenate([[0]] + [np.diff(f.offsets) for f in forests]))
         return cls(np.where(parents >= 0, parents + shift, -1).astype(np.int32),
                    column("slots"), words, column("gold"), column("heights"),
-                   column("depths"), offsets, Lexicon(list(lexicon)))
-
-
-def LabeledTree(label: Optional[int], token: Optional[str] = None,
-                children: Sequence[Forest] = ()) -> Forest:
-    """A forest of one tree: a leaf of ``token``, or a node over the trees
-    of ``children``; ``label`` None leaves the node unsupervised.  The name
-    stays because ``benchmarks/gen.py`` builds its leaves with it."""
-    if (token is not None) == bool(children):
-        raise ValueError("a node must carry a token xor children")
-    root = Forest(np.array([-1], np.int32), np.zeros(1, np.int32),
-                  np.array([-1 if token is None else 0], np.int32),
-                  np.array([-1 if label is None else label], np.int16),
-                  np.zeros(1, np.int32), np.zeros(1, np.int32), np.array([0, 1]),
-                  Lexicon([] if token is None else [token]))
-    if token is not None:
-        return root
-    tree = Forest.concat([root, *children])
-    kids = tree.roots[1:]
-    tree.parents[kids] = 0
-    tree.slots[kids] = np.arange(len(kids))
-    tree.depths[1:] += 1
-    tree.heights[0] = tree.heights[kids].max() + 1
-    tree.offsets = tree.offsets[[0, -1]]
-    return tree
+                   column("depths"), offsets, list(lexicon))
 
 
 class _Columns:
@@ -200,12 +148,12 @@ class _Columns:
         self.parents, self.slots, self.words = array("i"), array("i"), array("i")
         self.gold, self.heights, self.depths = array("h"), array("i"), array("i")
 
-    def forest(self, offsets, words: Sequence[str]) -> Forest:
+    def forest(self, offsets, words: list[str]) -> Forest:
         """The forest of these columns; the arrays are shared, not copied."""
         return Forest(np.asarray(self.parents, np.int32), np.asarray(self.slots, np.int32),
                       np.asarray(self.words, np.int32), np.asarray(self.gold, np.int16),
                       np.asarray(self.heights, np.int32), np.asarray(self.depths, np.int32),
-                      np.asarray(offsets, np.int64), Lexicon(words))
+                      np.asarray(offsets, np.int64), words)
 
 
 def parse_tree(line: str, max_arity: Optional[int] = None) -> Forest:
@@ -221,6 +169,11 @@ def parse_tree(line: str, max_arity: Optional[int] = None) -> Forest:
     columns, lexicon = _Columns(), {}
     _parse_into(columns, line, max_arity, lexicon)
     return columns.forest([0, len(columns.parents)], list(lexicon))
+
+
+def LabeledTree(label: int, token: str) -> Forest:
+    """A forest of one leaf; ``benchmarks/gen.py`` builds its vocabulary with it."""
+    return parse_tree(f"({label} {token})")
 
 
 def _parse_into(columns: _Columns, line: str, max_arity: Optional[int],
@@ -334,7 +287,7 @@ def serialize_tree(tree: Forest) -> str:
     if (tree.gold < 0).any():
         raise ValueError("cannot serialize an unsupervised (label-less) node")
     closes = tree.depths - np.append(tree.depths[1:], 0) + 1
-    words = tree.lexicon.words
+    words = tree.lexicon
     return " ".join(f"({label}" if word < 0 else f"({label} {words[word]}" + ")" * close
                     for label, word, close in zip(tree.gold.tolist(), tree.words.tolist(),
                                                   closes.tolist()))

@@ -4,7 +4,8 @@ The synthetic sentences are fully learnable: every word carries a fixed
 sentiment score, leaves are labeled with their word's score, and each
 internal node is labeled with the rounded mean of its children's
 labels.  That keeps capacity/overfitting tests meaningful without
-shipping a real treebank.
+shipping a real treebank.  The negation sentences break the first rule
+on purpose: a leaf's label there depends on the rest of its sentence.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from arbogru.embeddings import Vocabulary, build_vocab
 from arbogru.model import init_params
-from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
+from arbogru.treebank import Corpus, Forest, parse_tree
 
 WORD_SCORES = {
     "awful": 0, "dreadful": 0, "wretched": 0,
@@ -29,31 +30,51 @@ def synth_tree(rng, max_nodes=15) -> Forest:
     return parse_tree(line)
 
 
-def _grow(rng, budget):
+def _grow(rng, budget, negated=False):
     """(line, label, node count) of a random subtree of at most ``budget``
     nodes; written as text and parsed once, which is far cheaper than
-    joining a forest per node."""
+    joining a forest per node.  ``negated`` mirrors every leaf label
+    (4 - score); internal labels keep the rounded-mean rule."""
     if budget <= 2 or rng.random() < 0.35:
         word = WORDS[int(rng.integers(len(WORDS)))]
-        return f"({WORD_SCORES[word]} {word})", WORD_SCORES[word], 1
+        label = 4 - WORD_SCORES[word] if negated else WORD_SCORES[word]
+        return f"({label} {word})", label, 1
     if budget >= 5 and rng.random() < 0.85:
-        left = _grow(rng, (budget - 1) // 2)
-        kids = (left, _grow(rng, budget - 1 - left[2]))
+        left = _grow(rng, (budget - 1) // 2, negated)
+        kids = (left, _grow(rng, budget - 1 - left[2], negated))
     else:
-        kids = (_grow(rng, budget - 1),)
+        kids = (_grow(rng, budget - 1, negated),)
+    return _join(kids) + (sum(k[2] for k in kids) + 1,)
+
+
+def _join(kids):
+    """(line, label) of a node over the (line, label, ...) ``kids``,
+    labeled with the rounded mean of theirs."""
     label = int(np.floor(np.mean([k[1] for k in kids]) + 0.5))
-    line = f"({label} {' '.join(k[0] for k in kids)})"
-    return line, label, sum(k[2] for k in kids) + 1
+    return f"({label} {' '.join(k[0] for k in kids)})", label
 
 
 def full_binary_tree(rng, depth) -> Forest:
     """Every internal node has exactly two children."""
-    if depth == 0:
-        word = WORDS[int(rng.integers(len(WORDS)))]
-        return LabeledTree(WORD_SCORES[word], token=word)
-    kids = (full_binary_tree(rng, depth - 1), full_binary_tree(rng, depth - 1))
-    label = int(np.floor(np.mean([k.label for k in kids]) + 0.5))
-    return LabeledTree(label, children=kids)
+
+    def grow(depth):
+        if depth == 0:
+            word = WORDS[int(rng.integers(len(WORDS)))]
+            return f"({WORD_SCORES[word]} {word})", WORD_SCORES[word]
+        return _join((grow(depth - 1), grow(depth - 1)))
+
+    return parse_tree(grow(depth)[0])
+
+
+def negation_tree(rng, max_nodes=9) -> Forest:
+    """A synthetic sentence of at most ``max_nodes`` nodes, or, with
+    probability one half, ``(label (2 not) subtree)``, where the subtree's
+    every leaf label is mirrored.  A leaf's state seen from below cannot
+    tell the two apart; the root's state can."""
+    if rng.random() < 0.5:
+        return parse_tree(_grow(rng, max_nodes)[0])
+    subtree = _grow(rng, max_nodes - 2, negated=True)
+    return parse_tree(_join([("(2 not)", 2), subtree])[0])
 
 
 def synth_corpus(n, seed, split="train", max_nodes=15) -> Corpus:

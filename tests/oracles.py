@@ -1,12 +1,14 @@
 """Tape-free reference implementations of the forward passes, and the
 line-by-line GloVe reader.
 
-Straight-line recursive numpy, written directly from the update rules
-and kept independent of the package's tape machinery on purpose: these
-are the oracles the autodiff-backed passes are checked against.  Slot
-lists are in pre-order, matching the package's tree indexing.
-``load_glove`` converts every value with ``float()``, one line at a
-time; the package's block parser must match it bit for bit.
+Straight-line numpy, written directly from the update rules and kept
+independent of the package's tape machinery on purpose: these are the
+oracles the autodiff-backed passes are checked against.  A tree is read
+from its ``parents``, ``words`` and ``lexicon`` columns alone, one node
+at a time in a plain loop, so depth is no limit.  Slot lists are in
+pre-order, matching the package's tree indexing.  ``load_glove``
+converts every value with ``float()``, one line at a time; the
+package's block parser must match it bit for bit.
 """
 
 import math
@@ -20,17 +22,27 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def upward_states(tree, tensors, vocab):
-    """Pre-order list of dicts with keys h, z, r, cand."""
-    dim = tensors["U_z"].shape[0]
-    slots = []
+def child_lists(tree):
+    """Each node's children, in slot order: a child follows its parent in
+    pre-order, and siblings follow one another in slot order."""
+    children = [[] for _ in range(len(tree.parents))]
+    for j, parent in enumerate(tree.parents.tolist()):
+        if parent >= 0:
+            children[parent].append(j)
+    return children
 
-    def visit(node):
-        slot = {}
-        slots.append(slot)
-        child_h = [visit(child) for child in node.children]
-        if node.token is not None:
-            x = tensors["emb"][vocab.lookup(node.token)]
+
+def upward_states(tree, tensors, vocab):
+    """Pre-order list of dicts with keys h, z, r, cand, filled in reverse
+    pre-order, so every child comes before its parent."""
+    dim = tensors["U_z"].shape[0]
+    children = child_lists(tree)
+    words = tree.words.tolist()
+    slots = [None] * len(words)
+    for j in reversed(range(len(words))):
+        child_h = [slots[k]["h"] for k in children[j]]
+        if words[j] >= 0:
+            x = tensors["emb"][vocab.lookup(tree.lexicon[words[j]])]
         else:
             x = np.zeros(dim)
         za = tensors["U_z"] @ x + tensors["b_z"]
@@ -48,39 +60,29 @@ def upward_states(tree, tensors, vocab):
             h = z * np.sum(child_h, axis=0) + (1.0 - z) * cand
         else:
             h = (1.0 - z) * cand
-        slot.update(h=h, z=z, r=r, cand=cand)
-        return h
-
-    visit(tree)
+        slots[j] = {"h": h, "z": z, "r": r, "cand": cand}
     return slots
 
 
 def downward_states(tree, up_slots, tensors):
-    """Pre-order list of dicts with keys h, z, r, cand (gates None at root)."""
+    """Pre-order list of dicts with keys h, z, r, cand (gates None at the
+    root), filled in pre-order, so every parent comes before its children."""
     slots = []
-    counter = [0]
-
-    def visit(node, parent_down):
-        idx = counter[0]
-        counter[0] += 1
-        h_up = up_slots[idx]["h"]
-        if parent_down is None:
-            slot = {"h": h_up, "z": None, "r": None, "cand": None}
-        else:
-            z = sigmoid(tensors["Ud_z"] @ h_up + tensors["Wd_z"] @ parent_down
-                        + tensors["bd_z"])
-            r = sigmoid(tensors["Ud_r"] @ h_up + tensors["Wd_r"] @ parent_down
-                        + tensors["bd_r"])
-            cand = np.tanh(tensors["Ud_h"] @ h_up
-                           + tensors["Wd_h"] @ (parent_down * r)
-                           + tensors["bd_h"])
-            h = z * parent_down + (1.0 - z) * cand
-            slot = {"h": h, "z": z, "r": r, "cand": cand}
-        slots.append(slot)
-        for child in node.children:
-            visit(child, slot["h"])
-
-    visit(tree, None)
+    for j, parent in enumerate(tree.parents.tolist()):
+        h_up = up_slots[j]["h"]
+        if parent < 0:
+            slots.append({"h": h_up, "z": None, "r": None, "cand": None})
+            continue
+        parent_down = slots[parent]["h"]
+        z = sigmoid(tensors["Ud_z"] @ h_up + tensors["Wd_z"] @ parent_down
+                    + tensors["bd_z"])
+        r = sigmoid(tensors["Ud_r"] @ h_up + tensors["Wd_r"] @ parent_down
+                    + tensors["bd_r"])
+        cand = np.tanh(tensors["Ud_h"] @ h_up
+                       + tensors["Wd_h"] @ (parent_down * r)
+                       + tensors["bd_h"])
+        h = z * parent_down + (1.0 - z) * cand
+        slots.append({"h": h, "z": z, "r": r, "cand": cand})
     return slots
 
 

@@ -22,12 +22,13 @@ from arbogru.embeddings import build_vocab, load_glove
 from arbogru.model import (attention_pool, downward_pass, init_params,
                            itemize_parameters, upward_pass)
 from arbogru.autodiff import Tape
-from arbogru.training import (SplitCorpora, TrainConfig, evaluate,
-                              gradient_check, train)
-from arbogru.treebank import load_corpus, to_binary_task
+from arbogru.training import (SplitCorpora, TrainConfig, build_forest_graph,
+                              evaluate, gradient_check, train)
+from arbogru.treebank import Corpus, load_corpus, to_binary_task
 
 import oracles
-from conftest import random_params, synth_corpus, synth_tree, synth_vocab
+from conftest import (WORD_SCORES, negation_tree, random_params, synth_corpus,
+                      synth_tree, synth_vocab)
 
 ALL_VARIANTS = [("treegru", False), ("treegru", True),
                 ("treebigru", False), ("treebigru", True)]
@@ -268,3 +269,29 @@ def test_criterion_7_long_run_mode_defaults():
                 defaults.evals_per_epoch) == (300, 0.01, 25, 1e-4, 0.5, 40, 4)
         print("  full-corpus accuracy reproduction is a documented long run "
               "(README), not a gate")
+
+
+def test_criterion_8_top_down_information_helps():
+    with criterion(8, "on negated sentences the downward pass labels polar "
+                      "leaves that the upward pass alone cannot"):
+        rng = np.random.default_rng(8)
+        data = SplitCorpora(
+            train=Corpus([negation_tree(rng) for _ in range(300)], "train", "fine", 5),
+            dev=Corpus([negation_tree(rng) for _ in range(100)], "dev", "fine", 5))
+        vocab = build_vocab(data.train)
+        dev = data.dev.trees
+        scores = [WORD_SCORES.get(word, 2) for word in dev.lexicon]
+        polar = np.flatnonzero(dev.words >= 0)
+        polar = polar[np.array(scores)[dev.words[polar]] != 2]
+        accuracy = {}
+        for variant in ("treegru", "treebigru"):
+            start = time.perf_counter()
+            config = TrainConfig(variant=variant, dim=32, learning_rate=0.1,
+                                 dropout=0.0, epochs=30, evals_per_epoch=1, seed=8)
+            params = init_params(variant, 32, vocab, 5, 2, np.random.default_rng(8))
+            best = train(config, data, params, vocab).best_params
+            labels = build_forest_graph(Tape(), dev, best, vocab).preds.labels
+            accuracy[variant] = float(np.mean(labels[polar] == dev.gold[polar]))
+            print(f"  {variant}: dev polar-leaf accuracy {accuracy[variant]:.3f} "
+                  f"in {time.perf_counter() - start:.1f}s")
+        assert accuracy["treebigru"] - accuracy["treegru"] >= 0.3

@@ -390,6 +390,26 @@ def test_predict_names_a_line_that_is_not_utf8(trained, tmp_path, capsys):
     assert f"{inp}, line 2: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,fault", [
+    (lambda words: words[:2] + [words[1]] + words[3:], "line 3: repeated word"),
+    (lambda words: words[:2] + [""] + words[3:], "line 3: empty word"),
+])
+def test_predict_rejects_a_vocabulary_with_a_repeated_or_empty_word(
+        trained, tmp_path, capsys, edit, fault):
+    # the vocabulary keeps its size, so only the word check can catch it
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.bin").write_bytes((trained / "checkpoint.bin").read_bytes())
+    words = (trained / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    (run / "vocab.txt").write_text("\n".join(edit(words)) + "\n", encoding="utf-8")
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 (2 good) (2 movie))\n")
+    code = main(["predict", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--input", str(inp)])
+    assert code == 2
+    assert f"{run / 'vocab.txt'}, {fault}" in capsys.readouterr().err
+
+
 def test_predict_show_attention_requires_attention_model(trained, tmp_path, capsys):
     inp = tmp_path / "inp.txt"
     inp.write_text("(0 great)\n")
@@ -492,6 +512,34 @@ def test_interrupted_artifact_write_keeps_previous_file(data_dir, tmp_path,
     assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no temp file
     assert (out / "vocab.txt").read_bytes() == before["vocab.txt"]
     assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+
+
+def test_each_artifact_reaches_the_disk_before_it_replaces_the_old(data_dir, tmp_path,
+                                                                   monkeypatch):
+    # the temporary file is synced right before its rename, and the
+    # directory right after it, once per artifact
+    out = tmp_path / "run"
+    out.mkdir()
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert main(train_args(data_dir, out)) == 0
+    directory = ("fsync", out.stat().st_ino)
+    renamed = [event for event in events if event[0] == "replace"]
+    assert [name for _, _, name in renamed] == ["checkpoint.bin", "vocab.txt",
+                                                "manifest.json"]
+    assert events == [step for _, inode, name in renamed
+                      for step in (("fsync", inode), ("replace", inode, name), directory)]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,19 @@ def test_load_vocab_rejects_garbage(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize("text,fault", [
+    ("<unk>\ngood\nmovie\ngood\n", "line 4: repeated word 'good'"),
+    ("<unk>\ngood\n\nmovie\n", "line 3: empty word"),
+    ("<unk>\ngood\n<unk>\n", "line 3: repeated word '<unk>'"),
+])
+def test_load_vocab_rejects_a_repeated_or_empty_word(tmp_path, text, fault):
+    # neither can come from build_vocab; either would silently remap a word
+    path = tmp_path / "vocab.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingError, match=f"^{path}, {fault}$"):
+        load_vocab(path)
+
+
 def test_load_vocab_names_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_bytes(b"<unk>\ngood\ncaf\xe9\n")

@@ -1,5 +1,7 @@
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from arbogru.embeddings import build_vocab, random_embeddings
 from arbogru.model import (ModelError, _sigmoid, attention_pool, child_slots,
                            downward_pass, init_params, itemize_parameters,
                            predict_nodes, upward_pass)
-from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree
+from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree, serialize_tree
 
 import oracles
 from conftest import (FOREST_CASES, WORDS, forest_params, full_binary_tree,
@@ -118,8 +120,7 @@ def test_upward_leaf_scalar_hand_values():
 def test_upward_rejects_wide_nodes():
     vocab = synth_vocab()
     params = init_params("treegru", 4, vocab, 5, 2, np.random.default_rng(0))
-    wide = LabeledTree(2, children=tuple(
-        LabeledTree(2, token=WORDS[i]) for i in range(3)))
+    wide = parse_tree("(2 " + " ".join(f"(2 {w})" for w in WORDS[:3]) + ")")
     with pytest.raises(ModelError, match="arity"):
         upward_pass(wide, params, Tape(), vocab)
 
@@ -245,7 +246,7 @@ def test_index_tree_lays_out_a_forest():
 
 
 def test_index_tree_names_the_tree_with_a_wide_node():
-    wide = LabeledTree(2, children=tuple(LabeledTree(2, token=w) for w in WORDS[:3]))
+    wide = parse_tree("(2 " + " ".join(f"(2 {w})" for w in WORDS[:3]) + ")")
     with pytest.raises(ModelError, match="arity 3 exceeds K=2 in tree 2"):
         child_slots(Forest.concat([parse_tree(SHAPED), parse_tree("(0 awful)"), wide]), 2)
 
@@ -286,6 +287,53 @@ def test_forest_columns_match_oracles_per_tree(variant, attention, norm):
                                        rtol=0, atol=1e-12)
         want = oracles.predictions(up, down, sentence, t, variant, attention)
         np.testing.assert_allclose(preds.probs[rows], np.array(want), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant,attention", [("treegru", False), ("treebigru", True)])
+def test_deep_chain_matches_oracles(variant, attention):
+    # 1,500 unary nodes over a two-leaf node: far deeper than the
+    # interpreter's recursion limit, so the oracles must not recurse either
+    vocab = synth_vocab()
+    depth = 1500
+    tree = parse_tree("(1 " * depth + "(3 (4 good) (0 awful))" + ")" * depth)
+    assert tree.node_count == 1503 and tree.heights[0] == depth + 1
+    params = random_params(variant, attention, 4, vocab, seed=13)
+    t = params.tensors
+    tape, states, attn, preds = forward(tree, params, vocab)
+    up = oracles.upward_states(tree, t, vocab)
+    np.testing.assert_allclose(tape.value(states.H_up), [s["h"] for s in up],
+                               rtol=0, atol=1e-12)
+    down = sentence = None
+    if variant == "treebigru":
+        down = oracles.downward_states(tree, up, t)
+        np.testing.assert_allclose(tape.value(states.H_down), [s["h"] for s in down],
+                                   rtol=0, atol=1e-12)
+    if attention:
+        reps = [np.concatenate([u["h"], d["h"]]) for u, d in zip(up, down)]
+        weights, sentence = oracles.attention(reps, t)
+        np.testing.assert_allclose(tape.value(attn.weights), weights, rtol=0, atol=1e-12)
+    want = oracles.predictions(up, down, sentence, t, variant, attention)
+    np.testing.assert_allclose(preds.probs, want, rtol=0, atol=1e-12)
+
+
+def test_oracles_stay_independent_of_the_passes_and_the_tree_accessors():
+    # the oracles arbitrate the tape-backed passes, so they may share no
+    # code with them, and they read trees by their columns only
+    source = Path(oracles.__file__).read_text(encoding="utf-8")
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    assert "arbogru.embeddings" in imported  # the walk sees the imports
+    banned = ("arbogru.model", "arbogru.autodiff", "arbogru.training")
+    assert not [name for name in imported if name.startswith(banned)]
+    assert "lexicon" in read  # the walk sees attribute reads
+    assert not read & {"children", "token", "label"}
 
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)
@@ -475,13 +523,18 @@ def test_sibling_permutation_with_swapped_weights():
         swapped.tensors[f"W_{gate}_1"] = params.tensors[f"W_{gate}_2"].copy()
         swapped.tensors[f"W_{gate}_2"] = params.tensors[f"W_{gate}_1"].copy()
 
-    def mirror(node):
-        if node.token is not None:
-            return node
-        return LabeledTree(node.label,
-                           children=tuple(mirror(c) for c in reversed(node.children)))
+    def mirror(tree):
+        # each node's line, children first, over its children's lines in
+        # reverse slot order
+        slots, lines = child_slots(tree, 2), {}
+        for j in reversed(range(tree.node_count)):
+            kids = [lines[k] for k in slots[j][::-1] if k >= 0]
+            body = kids or [tree.lexicon[tree.words[j]]]
+            lines[j] = f"({tree.gold[j]} {' '.join(body)})"
+        return parse_tree(lines[0])
 
     mirrored_tree = mirror(tree)
+    assert serialize_tree(mirror(mirrored_tree)) == serialize_tree(tree)
     t1 = Tape()
     s1 = upward_pass(tree, params, t1, vocab)
     t2 = Tape()
@@ -518,8 +571,7 @@ def test_attention_identical_nodes_split_evenly():
     vocab = synth_vocab()
     params = random_params("treegru", True, 5, vocab, seed=3)
     # two leaves with the same token have identical representations
-    tree = LabeledTree(2, children=(LabeledTree(2, token=WORDS[0]),
-                                    LabeledTree(2, token=WORDS[0])))
+    tree = parse_tree(f"(2 (2 {WORDS[0]}) (2 {WORDS[0]}))")
     tape = Tape()
     states = upward_pass(tree, params, tape, vocab)
     attn = attention_pool(states, params, tape)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from arbogru.autodiff import Tape
 from arbogru.model import child_slots
 from arbogru.training import build_sentence_graph
-from arbogru.treebank import (_TOKENS, Forest, LabeledTree, _tokens, load_corpus,
-                              parse_tree, serialize_tree)
+from arbogru.treebank import (_TOKENS, Forest, _tokens, load_corpus, parse_tree,
+                              serialize_tree)
 
 import oracles
 from conftest import WORDS, random_params, synth_vocab
@@ -19,14 +19,22 @@ VARIANT_CASES = [("treegru", False, "softmax"), ("treegru", True, "softmax"),
                  ("treegru", True, "linear"), ("treebigru", False, "softmax"),
                  ("treebigru", True, "softmax"), ("treebigru", True, "linear")]
 
+# a node is (label, word) at a leaf and (label, [children]) elsewhere
 labels = st.integers(0, 4)
-leaves = st.builds(lambda label, word: LabeledTree(label, token=word),
-                   labels, st.sampled_from(WORDS))
-trees = st.recursive(
-    leaves,
-    lambda kids: st.builds(lambda label, children: LabeledTree(label, children=tuple(children)),
-                           labels, st.lists(kids, min_size=1, max_size=2)),
+nodes = st.recursive(
+    st.tuples(labels, st.sampled_from(WORDS)),
+    lambda kids: st.tuples(labels, st.lists(kids, min_size=1, max_size=2)),
     max_leaves=12)
+
+
+def line_of(node):
+    label, body = node
+    if isinstance(body, str):
+        return f"({label} {body})"
+    return f"({label} {' '.join(line_of(child) for child in body)})"
+
+
+trees = nodes.map(lambda node: parse_tree(line_of(node)))
 
 # derandomized and without an example database, so runs are repeatable
 # and leave no files behind
@@ -34,9 +42,9 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 @PROPERTY
-@given(trees)
-def test_serialize_parse_roundtrip(tree):
-    line = serialize_tree(tree)
+@given(nodes)
+def test_serialize_parse_roundtrip(node):
+    line = line_of(node)
     assert serialize_tree(parse_tree(line)) == line
 
 
@@ -47,24 +55,25 @@ def test_tokens_match_the_token_pattern(line):
 
 
 def walk_index(trees, max_children=2):
-    """Reference layout of a list of trees by a pre-order walk: parents,
+    """Reference layout of a list of nodes by a pre-order walk: parents,
     children by slot, heights, depths, gold labels (-1 = unsupervised),
     leaf tokens and per-tree offsets."""
     parents, slots, depths, gold, tokens, offsets = [], [], [], [], [], [0]
     for tree in trees:
         stack = [(tree, -1, 0, 0)]
         while stack:
-            node, parent, position, depth = stack.pop()
+            (label, body), parent, position, depth = stack.pop()
             if parent >= 0:
                 slots[parent][position] = len(parents)
-            stack.extend((child, len(parents), k, depth + 1)
-                         for k, child in reversed(list(enumerate(node.children))))
+            if isinstance(body, str):
+                tokens.append(body)
+            else:
+                stack.extend((child, len(parents), k, depth + 1)
+                             for k, child in reversed(list(enumerate(body))))
             parents.append(parent)
             slots.append([-1] * max_children)
             depths.append(depth)
-            gold.append(-1 if node.label is None else node.label)
-            if node.token is not None:
-                tokens.append(node.token)
+            gold.append(-1 if label is None else label)
         offsets.append(len(parents))
     heights = [0] * len(parents)
     for j in range(len(parents) - 1, -1, -1):  # children first
@@ -73,38 +82,39 @@ def walk_index(trees, max_children=2):
     return parents, slots, heights, depths, gold, tokens, offsets
 
 
-def binary_tree(tree):
+def binary_tree(node):
     """The binary-task form of a fine-grained tree, node by node."""
-    label = None if tree.label == 2 else int(tree.label > 2)
-    return LabeledTree(label, tree.token, tuple(binary_tree(c) for c in tree.children))
+    label, body = node
+    label = None if label == 2 else int(label > 2)
+    return label, body if isinstance(body, str) else [binary_tree(c) for c in body]
 
 
 def forest_index(forest):
     leaves = forest.words[forest.words >= 0]
     return (forest.parents.tolist(), child_slots(forest, 2).tolist(),
             forest.heights.tolist(), forest.depths.tolist(), forest.gold.tolist(),
-            [forest.lexicon.words[w] for w in leaves], forest.offsets.tolist())
+            [forest.lexicon[w] for w in leaves], forest.offsets.tolist())
 
 
 @PROPERTY
-@given(forest=st.lists(trees, min_size=1, max_size=6),
+@given(forest=st.lists(nodes, min_size=1, max_size=6),
        picks=st.lists(st.integers(0, 5), max_size=8),
        task=st.sampled_from(["fine", "binary"]))
 def test_batch_from_corpus_rows_matches_a_walk(tmp_path_factory, forest, picks, task):
     # a batch is a row selection of the loaded corpus: its layout must be
     # the one a walk over the same trees gives
     path = tmp_path_factory.mktemp("corpus") / "train.txt"
-    path.write_text("".join(serialize_tree(tree) + "\n" for tree in forest))
+    path.write_text("".join(line_of(node) + "\n" for node in forest))
     corpus = load_corpus(path, task=task)
     if task == "binary":
-        forest = [binary_tree(tree) for tree in forest if tree.label != 2]
+        forest = [binary_tree(node) for node in forest if node[0] != 2]
     assert len(corpus) == len(forest)
     ids = [p % len(forest) for p in picks] if forest else []
     batch = corpus.trees.select(ids)
     want = walk_index([forest[i] for i in ids])
     assert forest_index(batch) == want
     assert forest_index(Forest.concat(list(batch))) == want
-    assert [forest_index(tree) for tree in batch] == [forest_index(forest[i]) for i in ids]
+    assert [forest_index(tree) for tree in batch] == [walk_index([forest[i]]) for i in ids]
 
 
 @pytest.mark.parametrize("variant,attention,norm", VARIANT_CASES)

@@ -28,7 +28,7 @@ def max_arity(tree):
 
 def columns(forest):
     """Every node column and the offsets, as lists, with leaf words spelled out."""
-    words = [forest.lexicon.words[w] if w >= 0 else None for w in forest.words.tolist()]
+    words = [forest.lexicon[w] if w >= 0 else None for w in forest.words.tolist()]
     return (forest.parents.tolist(), forest.slots.tolist(), words, forest.gold.tolist(),
             forest.heights.tolist(), forest.depths.tolist(), forest.offsets.tolist())
 
@@ -36,15 +36,14 @@ def columns(forest):
 def test_parse_two_leaf_tree():
     tree = parse_tree("(3 (2 good) (2 movie))")
     assert tree.label == 3
-    assert tree.token is None
-    assert [c.token for c in tree.children] == ["good", "movie"]
+    assert columns(tree)[2] == [None, "good", "movie"]
     assert [c.label for c in tree.children] == [2, 2]
 
 
 def test_parse_single_leaf():
     tree = parse_tree("(2 hello)")
     assert tree.label == 2
-    assert tree.token == "hello"
+    assert columns(tree)[2] == ["hello"]
     assert tree.children == ()
 
 
@@ -111,17 +110,9 @@ def test_whitespace_normalization():
         "(3 (2 good) (2 movie))"
 
 
-def test_labeled_tree_token_xor_children():
-    with pytest.raises(ValueError):
-        LabeledTree(2)
-    with pytest.raises(ValueError):
-        LabeledTree(2, token="x", children=(LabeledTree(2, token="y"),))
-
-
 def test_labeled_tree_builds_the_parsed_columns():
+    assert columns(LabeledTree(3, token="good")) == columns(parse_tree("(3 good)"))
     tree = parse_tree("(3 (2 good) (1 (2 movie)))")
-    assert columns(tree) == columns(LabeledTree(3, children=(
-        LabeledTree(2, "good"), LabeledTree(1, children=(LabeledTree(2, "movie"),)))))
     assert columns(tree) != columns(parse_tree("(3 (2 good) (1 (3 movie)))"))
     assert columns(parse_tree(serialize_tree(tree))) == columns(tree)
     # same labels and tokens in pre-order, different shape
@@ -145,7 +136,7 @@ def test_one_tree_accessors_refuse_other_tree_counts(tmp_path):
     path = tmp_path / "two.txt"
     path.write_text("(3 (2 good) (2 movie))\n(2 hello)\n")
     for forest in (load_corpus(path).trees, Forest.concat([])):
-        for name in ("label", "token", "children"):
+        for name in ("label", "children"):
             with pytest.raises(ValueError, match=f"forest of {len(forest)} trees"):
                 getattr(forest, name)
 
@@ -153,14 +144,14 @@ def test_one_tree_accessors_refuse_other_tree_counts(tmp_path):
 def test_concat_joins_trees_and_the_words_they_use(tmp_path):
     empty = Forest.concat([])
     assert len(empty) == empty.node_count == 0
-    assert empty.offsets.tolist() == [0] and empty.lexicon.words == []
+    assert empty.offsets.tolist() == [0] and empty.lexicon == []
     lines = ["(3 (2 good) (2 movie))", "(2 (2 the) (2 film))", "(1 (1 dull) (2 film))"]
     path = tmp_path / "train.txt"
     path.write_text("\n".join(lines) + "\n")
     corpus = load_corpus(path)
     cut = Forest.concat([corpus.trees[2], corpus.trees[0]])
     assert [serialize_tree(tree) for tree in cut] == [lines[2], lines[0]]
-    assert cut.lexicon.words == ["dull", "film", "good", "movie"]
+    assert cut.lexicon == ["dull", "film", "good", "movie"]
     parsed = Corpus([parse_tree(line) for line in lines], "train", "fine", 5)
     assert build_vocab(parsed).id_to_word == build_vocab(corpus).id_to_word
 
@@ -271,12 +262,8 @@ def test_binary_task_label_mapping_and_structure():
     mapped = to_binary_task(corpus).trees[0]
     # topology preserved exactly
     assert serialize_tree(tree) == "(4 (1 (0 awful) (2 plot)) (3 good))"
-    orig_nodes = list(iter_nodes(tree))
-    new_nodes = list(iter_nodes(mapped))
-    assert len(orig_nodes) == len(new_nodes)
-    for before, after in zip(orig_nodes, new_nodes):
-        assert before.token == after.token
-        assert len(before.children) == len(after.children)
+    before, after = columns(tree), columns(mapped)
+    assert before[:3] == after[:3] and before[4:] == after[4:]  # all but gold
     # labels: root 4->1, internal 1->0, leaf 0->0, internal neutral unsupervised
     assert mapped.label == 1
     assert mapped.children[0].label == 0
