@@ -1,6 +1,9 @@
 """Tree-structured GRU networks with structural attention for sentiment
 classification over constituency parse trees."""
 
+import ctypes
+import platform
+
 from .autodiff import Tape, ValueRef, backward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (EmbeddingMatrix, Vocabulary, build_vocab, load_glove,
@@ -15,6 +18,36 @@ from .treebank import (Corpus, Forest, TreebankError, load_corpus,
                        parse_tree, serialize_tree, to_binary_task)
 
 __version__ = "0.1.0"
+
+# glibc's mallopt parameters (malloc.h) and the value given to both: an
+# array below it is carved from the heap, and freed heap memory stays
+# in the process until it holds more than it.  It lies above the
+# largest array a call allocates, the recipe's 52 MB f64 embedding.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BYTES = 1 << 30
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory the process frees for its next allocations.
+
+    A batch builds and frees the same node-major buffers as the one
+    before it.  By default glibc hands them back to the kernel on free,
+    so every batch faults them in again as zeroed pages.  Both
+    thresholds are set, because setting one turns off glibc's own
+    adjustment of the other; the mmap threshold goes first, since a
+    glibc that caps it refuses the value, and then nothing is set.  On
+    any other C library this does nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
+
+
+_keep_freed_memory()
 
 __all__ = [
     "AttentionResult", "CheckpointError", "Corpus", "EmbeddingMatrix",

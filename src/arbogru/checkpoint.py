@@ -101,8 +101,12 @@ def load_checkpoint(path) -> ModelParams:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
             left -= size
             # read straight into the tensor: no second copy of the bytes
-            tensors[name] = np.empty(shape, dtype=dtype)
-            handle.readinto(tensors[name])
+            t = tensors[name] = np.empty(shape, dtype=dtype)
+            handle.readinto(t)
+            # min and max carry any NaN or infinity without building a
+            # mask the size of the tensor
+            if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
+                raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 

@@ -321,6 +321,27 @@ def test_eval_corrupt_checkpoint(trained, data_dir, tmp_path, capsys):
     assert "checkpoint format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_finite_checkpoint_tensor_exits_2_naming_it(data_dir, tmp_path, capsys,
+                                                       command, value):
+    from arbogru.checkpoint import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "run"
+    assert main(train_args(data_dir, out, variant="treebigru", attention=True)) == 0
+    path = out / "checkpoint.bin"
+    params = load_checkpoint(path)
+    params.tensors["W_s_att"][1, 2] = value
+    save_checkpoint(path, params)
+    capsys.readouterr()
+    source = ["--data", str(data_dir)] if command == "eval" else [
+        "--input", str(data_dir / "test.txt")]
+    assert main([command, "--checkpoint", str(path), *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: tensor 'W_s_att' holds a non-finite value" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # predict
 

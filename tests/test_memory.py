@@ -1,0 +1,89 @@
+"""Importing arbogru keeps freed memory in the process on glibc, and
+changes nothing elsewhere.  Each case runs in its own interpreter,
+because the allocator setting is process-wide and made at import."""
+
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(code: str) -> str:
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting exists only on glibc")
+def test_a_freed_array_comes_back_without_page_faults():
+    # without the setting glibc unmaps or trims these on free, and the
+    # second allocation faults in hundreds of fresh pages
+    out = run_python("""
+        import resource
+        import numpy as np
+        import arbogru
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        for mb in (4, 32, 64):
+            entries = (mb << 20) // 8
+            a = np.ones(entries)
+            del a
+            before = faults()
+            a = np.ones(entries)
+            print(mb, faults() - before)
+            del a
+    """)
+    for line in out.splitlines():
+        mb, faults = map(int, line.split())
+        assert faults < 50, f"{mb} MB array faulted {faults} pages again"
+
+
+@pytest.mark.parametrize("libc", ["other", "without_mallopt", "refusing"])
+def test_import_without_the_setting_changes_nothing(libc):
+    # a stand-in for ctypes.CDLL records what the import asks of the C
+    # library; numpy is imported first so that only arbogru meets it
+    out = run_python(f"""
+        import ctypes
+        import platform
+        import numpy
+
+        LIBC = {libc!r}
+        opened, calls = [], []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 0
+
+        class Library:
+            def __init__(self, *args, **kwargs):
+                opened.append(args)
+                if LIBC == "refusing":
+                    self.mallopt = Mallopt()
+
+        ctypes.CDLL = Library
+        platform.libc_ver = lambda *args, **kwargs: (
+            ("musl", "1.2.4") if LIBC == "other" else ("glibc", "2.36"))
+
+        import arbogru
+
+        print(len(opened), calls)
+        print(arbogru.gradient_check("treebigru", True, 3, trees=2))
+    """)
+    record, err = out.splitlines()
+    opened, calls = record.split(" ", 1)
+    assert int(opened) == (libc != "other")
+    # a refused mmap threshold stops there: the trim threshold alone
+    # would make things worse
+    assert calls == ("[(-3, 1073741824)]" if libc == "refusing" else "[]")
+    assert float(err) < 1e-4
