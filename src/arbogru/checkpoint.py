@@ -22,6 +22,7 @@ from .model import ATTENTION_NORMS, ModelParams, param_shapes
 
 MAGIC = b"ARBOCKPT1\n"
 FORMAT_VERSION = 2
+FINITE_SLICE = 1 << 16  # tensor entries checked for finiteness at a time
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 # manifest keys every version carries, with their JSON types
@@ -103,9 +104,7 @@ def load_checkpoint(path) -> ModelParams:
             # read straight into the tensor: no second copy of the bytes
             t = tensors[name] = np.empty(shape, dtype=dtype)
             handle.readinto(t)
-            # min and max carry any NaN or infinity without building a
-            # mask the size of the tensor
-            if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
+            if not _finite(t):
                 raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
@@ -119,6 +118,18 @@ def load_checkpoint(path) -> ModelParams:
     if got != {name: tuple(s) for name, s in expected.items()}:
         raise CheckpointError(f"{path}: tensor set does not match the declared variant")
     return params
+
+
+def _finite(t: np.ndarray) -> bool:
+    """Whether every entry of ``t`` is finite, tested one fixed slice at a
+    time: the mask stays FINITE_SLICE bytes, and each entry is read once."""
+    flat = t.reshape(-1)
+    mask = np.empty(min(flat.size, FINITE_SLICE), dtype=bool)
+    for start in range(0, flat.size, FINITE_SLICE):
+        part = flat[start:start + FINITE_SLICE]
+        if not np.isfinite(part, out=mask[:part.size]).all():
+            return False
+    return True
 
 
 def _dtype_tag(dtype) -> str:

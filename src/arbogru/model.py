@@ -21,14 +21,16 @@ with its own Ud/Wd/bd tensors, the node's upward state as input and the
 parent's downward state as the only child; the root's downward state is
 defined as its upward state.
 
-Every node-indexed matrix, from the embedding gather to the loss, is
-node-major: row j is node j.  ``gru_tree`` applies the rule to a whole
-forest as one tape op: the states form a nodes x d matrix, filled level
-by level (upward by height, downward by depth), with each gate of a
-level one matrix product per child slot over the level's nodes of every
-tree and a zero pad state standing in for a missing child.  The
-attention head and classifiers work on these matrices whole; attention
-normalizes and pools each tree's rows on their own.
+Every node-indexed matrix that one op hands another, from the embedding
+gather to the loss, is node-major: row j is node j.  ``gru_tree``
+applies the rule to a whole forest as one tape op, level by level
+(upward by height, downward by depth), with each gate of a level one
+matrix product per child slot over the level's nodes of every tree and
+a zero pad state standing in for a missing child.  Inside the op the
+rows are level-major, so each level is one contiguous block; its states
+come out node-major, and its gates are copied to node order when read.
+The attention head and classifiers work on the state matrices whole;
+attention normalizes and pools each tree's rows on their own.
 """
 
 from __future__ import annotations
@@ -189,36 +191,51 @@ def child_slots(forest: Forest, max_children: int) -> np.ndarray:
     return slots
 
 
-def _levels(rank: np.ndarray) -> list[np.ndarray]:
-    """Node indices grouped by ``rank`` (height or depth), lowest first."""
-    order = np.argsort(rank, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(rank))[:-1])
-
-
 def _param(tape: Tape, params: ModelParams, name: str) -> ValueRef:
     """Tensor ``name`` of ``params`` as a keyed leaf of ``tape``."""
     return tape.input(params.tensors[name], key=name)
 
 
 @dataclass
+class LevelGates:
+    """The z/r/candidate gates of one ``gru_tree`` call, kept in its
+    level-major rows; ``node_major`` gives a node-major copy of one."""
+
+    pos: np.ndarray  # node j's level-major row
+    level_major: tuple[np.ndarray, np.ndarray, np.ndarray]  # Z, R, C
+
+    def node_major(self, gate: int) -> np.ndarray:
+        return self.level_major[gate][self.pos]
+
+
+def _gate(direction: str, gate: int) -> property:
+    """A node-major gate of ``direction``, copied on each read; None
+    before that direction has run."""
+    def read(states):
+        gates = getattr(states, direction)
+        return None if gates is None else gates.node_major(gate)
+    return property(read)
+
+
+@dataclass
 class NodeStates:
     """Activations of every node, row j for node j of ``forest``.
 
-    The states ``H_*`` are tape values; the gates are plain arrays (the
-    downward root has none, so its gate rows are zero).  The tape's
-    ``"emb"`` leaf holds the embedding ``rows`` the leaves read, ascending.
+    The states ``H_*`` are tape values; the gates are plain arrays,
+    copied to node order from ``up``/``down`` when read (the downward
+    root has none, so its gate rows are zero).  The tape's ``"emb"``
+    leaf holds the embedding ``rows`` the leaves read, ascending.
     """
 
     forest: Forest
     rows: np.ndarray
     H_up: ValueRef                        # (nodes, dim)
-    z_up: np.ndarray
-    r_up: np.ndarray
-    cand_up: np.ndarray
+    up: LevelGates
     H_down: Optional[ValueRef] = None
-    z_down: Optional[np.ndarray] = None
-    r_down: Optional[np.ndarray] = None
-    cand_down: Optional[np.ndarray] = None
+    down: Optional[LevelGates] = None
+
+    z_up, r_up, cand_up = (_gate("up", g) for g in range(3))
+    z_down, r_down, cand_down = (_gate("down", g) for g in range(3))
 
 
 @dataclass
@@ -259,21 +276,28 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
-             inputs: ValueRef, fed, slots: np.ndarray, levels: list[np.ndarray]):
+             inputs: ValueRef, fed, slots: np.ndarray, rank: np.ndarray,
+             first_level: int = 0):
     """The rule of the module docstring over a forest, recorded as one
-    tape op; returns (H, (Z, R, C)), the states as a tape value and the
-    z/r/candidate gates as plain arrays, all nodes x d.
+    tape op; returns (H, gates), the node-major states as a tape value
+    and the z/r/candidate gates as ``LevelGates``.
 
-    ``names`` are a direction's tensor-name templates; ``inputs`` holds
-    the input rows of the nodes ``fed`` (an index array or a slice),
-    and the input terms vanish at every other node.  Row j of ``slots``
-    lists node j's children, -1 for none (a zero pad state).  ``levels``
-    are node index arrays whose children all lie in earlier levels; a
-    node in no level takes its input row as its state and keeps zero
-    gates.
+    ``names`` are a direction's tensor-name templates.  ``rank`` (height
+    upward, depth downward) sorts the nodes into levels, one per rank
+    from ``first_level`` on; a node's children all have a lower rank.  A
+    node of lower rank is in no level: it takes its input row as its
+    state and keeps zero gates.  ``inputs`` holds the input rows of the
+    nodes ``fed`` (an index array or a slice), which are the nodes of the
+    lowest ranks; the input terms vanish at every other node.  Row j of
+    ``slots`` lists node j's children, -1 for none (a zero pad state).
 
-    Every buffer is node-major, so a level gathers and writes whole rows.
-    A child slot that is pad throughout a level costs no product.
+    The op works in level-major rows: the nodes sorted stably by rank,
+    so every level is one contiguous row range of each state, gate and
+    gradient buffer, read and written through slices.  Only children are
+    gathered, and a child slot that is pad throughout a level costs no
+    product.  The tape keeps the states in node order, its value, and
+    the gates in level-major rows; the backward gathers each row's
+    children once into a child buffer of its own.
     """
     u_name, w_name, b_name = names
     n, n_kids = slots.shape
@@ -287,81 +311,154 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
-    H = np.zeros((n + 1, x.shape[1]), dtype=x.dtype)  # row n (slot -1) is the pad
-    H[:n][fed] = x
+    d, dtype = x.shape[1], x.dtype
+    order = np.argsort(rank, kind="stable")  # row -> node
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+    pos = np.empty(n + 1, dtype=np.intp)  # node -> row; slot -1 reads row n
+    pos[order] = np.arange(n)
+    pos[n] = n
+    kids_lm = slots[order].T.copy()  # slot k's child node of each row
+    kid_rows = pos[kids_lm]  # and that child's row
+    into = pos[:n][fed]  # the row of each input, one of the first m
+    lead = np.argsort(into)  # the input of each of the first m rows
+    m, free = into.size, starts[first_level]
+
+    H_lm = np.empty((n + 1, d), dtype=dtype)  # row n is the zero pad
+    x_lm = x[lead]
+    H_lm[:free] = x_lm[:free]
+    H_lm[n] = 0.0
     # the gate buffers start as the pre-activations' bias and input
-    # terms, one product over every input node outside the recurrence
-    Z, R, C = (np.empty_like(H[:n]) for _ in range(3))
+    # terms, one product over every input row outside the recurrence
+    Z, R, C = (np.empty((n, d), dtype=dtype) for _ in range(3))
     for P, U, b in ((Z, U_z, b_z), (R, U_r, b_r), (C, U_h, b_h)):
-        P[...] = b
-        P[fed] += x @ U.T
-    # each level with the child slots it uses: (slot, child rows, whether
-    # a child row repeats, as siblings share their parent downward)
+        np.matmul(x_lm, U.T, out=P[:m])
+        P[:m] += b
+        P[m:] = b
+        P[:free] = 0.0
+    del x_lm
+    # each level's rows with the child slots it uses: (slot, child rows,
+    # whether a child row repeats, as siblings share their parent downward)
     plan = []
-    free = np.ones(n, dtype=bool)
-    for lv in levels:
-        free[lv] = False
+    for a, e in zip(starts[first_level:-1], starts[first_level + 1:]):
         used = []
         for k in range(n_kids):
-            kids = slots[lv, k]
-            real = kids[kids >= 0]
+            kids = kid_rows[k, a:e]
+            real = kids[kids < n]
             if real.size:
                 used.append((k, kids, np.unique(real).size < real.size))
-        plan.append((lv, used))
+        plan.append((a, e, used))
+    # scratch rows for the widest level with children; the rest need none
+    width = max((e - a for a, e, used in plan if used), default=0)
+    first_kid = next((a for a, _, used in plan if used), n)  # rows before have none
 
-    for lv, used in plan:
-        kids = [H[s] for _, s, _ in used]
-        z, r, c = Z[lv], R[lv], C[lv]
-        for (k, _, _), h in zip(used, kids):
-            z += h @ W_z[k].T
-            r += h @ W_r[k].T
-        z, r = _sigmoid(z), _sigmoid(r)
-        for (k, _, _), h in zip(used, kids):
-            c += (h * r) @ W_h[k].T
-        c = np.tanh(c)
-        H[lv] = z * sum(kids) + (1.0 - z) * c
-        Z[lv], R[lv], C[lv] = z, r, c
-    Z[free] = R[free] = C[free] = 0.0
+    def child_sum(kids, out):
+        out[...] = kids[0] if kids else 0.0
+        for h in kids[1:]:
+            out += h
+        return out
+
+    kid_buf = np.empty((n_kids, width, d), dtype=dtype)
+    t_buf = np.empty((2, width, d), dtype=dtype)
+    for a, e, used in plan:
+        z, r, c, h = Z[a:e], R[a:e], C[a:e], H_lm[a:e]
+        t, u = t_buf[:, :e - a]
+        kids = [np.take(H_lm, rows, axis=0, out=kid_buf[k, :e - a], mode="clip")
+                for k, rows, _ in used]
+        for (k, _, _), hk in zip(used, kids):
+            z += np.matmul(hk, W_z[k].T, out=t)
+            r += np.matmul(hk, W_r[k].T, out=t)
+        _sigmoid(z)
+        _sigmoid(r)
+        for (k, _, _), hk in zip(used, kids):
+            c += np.matmul(np.multiply(hk, r, out=t), W_h[k].T, out=u)
+        np.tanh(c, out=c)
+        # h = (1 - z) * c + z * (sum of the children)
+        np.subtract(1.0, z, out=h)
+        h *= c
+        if kids:
+            h += np.multiply(child_sum(kids, t), z, out=t)
+    # the states in node order, with the zero pad again as row n; the
+    # backward reads them, so the tape keeps no level-major copy
+    H = np.empty_like(H_lm)
+    np.take(H_lm, pos, axis=0, out=H, mode="clip")
+    del H_lm, kid_buf, t_buf
 
     def vjp(g):
-        G = np.zeros_like(H)  # gradient reaching each state; row n is junk
-        G[:n] = g
-        dZ, dR, dC = (np.zeros_like(Z) for _ in range(3))  # pre-activation grads
-        for lv, used in reversed(plan):
-            gh = G[lv]
-            G[lv] = 0.0  # consumed; what stays belongs to free nodes
-            kids = [H[s] for _, s, _ in used]
-            z, r, c = Z[lv], R[lv], C[lv]
-            dc = gh * (1.0 - z) * (1.0 - c * c)
-            dz = gh * (sum(kids) - c) * z * (1.0 - z)
-            d_kr = [dc @ W_h[k] for k, _, _ in used]  # gradients of h_k * r
-            dr = sum(dk * h for dk, h in zip(d_kr, kids)) * r * (1.0 - r)
-            for (k, s, repeats), dk in zip(used, d_kr):
-                dh = gh * z + dk * r + dz @ W_z[k] + dr @ W_r[k]
+        G = np.empty_like(H)  # gradient reaching each state; row n is junk
+        np.take(g, order, axis=0, out=G[:n], mode="clip")
+        G[n] = 0.0
+        dZ, dR, dC = (np.empty_like(Z) for _ in range(3))  # pre-activation grads
+        for dP in (dZ, dR, dC):
+            dP[:free] = 0.0
+        # the child buffer: row i of slot k holds the state of row
+        # first_kid + i's child in that slot, zero for a pad child (-1,
+        # which wraps round to H's pad row)
+        H_kids = np.empty((n_kids, n - first_kid, d), dtype=dtype)
+        for k in range(n_kids):
+            np.take(H, kids_lm[k, first_kid:], axis=0, out=H_kids[k], mode="wrap")
+        buf = np.empty((1 + n_kids, width, d), dtype=dtype)
+        for a, e, used in reversed(plan):
+            gh, z, r, c = G[a:e], Z[a:e], R[a:e], C[a:e]
+            dz, dr, dc = dZ[a:e], dR[a:e], dC[a:e]
+            t, *kr_buf = buf[:, :e - a]
+            kids = [H_kids[k, a - first_kid:e - first_kid] for k, _, _ in used]
+            # dc = gh * (1 - z) * (1 - c * c); dr is scratch until it is formed
+            np.subtract(1.0, z, out=dc)
+            dc *= gh
+            np.multiply(c, c, out=dr)
+            np.subtract(1.0, dr, out=dr)
+            dc *= dr
+            # dz = gh * (sum of the children - c) * z * (1 - z)
+            child_sum(kids, dz)
+            dz -= c
+            dz *= gh
+            dz *= z
+            np.subtract(1.0, z, out=dr)
+            dz *= dr
+            if not used:  # leaves: no child, so no reset gate gradient
+                dr[...] = 0.0
+                continue
+            # the gradients of each h_k * r, then
+            # dr = (sum over k of those times h_k) * r * (1 - r)
+            d_kr = [np.matmul(dc, W_h[k], out=kr_buf[k]) for k, _, _ in used]
+            np.multiply(d_kr[0], kids[0], out=dr)
+            for dk, h in zip(d_kr[1:], kids[1:]):
+                dr += np.multiply(dk, h, out=t)
+            dr *= r
+            np.subtract(1.0, r, out=t)
+            dr *= t
+            gh *= z  # consumed: what stays is this level's gh * z
+            for (k, rows, repeats), dk in zip(used, d_kr):
+                dk *= r
+                dk += gh
+                dk += np.matmul(dz, W_z[k], out=t)
+                dk += np.matmul(dr, W_r[k], out=t)
                 if repeats:
-                    np.add.at(G, s, dh)  # += would add one of the repeats
+                    np.add.at(G, rows, dk)  # += would add one of the repeats
                 else:
-                    G[s] += dh
-            dZ[lv], dR[lv], dC[lv] = dz, dr, dc
+                    G[rows] += dk
+        del buf
 
         # each weight gradient is one product over the whole forest, a
-        # child weight's over the nodes with a real child in its slot
+        # child weight's over the child buffer, whose pad rows add nothing
         d_child = ([], [], [])
         for k in range(n_kids):
-            rows = np.flatnonzero(slots[:, k] >= 0)
-            h = H[slots[rows, k]]
-            d_child[0].append(dZ[rows].T @ h)
-            d_child[1].append(dR[rows].T @ h)
-            h *= R[rows]
-            d_child[2].append(dC[rows].T @ h)
-        d_in = [dP[fed] for dP in (dZ, dR, dC)]
-        grads = [d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h + G[:n][fed]]
+            h = H_kids[k]
+            d_child[0].append(dZ[first_kid:].T @ h)
+            d_child[1].append(dR[first_kid:].T @ h)
+            h *= R[first_kid:]
+            d_child[2].append(dC[first_kid:].T @ h)
+        d_in = [dP[:m] for dP in (dZ, dR, dC)]
+        d_x = d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h
+        d_x[:free] += G[:free]
+        x_lm = x[lead]
+        grads = [d_x[into]]
         for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
-            grads += [dP_in.T @ x, dP.sum(axis=0), *dW]
+            grads += [dP_in.T @ x_lm, dP.sum(axis=0), *dW]
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
-    return tape.append(H[:n], parents, vjp), (Z, R, C)
+    return tape.append(H[:n], parents, vjp), LevelGates(pos[:n], (Z, R, C))
 
 
 def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabulary,
@@ -377,9 +474,8 @@ def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabula
     inputs = ad.gather(tape, tape.input(params.tensors["emb"][rows], key="emb"), index)
     if input_mask is not None:
         inputs = ad.mask(tape, inputs, input_mask(inputs.shape))
-    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots,
-                        _levels(forest.heights))
-    return NodeStates(forest, rows, H, *gates)
+    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots, forest.heights)
+    return NodeStates(forest, rows, H, gates)
 
 
 def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeStates:
@@ -392,9 +488,9 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
     if params.variant != VARIANT_TREEBIGRU:
         raise ModelError("downward pass needs treebigru parameters")
     forest = states.forest
-    states.H_down, (states.z_down, states.r_down, states.cand_down) = gru_tree(
+    states.H_down, states.down = gru_tree(
         tape, params, _DOWNWARD, states.H_up, slice(None), forest.parents[:, None],
-        _levels(forest.depths)[1:])  # the roots (depth 0) are in no level
+        forest.depths, first_level=1)  # the roots (depth 0) are in no level
     return states
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -340,6 +341,33 @@ def test_non_finite_checkpoint_tensor_exits_2_naming_it(data_dir, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}: tensor 'W_s_att' holds a non-finite value" in captured.err
+
+
+@pytest.mark.parametrize("entry, value", [(1 << 16, np.nan), (-1, np.inf)])
+def test_non_finite_entry_past_the_first_checked_slice_exits_2(trained, tmp_path, capsys,
+                                                              entry, value):
+    # d=257 gives U_z 66,049 entries, more than one slice of the check:
+    # a NaN just past the first slice, or an infinity in the last entry
+    from arbogru.checkpoint import FINITE_SLICE, save_checkpoint
+    from arbogru.embeddings import load_vocab
+    from arbogru.model import init_params
+
+    out = tmp_path / "wide"
+    out.mkdir()
+    shutil.copy(trained / "vocab.txt", out / "vocab.txt")
+    params = init_params("treegru", 257, load_vocab(out / "vocab.txt"), 5, 2,
+                         np.random.default_rng(0))
+    assert FINITE_SLICE == 1 << 16 < params.tensors["U_z"].size
+    params.tensors["U_z"].reshape(-1)[entry] = value
+    path = out / "checkpoint.bin"
+    save_checkpoint(path, params)
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(2 (2 good) (2 movie))\n")
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(path), "--input", str(inp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: tensor 'U_z' holds a non-finite value" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
-"""Importing arbogru keeps freed memory in the process on glibc, and
-changes nothing elsewhere.  Each case runs in its own interpreter,
-because the allocator setting is process-wide and made at import."""
+"""Memory: importing arbogru keeps freed memory in the process on glibc,
+and changes nothing elsewhere; and scoring a forest holds no more than
+it did before ``gru_tree`` ran on level-major rows.  Each allocator
+case runs in its own interpreter, because the setting is process-wide
+and made at import."""
 
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from arbogru.autodiff import Tape
+from arbogru.training import build_forest_graph
+
+from conftest import random_params, synth_corpus, synth_vocab
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -87,3 +96,28 @@ def test_import_without_the_setting_changes_nothing(libc):
     # would make things worse
     assert calls == ("[(-3, 1073741824)]" if libc == "refusing" else "[]")
     assert float(err) < 1e-4
+
+
+# the tracemalloc peak of build_forest_graph below, in nodes x d float64
+# matrices, measured at 5b21a72, whose gru_tree ran in node order
+PARENT_SCORING_PEAK = {"treegru": 7.75, "treebigru": 16.02}
+
+
+@pytest.mark.parametrize("variant,attention", [("treegru", False), ("treebigru", True)])
+def test_scoring_a_forest_holds_at_most_one_more_state_matrix_per_direction(
+        variant, attention):
+    # the op keeps its gates in level-major rows and hands out node-major
+    # states; a second copy of either, or a kept child buffer, breaks this
+    vocab = synth_vocab()
+    forest = synth_corpus(32, seed=5, max_nodes=41).trees
+    params = random_params(variant, attention, 32, vocab, seed=1)
+    build_forest_graph(Tape(), forest, params, vocab)  # warm every lazy cache
+    tracemalloc.start()
+    try:
+        build_forest_graph(Tape(), forest, params, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    directions = 2 if variant == "treebigru" else 1
+    matrix = forest.node_count * params.dim * 8
+    assert peak <= (PARENT_SCORING_PEAK[variant] + directions) * matrix, peak / matrix

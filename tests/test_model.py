@@ -463,6 +463,38 @@ def test_downward_gates_of_every_root_are_zero():
                                   tape.value(states.H_up)[roots])
 
 
+@pytest.mark.parametrize("variant,attention", [("treegru", False), ("treebigru", True)])
+def test_tree_order_changes_no_tree_state_gate_or_gradient(variant, attention):
+    # gru_tree runs in level-major rows; the trees' order in the forest
+    # changes that permutation, and must change nothing a tree computes
+    from arbogru.training import sentence_gradients
+
+    vocab = synth_vocab()
+    forest = mixed_forest(np.random.default_rng(44))
+    backwards = forest.select(np.arange(len(forest))[::-1])
+    params = random_params(variant, attention, 4, vocab, seed=45)
+    def run(trees):
+        tape, states, _, _ = forward(trees, params, vocab)
+        arrays = [tape.value(states.H_up), states.z_up, states.r_up, states.cand_up]
+        if variant == "treebigru":
+            arrays += [tape.value(states.H_down), states.z_down, states.r_down,
+                       states.cand_down]
+        offsets = trees.offsets
+        rows = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        return (rows, arrays, *sentence_gradients(trees, params, vocab))
+
+    rows, arrays, losses, grads = run(forest)
+    back_rows, back_arrays, back_losses, back_grads = run(backwards)
+    for ours, theirs in zip(arrays, back_arrays):
+        for tree, back_tree in zip(rows, back_rows[::-1]):
+            np.testing.assert_allclose(theirs[back_tree], ours[tree], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back_losses[::-1], losses, rtol=0, atol=1e-12)
+    assert back_grads.keys() == grads.keys()
+    np.testing.assert_array_equal(back_grads.rows, grads.rows)
+    for name, g in grads.items():
+        np.testing.assert_allclose(back_grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_gru_tree_keeps_float32():
     vocab = synth_vocab()
     params = random_params("treebigru", False, 3, vocab, seed=4)
