@@ -18,13 +18,12 @@ def load_tool():
 def test_two_copies_of_one_checkout_time_alike_and_agree(capsys):
     tool = load_tool()
     assert tool.main(["--parent", str(ROOT), "--change", str(ROOT), "--scale", "smoke",
-                      "--workload", "train_bigru_att_sst", "--batches", "3",
-                      "--warmup", "1"]) == 0
+                      "--workload", "train_bigru_att_sst"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "sentence_gradients", "evaluate", "largest loss difference"]
     for line in lines[:2]:
-        assert "won" in line and "/3" in line
+        assert "won" in line and f"/{tool.BATCHES}" in line
     assert lines[2] == "largest loss difference: 0"
     # each side ran its own import of the package, apart from ``arbogru``
     models = [sys.modules[f"arbogru_{side}.model"] for side in ("parent", "change")]

@@ -1,7 +1,7 @@
 """Time two checkouts of arbogru against each other in one process.
 
     python3 tools/ab_inprocess.py --parent PARENT_DIR --change CHANGE_DIR \
-        [--workload train_gru_deep] [--seed 7] [--batches 40] [--scale recipe]
+        [--workload train_gru_deep] [--seed 7] [--scale recipe]
 
 Each checkout's ``src/arbogru`` is imported under its own package name
 (``arbogru_parent``, ``arbogru_change``), so both run in one interpreter
@@ -13,12 +13,12 @@ embeddings, the workload's variant, ``--dim`` of the scale).
 
 Batch i times ``sentence_gradients`` on the i-th 25 training sentences
 (no dropout) and ``evaluate`` on the i-th 26 test sentences, wrapping
-round when a split runs out, once per side, alternating which side goes first.  The
-first ``--warmup`` batches are run and not counted.  It prints, per
-call, each side's median milliseconds, the change's speed-up (parent
-median over change median), how many batches each side won, and the
-largest loss difference between the sides.  Nothing under
-``benchmarks/`` is changed.
+round when a split runs out, once per side, alternating which side goes
+first.  ``WARMUP`` batches are run and not counted, then ``BATCHES``
+are timed.  It prints, per call, each side's median milliseconds, the
+change's speed-up (parent median over change median), how many batches
+each side won, and the largest loss difference between the sides.
+Nothing under ``benchmarks/`` is changed.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 CALLS = ("sentence_gradients", "evaluate")
 TRAIN_BLOCK = 25
+WARMUP = 3
+BATCHES = 40
 
 
 def load_package(checkout: str, name: str):
@@ -87,8 +89,7 @@ class Side:
         return self.training.evaluate(corpus, self.params, self.vocab).loss
 
 
-def run(parent: str, change: str, workload: str, seed: int, batches: int,
-        warmup: int, scale: str) -> dict:
+def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
     """Per call and side, the timed milliseconds of every counted batch,
     plus the largest loss difference seen between the sides."""
     gen = load_gen()
@@ -104,7 +105,7 @@ def run(parent: str, change: str, workload: str, seed: int, batches: int,
     n_test = len(sides["parent"].test.trees) // test_block
     times = {call: {name: [] for name in SIDES} for call in CALLS}
     worst = 0.0
-    for i in range(warmup + batches):
+    for i in range(WARMUP + BATCHES):
         first = SIDES if i % 2 == 0 else SIDES[::-1]
         for call in CALLS:
             losses = {}
@@ -113,7 +114,7 @@ def run(parent: str, change: str, workload: str, seed: int, batches: int,
                 start = time.perf_counter()
                 losses[name] = (side.sentence_gradients(i % n_train) if call == CALLS[0]
                                 else side.evaluate(i % n_test, test_block))
-                if i >= warmup:
+                if i >= WARMUP:
                     times[call][name].append(1e3 * (time.perf_counter() - start))
             worst = max(worst, abs(losses["parent"] - losses["change"]))
     return {"times": times, "worst_loss_diff": worst}
@@ -138,12 +139,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="the changed checkout")
     parser.add_argument("--workload", default="train_gru_deep")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--batches", type=int, default=40)
-    parser.add_argument("--warmup", type=int, default=3)
     parser.add_argument("--scale", default="recipe")
     args = parser.parse_args(argv)
-    print(report(run(args.parent, args.change, args.workload, args.seed,
-                     args.batches, args.warmup, args.scale)))
+    print(report(run(args.parent, args.change, args.workload, args.seed, args.scale)))
     return 0
 
 
