@@ -11,9 +11,8 @@ from .embeddings import (EmbeddingMatrix, Vocabulary, build_vocab, load_glove,
 from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
                     downward_pass, init_params, itemize_parameters,
                     predict_nodes, upward_pass)
-from .training import (Metrics, OptimizerState, SplitCorpora, TrainConfig,
-                       TrainResult, adagrad_step, evaluate, gradient_check,
-                       train)
+from .training import (Metrics, SplitCorpora, TrainConfig, TrainResult,
+                       adagrad_step, evaluate, gradient_check, train)
 from .treebank import (Corpus, Forest, TreebankError, load_corpus,
                        parse_tree, serialize_tree, to_binary_task)
 
@@ -52,7 +51,7 @@ _keep_freed_memory()
 __all__ = [
     "AttentionResult", "CheckpointError", "Corpus", "EmbeddingMatrix",
     "Forest", "Metrics", "ModelParams", "NodeStates",
-    "OptimizerState", "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
+    "SplitCorpora", "Tape", "TrainConfig", "TrainResult", "TreebankError",
     "Vocabulary",
     "ValueRef", "adagrad_step", "attention_pool", "backward", "build_vocab",
     "downward_pass", "evaluate", "gradient_check",

@@ -93,18 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--glove", default=None,
                    help="pretrained vector file; omitted, embeddings are random")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--task", choices=("fine", "binary"), default="fine",
+    p.add_argument("--task", choices=("fine", "binary"), default=TrainConfig.task,
                    help="label scheme: 5-class or positive/negative")
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate")
-    p.add_argument("--batch", type=int, default=25, help="minibatch size in sentences")
-    p.add_argument("--epochs", type=int, default=40, help="training epochs")
-    p.add_argument("--l2", type=float, default=1e-4, help="L2 strength")
-    p.add_argument("--dropout", type=float, default=0.5,
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="learning rate")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                   help="minibatch size in sentences")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--l2", type=float, default=TrainConfig.l2, help="L2 strength")
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout,
                    help="dropout probability on input and classifier layers")
-    p.add_argument("--evals-per-epoch", type=int, default=4,
+    p.add_argument("--evals-per-epoch", type=int, default=TrainConfig.evals_per_epoch,
                    help="dev evaluations per epoch")
-    p.add_argument("--seed", type=int, default=1, help="random seed")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64",
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="random seed")
+    p.add_argument("--precision", choices=("f32", "f64"), default=TrainConfig.precision,
                    help="floating-point width for parameters")
     p.set_defaults(func=run_train)
 
@@ -146,11 +148,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default="treegru",
+    p.add_argument("--variant", choices=VARIANTS, default=TrainConfig.variant,
                    help="network variant")
     p.add_argument("--attention", action="store_true",
                    help="add the structural attention head")
-    p.add_argument("--dim", type=int, default=300, help="state dimensionality")
+    p.add_argument("--dim", type=int, default=TrainConfig.dim, help="state dimensionality")
 
 
 def _attention_norm_flag(p: argparse.ArgumentParser) -> None:

@@ -294,8 +294,9 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     The op works in level-major rows: the nodes sorted stably by rank,
     so every level is one contiguous row range of each state, gate and
     gradient buffer, read and written through slices.  Only children are
-    gathered, and a child slot that is pad throughout a level costs no
-    product.  The tape keeps the states in node order, its value, and
+    gathered.  Rank 0 has no child, and every level above it runs all K
+    child slots: a pad child reads the zero pad row, so its products add
+    exact zeros.  The tape keeps the states in node order, its value, and
     the gates in level-major rows; the backward gathers each row's
     children once into a child buffer of its own.
     """
@@ -336,20 +337,16 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
         P[m:] = b
         P[:free] = 0.0
     del x_lm
-    # each level's rows with the child slots it uses: (slot, child rows,
-    # whether a child row repeats, as siblings share their parent downward)
-    plan = []
-    for a, e in zip(starts[first_level:-1], starts[first_level + 1:]):
-        used = []
-        for k in range(n_kids):
-            kids = kid_rows[k, a:e]
-            real = kids[kids < n]
-            if real.size:
-                used.append((k, kids, np.unique(real).size < real.size))
-        plan.append((a, e, used))
+    # each level's rows with the child slots it runs: rank 0 has no
+    # child, and every level above it runs all K slots
+    first_kid = starts[1]  # rows before have no child
+    plan = [(a, e, range(n_kids) if a >= first_kid else ())
+            for a, e in zip(starts[first_level:-1], starts[first_level + 1:])]
     # scratch rows for the widest level with children; the rest need none
     width = max((e - a for a, e, used in plan if used), default=0)
-    first_kid = next((a for a, _, used in plan if used), n)  # rows before have none
+    # downward, siblings share their parent's row
+    real = kid_rows[kid_rows < n]
+    repeats = np.unique(real).size < real.size
 
     def child_sum(kids, out):
         out[...] = kids[0] if kids else 0.0
@@ -362,14 +359,14 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     for a, e, used in plan:
         z, r, c, h = Z[a:e], R[a:e], C[a:e], H_lm[a:e]
         t, u = t_buf[:, :e - a]
-        kids = [np.take(H_lm, rows, axis=0, out=kid_buf[k, :e - a], mode="clip")
-                for k, rows, _ in used]
-        for (k, _, _), hk in zip(used, kids):
+        kids = [np.take(H_lm, kid_rows[k, a:e], axis=0, out=kid_buf[k, :e - a],
+                        mode="clip") for k in used]
+        for k, hk in zip(used, kids):
             z += np.matmul(hk, W_z[k].T, out=t)
             r += np.matmul(hk, W_r[k].T, out=t)
         _sigmoid(z)
         _sigmoid(r)
-        for (k, _, _), hk in zip(used, kids):
+        for k, hk in zip(used, kids):
             c += np.matmul(np.multiply(hk, r, out=t), W_h[k].T, out=u)
         np.tanh(c, out=c)
         # h = (1 - z) * c + z * (sum of the children)
@@ -401,7 +398,7 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             gh, z, r, c = G[a:e], Z[a:e], R[a:e], C[a:e]
             dz, dr, dc = dZ[a:e], dR[a:e], dC[a:e]
             t, *kr_buf = buf[:, :e - a]
-            kids = [H_kids[k, a - first_kid:e - first_kid] for k, _, _ in used]
+            kids = [H_kids[k, a - first_kid:e - first_kid] for k in used]
             # dc = gh * (1 - z) * (1 - c * c); dr is scratch until it is formed
             np.subtract(1.0, z, out=dc)
             dc *= gh
@@ -420,7 +417,7 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
                 continue
             # the gradients of each h_k * r, then
             # dr = (sum over k of those times h_k) * r * (1 - r)
-            d_kr = [np.matmul(dc, W_h[k], out=kr_buf[k]) for k, _, _ in used]
+            d_kr = [np.matmul(dc, W_h[k], out=kr_buf[k]) for k in used]
             np.multiply(d_kr[0], kids[0], out=dr)
             for dk, h in zip(d_kr[1:], kids[1:]):
                 dr += np.multiply(dk, h, out=t)
@@ -428,11 +425,12 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             np.subtract(1.0, r, out=t)
             dr *= t
             gh *= z  # consumed: what stays is this level's gh * z
-            for (k, rows, repeats), dk in zip(used, d_kr):
+            for k, dk in zip(used, d_kr):
                 dk *= r
                 dk += gh
                 dk += np.matmul(dz, W_z[k], out=t)
                 dk += np.matmul(dr, W_r[k], out=t)
+                rows = kid_rows[k, a:e]
                 if repeats:
                     np.add.at(G, rows, dk)  # += would add one of the repeats
                 else:

@@ -81,20 +81,13 @@ class Metrics:
 
 @dataclass
 class TrainResult:
-    best_params: m.ModelParams
-    best_dev_accuracy: float
-    best_step: int
+    """A training run's state, which ``train`` updates in place: the
+    best-dev snapshot so far, its accuracy and step, and the steps run."""
 
-
-@dataclass
-class OptimizerState:
-    """Per-parameter accumulated squared gradients; grows monotonically."""
-
-    accumulators: dict[str, np.ndarray]
-
-    @classmethod
-    def for_params(cls, params: m.ModelParams) -> "OptimizerState":
-        return cls({name: np.zeros_like(t) for name, t in params.tensors.items()})
+    best_params: Optional[m.ModelParams] = None
+    best_dev_accuracy: float = -1.0  # so the first evaluation takes a snapshot
+    best_step: int = 0
+    step: int = 0
 
 
 class GradTable(dict):
@@ -161,10 +154,11 @@ def add_l2_gradients(grads: GradTable, params: m.ModelParams, l2: float) -> None
 # ---------------------------------------------------------------------------
 # optimizer
 
-def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
-                 learning_rate: float) -> float:
+def adagrad_step(params: m.ModelParams, grads: GradTable,
+                 accumulators: dict[str, np.ndarray], learning_rate: float) -> float:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps);
-    returns the gradient's norm.
+    returns the gradient's norm.  ``accumulators`` holds each tensor's
+    accumulated squared gradients, keyed by its name.
 
     The step aborts (nothing mutated) if any gradient is non-finite; a
     finite gradient whose square overflows still steps.  The embedding
@@ -179,9 +173,9 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
                 row = f" row {grads.rows[bad.any(axis=1).argmax()]}" if name == "emb" else ""
                 raise TrainingError(f"non-finite gradient for parameter {name!r}{row}")
 
-    emb = params.tensors["emb"][grads.rows], opt.accumulators["emb"][grads.rows]
+    emb = params.tensors["emb"][grads.rows], accumulators["emb"][grads.rows]
     blocks = [emb + (g,) if name == "emb" else
-              (params.tensors[name], opt.accumulators[name], g) for name, g in grads.items()]
+              (params.tensors[name], accumulators[name], g) for name, g in grads.items()]
     # one buffer for every temporary: a fresh array per expression made
     # the traced step about 12% slower
     buffer = np.empty(max((g.size for _, _, g in blocks), default=0), dtype=params.dtype)
@@ -194,7 +188,7 @@ def adagrad_step(params: m.ModelParams, grads: GradTable, opt: OptimizerState,
         np.divide(g, s, out=s)
         s *= learning_rate
         theta -= s
-    params.tensors["emb"][grads.rows], opt.accumulators["emb"][grads.rows] = emb
+    params.tensors["emb"][grads.rows], accumulators["emb"][grads.rows] = emb
     return math.sqrt(squares)
 
 
@@ -257,74 +251,59 @@ def train(config: TrainConfig, data: SplitCorpora, params: m.ModelParams,
           vocab: Vocabulary,
           log_fn: Optional[Callable[[str], None]] = None) -> TrainResult:
     """Run the full schedule, updating ``params`` in place; return the
-    best-dev checkpoint.
+    run's state, which holds the best-dev checkpoint.
 
-    ``log_fn`` gets one log line per evaluation, tab separated: epoch,
-    global step, mean train loss since the previous evaluation, dev root
-    accuracy, wall seconds.  Fixed seeds reproduce everything but the
-    wall clock.
+    Each epoch evaluates dev accuracy every ceil(batches /
+    ``evals_per_epoch``) batches and after its last batch.  ``log_fn``
+    gets one log line per evaluation, tab separated: epoch, global step,
+    mean train loss since the previous evaluation, dev root accuracy,
+    wall seconds.  Fixed seeds reproduce everything but the wall clock.
     """
     rng = np.random.default_rng(config.seed)
-    opt = OptimizerState.for_params(params)
+    accumulators = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     sentences = data.train.trees
     if not sentences:
         raise TrainingError("empty training corpus")
     n_batches = math.ceil(len(sentences) / config.batch_size)
     eval_every = max(1, math.ceil(n_batches / config.evals_per_epoch))
 
-    best = None  # the first evaluation always takes a snapshot
-    best_acc = -1.0
-    best_step = 0
-    global_step = 0
-    losses_since_eval: list[float] = []
+    run = TrainResult()
+    losses: list[float] = []  # of the batches since the last evaluation
     norms_over: list[float] = []  # of those batches, gradient norms > GRAD_NORM_WARN
     start = time.perf_counter()
-
-    def run_eval(epoch):
-        nonlocal best, best_acc, best_step
-        metrics = evaluate(data.dev, params, vocab)
-        if losses_since_eval:
-            mean_loss = sum(losses_since_eval) / len(losses_since_eval)
-        else:
-            mean_loss = float("nan")
-        if norms_over:
-            log.warning("%d of %d batches since the last evaluation had a gradient "
-                        "norm above %.0e, the largest %.3e (no clipping applied)",
-                        len(norms_over), len(losses_since_eval), GRAD_NORM_WARN,
-                        max(norms_over))
-            norms_over.clear()
-        losses_since_eval.clear()
-        if log_fn is not None:
-            log_fn(f"{epoch}\t{global_step}\t{mean_loss:.6f}\t"
-                   f"{metrics.root_accuracy:.6f}\t{time.perf_counter() - start:.3f}")
-        if metrics.root_accuracy > best_acc:
-            best_acc = metrics.root_accuracy
-            best = None  # never hold two snapshots at once
-            best = params.copy()
-            best_step = global_step
-
     order = np.arange(len(sentences))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
-        evaluated_last = False
         for b in range(n_batches):
             ids = order[b * config.batch_size:(b + 1) * config.batch_size]
-            batch_loss, gnorm = _train_batch(ids, sentences, params, vocab, opt,
-                                             config, rng)
-            losses_since_eval.append(batch_loss)
+            batch_loss, gnorm = _train_batch(ids, sentences, params, vocab,
+                                             accumulators, config, rng)
+            losses.append(batch_loss)
             if gnorm > GRAD_NORM_WARN:
                 norms_over.append(gnorm)
-            global_step += 1
-            evaluated_last = (b + 1) % eval_every == 0
-            if evaluated_last:
-                run_eval(epoch)
-        if not evaluated_last:
-            run_eval(epoch)
+            run.step += 1
+            if (b + 1) % eval_every == 0 or b + 1 == n_batches:
+                metrics = evaluate(data.dev, params, vocab)
+                if norms_over:
+                    log.warning("%d of %d batches since the last evaluation had a "
+                                "gradient norm above %.0e, the largest %.3e (no "
+                                "clipping applied)", len(norms_over), len(losses),
+                                GRAD_NORM_WARN, max(norms_over))
+                    norms_over.clear()
+                if log_fn is not None:
+                    log_fn(f"{epoch}\t{run.step}\t{sum(losses) / len(losses):.6f}\t"
+                           f"{metrics.root_accuracy:.6f}\t"
+                           f"{time.perf_counter() - start:.3f}")
+                losses.clear()
+                if metrics.root_accuracy > run.best_dev_accuracy:
+                    run.best_dev_accuracy = metrics.root_accuracy
+                    run.best_params = None  # never hold two snapshots at once
+                    run.best_params = params.copy()
+                    run.best_step = run.step
+    return run
 
-    return TrainResult(best, best_acc, best_step)
 
-
-def _train_batch(ids, sentences, params, vocab, opt, config,
+def _train_batch(ids, sentences, params, vocab, accumulators, config,
                  rng) -> tuple[float, float]:
     """One AdaGrad step on the sentences ``ids``; returns the batch's
     objective and its gradient norm."""
@@ -335,7 +314,7 @@ def _train_batch(ids, sentences, params, vocab, opt, config,
         raise TrainingError(f"non-finite loss at sentence index {ids[bad[0]]}")
     batch_loss = float(losses.sum()) + l2_penalty(params, config.l2, total.rows)
     add_l2_gradients(total, params, config.l2)
-    return batch_loss, adagrad_step(params, total, opt, config.learning_rate)
+    return batch_loss, adagrad_step(params, total, accumulators, config.learning_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ def test_two_copies_of_one_checkout_time_alike_and_agree(capsys):
                       "--workload", "train_bigru_att_sst"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "sentence_gradients", "evaluate", "largest loss difference"]
-    for line in lines[:2]:
+        "sentence_gradients", "evaluate", "train", "largest loss difference"]
+    for line in lines[:3]:
         assert "won" in line and f"/{tool.BATCHES}" in line
-    assert lines[2] == "largest loss difference: 0"
+    assert lines[3] == "largest loss difference: 0"
     # each side ran its own import of the package, apart from ``arbogru``
     models = [sys.modules[f"arbogru_{side}.model"] for side in ("parent", "change")]
     assert models[0] is not models[1]

@@ -8,8 +8,8 @@ from arbogru import autodiff as ad
 from arbogru import training
 from arbogru.autodiff import Tape
 from arbogru.model import downward_pass, init_params, upward_pass
-from arbogru.training import (GradTable, OptimizerState, SplitCorpora,
-                              TrainConfig, TrainingError, adagrad_step,
+from arbogru.training import (GradTable, SplitCorpora, TrainConfig,
+                              TrainingError, adagrad_step,
                               build_forest_graph, build_sentence_graph,
                               dropout_mask, evaluate,
                               gradient_check, l2_penalty, max_relative_error,
@@ -78,117 +78,121 @@ def make_tiny_params():
     return init_params("treegru", 2, vocab, 5, 2, np.random.default_rng(0))
 
 
+def zero_accumulators(params):
+    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+
+
 def test_adagrad_first_step_magnitude():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     g = np.full_like(params.tensors["b_z"], 3.0)
     before = params.tensors["b_z"].copy()
-    adagrad_step(params, GradTable({"b_z": g}), opt, learning_rate=0.01)
+    adagrad_step(params, GradTable({"b_z": g}), acc, learning_rate=0.01)
     step = before - params.tensors["b_z"]
     assert np.allclose(step, 0.01, atol=1e-8)  # g / sqrt(g^2) = sign(g)
 
 
 def test_adagrad_zero_gradient_is_identity():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     before = params.tensors["U_z"].copy()
-    adagrad_step(params, GradTable({"U_z": np.zeros_like(before)}), opt, 0.01)
+    adagrad_step(params, GradTable({"U_z": np.zeros_like(before)}), acc, 0.01)
     assert np.array_equal(params.tensors["U_z"], before)
-    assert np.all(opt.accumulators["U_z"] == 0.0)
+    assert np.all(acc["U_z"] == 0.0)
 
 
 def test_adagrad_two_step_hand_values():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     name = "b_r"
     g1 = np.full_like(params.tensors[name], 3.0)
     g2 = np.full_like(params.tensors[name], 4.0)
-    adagrad_step(params, GradTable({name: g1}), opt, 0.01)
+    adagrad_step(params, GradTable({name: g1}), acc, 0.01)
     before = params.tensors[name].copy()
-    adagrad_step(params, GradTable({name: g2}), opt, 0.01)
-    assert np.allclose(opt.accumulators[name], 25.0)
+    adagrad_step(params, GradTable({name: g2}), acc, 0.01)
+    assert np.allclose(acc[name], 25.0)
     assert np.allclose(before - params.tensors[name], 0.01 * 4.0 / 5.0, atol=1e-8)
 
 
 def test_adagrad_accumulators_monotone():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     rng = np.random.default_rng(1)
-    prev = opt.accumulators["U_z"].copy()
+    prev = acc["U_z"].copy()
     for _ in range(5):
         g = rng.normal(size=params.tensors["U_z"].shape)
-        adagrad_step(params, GradTable({"U_z": g}), opt, 0.01)
-        assert np.all(opt.accumulators["U_z"] >= prev)
-        prev = opt.accumulators["U_z"].copy()
+        adagrad_step(params, GradTable({"U_z": g}), acc, 0.01)
+        assert np.all(acc["U_z"] >= prev)
+        prev = acc["U_z"].copy()
 
 
 def test_adagrad_sparse_embedding_rows():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     emb_before = params.tensors["emb"].copy()
     g = np.array([1.0, -1.0])
-    adagrad_step(params, GradTable({"emb": g[None]}, rows=[2]), opt, 0.01)
+    adagrad_step(params, GradTable({"emb": g[None]}, rows=[2]), acc, 0.01)
     changed = np.where(np.any(params.tensors["emb"] != emb_before, axis=1))[0]
     assert list(changed) == [2]
 
 
 def test_adagrad_step_updates_row_and_tensor_alike():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     emb_before = params.tensors["emb"].copy()
     bias_before = params.tensors["b_z"].copy()
     rows = [1, 3]  # the block's row i is emb row rows[i]
     grads = GradTable({"emb": np.array([[3.0, -4.0], [-0.5, 1.0]]),
                        "b_z": np.array([2.0, 0.5])}, rows=rows)
-    adagrad_step(params, grads, opt, 0.1)
+    adagrad_step(params, grads, acc, 0.1)
     # first step: g / sqrt(g^2) = sign(g), so each coordinate moves by lr
     np.testing.assert_allclose(emb_before[rows] - params.tensors["emb"][rows],
                                [[0.1, -0.1], [-0.1, 0.1]], rtol=0, atol=1e-8)
-    np.testing.assert_array_equal(opt.accumulators["emb"][rows],
+    np.testing.assert_array_equal(acc["emb"][rows],
                                   [[9.0, 16.0], [0.25, 1.0]])
     np.testing.assert_allclose(bias_before - params.tensors["b_z"], [0.1, 0.1],
                                rtol=0, atol=1e-8)
-    np.testing.assert_array_equal(opt.accumulators["b_z"], [4.0, 0.25])
+    np.testing.assert_array_equal(acc["b_z"], [4.0, 0.25])
     others = ~np.isin(np.arange(len(emb_before)), rows)
     np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
-    assert np.all(opt.accumulators["emb"][others] == 0.0)
+    assert np.all(acc["emb"][others] == 0.0)
     # second step on row 1 alone: acc = (10, 16), step = lr * g / sqrt(acc)
     block_before = params.tensors["emb"][rows].copy()
-    adagrad_step(params, GradTable({"emb": np.array([[1.0, 0.0]])}, rows=[1]), opt, 0.1)
+    adagrad_step(params, GradTable({"emb": np.array([[1.0, 0.0]])}, rows=[1]), acc, 0.1)
     np.testing.assert_allclose(block_before[0] - params.tensors["emb"][1],
                                [0.1 / np.sqrt(10.0), 0.0], rtol=0, atol=1e-9)
-    np.testing.assert_array_equal(opt.accumulators["emb"][1], [10.0, 16.0])
+    np.testing.assert_array_equal(acc["emb"][1], [10.0, 16.0])
     np.testing.assert_array_equal(params.tensors["emb"][3], block_before[1])
-    np.testing.assert_array_equal(opt.accumulators["emb"][3], [0.25, 1.0])
+    np.testing.assert_array_equal(acc["emb"][3], [0.25, 1.0])
     np.testing.assert_array_equal(params.tensors["emb"][others], emb_before[others])
 
 
 def test_adagrad_rejects_nonfinite_and_leaves_params_untouched():
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     snapshot = {k: v.copy() for k, v in params.tensors.items()}
     bad = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
                      "U_z": np.full_like(params.tensors["U_z"], np.nan)})
     with pytest.raises(TrainingError, match="parameter 'U_z'$"):
-        adagrad_step(params, bad, opt, 0.01)
+        adagrad_step(params, bad, acc, 0.01)
     bad_row = GradTable({"b_z": np.ones_like(params.tensors["b_z"]),
                          "emb": np.array([[1.0, 2.0], [0.0, np.inf]])}, rows=[1, 3])
     with pytest.raises(TrainingError, match="parameter 'emb' row 3$"):
-        adagrad_step(params, bad_row, opt, 0.01)
+        adagrad_step(params, bad_row, acc, 0.01)
     for name, t in params.tensors.items():
         assert np.array_equal(t, snapshot[name])
-    assert all(np.all(acc == 0.0) for acc in opt.accumulators.values())
+    assert all(np.all(a == 0.0) for a in acc.values())
 
 
 def test_adagrad_steps_when_only_the_squares_overflow():
     # every entry is finite, so the step must not abort; the huge entry's
     # accumulator saturates and only the others move
     params = make_tiny_params()
-    opt = OptimizerState.for_params(params)
+    acc = zero_accumulators(params)
     before = params.tensors["b_z"].copy()
     with np.errstate(over="ignore"):
-        adagrad_step(params, GradTable({"b_z": np.array([1e200, 2.0])}), opt, 0.1)
-    assert opt.accumulators["b_z"].tolist() == [np.inf, 4.0]
+        adagrad_step(params, GradTable({"b_z": np.array([1e200, 2.0])}), acc, 0.1)
+    assert acc["b_z"].tolist() == [np.inf, 4.0]
     np.testing.assert_allclose(before - params.tensors["b_z"], [0.0, 0.1],
                                rtol=0, atol=1e-8)
 
@@ -421,15 +425,26 @@ def test_train_returns_best_dev_checkpoint():
 
 
 def test_train_evaluation_schedule():
-    # 12 sentences, batch 4 -> 3 batches; ceil(3/4)=1 -> eval after every batch
-    config = TrainConfig(variant="treegru", dim=4, batch_size=4, epochs=2,
-                         dropout=0.0, seed=1)
-    data, params, vocab = tiny_setup(seed=6, dim=4)
-    lines = []
-    train(config, data, params, vocab, log_fn=lines.append)
-    assert len(lines) == 6
-    steps = [int(line.split("\t")[1]) for line in lines]
-    assert steps == [1, 2, 3, 4, 5, 6]
+    cases = [
+        # 12 sentences, batch 4 -> 3 batches; ceil(3/4)=1 -> eval after every batch
+        (12, 4, [1, 2, 3, 4, 5, 6], [1, 1, 1, 2, 2, 2]),
+        # 20 sentences, batch 2 -> 10 batches; ceil(10/4)=3 -> eval after
+        # batches 3, 6 and 9 and after the epoch's last
+        (20, 2, [3, 6, 9, 10, 13, 16, 19, 20], [1, 1, 1, 1, 2, 2, 2, 2]),
+    ]
+    for n, batch, steps, epochs in cases:
+        config = TrainConfig(variant="treegru", dim=4, batch_size=batch, epochs=2,
+                             dropout=0.0, seed=1)
+        data, params, vocab = tiny_setup(n=n, seed=6, dim=4)
+        lines = []
+        result = train(config, data, params, vocab, log_fn=lines.append)
+        fields = [line.split("\t") for line in lines]
+        assert [int(f[1]) for f in fields] == steps
+        assert [int(f[0]) for f in fields] == epochs
+        assert result.step == steps[-1]
+        # the first evaluation to reach the best accuracy keeps its snapshot
+        accuracies = [float(f[3]) for f in fields]
+        assert result.best_step == steps[accuracies.index(max(accuracies))]
 
 
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)

@@ -11,13 +11,21 @@ temporary directory and removed at the end; each side loads them with
 its own treebank reader and draws the same parameters (random
 embeddings, the workload's variant, ``--dim`` of the scale).
 
-Batch i times ``sentence_gradients`` on the i-th 25 training sentences
-(no dropout) and ``evaluate`` on the i-th 26 test sentences, wrapping
-round when a split runs out, once per side, alternating which side goes
-first.  ``WARMUP`` batches are run and not counted, then ``BATCHES``
-are timed.  It prints, per call, each side's median milliseconds, the
-change's speed-up (parent median over change median), how many batches
-each side won, and the largest loss difference between the sides.
+Batch i times three calls, once per side, alternating which side goes
+first; a split's blocks wrap round when it runs out:
+
+- ``sentence_gradients`` on the i-th 25 training sentences (no dropout);
+- ``evaluate`` on the i-th 26 test sentences;
+- ``train``: one epoch on the i-th 25 training sentences with the i-th
+  13 dev sentences, ``TrainConfig(..., epochs=1, seed=seed + i)``, as
+  ``benchmarks/bench.py`` times it.  It trains a second parameter set,
+  drawn like the first, so the other two calls keep the initial ones.
+
+``WARMUP`` batches are run and not counted, then ``BATCHES`` are timed.
+It prints, per call, each side's median milliseconds, the change's
+speed-up (parent median over change median) and how many batches each
+side won, then the largest loss difference between the sides over every
+call: the summed loss, the mean dev loss and the logged train loss.
 Nothing under ``benchmarks/`` is changed.
 """
 
@@ -35,8 +43,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-CALLS = ("sentence_gradients", "evaluate")
-TRAIN_BLOCK = 25
+CALLS = ("sentence_gradients", "evaluate", "train")
 WARMUP = 3
 BATCHES = 40
 
@@ -63,30 +70,46 @@ def load_gen():
 
 
 class Side:
-    """One checkout's package with its corpora, vocabulary and parameters."""
+    """One checkout's package with its corpora, vocabulary and two equal
+    parameter sets, one to score and one to train."""
 
     def __init__(self, name: str, checkout: str, data_dir: str, spec: dict, dim: int,
-                 seed: int):
+                 seed: int, blocks: dict):
         pkg = load_package(checkout, f"arbogru_{name}")
         self.training = pkg.training
         load = pkg.treebank.load_corpus
-        self.train = load(os.path.join(data_dir, "train.txt"))
-        self.test = load(os.path.join(data_dir, "test.txt"))
-        self.vocab = pkg.embeddings.build_vocab(self.train)
-        self.params = pkg.model.init_params(
-            spec["variant"], dim, self.vocab, self.train.class_count, 2,
-            np.random.default_rng(seed), attention=spec["attention"])
+        self.splits = {split: load(os.path.join(data_dir, f"{split}.txt"))
+                       for split in blocks}
+        self.blocks, self.spec, self.dim, self.seed = blocks, spec, dim, seed
+        self.vocab = pkg.embeddings.build_vocab(self.splits["train"])
+        self.params, self.trained = (pkg.model.init_params(
+            spec["variant"], dim, self.vocab, self.splits["train"].class_count, 2,
+            np.random.default_rng(seed), attention=spec["attention"]) for _ in range(2))
+
+    def block(self, split: str, i: int):
+        """The i-th block of ``split`` as a corpus, wrapping round."""
+        corpus, size = self.splits[split], self.blocks[split]
+        j = i % (len(corpus.trees) // size)
+        return type(corpus)(corpus.trees[j * size:(j + 1) * size], corpus.split_name,
+                            corpus.task, corpus.class_count)
 
     def sentence_gradients(self, i: int) -> float:
-        trees = self.train.trees[i * TRAIN_BLOCK:(i + 1) * TRAIN_BLOCK]
-        losses, _ = self.training.sentence_gradients(trees, self.params, self.vocab)
+        losses, _ = self.training.sentence_gradients(self.block("train", i).trees,
+                                                     self.params, self.vocab)
         return float(losses.sum())
 
-    def evaluate(self, i: int, size: int) -> float:
-        trees = self.test.trees[i * size:(i + 1) * size]
-        corpus = type(self.test)(trees, self.test.split_name, self.test.task,
-                                 self.test.class_count)
-        return self.training.evaluate(corpus, self.params, self.vocab).loss
+    def evaluate(self, i: int) -> float:
+        return self.training.evaluate(self.block("test", i), self.params, self.vocab).loss
+
+    def train(self, i: int) -> float:
+        training = self.training
+        config = training.TrainConfig(variant=self.spec["variant"],
+                                      attention=self.spec["attention"], dim=self.dim,
+                                      epochs=1, seed=self.seed + i)
+        data = training.SplitCorpora(self.block("train", i), self.block("dev", i))
+        lines: list[str] = []
+        training.train(config, data, self.trained, self.vocab, log_fn=lines.append)
+        return float(lines[-1].split("\t")[2])
 
 
 def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
@@ -96,13 +119,11 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
     spec = gen.WORKLOADS[workload]
     if spec["mode"] != "train":
         raise SystemExit(f"ab_inprocess: {workload} is not a training workload")
-    dim, test_block = gen.SCALES[scale]["dim"], gen.BLOCKS["test"]
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as data_dir:
         gen.generate(workload, seed, data_dir, scale)
-        sides = {name: Side(name, path, data_dir, spec, dim, seed)
+        sides = {name: Side(name, path, data_dir, spec, gen.SCALES[scale]["dim"], seed,
+                            gen.BLOCKS)
                  for name, path in zip(SIDES, (parent, change))}
-    n_train = len(sides["parent"].train.trees) // TRAIN_BLOCK
-    n_test = len(sides["parent"].test.trees) // test_block
     times = {call: {name: [] for name in SIDES} for call in CALLS}
     worst = 0.0
     for i in range(WARMUP + BATCHES):
@@ -110,10 +131,9 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
         for call in CALLS:
             losses = {}
             for name in first:
-                side = sides[name]
+                timed = getattr(sides[name], call)
                 start = time.perf_counter()
-                losses[name] = (side.sentence_gradients(i % n_train) if call == CALLS[0]
-                                else side.evaluate(i % n_test, test_block))
+                losses[name] = timed(i)
                 if i >= WARMUP:
                     times[call][name].append(1e3 * (time.perf_counter() - start))
             worst = max(worst, abs(losses["parent"] - losses["change"]))
