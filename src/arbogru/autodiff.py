@@ -4,7 +4,10 @@ A Tape records one computation graph: values are appended in
 topological order and every derived value carries a closure mapping its
 output gradient to gradients for its parents.  Tree topologies differ
 per sentence, so one tape is built per forest (a minibatch, or a chunk
-of a corpus being scored) and discarded after the backward sweep.  The
+of a corpus being scored).  A tape is differentiated once: ``backward``
+uses it up, dropping each derived value, its closure and its gradient
+as soon as the sweep has passed it, so that what is left are the
+leaves, their gradients and the loss value.  The
 ops that work per sentence take ``offsets``: segment t of a forest's
 node axis is ``offsets[t]:offsets[t+1]``.  Everything runs in the dtype
 of the inputs (float64 for tests and gradient checks).  Every
@@ -36,13 +39,14 @@ class ValueRef:
 class Tape:
     """Append-only computation record; insertion order is topological order."""
 
-    __slots__ = ("_values", "_parents", "_vjps", "keyed")
+    __slots__ = ("_values", "_parents", "_vjps", "keyed", "_swept")
 
     def __init__(self):
-        self._values: list[np.ndarray] = []
+        self._values: list[Optional[np.ndarray]] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
         self.keyed: dict[str, ValueRef] = {}  # tensor name -> leaf, in first-use order
+        self._swept = False  # set by backward, which uses the tape up
 
     def __len__(self) -> int:
         return len(self._values)
@@ -266,18 +270,30 @@ def concat(tape: Tape, refs: Sequence[ValueRef]) -> ValueRef:
 
 def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
     """Gradients of the sum of the entries of ``loss`` with respect to
-    every tape value.
+    the leaves of ``tape``, which this uses up.
 
-    Returns a list aligned with tape indices; entries are ``None`` for
-    values the loss does not depend on.  Contributions at fan-out points
-    are summed, and the sweep is fully deterministic.
+    Returns a list aligned with tape indices.  A leaf's entry is its
+    gradient, ``None`` if the loss does not depend on it; every other
+    entry is ``None``.  Contributions at fan-out points are summed, and
+    the sweep is fully deterministic.  Once the sweep has run a derived
+    value's VJP, that value (the loss's excepted), its closure and its
+    gradient are dropped, so the tape's length stays but its memory goes
+    as the sweep goes.  A tape is differentiated once: a second call
+    raises ValueError.
     """
+    if tape._swept:
+        raise ValueError("backward: this tape has already been differentiated")
+    tape._swept = True
     grads: list[Optional[np.ndarray]] = [None] * len(tape)
     grads[loss.index] = np.ones(loss.shape, dtype=tape.value(loss).dtype)
     for i in range(loss.index, -1, -1):
-        g = grads[i]
         vjp = tape._vjps[i]
-        if g is None or vjp is None:
+        if vjp is None:  # a leaf keeps its value and gradient
+            continue
+        g, grads[i], tape._vjps[i] = grads[i], None, None
+        if i != loss.index:
+            tape._values[i] = None
+        if g is None:
             continue
         for parent, pg in zip(tape._parents[i], vjp(g)):
             if grads[parent] is None:

@@ -238,10 +238,12 @@ def sentence_gradients(forest: Forest, params: m.ModelParams,
     tree's data loss and the gradient table of their sum."""
     tape = Tape()
     graph = build_forest_graph(tape, forest, params, vocab, dropout=dropout, rng=rng)
-    grads = ad.backward(tape, graph.tree_losses)
-    return tape.value(graph.tree_losses), GradTable(
-        {name: grads[ref.index] for name, ref in tape.keyed.items()},
-        rows=graph.states.rows)
+    # the graph's gates would outlive the closures that free them
+    loss, rows = graph.tree_losses, graph.states.rows
+    del graph
+    grads = ad.backward(tape, loss)
+    return tape.value(loss), GradTable(
+        {name: grads[ref.index] for name, ref in tape.keyed.items()}, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def test_backward_of_vector_is_backward_of_its_sum():
         loss = ad.tanh(tape, ad.linear(tape, m, x))
         if summed:
             loss = ad.linear(tape, loss, tape.input(np.ones(3)))
-        return [backward(tape, loss)[i] for i in (m.index, x.index)]
+        grads = backward(tape, loss)
+        return [grads[i] for i in (m.index, x.index)]
 
     for got, want in zip(run(False), run(True)):
         np.testing.assert_array_equal(got, want)
