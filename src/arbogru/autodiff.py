@@ -241,14 +241,19 @@ def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold, offsets) -> ValueR
 
 def gather(tape: Tape, table: ValueRef, index) -> ValueRef:
     """Rows ``index`` of the matrix ``table``; the gradient of a repeated
-    row sums its rows' gradients in index order."""
+    row is the sum of its rows' gradients."""
     t = tape.value(table)
     if t.ndim != 2:
         _fail("gather", t.shape)
 
     def vjp(g):
+        # a stable sort puts each row's reads side by side, in index
+        # order, and reduceat sums each run of them
+        order = np.argsort(index, kind="stable")
+        read = np.asarray(index)[order]
+        starts = np.flatnonzero(np.diff(read, prepend=-1))
         grad = np.zeros_like(t)
-        np.add.at(grad, index, g)
+        grad[read[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (grad,)
 
     return tape.append(t[index], (table.index,), vjp)
