@@ -101,10 +101,8 @@ def load_checkpoint(path) -> ModelParams:
             if size > left:
                 raise CheckpointError(f"{path}: truncated tensor {name!r}")
             left -= size
-            # read straight into the tensor: no second copy of the bytes
             t = tensors[name] = np.empty(shape, dtype=dtype)
-            handle.readinto(t)
-            if not _finite(t):
+            if not _read_finite(handle, t):
                 raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
@@ -120,13 +118,16 @@ def load_checkpoint(path) -> ModelParams:
     return params
 
 
-def _finite(t: np.ndarray) -> bool:
-    """Whether every entry of ``t`` is finite, tested one fixed slice at a
-    time: the mask stays FINITE_SLICE bytes, and each entry is read once."""
+def _read_finite(handle, t: np.ndarray) -> bool:
+    """Fill ``t`` from ``handle`` straight into the tensor, with no second
+    copy of the bytes, one FINITE_SLICE-entry slice at a time, and tell
+    whether every entry is finite: each slice is checked while it is
+    still in cache, and the mask stays FINITE_SLICE bytes."""
     flat = t.reshape(-1)
     mask = np.empty(min(flat.size, FINITE_SLICE), dtype=bool)
     for start in range(0, flat.size, FINITE_SLICE):
         part = flat[start:start + FINITE_SLICE]
+        handle.readinto(part)
         if not np.isfinite(part, out=mask[:part.size]).all():
             return False
     return True

@@ -74,7 +74,9 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 def load_vocab(path) -> Vocabulary:
     """``save_vocab``'s file; EmbeddingError names an empty or repeated word."""
     with open_text(path, EmbeddingError) as handle:
-        id_to_word = [line.rstrip("\n") for line in handle]
+        id_to_word = handle.read().split("\n")
+    if id_to_word[-1] == "":  # the last line's newline, or an empty file
+        id_to_word.pop()
     if not id_to_word or id_to_word[UNK_ID] != UNK_TOKEN:
         raise EmbeddingError(f"{path}: not a vocabulary file")
     word_to_id = {word: i for i, word in enumerate(id_to_word)}

@@ -61,6 +61,24 @@ def test_vocab_roundtrip(tmp_path):
     assert again == vocab
 
 
+@pytest.mark.parametrize("text", ["<unk>\ngood\nmovie\n", "<unk>\ngood\nmovie",
+                                  "<unk>\r\ngood\r\nmovie\r\n"])
+def test_load_vocab_reads_one_word_a_line(tmp_path, text):
+    # the last newline is optional, and a text file's line ends are read
+    # as newlines
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_vocab(path).id_to_word == ["<unk>", "good", "movie"]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "good\n<unk>\n"])
+def test_load_vocab_rejects_a_file_without_unk_first(tmp_path, text):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingError, match=f"^{path}: not a vocabulary file$"):
+        load_vocab(path)
+
+
 def test_load_vocab_rejects_garbage(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("definitely\nnot\na\nvocab\n")
