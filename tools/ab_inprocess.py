@@ -22,11 +22,14 @@ first; a split's blocks wrap round when it runs out:
   drawn like the first, so the other two calls keep the initial ones.
 
 ``WARMUP`` batches are run and not counted, then ``BATCHES`` are timed.
-It prints, per call, each side's median milliseconds, the change's
-speed-up (parent median over change median) and how many batches each
-side won, then the largest loss difference between the sides over every
-call: the summed loss, the mean dev loss and the logged train loss.
-Nothing under ``benchmarks/`` is changed.
+Then one more batch of each call is run per side under ``tracemalloc``,
+untimed, for the peak of the memory it allocates: both sides run in one
+heap, so the peaks compare like with like.  It prints, per call, each
+side's median milliseconds, the change's speed-up (parent median over
+change median) and how many batches each side won; per call, each side's
+peak MiB; then the largest loss difference between the sides over every
+timed call: the summed loss, the mean dev loss and the logged train
+loss.  Nothing under ``benchmarks/`` is changed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -113,8 +117,9 @@ class Side:
 
 
 def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
-    """Per call and side, the timed milliseconds of every counted batch,
-    plus the largest loss difference seen between the sides."""
+    """Per call and side, the timed milliseconds of every counted batch
+    and the traced peak MiB of one more, plus the largest loss difference
+    seen between the sides."""
     gen = load_gen()
     spec = gen.WORKLOADS[workload]
     if spec["mode"] != "train":
@@ -137,7 +142,16 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
                 if i >= WARMUP:
                     times[call][name].append(1e3 * (time.perf_counter() - start))
             worst = max(worst, abs(losses["parent"] - losses["change"]))
-    return {"times": times, "worst_loss_diff": worst}
+    peaks = {call: {} for call in CALLS}
+    for call in CALLS:
+        for name in SIDES:
+            tracemalloc.start()
+            try:
+                getattr(sides[name], call)(WARMUP + BATCHES)
+                peaks[call][name] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+    return {"times": times, "peaks": peaks, "worst_loss_diff": worst}
 
 
 def report(result: dict) -> str:
@@ -149,6 +163,9 @@ def report(result: dict) -> str:
         lines.append(f"{call}: parent {p_med:.2f} ms, change {c_med:.2f} ms, "
                      f"x{p_med / c_med:.3f}; change won {wins}/{len(parent)}, "
                      f"parent won {sum(p < c for p, c in zip(parent, change))}")
+    for call, by_side in result["peaks"].items():
+        lines.append(f"{call} peak: parent {by_side['parent']:.1f} MiB, "
+                     f"change {by_side['change']:.1f} MiB")
     lines.append(f"largest loss difference: {result['worst_loss_diff']:.3g}")
     return "\n".join(lines)
 
