@@ -280,11 +280,11 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
     Returns a list aligned with tape indices.  A leaf's entry is its
     gradient, ``None`` if the loss does not depend on it; every other
     entry is ``None``.  Contributions at fan-out points are summed, and
-    the sweep is fully deterministic.  Once the sweep has run a derived
-    value's VJP, that value (the loss's excepted), its closure and its
-    gradient are dropped, so the tape's length stays but its memory goes
-    as the sweep goes.  A tape is differentiated once: a second call
-    raises ValueError.
+    the sweep is fully deterministic.  Once the sweep has passed a
+    derived value, its closure, its gradient and, unless it is the loss,
+    the value itself are dropped: the tape keeps its length, and its
+    memory goes as the sweep goes.  A tape is differentiated once: a
+    second call raises ValueError.
     """
     if tape._swept:
         raise ValueError("backward: this tape has already been differentiated")

@@ -238,7 +238,8 @@ def sentence_gradients(forest: Forest, params: m.ModelParams,
     tree's data loss and the gradient table of their sum."""
     tape = Tape()
     graph = build_forest_graph(tape, forest, params, vocab, dropout=dropout, rng=rng)
-    # the graph's gates would outlive the closures that free them
+    # kept, the graph would hold each direction's gates after backward
+    # has dropped the closure that reads them
     loss, rows = graph.tree_losses, graph.states.rows
     del graph
     grads = ad.backward(tape, loss)
