@@ -323,23 +323,28 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     into = pos[:n][fed]  # the row of each input, one of the first m
     lead = np.argsort(into)  # the input of each of the first m rows
     m, free = into.size, starts[first_level]
+    first_kid = starts[1]  # rows before have no child
+    # the first row of each gate that takes an input term: a row in no
+    # level keeps zero gates, and a row with no child has no reset gate
+    # (upward no input row has a child, so U_r x is never formed)
+    lows = (0, m if m <= first_kid else 0, 0)
 
     H_lm = np.empty((n + 1, d), dtype=dtype)  # row n is the zero pad
     x_lm = x[lead]
     H_lm[:free] = x_lm[:free]
     H_lm[n] = 0.0
     # the gate buffers start as the pre-activations' bias and input
-    # terms, one product over every input row outside the recurrence
+    # terms, one product over a gate's input rows outside the recurrence
     Z, R, C = (np.empty((n, d), dtype=dtype) for _ in range(3))
-    for P, U, b in ((Z, U_z, b_z), (R, U_r, b_r), (C, U_h, b_h)):
-        np.matmul(x_lm, U.T, out=P[:m])
-        P[:m] += b
+    for P, U, b, lo in zip((Z, R, C), (U_z, U_r, U_h), (b_z, b_r, b_h), lows):
+        P[:lo] = 0.0
+        np.matmul(x_lm[lo:], U.T, out=P[lo:m])
+        P[lo:m] += b
         P[m:] = b
         P[:free] = 0.0
     del x_lm
     # each level's rows with the child slots it runs: rank 0 has no
     # child, and every level above it runs all K slots
-    first_kid = starts[1]  # rows before have no child
     plan = [(a, e, range(n_kids) if a >= first_kid else ())
             for a, e in zip(starts[first_level:-1], starts[first_level + 1:])]
     # scratch rows for the widest level with children; the rest need none
@@ -365,7 +370,8 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             z += np.matmul(hk, W_z[k].T, out=t)
             r += np.matmul(hk, W_r[k].T, out=t)
         _sigmoid(z)
-        _sigmoid(r)
+        if kids:
+            _sigmoid(r)
         for k, hk in zip(used, kids):
             c += np.matmul(np.multiply(hk, r, out=t), W_h[k].T, out=u)
         np.tanh(c, out=c)
@@ -446,13 +452,17 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
             d_child[1].append(dR[first_kid:].T @ h)
             h *= R[first_kid:]
             d_child[2].append(dC[first_kid:].T @ h)
-        d_in = [dP[:m] for dP in (dZ, dR, dC)]
-        d_x = d_in[0] @ U_z + d_in[1] @ U_r + d_in[2] @ U_h
-        d_x[:free] += G[:free]
+        # the input gradient sums the gates' terms as (z + r) + h; a
+        # gate's rows before its first input row add nothing, and a
+        # product over no rows is exact zeros
         x_lm = x[lead]
+        d_x = dZ[:m] @ U_z
+        d_x[lows[1]:] += dR[lows[1]:m] @ U_r
+        d_x += dC[:m] @ U_h
+        d_x[:free] += G[:free]
         grads = [d_x[into]]
-        for dP, dP_in, dW in zip((dZ, dR, dC), d_in, d_child):
-            grads += [dP_in.T @ x_lm, dP.sum(axis=0), *dW]
+        for dP, lo, dW in zip((dZ, dR, dC), lows, d_child):
+            grads += [dP[lo:m].T @ x_lm[lo:], dP.sum(axis=0), *dW]
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))

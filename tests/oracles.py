@@ -33,7 +33,8 @@ def child_lists(tree):
 
 
 def upward_states(tree, tensors, vocab):
-    """Pre-order list of dicts with keys h, z, r, cand, filled in reverse
+    """Pre-order list of dicts with keys h, z, r, cand (r None at a node
+    with no child, which has nothing to gate), filled in reverse
     pre-order, so every child comes before its parent."""
     dim = tensors["U_z"].shape[0]
     children = child_lists(tree)
@@ -60,7 +61,7 @@ def upward_states(tree, tensors, vocab):
             h = z * np.sum(child_h, axis=0) + (1.0 - z) * cand
         else:
             h = (1.0 - z) * cand
-        slots[j] = {"h": h, "z": z, "r": r, "cand": cand}
+        slots[j] = {"h": h, "z": z, "r": r if child_h else None, "cand": cand}
     return slots
 
 

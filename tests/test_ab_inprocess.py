@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,3 +39,22 @@ def test_two_copies_of_one_checkout_time_alike_and_agree(capsys):
     assert all(model.__file__ == str(ROOT / "src" / "arbogru" / "model.py")
                for model in models)
     assert sys.modules.get("arbogru.model") not in models
+
+
+def test_each_train_call_starts_from_the_initial_parameters(tmp_path):
+    # one parameter set trained through every batch lets a last-bit
+    # difference between the sides grow until it hides a real fault
+    tool = load_tool()
+    gen = tool.load_gen()
+    gen.generate("train_gru_deep", 7, str(tmp_path), "smoke")
+    side = tool.Side("change", str(ROOT), str(tmp_path), gen.WORKLOADS["train_gru_deep"],
+                     gen.SCALES["smoke"]["dim"], 7, gen.BLOCKS)
+    initial = side.params.copy()
+    losses = []
+    for _ in range(2):
+        side.prepare("train")
+        losses.append(side.train(0))
+    assert losses[0] == losses[1]
+    for name, t in side.params.tensors.items():
+        np.testing.assert_array_equal(t, initial.tensors[name], err_msg=name)
+    assert not np.array_equal(side.trained.tensors["W_s"], initial.tensors["W_s"])

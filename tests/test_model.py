@@ -138,6 +138,9 @@ def test_upward_matches_oracle():
         for j, slot in enumerate(expected):
             for ours, theirs in ((tape.value(states.H_up), "h"), (states.z_up, "z"),
                                  (states.r_up, "r"), (states.cand_up, "cand")):
+                if slot[theirs] is None:  # a leaf has no reset gate
+                    assert np.all(ours[j] == 0.0)
+                    continue
                 np.testing.assert_allclose(ours[j], slot[theirs],
                                            rtol=0, atol=1e-12)
 
@@ -807,13 +810,16 @@ def test_gates_bounded_and_finite():
             states = upward_pass(tree, params, tape, vocab)
             if variant == "treebigru":
                 downward_pass(states, params, tape)
+            has_child = np.isin(np.arange(states.forest.node_count),
+                                states.forest.parents)
             for j in range(states.forest.node_count):
                 z = states.z_up[j]
                 r = states.r_up[j]
                 cand = states.cand_up[j]
                 h = tape.value(states.H_up)[j]
                 assert np.all((z > 0) & (z < 1))
-                assert np.all((r > 0) & (r < 1))
+                if has_child[j]:  # a leaf has no reset gate
+                    assert np.all((r > 0) & (r < 1))
                 assert np.all((cand > -1) & (cand < 1))
                 assert np.all(np.isfinite(h))
                 if variant == "treebigru" and j > 0:

@@ -18,8 +18,10 @@ first; a split's blocks wrap round when it runs out:
 - ``evaluate`` on the i-th 26 test sentences;
 - ``train``: one epoch on the i-th 25 training sentences with the i-th
   13 dev sentences, ``TrainConfig(..., epochs=1, seed=seed + i)``, as
-  ``benchmarks/bench.py`` times it.  It trains a second parameter set,
-  drawn like the first, so the other two calls keep the initial ones.
+  ``benchmarks/bench.py`` times it.  Each batch trains a fresh copy of
+  the initial parameters, made before the clock starts, so the other two
+  calls keep the initial ones and a last-bit difference between the
+  sides cannot grow from one batch to the next.
 
 ``WARMUP`` batches are run and not counted, then ``BATCHES`` are timed.
 Then one more batch of each call is run per side under ``tracemalloc``,
@@ -74,8 +76,8 @@ def load_gen():
 
 
 class Side:
-    """One checkout's package with its corpora, vocabulary and two equal
-    parameter sets, one to score and one to train."""
+    """One checkout's package with its corpora, vocabulary and initial
+    parameters, plus the copy of them that ``train`` updates."""
 
     def __init__(self, name: str, checkout: str, data_dir: str, spec: dict, dim: int,
                  seed: int, blocks: dict):
@@ -86,9 +88,17 @@ class Side:
                        for split in blocks}
         self.blocks, self.spec, self.dim, self.seed = blocks, spec, dim, seed
         self.vocab = pkg.embeddings.build_vocab(self.splits["train"])
-        self.params, self.trained = (pkg.model.init_params(
+        self.params = pkg.model.init_params(
             spec["variant"], dim, self.vocab, self.splits["train"].class_count, 2,
-            np.random.default_rng(seed), attention=spec["attention"]) for _ in range(2))
+            np.random.default_rng(seed), attention=spec["attention"])
+        self.trained = None
+
+    def prepare(self, call: str) -> None:
+        """Untimed set-up before ``call``: ``train`` gets a fresh copy of
+        the initial parameters."""
+        if call == "train":
+            self.trained = None  # never two copies at once
+            self.trained = self.params.copy()
 
     def block(self, split: str, i: int):
         """The i-th block of ``split`` as a corpus, wrapping round."""
@@ -136,6 +146,7 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
         for call in CALLS:
             losses = {}
             for name in first:
+                sides[name].prepare(call)
                 timed = getattr(sides[name], call)
                 start = time.perf_counter()
                 losses[name] = timed(i)
@@ -145,6 +156,7 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
     peaks = {call: {} for call in CALLS}
     for call in CALLS:
         for name in SIDES:
+            sides[name].prepare(call)
             tracemalloc.start()
             try:
                 getattr(sides[name], call)(WARMUP + BATCHES)
