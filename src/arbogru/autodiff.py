@@ -37,15 +37,21 @@ class ValueRef:
 
 
 class Tape:
-    """Append-only computation record; insertion order is topological order."""
+    """Append-only computation record; insertion order is topological order.
 
-    __slots__ = ("_values", "_parents", "_vjps", "keyed", "_swept")
+    ``Tape(grad=False)`` is a scoring tape: it records every value but no
+    closure, so nothing a VJP would read outlives the op that made it,
+    and it cannot be differentiated.
+    """
 
-    def __init__(self):
+    __slots__ = ("_values", "_parents", "_vjps", "keyed", "grad", "_swept")
+
+    def __init__(self, grad: bool = True):
         self._values: list[Optional[np.ndarray]] = []
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Optional[Callable]] = []
         self.keyed: dict[str, ValueRef] = {}  # tensor name -> leaf, in first-use order
+        self.grad = grad
         self._swept = False  # set by backward, which uses the tape up
 
     def __len__(self) -> int:
@@ -67,10 +73,11 @@ class Tape:
     def append(self, value, parents, vjp) -> ValueRef:
         """Record ``value``, computed from the values at the tape indices
         ``parents``; ``vjp`` maps its output gradient to one gradient per
-        parent, in order (``vjp`` is None for a leaf)."""
+        parent, in order (``vjp`` is None for a leaf, and a scoring tape
+        drops it)."""
         self._values.append(value)
         self._parents.append(parents)
-        self._vjps.append(vjp)
+        self._vjps.append(vjp if self.grad else None)
         return ValueRef(len(self._values) - 1, value.shape)
 
 
@@ -93,7 +100,7 @@ def linear(tape: Tape, x: ValueRef, w: ValueRef,
         cv = tape.value(bias)
         if out.ndim != 2 or cv.shape != out.shape[1:]:
             _fail("linear", xv.shape, wv.shape, cv.shape)
-        out = out + cv
+        out += cv
         parents += (bias.index,)
 
     def vjp(g):
@@ -200,12 +207,17 @@ def pool(tape: Tape, nodes: ValueRef, weights: ValueRef, offsets) -> ValueRef:
     if C.ndim != 2 or w.shape != C.shape[:1]:
         _fail("pool", C.shape, w.shape)
 
+    # one weights-times-rows product per segment, so no weighted copy of
+    # the nodes x width matrix is made
+    out = np.empty((len(offsets) - 1, C.shape[1]), dtype=np.result_type(C, w))
+    for t, (a, e) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        np.matmul(w[a:e], C[a:e], out=out[t])
+
     def vjp(g):
         spread = _spread(g, offsets)  # each row's segment gradient
         return spread * w[:, None], np.einsum("ij,ij->i", C, spread)
 
-    return tape.append(_segment_sum(C * w[:, None], offsets),
-                       (nodes.index, weights.index), vjp)
+    return tape.append(out, (nodes.index, weights.index), vjp)
 
 
 def softmax_cross_entropy(tape: Tape, logits: ValueRef, gold, offsets) -> ValueRef:
@@ -284,8 +296,10 @@ def backward(tape: Tape, loss: ValueRef) -> list[Optional[np.ndarray]]:
     derived value, its closure, its gradient and, unless it is the loss,
     the value itself are dropped: the tape keeps its length, and its
     memory goes as the sweep goes.  A tape is differentiated once: a
-    second call raises ValueError.
+    second call raises ValueError, and so does a scoring tape.
     """
+    if not tape.grad:
+        raise ValueError("backward: a scoring tape (grad=False) records no closures")
     if tape._swept:
         raise ValueError("backward: this tape has already been differentiated")
     tape._swept = True

@@ -326,7 +326,7 @@ def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
     weights."""
     forest = Forest.concat(trees)
     forest.gold[:] = -1  # unread, and may lie outside a binary model's classes
-    tape = Tape()
+    tape = Tape(grad=False)
     graph = build_forest_graph(tape, forest, params, vocab)
     offsets = graph.states.forest.offsets
     for root, end in zip(offsets[:-1], offsets[1:]):

@@ -327,7 +327,7 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     # the first row of each gate that takes an input term: a row in no
     # level keeps zero gates, and a row with no child has no reset gate
     # (upward no input row has a child, so U_r x is never formed)
-    lows = (0, m if m <= first_kid else 0, 0)
+    lows = (free, first_kid, free)
 
     H_lm = np.empty((n + 1, d), dtype=dtype)  # row n is the zero pad
     x_lm = x[lead]
@@ -341,7 +341,6 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
         np.matmul(x_lm[lo:], U.T, out=P[lo:m])
         P[lo:m] += b
         P[m:] = b
-        P[:free] = 0.0
     del x_lm
     # each level's rows with the child slots it runs: rank 0 has no
     # child, and every level above it runs all K slots
@@ -466,7 +465,8 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
         return tuple(grads)
 
     parents = (inputs.index, *(ref.index for refs in gate_refs for ref in refs))
-    return tape.append(H[:n], parents, vjp), LevelGates(pos[:n], (Z, R, C))
+    gates = LevelGates(pos[:n], (Z, R, C)) if tape.grad else None
+    return tape.append(H[:n], parents, vjp), gates
 
 
 def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabulary,

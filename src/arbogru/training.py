@@ -335,7 +335,7 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
     root_ok = hits = supervised = 0
     loss = 0.0
     for start in range(0, len(corpus.trees), SCORE_CHUNK):
-        tape = Tape()
+        tape = Tape(grad=False)
         graph = build_forest_graph(tape, corpus.trees[start:start + SCORE_CHUNK],
                                    params, vocab)
         forest = graph.states.forest
