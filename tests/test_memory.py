@@ -1,6 +1,7 @@
 """Memory: importing arbogru keeps freed memory in the process on glibc,
 and changes nothing elsewhere; scoring a forest holds no more than it
-did before ``gru_tree`` ran on level-major rows; and ``backward`` uses
+did before ``gru_tree`` ran on level-major rows, and less on a scoring
+tape, which keeps no closures and no gates; and ``backward`` uses
 its tape up as it sweeps, so a training step holds less than it did
 when the tape kept everything until backward returned.  Each allocator
 case runs in its own interpreter, because the setting is process-wide
@@ -129,6 +130,28 @@ def step_case(variant, attention):
     vocab = synth_vocab()
     forest = synth_corpus(32, seed=5, max_nodes=41).trees
     return forest, random_params(variant, attention, 32, vocab, seed=1), vocab
+
+
+# the peak of the scoring test above on a scoring tape, in the same
+# units: the bound this one keeps (measured 6.76 and 8.58)
+SCORING_PEAK = {"treegru": 7.0, "treebigru": 9.0}
+
+
+@pytest.mark.parametrize("variant,attention", [("treegru", False), ("treebigru", True)])
+def test_a_scoring_tape_holds_less_than_a_gradient_tape(variant, attention):
+    # each gru_tree closure holds its direction's gates, and the gates
+    # are kept again for NodeStates; a scoring tape keeps neither
+    forest, params, vocab = step_case(variant, attention)
+    build_forest_graph(Tape(grad=False), forest, params, vocab)  # warm every lazy cache
+    tracemalloc.start()
+    try:
+        build_forest_graph(Tape(grad=False), forest, params, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = forest.node_count * params.dim * 8
+    assert SCORING_PEAK[variant] < PARENT_SCORING_PEAK[variant]
+    assert peak <= SCORING_PEAK[variant] * matrix, peak / matrix
 
 
 # the tracemalloc peak of sentence_gradients below, in nodes x d float64

@@ -363,6 +363,55 @@ def test_training_batch_tape_has_one_leaf_per_tensor(variant, attention):
     assert lengths[0] == lengths[1]
 
 
+@pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
+def test_scoring_tape_scores_as_a_gradient_tape_does(variant, attention, norm):
+    # same values in the same order, so the benchmark's tape length holds,
+    # and no closure kept, so backward has nothing to run
+    trees = mixed_forest(np.random.default_rng(31))
+    params = forest_params(variant, attention, norm, 4, seed=32)
+    vocab = synth_vocab()
+    graphs = {}
+    for grad in (True, False):
+        tape = Tape(grad=grad)
+        graphs[grad] = (tape, build_forest_graph(tape, trees, params, vocab))
+    (tape, graph), (scoring, scored) = graphs[True], graphs[False]
+    assert len(scoring) == len(tape)
+    assert all(vjp is None for vjp in scoring._vjps)
+    np.testing.assert_array_equal(scored.preds.probs, graph.preds.probs)
+    np.testing.assert_array_equal(scored.preds.labels, graph.preds.labels)
+    np.testing.assert_array_equal(scoring.value(scored.tree_losses),
+                                  tape.value(graph.tree_losses))
+    with pytest.raises(ValueError, match="scoring tape"):
+        ad.backward(scoring, scored.tree_losses)
+
+
+@pytest.mark.parametrize("variant", ["treegru", "treebigru"])
+def test_scoring_tape_keeps_no_gates(variant):
+    vocab = synth_vocab()
+    params = random_params(variant, False, 4, vocab, seed=33)
+    tape = Tape(grad=False)
+    states = upward_pass(mixed_forest(np.random.default_rng(34)), params, tape, vocab)
+    if variant == "treebigru":
+        downward_pass(states, params, tape)
+    gates = [states.z_up, states.r_up, states.cand_up, states.z_down, states.r_down,
+             states.cand_down]
+    assert gates == [None] * 6
+    assert tape.value(states.H_up).shape == (states.forest.node_count, 4)
+
+
+@pytest.mark.parametrize("variant,attention", VARIANT_CASES)
+def test_reset_gate_input_matrix_gets_exactly_zero_gradient(variant, attention):
+    # U_r gates only a leaf's input, and a leaf has no child to gate
+    vocab = synth_vocab()
+    params = random_params(variant, attention, 4, vocab, seed=35)
+    _, grads = sentence_gradients(mixed_forest(np.random.default_rng(36)), params, vocab)
+    assert grads["U_r"].shape == params.tensors["U_r"].shape
+    assert np.all(grads["U_r"] == 0.0)
+    assert np.any(grads["U_z"] != 0.0) and np.any(grads["W_r_1"] != 0.0)
+    if variant == "treebigru":
+        assert np.any(grads["Ud_r"] != 0.0)
+
+
 @pytest.mark.parametrize("variant,attention", VARIANT_CASES)
 def test_gradient_check_all_variants(variant, attention):
     err = gradient_check(variant, attention, dim=8, seed=7)
