@@ -7,8 +7,9 @@ per sentence, so one tape is built per forest (a minibatch, or a chunk
 of a corpus being scored).  A tape is differentiated once: ``backward``
 uses it up, dropping each derived value, its closure and its gradient
 as soon as the sweep has passed it, so that what is left are the
-leaves, their gradients and the loss value.  The
-ops that work per sentence take ``offsets``: segment t of a forest's
+leaves, their gradients and the loss value.  A scoring tape
+(``Tape(grad=False)``) keeps the values but no closure.  The ops that
+work per sentence take ``offsets``: segment t of a forest's
 node axis is ``offsets[t]:offsets[t+1]``.  Everything runs in the dtype
 of the inputs (float64 for tests and gradient checks).  Every
 node-indexed matrix is node-major: row j is node j.  Every leaf gets a

@@ -222,15 +222,17 @@ class NodeStates:
     """Activations of every node, row j for node j of ``forest``.
 
     The states ``H_*`` are tape values; the gates are plain arrays,
-    copied to node order from ``up``/``down`` when read (the downward
-    root has none, so its gate rows are zero).  The tape's ``"emb"``
+    copied to node order from ``up``/``down`` when read.  A gate a node
+    does not have reads zero: the downward root has none, and a node
+    with no child has no reset gate (upward, every leaf).  A scoring
+    tape keeps no gates, so there they read None.  The tape's ``"emb"``
     leaf holds the embedding ``rows`` the leaves read, ascending.
     """
 
     forest: Forest
     rows: np.ndarray
     H_up: ValueRef                        # (nodes, dim)
-    up: LevelGates
+    up: Optional[LevelGates]
     H_down: Optional[ValueRef] = None
     down: Optional[LevelGates] = None
 
@@ -280,16 +282,19 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
              first_level: int = 0):
     """The rule of the module docstring over a forest, recorded as one
     tape op; returns (H, gates), the node-major states as a tape value
-    and the z/r/candidate gates as ``LevelGates``.
+    and the z/r/candidate gates as ``LevelGates`` (None on a scoring
+    tape, which keeps no gates).
 
     ``names`` are a direction's tensor-name templates.  ``rank`` (height
     upward, depth downward) sorts the nodes into levels, one per rank
     from ``first_level`` on; a node's children all have a lower rank.  A
     node of lower rank is in no level: it takes its input row as its
-    state and keeps zero gates.  ``inputs`` holds the input rows of the
-    nodes ``fed`` (an index array or a slice), which are the nodes of the
-    lowest ranks; the input terms vanish at every other node.  Row j of
-    ``slots`` lists node j's children, -1 for none (a zero pad state).
+    state and keeps zero gates.  A node with no child has no reset gate
+    to apply, so its r row stays zero.  ``inputs`` holds the input rows
+    of the nodes ``fed`` (an index array or a slice), which are the
+    nodes of the lowest ranks; the input terms vanish at every other
+    node.  Row j of ``slots`` lists node j's children, -1 for none (a
+    zero pad state).
 
     The op works in level-major rows: the nodes sorted stably by rank,
     so every level is one contiguous row range of each state, gate and
