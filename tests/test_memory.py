@@ -138,7 +138,7 @@ SCORING_PEAK = {"treegru": 7.0, "treebigru": 9.0}
 
 
 @pytest.mark.parametrize("variant,attention", [("treegru", False), ("treebigru", True)])
-def test_a_scoring_tape_holds_less_than_a_gradient_tape(variant, attention):
+def test_a_scoring_tape_holds_at_most_its_bound(variant, attention):
     # each gru_tree closure holds its direction's gates, and the gates
     # are kept again for NodeStates; a scoring tape keeps neither
     forest, params, vocab = step_case(variant, attention)
