@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .model import ATTENTION_NORMS, ModelParams, param_shapes
+from .model import ATTENTION_NORMS, VARIANTS, ModelParams, param_shapes
 
 MAGIC = b"ARBOCKPT1\n"
 FORMAT_VERSION = 2
@@ -82,6 +82,8 @@ def load_checkpoint(path) -> ModelParams:
             if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
                 raise CheckpointError(
                     f"{path}: manifest key {key!r} must be of type {kind.__name__}")
+        if manifest["variant"] not in VARIANTS:
+            raise CheckpointError(f"{path}: unknown variant {manifest['variant']!r}")
         tensors: dict[str, np.ndarray] = {}
         left = os.fstat(handle.fileno()).st_size - handle.tell()  # unread bytes
         for row in manifest["tensors"]:

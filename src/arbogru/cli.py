@@ -17,19 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import build_vocab, load_glove, load_vocab, save_vocab
-from .model import ATTENTION_NORMS, VARIANTS, init_params, itemize_parameters
+from .model import (ATTENTION_NORMS, MAX_CHILDREN, VARIANTS, init_params,
+                    itemize_parameters)
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
-                       build_forest_graph, evaluate, gradient_check, train)
+                       evaluate, gradient_check, score, train)
 from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
                        Forest, TreebankError, load_corpus, open_text, parse_tree)
 
 log = logging.getLogger("arbogru")
 
 GRADCHECK_THRESHOLD = 1e-4
-MAX_CHILDREN = 2  # K: trained models and the audit are binary-branching
 
 # reference totals for the original 300-dim, 5-class sentiment-treebank
 # configuration (vocab 21702, binary branching)
@@ -40,11 +39,6 @@ REFERENCE_TOTALS = {
     ("treebigru", False): 8_135_405,
     ("treebigru", True): 8_317_810,
 }
-# the reference bidirectional counts exceed the implemented update rules by
-# 3*d^2 = 270000, consistent with the downward gates also receiving an
-# input-term matrix set; the audit surfaces the difference instead of
-# guessing at undocumented tensors
-DOWNWARD_COUNT_GAP = 270_000
 
 
 class UsageError(ValueError):
@@ -276,8 +270,8 @@ def _load_model(checkpoint_path):
     vocab = load_vocab(vocab_path)
     if vocab.size != params.vocab_size:
         raise CheckpointError(
-            f"vocabulary size {vocab.size} does not match checkpoint "
-            f"({params.vocab_size})")
+            f"{vocab_path}: vocabulary size {vocab.size} does not match "
+            f"checkpoint {checkpoint_path} ({params.vocab_size})")
     return params, vocab
 
 
@@ -321,21 +315,20 @@ def run_predict(args) -> int:
 
 
 def _print_predictions(trees, params, vocab, show_attention: bool) -> None:
-    """Score ``trees`` as one forest and print a line per tree, in order:
-    root class, root distribution and, if asked, the tree's attention
-    weights."""
+    """Score ``trees`` through ``score`` and print a line per tree, in
+    order: root class, root distribution and, if asked, the tree's
+    attention weights."""
     forest = Forest.concat(trees)
     forest.gold[:] = -1  # unread, and may lie outside a binary model's classes
-    tape = Tape(grad=False)
-    graph = build_forest_graph(tape, forest, params, vocab)
-    offsets = graph.states.forest.offsets
-    for root, end in zip(offsets[:-1], offsets[1:]):
-        fields = [str(graph.preds.labels[root]),
-                  " ".join(f"{p:.4f}" for p in graph.preds.probs[root])]
-        if show_attention:
-            weights = tape.value(graph.attn.weights)[root:end]
-            fields.append(" ".join(f"{w:.4f}" for w in weights))
-        print("\t".join(fields))
+    for tape, graph in score(forest, params, vocab):
+        offsets = graph.states.forest.offsets
+        for root, end in zip(offsets[:-1], offsets[1:]):
+            fields = [str(graph.preds.labels[root]),
+                      " ".join(f"{p:.4f}" for p in graph.preds.probs[root])]
+            if show_attention:
+                weights = tape.value(graph.attn.weights)[root:end]
+                fields.append(" ".join(f"{w:.4f}" for w in weights))
+            print("\t".join(fields))
 
 
 def run_gradcheck(args) -> int:
@@ -354,7 +347,7 @@ def run_params(args) -> int:
     _require(args.vocab > 0, "--vocab must be positive")
     _require(args.classes >= 2, "--classes must be at least 2")
     items = itemize_parameters(args.variant, args.dim, args.vocab, args.classes,
-                               MAX_CHILDREN, args.attention)
+                               attention=args.attention)
     name_w = max(len("reference total"),
                  max(len(name) for name, _, _ in items))
     print(f"{'tensor':<{name_w}}  {'shape':>12}  {'parameters':>12}")
@@ -371,9 +364,13 @@ def run_params(args) -> int:
         gap = reference - total
         if gap:
             print(f"{'discrepancy':<{name_w}}  {'':>12}  {gap:>12}")
-            print(f"note: the reference counts exceed the implemented update rules "
-                  f"by {DOWNWARD_COUNT_GAP} = 3*d^2, consistent with the "
-                  f"downward gates also receiving an input-term matrix set; "
+            # the audit names the gap instead of guessing at undocumented tensors
+            extra = 3 * args.dim ** 2  # a downward input-term matrix set
+            rest = "explains all of it" if gap == extra else (
+                f"leaves {abs(gap - extra)} unexplained (gap - 3*d^2 = {gap - extra})")
+            print(f"note: the reference total exceeds the implemented update rules "
+                  f"by {gap}; 3*d^2 = {extra}, consistent with the downward gates "
+                  f"also receiving an input-term matrix set, {rest}; "
                   f"this audit reports the rules as implemented")
         else:
             print("matches the reference total exactly")

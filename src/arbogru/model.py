@@ -51,10 +51,14 @@ VARIANT_TREEBIGRU = "treebigru"
 VARIANTS = (VARIANT_TREEGRU, VARIANT_TREEBIGRU)
 ATTENTION_NORMS = ("softmax", "linear")
 
+MAX_CHILDREN = 2  # K: trained models and the audit are binary-branching
 RECURRENT_INIT = 0.5   # identity scale for the square recurrent matrices
 CLASSIFIER_INIT = 0.01  # std-dev scale for classifier and attention draws
 
 _GATES = ("z", "r", "h")
+# each direction's gate tensors as (input, child, bias) name templates,
+# keyed as NodeStates keeps the direction's gates
+_TENSORS = {"up": ("U_{g}", "W_{g}_{k}", "b_{g}"), "down": ("Ud_{g}", "Wd_{g}", "bd_{g}")}
 
 MaskFn = Optional[Callable[..., np.ndarray]]  # shape -> dropout mask
 
@@ -63,44 +67,43 @@ class ModelError(ValueError):
     pass
 
 
-def param_shapes(variant: str, dim: int, vocab_size: int, classes: int,
-                 max_children: int = 2, attention: bool = False) -> dict[str, tuple]:
-    """Canonical (name -> shape) map; its order is the checkpoint order."""
+def _gate_names(variant: str, max_children: int) -> dict[str, tuple]:
+    """The (input, child, bias) tensor names of the gates of each direction
+    ``variant`` runs, each list in gate order; a gate's child matrices run
+    slot by slot, ``max_children`` upward and one (the parent) downward."""
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r}")
-    d, c, k_max = dim, classes, max_children
+    names = {}
+    for direction in ("up", "down") if variant == VARIANT_TREEBIGRU else ("up",):
+        u, w, b = _TENSORS[direction]
+        slots = range(1, (max_children if direction == "up" else 1) + 1)
+        names[direction] = ([u.format(g=g) for g in _GATES],
+                            [w.format(g=g, k=k) for g in _GATES for k in slots],
+                            [b.format(g=g) for g in _GATES])
+    return names
+
+
+def param_shapes(variant: str, dim: int, vocab_size: int, classes: int,
+                 max_children: int = MAX_CHILDREN,
+                 attention: bool = False) -> dict[str, tuple]:
+    """Canonical (name -> shape) map; its order is the checkpoint order."""
+    d, c = dim, classes
     shapes: dict[str, tuple] = {"emb": (vocab_size, d)}
-    for gate in _GATES:
-        shapes[f"U_{gate}"] = (d, d)
-    for gate in _GATES:
-        for k in range(1, k_max + 1):
-            shapes[f"W_{gate}_{k}"] = (d, d)
-    for gate in _GATES:
-        shapes[f"b_{gate}"] = (d,)
+    for inputs, children, biases in _gate_names(variant, max_children).values():
+        shapes.update(dict.fromkeys(inputs + children, (d, d)))
+        shapes.update(dict.fromkeys(biases, (d,)))
     if variant == VARIANT_TREEBIGRU:
-        for gate in _GATES:
-            shapes[f"Ud_{gate}"] = (d, d)
-        for gate in _GATES:
-            shapes[f"Wd_{gate}"] = (d, d)
-        for gate in _GATES:
-            shapes[f"bd_{gate}"] = (d,)
-        shapes["W_s_up"] = (c, d)
-        shapes["W_s_dn"] = (c, d)
-        shapes["b_s"] = (c,)
+        shapes.update(W_s_up=(c, d), W_s_dn=(c, d), b_s=(c,))
     else:
-        shapes["W_s"] = (c, d)
-        shapes["b_s"] = (c,)
+        shapes.update(W_s=(c, d), b_s=(c,))
     if attention:
         rep = 2 * d if variant == VARIANT_TREEBIGRU else d  # node representation width
-        shapes["W_w"] = (d, rep)
-        shapes["b_w"] = (d,)
-        shapes["u_w"] = (d,)
+        shapes.update(W_w=(d, rep), b_w=(d,), u_w=(d,))
         if variant == VARIANT_TREEBIGRU:
             # The sentence vector is 2d wide and needs its own head; the
             # unidirectional one is d wide and reuses W_s (this exactly
             # reproduces the reported parameter totals).
-            shapes["W_s_att"] = (c, rep)
-            shapes["b_s_att"] = (c,)
+            shapes.update(W_s_att=(c, rep), b_s_att=(c,))
     return shapes
 
 
@@ -154,7 +157,8 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
     shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
     if embeddings is None:
         embeddings = random_embeddings(vocab, dim, rng, dtype)
-    random_init = {"W_s", "W_s_up", "W_s_dn", "W_s_att", "W_w", "u_w"}
+    square = {name for inputs, children, _ in _gate_names(variant, max_children).values()
+              for name in inputs + children}
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         if name == "emb":
@@ -164,10 +168,10 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
             tensors[name] = embeddings.vectors.astype(dtype, copy=False)
         elif is_bias(name):
             tensors[name] = np.zeros(shape, dtype=dtype)
-        elif name in random_init:
-            tensors[name] = (rng.standard_normal(shape) * CLASSIFIER_INIT).astype(dtype)
-        else:
+        elif name in square:
             tensors[name] = (RECURRENT_INIT * np.eye(dim)).astype(dtype)
+        else:
+            tensors[name] = (rng.standard_normal(shape) * CLASSIFIER_INIT).astype(dtype)
     return ModelParams(variant, attention, attention_norm, dim, classes,
                        max_children, tensors)
 
@@ -262,11 +266,6 @@ class NodePredictions:
 # ---------------------------------------------------------------------------
 # forward passes
 
-# (input, child, bias) tensor names of each direction's gates
-_UPWARD = ("U_{g}", "W_{g}_{k}", "b_{g}")
-_DOWNWARD = ("Ud_{g}", "Wd_{g}", "bd_{g}")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function, computed in place in ``x`` as
     0.5 * tanh(0.5 x) + 0.5, which never overflows."""
@@ -277,24 +276,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
-             inputs: ValueRef, fed, slots: np.ndarray, rank: np.ndarray,
-             first_level: int = 0):
+def gru_tree(tape: Tape, params: ModelParams, direction: str, inputs: ValueRef,
+             fed, slots: np.ndarray, rank: np.ndarray, first_level: int = 0):
     """The rule of the module docstring over a forest, recorded as one
     tape op; returns (H, gates), the node-major states as a tape value
     and the z/r/candidate gates as ``LevelGates`` (None on a scoring
     tape, which keeps no gates).
 
-    ``names`` are a direction's tensor-name templates.  ``rank`` (height
-    upward, depth downward) sorts the nodes into levels, one per rank
-    from ``first_level`` on; a node's children all have a lower rank.  A
-    node of lower rank is in no level: it takes its input row as its
-    state and keeps zero gates.  A node with no child has no reset gate
-    to apply, so its r row stays zero.  ``inputs`` holds the input rows
-    of the nodes ``fed`` (an index array or a slice), which are the
-    nodes of the lowest ranks; the input terms vanish at every other
-    node.  Row j of ``slots`` lists node j's children, -1 for none (a
-    zero pad state).
+    ``direction`` ("up" or "down") names the gates' tensors.  ``rank``
+    (height upward, depth downward) sorts the nodes into levels, one per
+    rank from ``first_level`` on; a node's children all have a lower
+    rank.  A node of lower rank is in no level: it takes its input row
+    as its state and keeps zero gates.  A node with no child has no
+    reset gate to apply, so its r row stays zero.  ``inputs`` holds the
+    input rows of the nodes ``fed`` (an index array or a slice), which
+    are the nodes of the lowest ranks; the input terms vanish at every
+    other node.  Row j of ``slots`` lists node j's children, -1 for none
+    (a zero pad state).
 
     The op works in level-major rows: the nodes sorted stably by rank,
     so every level is one contiguous row range of each state, gate and
@@ -305,15 +303,11 @@ def gru_tree(tape: Tape, params: ModelParams, names: tuple[str, str, str],
     the gates in level-major rows; the backward gathers each row's
     children once into a child buffer of its own.
     """
-    u_name, w_name, b_name = names
     n, n_kids = slots.shape
-
-    def gate(g):  # the refs of one gate's U, b, W_1..W_K
-        keys = [u_name.format(g=g), b_name.format(g=g)]
-        keys += [w_name.format(g=g, k=k) for k in range(1, n_kids + 1)]
-        return [_param(tape, params, key) for key in keys]
-
-    gate_refs = [gate(g) for g in _GATES]
+    us, ws, bs = _gate_names(params.variant, params.max_children)[direction]
+    gate_refs = [[_param(tape, params, key)  # each gate's U, b, W_1..W_K
+                  for key in (u, b, *ws[i * n_kids:(i + 1) * n_kids])]
+                 for i, (u, b) in enumerate(zip(us, bs))]
     (U_z, b_z, *W_z), (U_r, b_r, *W_r), (U_h, b_h, *W_h) = (
         [tape.value(ref) for ref in refs] for refs in gate_refs)
     x = tape.value(inputs)
@@ -487,7 +481,7 @@ def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabula
     inputs = ad.gather(tape, tape.input(params.tensors["emb"][rows], key="emb"), index)
     if input_mask is not None:
         inputs = ad.mask(tape, inputs, input_mask(inputs.shape))
-    H, gates = gru_tree(tape, params, _UPWARD, inputs, leaves, slots, forest.heights)
+    H, gates = gru_tree(tape, params, "up", inputs, leaves, slots, forest.heights)
     return NodeStates(forest, rows, H, gates)
 
 
@@ -502,7 +496,7 @@ def downward_pass(states: NodeStates, params: ModelParams, tape: Tape) -> NodeSt
         raise ModelError("downward pass needs treebigru parameters")
     forest = states.forest
     states.H_down, states.down = gru_tree(
-        tape, params, _DOWNWARD, states.H_up, slice(None), forest.parents[:, None],
+        tape, params, "down", states.H_up, slice(None), forest.parents[:, None],
         forest.depths, first_level=1)  # the roots (depth 0) are in no level
     return states
 
@@ -585,7 +579,7 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
 # parameter audit
 
 def itemize_parameters(variant: str, dim: int, vocab_size: int, classes: int,
-                       max_children: int = 2, attention: bool = False):
+                       max_children: int = MAX_CHILDREN, attention: bool = False):
     """(name, shape, count) per tensor, in canonical order."""
     shapes = param_shapes(variant, dim, vocab_size, classes, max_children, attention)
     return [(name, shape, int(np.prod(shape))) for name, shape in shapes.items()]

@@ -4,10 +4,10 @@ The objective is the summed negative log-likelihood of every supervised
 node label in a minibatch plus an L2 penalty (l2/2)*||theta||^2 over the
 weight matrices and the embedding rows the batch touched; bias vectors
 are exempt.  Optimization is plain AdaGrad.  A minibatch is one forest
-on one tape, and evaluation scores a corpus in forests of SCORE_CHUNK
-trees.  Training shuffles the sentences every epoch, evaluates dev root
-accuracy a fixed number of times per epoch, and keeps the parameters
-with the best dev score.
+on one tape, and ``score`` cuts what evaluation and prediction score
+into forests of SCORE_CHUNK trees.  Training shuffles the sentences
+every epoch, evaluates dev root accuracy a fixed number of times per
+epoch, and keeps the parameters with the best dev score.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import model as m
 from .autodiff import Tape
 from .embeddings import Vocabulary, build_vocab
-from .treebank import Corpus, Forest, random_tree
+from .treebank import FINE_CLASSES, TASK_FINE, Corpus, Forest, random_tree
 
 log = logging.getLogger("arbogru")
 
@@ -34,8 +34,6 @@ GRAD_NORM_WARN = 1e3
 FD_EPSILON = 1e-5
 REL_ERR_FLOOR = 1e-3  # below this magnitude FD noise dominates; compare absolutely
 SCORE_CHUNK = 32  # trees per forest when scoring; bounds a scoring tape's memory
-
-LOG_HEADER = "epoch\tstep\ttrain_loss\tdev_root_acc\twall_seconds"
 
 
 class TrainingError(RuntimeError):
@@ -323,6 +321,17 @@ def _train_batch(ids, sentences, params, vocab, accumulators, config,
 # ---------------------------------------------------------------------------
 # evaluation
 
+def score(forest: Forest, params: m.ModelParams,
+          vocab: Vocabulary) -> Iterator[tuple[Tape, ForestGraph]]:
+    """Dropout-free graphs of ``forest``'s trees, SCORE_CHUNK to a graph,
+    each yielded in order with its scoring tape; a caller that drops both
+    before asking for the next holds one chunk's tape at a time."""
+    for start in range(0, len(forest), SCORE_CHUNK):
+        tape = Tape(grad=False)
+        yield tape, build_forest_graph(tape, forest[start:start + SCORE_CHUNK],
+                                       params, vocab)
+
+
 def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metrics:
     """Dropout-free metrics: root accuracy over sentences, node accuracy
     over supervised nodes, mean per-sentence data loss."""
@@ -334,18 +343,15 @@ def evaluate(corpus: Corpus, params: m.ModelParams, vocab: Vocabulary) -> Metric
 
     root_ok = hits = supervised = 0
     loss = 0.0
-    for start in range(0, len(corpus.trees), SCORE_CHUNK):
-        tape = Tape(grad=False)
-        graph = build_forest_graph(tape, corpus.trees[start:start + SCORE_CHUNK],
-                                   params, vocab)
-        forest = graph.states.forest
-        labels, gold = graph.preds.labels, forest.gold
+    for tape, graph in score(corpus.trees, params, vocab):
+        forest, labels = graph.states.forest, graph.preds.labels
+        gold, roots = forest.gold, forest.roots
         sup = gold >= 0
-        roots = forest.roots
         root_ok += int(np.sum(sup[roots] & (labels[roots] == gold[roots])))
         hits += int(np.sum(labels[sup] == gold[sup]))
         supervised += int(sup.sum())
         loss += float(tape.value(graph.tree_losses).sum())
+        del tape, graph  # else this chunk's tape lives on while score builds the next
     n = len(corpus.trees)
     return Metrics(root_accuracy=root_ok / n, node_accuracy=hits / max(1, supervised),
                    loss=loss / n)
@@ -377,9 +383,9 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     rng = np.random.default_rng(seed)
     l2 = TrainConfig.l2
     forest = Forest.concat([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
-    vocab = build_vocab(Corpus(forest, "check", "fine", 5))
-    params = m.init_params(variant, dim, vocab, 5, 2, rng, attention=attention,
-                           attention_norm=attention_norm)
+    vocab = build_vocab(Corpus(forest, "check", TASK_FINE, FINE_CLASSES))
+    params = m.init_params(variant, dim, vocab, FINE_CLASSES, m.MAX_CHILDREN, rng,
+                           attention=attention, attention_norm=attention_norm)
     for name, t in params.tensors.items():
         params.tensors[name] = rng.uniform(-0.5, 0.5, t.shape)
 

@@ -5,7 +5,9 @@ leaves out every per-layer metric that span feeds, so renaming or
 deleting one of these functions would quietly drop benchmark figures.
 The benchmark also builds and walks trees through the package's tree
 surface (``LabeledTree``, ``Corpus`` of a list, ``label``, ``children``,
-``build_sentence_graph``), which one traced smoke run exercises.
+``build_sentence_graph``), and its infer workload writes its checkpoint
+through ``init_params``; traced smoke runs of the SST training workload
+and of the infer workload exercise these.
 """
 
 import importlib
@@ -14,6 +16,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,9 +43,10 @@ def test_every_benchmark_span_names_a_package_callable():
     assert not missing, f"spans without a function: {missing}"
 
 
-def test_traced_smoke_run_ends_in_a_correct_result():
+@pytest.mark.parametrize("workload", ["train_bigru_att_sst", "infer_bigru_att_sst"])
+def test_traced_smoke_run_ends_in_a_correct_result(workload):
     out = subprocess.run(
-        [sys.executable, "benchmarks/bench.py", "--workload", "train_bigru_att_sst",
+        [sys.executable, "benchmarks/bench.py", "--workload", workload,
          "--seed", "7", "--seconds", "1", "--trace", "1", "--scale", "smoke"],
         capture_output=True, text=True, cwd=ROOT, timeout=600)
     assert out.returncode == 0, out.stderr

@@ -80,6 +80,7 @@ def test_params_treebigru_attention_reports_discrepancy(capsys):
     assert "8317810" in out
     assert "268800" in out
     assert "270000" in out
+    assert "by 268800; 3*d^2 = 270000" in out and "leaves 1200 unexplained" in out
 
 
 def test_params_itemizes_tensors(capsys):
@@ -815,3 +816,59 @@ def test_train_rejects_non_finite_glove(data_dir, tmp_path, capsys):
     code = main(train_args(data_dir, tmp_path / "run", glove=glove))
     assert code == 2
     assert "glove.txt, line" in capsys.readouterr().err
+
+
+def edit_manifest(change):
+    """A file edit that passes ``change`` the parsed manifest to alter in place."""
+    def edit(ckpt):
+        magic, manifest, body = ckpt.read_bytes().split(b"\n", 2)
+        header = json.loads(manifest)
+        change(header)
+        ckpt.write_bytes(b"\n".join([magic, json.dumps(header).encode(), body]))
+    return edit
+
+
+def shorten_vocab(ckpt):
+    vocab = ckpt.parent / "vocab.txt"
+    words = vocab.read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(words[:-1]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit,fault", [
+    (lambda ckpt: ckpt.write_bytes(ckpt.read_bytes().replace(b'{"format', b'{format', 1)),
+     "{ckpt}: unreadable manifest"),
+    (edit_manifest(lambda h: h["tensors"][0].__setitem__(2, "<i4")),
+     "{ckpt}: unknown element type '<i4'"),
+    (lambda ckpt: ckpt.write_bytes(ckpt.read_bytes() + b"\0" * 8),
+     "{ckpt}: trailing bytes after last tensor"),
+    (edit_manifest(lambda h: h.update(variant="treebigru")),
+     "{ckpt}: tensor set does not match the declared variant"),
+    (edit_manifest(lambda h: h.update(variant="lstm")),
+     "{ckpt}: unknown variant 'lstm'"),
+    (lambda ckpt: (ckpt.parent / "vocab.txt").unlink(),
+     "missing vocabulary file {vocab}"),
+    (shorten_vocab,
+     "{vocab}: vocabulary size 18 does not match checkpoint {ckpt} (19)"),
+], ids=["not-json", "int32", "trailing-bytes", "other-variant", "unknown-variant",
+        "no-vocab", "short-vocab"])
+def test_predict_names_the_file_of_a_load_fault(tmp_path, capsys, edit, fault):
+    ckpt = save_model(tmp_path / "model")
+    edit(ckpt)
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 good)\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+    assert code == 2
+    want = "error: " + fault.format(ckpt=ckpt, vocab=ckpt.parent / "vocab.txt")
+    assert capsys.readouterr().err.startswith(want)
+
+
+def test_predict_keeps_line_numbers_across_a_blank_line(tmp_path, capsys):
+    ckpt = save_model(tmp_path / "model")
+    inp = tmp_path / "inp.txt"
+    inp.write_text("(0 good)\n\n(0 broken\n(0 (2 good) (2 bad) (2 movie))\n(0 fine)\n")
+    code = main(["predict", "--checkpoint", str(ckpt), "--input", str(inp)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.splitlines()) == 2
+    errors = captured.err.splitlines()
+    assert [line.split(":")[0] for line in errors] == ["line 3", "line 4"], errors

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from arbogru.autodiff import Tape, backward
-from arbogru.training import build_forest_graph, sentence_gradients
+from arbogru.training import SCORE_CHUNK, build_forest_graph, evaluate, sentence_gradients
+from arbogru.treebank import Corpus, Forest
 
 from conftest import random_params, synth_corpus, synth_vocab
 
@@ -152,6 +153,26 @@ def test_a_scoring_tape_holds_at_most_its_bound(variant, attention):
     matrix = forest.node_count * params.dim * 8
     assert SCORING_PEAK[variant] < PARENT_SCORING_PEAK[variant]
     assert peak <= SCORING_PEAK[variant] * matrix, peak / matrix
+
+
+def test_evaluate_holds_one_chunk_tape_at_a_time():
+    # three chunks of one size: evaluating them together peaks no higher
+    # than evaluating one alone, where holding the last chunk's tape while
+    # score builds the next would nearly double it
+    vocab = synth_vocab()
+    chunk = synth_corpus(SCORE_CHUNK, seed=5, max_nodes=41)
+    three = Corpus(Forest.concat([chunk.trees] * 3), "dev", "fine", 5)
+    params = random_params("treebigru", True, 32, vocab, seed=1)
+    peaks = []
+    for corpus in (chunk, three):
+        evaluate(corpus, params, vocab)  # warm every lazy cache
+        tracemalloc.start()
+        try:
+            evaluate(corpus, params, vocab)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # the tracemalloc peak of sentence_gradients below, in nodes x d float64

@@ -74,6 +74,27 @@ def test_init_deterministic():
         assert np.array_equal(one.tensors[name], two.tensors[name])
 
 
+@pytest.mark.parametrize("variant,drawn", [
+    ("treebigru", ("W_s_up", "W_s_dn", "W_w", "u_w", "W_s_att")),
+    ("treegru", ("W_s", "W_w", "u_w")),
+])
+def test_init_draws_in_a_fixed_order(variant, drawn):
+    # the embeddings first, then each randomized tensor in checkpoint
+    # order and nothing else: benchmarks/gen.py draws further weights from
+    # the same generator, so a reordered draw changes what they are
+    vocab = synth_vocab()
+    rng = np.random.default_rng(11)
+    params = init_params(variant, 4, vocab, 5, 2, rng, attention=True)
+    replay = np.random.default_rng(11)
+    assert np.array_equal(params.tensors["emb"],
+                          replay.uniform(-0.05, 0.05, (vocab.size, 4)))
+    for name in drawn:
+        shape = params.tensors[name].shape
+        assert np.array_equal(params.tensors[name],
+                              replay.standard_normal(shape) * 0.01), name
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_init_adopts_embeddings_of_its_dtype(dtype):
     vocab = synth_vocab()

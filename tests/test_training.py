@@ -626,6 +626,26 @@ def test_evaluate_in_chunks_equals_per_tree_scoring():
         assert got.loss == pytest.approx(loss / len(corpus), rel=1e-12)
 
 
+def test_score_cuts_a_forest_into_chunks_in_order():
+    from arbogru.training import SCORE_CHUNK, score
+
+    vocab = synth_vocab()
+    forest = synth_corpus(2 * SCORE_CHUNK + 5, seed=14, max_nodes=9).trees
+    params = random_params("treebigru", True, 4, vocab, seed=16)
+    full = Tape()
+    whole = build_forest_graph(full, forest, params, vocab)
+    sizes, labels, losses = [], [], []
+    for tape, graph in score(forest, params, vocab):
+        assert not tape.grad
+        sizes.append(len(graph.states.forest))
+        labels.append(graph.preds.labels)
+        losses.append(tape.value(graph.tree_losses))
+    assert sizes == [SCORE_CHUNK, SCORE_CHUNK, 5]
+    np.testing.assert_array_equal(np.concatenate(labels), whole.preds.labels)
+    np.testing.assert_allclose(np.concatenate(losses), full.value(whole.tree_losses),
+                               rtol=1e-12)
+
+
 def test_eval_mode_ignores_dropout_config():
     # dropout is a training-only concern; evaluation never draws masks
     vocab = synth_vocab()

@@ -72,6 +72,8 @@ def test_parse_error_names_offset():
     ("", "empty input"),
     ("(2 hi))", "trailing"),
     ("(2 hi extra)", "expected .\\)."),
+    ("good", "expected '\\(' at offset 0"),
+    ("(( 2 a))", "missing node label at offset 1"),
 ])
 def test_parse_rejects(line, fragment):
     with pytest.raises(TreebankError, match=fragment):
