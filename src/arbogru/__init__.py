@@ -9,8 +9,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import (EmbeddingMatrix, Vocabulary, build_vocab, load_glove,
                          load_vocab, random_embeddings, save_vocab)
 from .model import (AttentionResult, ModelParams, NodeStates, attention_pool,
-                    downward_pass, init_params, itemize_parameters,
-                    predict_nodes, upward_pass)
+                    downward_pass, init_params, predict_nodes, upward_pass)
 from .training import (Metrics, SplitCorpora, TrainConfig, TrainResult,
                        adagrad_step, evaluate, gradient_check, train)
 from .treebank import (Corpus, Forest, TreebankError, load_corpus,
@@ -55,7 +54,7 @@ __all__ = [
     "Vocabulary",
     "ValueRef", "adagrad_step", "attention_pool", "backward", "build_vocab",
     "downward_pass", "evaluate", "gradient_check",
-    "init_params", "itemize_parameters", "load_checkpoint", "load_corpus",
+    "init_params", "load_checkpoint", "load_corpus",
     "load_glove", "load_vocab", "parse_tree", "predict_nodes",
     "random_embeddings", "save_checkpoint", "save_vocab", "serialize_tree",
     "to_binary_task", "train", "upward_pass",

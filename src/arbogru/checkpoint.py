@@ -4,7 +4,8 @@ Layout: a magic line, one line of JSON manifest, then the raw
 little-endian IEEE-754 tensor bytes concatenated in manifest order.
 The version 2 manifest holds the format version, the variant, the
 attention flag and the attention score normalization, the defining
-dimensions, and an ordered list of (tensor name, shape, element type).
+dimensions, K (``max_children``, which must be ``treebank.MAX_CHILDREN``),
+and an ordered list of (tensor name, shape, element type).
 Version 1 files, which predate the normalization key, still load; they
 were always scored with softmax.  Loading then saving a version 2 file
 reproduces it byte for byte.
@@ -19,6 +20,7 @@ import os
 import numpy as np
 
 from .model import ATTENTION_NORMS, VARIANTS, ModelParams, param_shapes
+from .treebank import MAX_CHILDREN
 
 MAGIC = b"ARBOCKPT1\n"
 FORMAT_VERSION = 2
@@ -43,7 +45,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         "dim": params.dim,
         "vocab_size": params.vocab_size,
         "classes": params.classes,
-        "max_children": params.max_children,
+        "max_children": MAX_CHILDREN,
         "tensors": [
             [name, list(t.shape), _dtype_tag(t.dtype)]
             for name, t in params.tensors.items()
@@ -70,7 +72,7 @@ def load_checkpoint(path) -> ModelParams:
         if not isinstance(manifest, dict):
             raise CheckpointError(f"{path}: manifest is not a JSON object")
         version = manifest.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
             raise CheckpointError(f"{path}: unsupported format version {version}")
         norm = manifest.get("attention_norm") if version > 1 else "softmax"
         if norm not in ATTENTION_NORMS:
@@ -84,16 +86,15 @@ def load_checkpoint(path) -> ModelParams:
                     f"{path}: manifest key {key!r} must be of type {kind.__name__}")
         if manifest["variant"] not in VARIANTS:
             raise CheckpointError(f"{path}: unknown variant {manifest['variant']!r}")
+        if manifest["max_children"] != MAX_CHILDREN:
+            raise CheckpointError(f"{path}: max_children {manifest['max_children']} "
+                                  f"is not K={MAX_CHILDREN}")
         tensors: dict[str, np.ndarray] = {}
         left = os.fstat(handle.fileno()).st_size - handle.tell()  # unread bytes
         for row in manifest["tensors"]:
-            try:
-                name, shape, tag = row
-                shape = tuple(int(s) for s in shape)
-                if any(s < 0 for s in shape):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise CheckpointError(f"{path}: malformed tensor entry {row!r}") from None
+            if not _is_entry(row):
+                raise CheckpointError(f"{path}: malformed tensor entry {row!r}")
+            name, shape, tag = row
             dtype = _DTYPES.get(str(tag))
             if dtype is None:
                 raise CheckpointError(f"{path}: unknown element type {tag!r}")
@@ -109,15 +110,19 @@ def load_checkpoint(path) -> ModelParams:
         if left:
             raise CheckpointError(f"{path}: trailing bytes after last tensor")
 
-    params = ModelParams(manifest["variant"], manifest["attention"], norm,
-                         manifest["dim"], manifest["classes"],
-                         manifest["max_children"], tensors)
-    expected = param_shapes(params.variant, params.dim, manifest["vocab_size"],
-                            params.classes, params.max_children, params.attention)
-    got = {name: t.shape for name, t in tensors.items()}
-    if got != {name: tuple(s) for name, s in expected.items()}:
+    expected = param_shapes(manifest["variant"], manifest["dim"], manifest["vocab_size"],
+                            manifest["classes"], manifest["attention"])
+    if {name: t.shape for name, t in tensors.items()} != expected:
         raise CheckpointError(f"{path}: tensor set does not match the declared variant")
-    return params
+    return ModelParams(manifest["variant"], manifest["attention"], norm, tensors)
+
+
+def _is_entry(row) -> bool:
+    """Whether ``row`` is a [name, shape, element type] tensor entry: a
+    string name and a list of non-negative integer dimensions."""
+    return (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+            and isinstance(row[1], list)
+            and all(type(s) is int and s >= 0 for s in row[1]))
 
 
 def _read_finite(handle, t: np.ndarray) -> bool:

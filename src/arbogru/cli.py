@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -19,12 +20,12 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .embeddings import build_vocab, load_glove, load_vocab, save_vocab
-from .model import (ATTENTION_NORMS, MAX_CHILDREN, VARIANTS, init_params,
-                    itemize_parameters)
+from .model import ATTENTION_NORMS, VARIANTS, init_params, param_shapes
 from .training import (SCORE_CHUNK, SplitCorpora, TrainConfig, TrainingError,
                        evaluate, gradient_check, score, train)
-from .treebank import (BINARY_CLASSES, FINE_CLASSES, TASK_BINARY, TASK_FINE,
-                       Forest, TreebankError, load_corpus, open_text, parse_tree)
+from .treebank import (BINARY_CLASSES, FINE_CLASSES, MAX_CHILDREN, TASK_BINARY,
+                       TASK_FINE, Forest, TreebankError, load_corpus, open_text,
+                       parse_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -171,7 +172,7 @@ def run_train(args) -> int:
     _require(args.l2 >= 0.0, "--l2 must be nonnegative")
     _require(args.evals_per_epoch >= 1, "--evals-per-epoch must be at least 1")
 
-    corpora = SplitCorpora(*(_load_split(args.data, split, args.task, MAX_CHILDREN)
+    corpora = SplitCorpora(*(_load_split(args.data, split, args.task)
                              for split in ("train", "dev")))
     config = TrainConfig(
         variant=args.variant, attention=args.attention, task=args.task,
@@ -212,7 +213,7 @@ def run_train(args) -> int:
     manifest = asdict(config)
     manifest.update({
         "attention_norm": result.best_params.attention_norm,
-        "max_children": result.best_params.max_children,
+        "max_children": MAX_CHILDREN,
         "vocab_size": vocab.size,
         "classes": classes,
         "coverage": emb.coverage if emb else 0.0,
@@ -229,12 +230,12 @@ def run_train(args) -> int:
     return 0
 
 
-def _load_split(data: str, split: str, task: str, max_arity: int):
+def _load_split(data: str, split: str, task: str):
     """The corpus of treebank file ``<split>.txt`` under ``data``;
     UsageError if it is missing or holds no sentence the task keeps."""
     path = Path(data) / f"{split}.txt"
     _require(path.exists(), f"missing treebank file {path}")
-    corpus = load_corpus(path, task, max_arity=max_arity)
+    corpus = load_corpus(path, task)
     _require(len(corpus.trees) > 0, f"treebank file {path} holds no sentence" + (
         " with a non-neutral root" if task == TASK_BINARY else ""))
     return corpus
@@ -282,7 +283,7 @@ def run_eval(args) -> int:
              f"checkpoint has {params.classes} classes; eval scores "
              f"{FINE_CLASSES}-class ({TASK_FINE}) or "
              f"{BINARY_CLASSES}-class ({TASK_BINARY}) models")
-    corpus = _load_split(args.data, args.split, task, params.max_children)
+    corpus = _load_split(args.data, args.split, task)
     metrics = evaluate(corpus, params, vocab)
     print(f"root_accuracy {metrics.root_accuracy:.4f}")
     print(f"node_accuracy {metrics.node_accuracy:.4f}")
@@ -302,7 +303,7 @@ def run_predict(args) -> int:
             if not line:
                 continue
             try:
-                chunk.append(parse_tree(line, max_arity=params.max_children))
+                chunk.append(parse_tree(line))
             except TreebankError as err:
                 print(f"line {lineno}: {err}", file=sys.stderr)
                 failures += 1
@@ -346,15 +347,14 @@ def run_params(args) -> int:
     _require(args.dim > 0, "--dim must be positive")
     _require(args.vocab > 0, "--vocab must be positive")
     _require(args.classes >= 2, "--classes must be at least 2")
-    items = itemize_parameters(args.variant, args.dim, args.vocab, args.classes,
-                               attention=args.attention)
-    name_w = max(len("reference total"),
-                 max(len(name) for name, _, _ in items))
+    shapes = param_shapes(args.variant, args.dim, args.vocab, args.classes,
+                          attention=args.attention)
+    name_w = max(len("reference total"), max(len(name) for name in shapes))
     print(f"{'tensor':<{name_w}}  {'shape':>12}  {'parameters':>12}")
-    for name, shape, count in items:
+    for name, shape in shapes.items():
         pretty = "x".join(str(s) for s in shape)
-        print(f"{name:<{name_w}}  {pretty:>12}  {count:>12}")
-    total = sum(count for _, _, count in items)
+        print(f"{name:<{name_w}}  {pretty:>12}  {math.prod(shape):>12}")
+    total = sum(math.prod(shape) for shape in shapes.values())
     print(f"{'total':<{name_w}}  {'':>12}  {total:>12}")
 
     key = (args.variant, args.attention)

@@ -44,14 +44,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, ValueRef
 from .embeddings import Vocabulary, random_embeddings
-from .treebank import Forest
+from .treebank import MAX_CHILDREN, Forest
 
 VARIANT_TREEGRU = "treegru"
 VARIANT_TREEBIGRU = "treebigru"
 VARIANTS = (VARIANT_TREEGRU, VARIANT_TREEBIGRU)
 ATTENTION_NORMS = ("softmax", "linear")
 
-MAX_CHILDREN = 2  # K: trained models and the audit are binary-branching
 RECURRENT_INIT = 0.5   # identity scale for the square recurrent matrices
 CLASSIFIER_INIT = 0.01  # std-dev scale for classifier and attention draws
 
@@ -67,16 +66,16 @@ class ModelError(ValueError):
     pass
 
 
-def _gate_names(variant: str, max_children: int) -> dict[str, tuple]:
+def _gate_names(variant: str) -> dict[str, tuple]:
     """The (input, child, bias) tensor names of the gates of each direction
     ``variant`` runs, each list in gate order; a gate's child matrices run
-    slot by slot, ``max_children`` upward and one (the parent) downward."""
+    slot by slot, ``MAX_CHILDREN`` upward and one (the parent) downward."""
     if variant not in VARIANTS:
         raise ModelError(f"unknown variant {variant!r}")
     names = {}
     for direction in ("up", "down") if variant == VARIANT_TREEBIGRU else ("up",):
         u, w, b = _TENSORS[direction]
-        slots = range(1, (max_children if direction == "up" else 1) + 1)
+        slots = range(1, (MAX_CHILDREN if direction == "up" else 1) + 1)
         names[direction] = ([u.format(g=g) for g in _GATES],
                             [w.format(g=g, k=k) for g in _GATES for k in slots],
                             [b.format(g=g) for g in _GATES])
@@ -84,12 +83,11 @@ def _gate_names(variant: str, max_children: int) -> dict[str, tuple]:
 
 
 def param_shapes(variant: str, dim: int, vocab_size: int, classes: int,
-                 max_children: int = MAX_CHILDREN,
                  attention: bool = False) -> dict[str, tuple]:
     """Canonical (name -> shape) map; its order is the checkpoint order."""
     d, c = dim, classes
     shapes: dict[str, tuple] = {"emb": (vocab_size, d)}
-    for inputs, children, biases in _gate_names(variant, max_children).values():
+    for inputs, children, biases in _gate_names(variant).values():
         shapes.update(dict.fromkeys(inputs + children, (d, d)))
         shapes.update(dict.fromkeys(biases, (d,)))
     if variant == VARIANT_TREEBIGRU:
@@ -113,20 +111,26 @@ def is_bias(name: str) -> bool:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor, keyed by name, plus the defining dimensions
-    and the attention score normalization the model was trained with."""
+    """Every trainable tensor, keyed by name, plus the attention score
+    normalization the model was trained with; the sizes are read from the
+    tensors."""
 
     variant: str
     attention: bool
     attention_norm: str
-    dim: int
-    classes: int
-    max_children: int
     tensors: dict[str, np.ndarray]
+
+    @property
+    def dim(self) -> int:
+        return self.tensors["emb"].shape[1]
 
     @property
     def vocab_size(self) -> int:
         return self.tensors["emb"].shape[0]
+
+    @property
+    def classes(self) -> int:
+        return self.tensors["b_s"].shape[0]
 
     @property
     def dtype(self):
@@ -134,7 +138,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.variant, self.attention, self.attention_norm,
-                           self.dim, self.classes, self.max_children,
                            {name: t.copy() for name, t in self.tensors.items()})
 
     def total_parameters(self) -> int:
@@ -152,12 +155,15 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
     draws one from ``rng`` before any other tensor.  A matrix already in
     ``dtype`` becomes the ``emb`` parameter itself, so training updates
     the caller's array; another dtype is copied.  ``attention_norm`` (one of ATTENTION_NORMS)
-    travels with the parameters into the checkpoint.
+    travels with the parameters into the checkpoint.  ``max_children`` is
+    kept for callers that pass K positionally; it must be ``MAX_CHILDREN``.
     """
-    shapes = param_shapes(variant, dim, vocab.size, classes, max_children, attention)
+    if max_children != MAX_CHILDREN:
+        raise ModelError(f"max_children {max_children} is not K={MAX_CHILDREN}")
+    shapes = param_shapes(variant, dim, vocab.size, classes, attention)
     if embeddings is None:
         embeddings = random_embeddings(vocab, dim, rng, dtype)
-    square = {name for inputs, children, _ in _gate_names(variant, max_children).values()
+    square = {name for inputs, children, _ in _gate_names(variant).values()
               for name in inputs + children}
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
@@ -172,25 +178,17 @@ def init_params(variant: str, dim: int, vocab: Vocabulary, classes: int,
             tensors[name] = (RECURRENT_INIT * np.eye(dim)).astype(dtype)
         else:
             tensors[name] = (rng.standard_normal(shape) * CLASSIFIER_INIT).astype(dtype)
-    return ModelParams(variant, attention, attention_norm, dim, classes,
-                       max_children, tensors)
+    return ModelParams(variant, attention, attention_norm, tensors)
 
 
 # ---------------------------------------------------------------------------
 # forest layout and tape plumbing
 
-def child_slots(forest: Forest, max_children: int) -> np.ndarray:
-    """Row j lists node j's children in slot order, -1 for none; a node
-    with more than ``max_children`` (K) children raises ModelError naming
-    its tree's position."""
-    wide = forest.slots >= max_children
-    if wide.any():
-        node = forest.parents[wide].min()  # the first wide node in pre-order
-        arity = forest.slots[forest.parents == node].max() + 1
-        tree = np.searchsorted(forest.offsets, node, side="right") - 1
-        raise ModelError(f"node arity {arity} exceeds K={max_children} in tree {tree}")
+def child_slots(forest: Forest) -> np.ndarray:
+    """Row j lists node j's children in slot order, -1 for none; the
+    parser builds no node wider than ``MAX_CHILDREN``."""
     kids = np.flatnonzero(forest.parents >= 0)
-    slots = np.full((forest.node_count, max_children), -1, dtype=np.intp)
+    slots = np.full((forest.node_count, MAX_CHILDREN), -1, dtype=np.intp)
     slots[forest.parents[kids], forest.slots[kids]] = kids
     return slots
 
@@ -304,7 +302,7 @@ def gru_tree(tape: Tape, params: ModelParams, direction: str, inputs: ValueRef,
     children once into a child buffer of its own.
     """
     n, n_kids = slots.shape
-    us, ws, bs = _gate_names(params.variant, params.max_children)[direction]
+    us, ws, bs = _gate_names(params.variant)[direction]
     gate_refs = [[_param(tape, params, key)  # each gate's U, b, W_1..W_K
                   for key in (u, b, *ws[i * n_kids:(i + 1) * n_kids])]
                  for i, (u, b) in enumerate(zip(us, bs))]
@@ -474,7 +472,7 @@ def upward_pass(forest: Forest, params: ModelParams, tape: Tape, vocab: Vocabula
     masked) embedding row ``vocab.lookup`` gives its word, and only leaves
     have an input.  One call per tape: the tape's ``"emb"`` leaf holds
     this forest's rows."""
-    slots = child_slots(forest, params.max_children)
+    slots = child_slots(forest)
     leaves = np.flatnonzero(forest.heights == 0)
     ids = [vocab.lookup(forest.lexicon[w]) for w in forest.words[leaves].tolist()]
     rows, index = np.unique(np.array(ids, dtype=np.intp), return_inverse=True)
@@ -573,13 +571,3 @@ def predict_nodes(states: NodeStates, params: ModelParams, tape: Tape,
     e = np.exp(x - np.max(x, axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     return NodePredictions(logits, probs, probs.argmax(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# parameter audit
-
-def itemize_parameters(variant: str, dim: int, vocab_size: int, classes: int,
-                       max_children: int = MAX_CHILDREN, attention: bool = False):
-    """(name, shape, count) per tensor, in canonical order."""
-    shapes = param_shapes(variant, dim, vocab_size, classes, max_children, attention)
-    return [(name, shape, int(np.prod(shape))) for name, shape in shapes.items()]

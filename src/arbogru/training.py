@@ -25,7 +25,8 @@ from . import autodiff as ad
 from . import model as m
 from .autodiff import Tape
 from .embeddings import Vocabulary, build_vocab
-from .treebank import FINE_CLASSES, TASK_FINE, Corpus, Forest, random_tree
+from .treebank import (FINE_CLASSES, MAX_CHILDREN, TASK_FINE, Corpus, Forest,
+                       random_tree)
 
 log = logging.getLogger("arbogru")
 
@@ -384,7 +385,7 @@ def gradient_check(variant: str, attention: bool, dim: int, trees: int = 3,
     l2 = TrainConfig.l2
     forest = Forest.concat([random_tree(rng, _CHECK_TOKENS) for _ in range(trees)])
     vocab = build_vocab(Corpus(forest, "check", TASK_FINE, FINE_CLASSES))
-    params = m.init_params(variant, dim, vocab, FINE_CLASSES, m.MAX_CHILDREN, rng,
+    params = m.init_params(variant, dim, vocab, FINE_CLASSES, MAX_CHILDREN, rng,
                            attention=attention, attention_norm=attention_norm)
     for name, t in params.tensors.items():
         params.tensors[name] = rng.uniform(-0.5, 0.5, t.shape)

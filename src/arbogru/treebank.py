@@ -3,7 +3,8 @@
 The input format is one parenthesized tree per line, e.g.
 ``(3 (2 good) (2 movie))``.  Every node opens with an integer sentiment
 label; a leaf carries exactly one token and an internal node carries one
-or more children.  Trees are kept lossless (tokens case-sensitive as
+or two children (``MAX_CHILDREN``): the sentiment treebank's trees are
+binarized.  Trees are kept lossless (tokens case-sensitive as
 found in the file); any case folding happens at embedding lookup.
 
 The one tree type is the ``Forest``: flat per-node columns in pre-order
@@ -25,6 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 FINE_CLASSES = 5
+MAX_CHILDREN = 2  # K: the treebank's trees are binarized
 BINARY_CLASSES = 2
 TASK_FINE = "fine"
 TASK_BINARY = "binary"
@@ -156,18 +158,18 @@ class _Columns:
                       np.asarray(offsets, np.int64), words)
 
 
-def parse_tree(line: str, max_arity: Optional[int] = None) -> Forest:
+def parse_tree(line: str) -> Forest:
     """Parse one parenthesized tree into a forest of one.
 
     Raises TreebankError (with the character offset) on unbalanced
     parentheses, non-integer labels, labels outside
     ``0..FINE_CLASSES-1``, empty nodes, and nodes with more than
-    ``max_arity`` children (if given; the offset is the node's closing
+    ``MAX_CHILDREN`` children (the offset is the node's closing
     parenthesis).  Open nodes wait on an explicit stack, so depth is
     limited only by memory.
     """
     columns, lexicon = _Columns(), {}
-    _parse_into(columns, line, max_arity, lexicon)
+    _parse_into(columns, line, lexicon)
     return columns.forest([0, len(columns.parents)], list(lexicon))
 
 
@@ -176,8 +178,7 @@ def LabeledTree(label: int, token: str) -> Forest:
     return parse_tree(f"({label} {token})")
 
 
-def _parse_into(columns: _Columns, line: str, max_arity: Optional[int],
-                lexicon: dict) -> None:
+def _parse_into(columns: _Columns, line: str, lexicon: dict) -> None:
     """Append the nodes of the tree ``line`` to ``columns``; a new word
     enters ``lexicon`` (word -> index) in first-occurrence order."""
     tokens = _tokens(line)
@@ -234,8 +235,8 @@ def _parse_into(columns: _Columns, line: str, max_arity: Optional[int],
                 _close(line, tokens, i)
             i += 1
             row, arity, height = open_nodes.pop()
-            if max_arity is not None and arity > max_arity:
-                raise TreebankError(f"node arity {arity} exceeds K={max_arity}",
+            if arity > MAX_CHILDREN:
+                raise TreebankError(f"node arity {arity} exceeds K={MAX_CHILDREN}",
                                     _offset(line, i - 1))
             heights[row] = height
         else:
@@ -326,14 +327,13 @@ def open_text(path, error):
         raise error(f"{path}, line {lineno}: not UTF-8 text") from None
 
 
-def load_corpus(path, task: str = TASK_FINE,
-                max_arity: Optional[int] = None) -> Corpus:
+def load_corpus(path, task: str = TASK_FINE) -> Corpus:
     """Load a treebank file (one tree per line; blank lines skipped) as
     the split named by the file's base name.
 
     The file is always in fine-grained (5-class) form; ``task="binary"``
     applies to_binary_task after loading.  Parse errors, including a
-    node wider than ``max_arity``, are re-raised with the file and the
+    node wider than ``MAX_CHILDREN``, are re-raised with the file and the
     offending line number, and so is a line that is not UTF-8.  The trees
     are parsed straight into the columns of one forest.
     """
@@ -347,7 +347,7 @@ def load_corpus(path, task: str = TASK_FINE,
             if not line:
                 continue
             try:
-                _parse_into(columns, line, max_arity, lexicon)
+                _parse_into(columns, line, lexicon)
             except TreebankError as err:
                 raise TreebankError(f"{path}, line {lineno}: {err}") from None
             offsets.append(len(columns.parents))

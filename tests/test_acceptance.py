@@ -10,6 +10,7 @@ read them from the environment:
 and are skipped with instructions when unset.
 """
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -19,8 +20,8 @@ import pytest
 
 from arbogru.cli import main as cli_main
 from arbogru.embeddings import build_vocab, load_glove
-from arbogru.model import (attention_pool, downward_pass, init_params,
-                           itemize_parameters, upward_pass)
+from arbogru.model import (attention_pool, downward_pass, init_params, param_shapes,
+                           upward_pass)
 from arbogru.autodiff import Tape
 from arbogru.training import (SplitCorpora, TrainConfig, build_forest_graph,
                               evaluate, gradient_check, train)
@@ -117,8 +118,8 @@ def test_criterion_2_forward_oracle_equivalence():
 def test_criterion_3_parameter_audit(capsys):
     with criterion(3, "parameter audit reproduces the reference totals"):
         for attention, total in ((False, 7_323_005), (True, 7_413_605)):
-            items = itemize_parameters("treegru", 300, 21702, 5, 2, attention)
-            assert sum(count for _, _, count in items) == total
+            shapes = param_shapes("treegru", 300, 21702, 5, attention)
+            assert sum(math.prod(shape) for shape in shapes.values()) == total
 
         assert cli_main(["params", "--variant", "treegru"]) == 0
         out = capsys.readouterr().out

@@ -6,8 +6,8 @@ deleting one of these functions would quietly drop benchmark figures.
 The benchmark also builds and walks trees through the package's tree
 surface (``LabeledTree``, ``Corpus`` of a list, ``label``, ``children``,
 ``build_sentence_graph``), and its infer workload writes its checkpoint
-through ``init_params``; traced smoke runs of the SST training workload
-and of the infer workload exercise these.
+through ``init_params``; a traced smoke run of each workload exercises
+these.
 """
 
 import importlib
@@ -43,7 +43,8 @@ def test_every_benchmark_span_names_a_package_callable():
     assert not missing, f"spans without a function: {missing}"
 
 
-@pytest.mark.parametrize("workload", ["train_bigru_att_sst", "infer_bigru_att_sst"])
+@pytest.mark.parametrize("workload", ["train_bigru_att_sst", "infer_bigru_att_sst",
+                                      "train_gru_deep"])
 def test_traced_smoke_run_ends_in_a_correct_result(workload):
     out = subprocess.run(
         [sys.executable, "benchmarks/bench.py", "--workload", workload,

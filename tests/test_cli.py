@@ -845,12 +845,16 @@ def shorten_vocab(ckpt):
      "{ckpt}: tensor set does not match the declared variant"),
     (edit_manifest(lambda h: h.update(variant="lstm")),
      "{ckpt}: unknown variant 'lstm'"),
+    (edit_manifest(lambda h: h["tensors"][0][1].__setitem__(0, 18.7)),
+     "{ckpt}: malformed tensor entry"),
+    (edit_manifest(lambda h: h.update(max_children=3)),
+     "{ckpt}: max_children 3 is not K=2"),
     (lambda ckpt: (ckpt.parent / "vocab.txt").unlink(),
      "missing vocabulary file {vocab}"),
     (shorten_vocab,
      "{vocab}: vocabulary size 18 does not match checkpoint {ckpt} (19)"),
 ], ids=["not-json", "int32", "trailing-bytes", "other-variant", "unknown-variant",
-        "no-vocab", "short-vocab"])
+        "float-dimension", "wide-k", "no-vocab", "short-vocab"])
 def test_predict_names_the_file_of_a_load_fault(tmp_path, capsys, edit, fault):
     ckpt = save_model(tmp_path / "model")
     edit(ckpt)

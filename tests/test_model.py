@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+import re
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from arbogru.autodiff import Tape
 from arbogru.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from arbogru.embeddings import build_vocab, random_embeddings
 from arbogru.model import (ModelError, _sigmoid, attention_pool, child_slots,
-                           downward_pass, init_params, itemize_parameters,
+                           downward_pass, init_params, param_shapes,
                            predict_nodes, upward_pass)
 from arbogru.treebank import Corpus, Forest, LabeledTree, parse_tree, serialize_tree
 
@@ -138,14 +140,6 @@ def test_upward_leaf_scalar_hand_values():
     assert tape.value(states.H_up)[0, 0] == pytest.approx(0.1744680, abs=1e-6)
 
 
-def test_upward_rejects_wide_nodes():
-    vocab = synth_vocab()
-    params = init_params("treegru", 4, vocab, 5, 2, np.random.default_rng(0))
-    wide = parse_tree("(2 " + " ".join(f"(2 {w})" for w in WORDS[:3]) + ")")
-    with pytest.raises(ModelError, match="arity"):
-        upward_pass(wide, params, Tape(), vocab)
-
-
 def test_upward_matches_oracle():
     vocab = synth_vocab()
     for seed in range(25):
@@ -244,13 +238,11 @@ def test_index_tree_slots_heights_depths():
     idx = parse_tree(SHAPED)
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3]
     assert idx.slots.tolist() == [0, 0, 0, 1, 0, 1]
-    assert child_slots(idx, 2).tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5],
+    assert child_slots(idx).tolist() == [[1, 3], [2, -1], [-1, -1], [4, 5],
                                             [-1, -1], [-1, -1]]
     assert idx.heights.tolist() == [2, 1, 0, 1, 0, 0]
     assert idx.depths.tolist() == [0, 1, 2, 1, 2, 2]
     assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2]
-    with pytest.raises(ModelError, match="arity 2 exceeds K=1"):
-        child_slots(idx, 1)
 
 
 def test_index_tree_lays_out_a_forest():
@@ -258,7 +250,7 @@ def test_index_tree_lays_out_a_forest():
     # tree's offset, -1 stays "none", and the roots sit at the offsets
     one = parse_tree(SHAPED)
     idx = Forest.concat([one, parse_tree("(0 awful)"), parse_tree(SHAPED)])
-    slots, one_slots = child_slots(idx, 2), child_slots(one, 2)
+    slots, one_slots = child_slots(idx), child_slots(one)
     assert idx.offsets.tolist() == [0, 6, 7, 13]
     assert idx.roots.tolist() == [0, 6, 7]
     assert idx.parents.tolist() == [-1, 0, 1, 0, 3, 3, -1, -1, 7, 8, 7, 10, 10]
@@ -267,12 +259,6 @@ def test_index_tree_lays_out_a_forest():
     assert idx.heights.tolist() == one.heights.tolist() + [0] + one.heights.tolist()
     assert idx.depths.tolist() == one.depths.tolist() + [0] + one.depths.tolist()
     assert idx.gold.tolist() == [3, 1, 2, 4, 2, 2, 0, 3, 1, 2, 4, 2, 2]
-
-
-def test_index_tree_names_the_tree_with_a_wide_node():
-    wide = parse_tree("(2 " + " ".join(f"(2 {w})" for w in WORDS[:3]) + ")")
-    with pytest.raises(ModelError, match="arity 3 exceeds K=2 in tree 2"):
-        child_slots(Forest.concat([parse_tree(SHAPED), parse_tree("(0 awful)"), wide]), 2)
 
 
 @pytest.mark.parametrize("variant,attention,norm", FOREST_CASES)
@@ -450,7 +436,7 @@ PADDED_FOREST = ("(3 (2 (2 good) (2 movie)) (1 (1 dull)))", "(1 (1 (2 (1 bad))))
 def test_gru_tree_matches_finite_differences_over_pad_slots():
     vocab = synth_vocab()
     trees = Forest.concat([parse_tree(s) for s in PADDED_FOREST])
-    second = [child_slots(trees, 2)[trees.heights == h, 1] for h in (1, 2, 3)]
+    second = [child_slots(trees)[trees.heights == h, 1] for h in (1, 2, 3)]
     assert all((kids >= 0).any() and (kids < 0).any() for kids in second[:2])
     assert (second[2] < 0).all()
     params = random_params("treebigru", False, 3, vocab, seed=5, scale=0.8)
@@ -582,7 +568,7 @@ def test_sibling_permutation_with_swapped_weights():
     def mirror(tree):
         # each node's line, children first, over its children's lines in
         # reverse slot order
-        slots, lines = child_slots(tree, 2), {}
+        slots, lines = child_slots(tree), {}
         for j in reversed(range(tree.node_count)):
             kids = [lines[k] for k in slots[j][::-1] if k >= 0]
             body = kids or [tree.lexicon[tree.words[j]]]
@@ -597,7 +583,7 @@ def test_sibling_permutation_with_swapped_weights():
     s2 = upward_pass(mirrored_tree, swapped, t2, vocab)
     # row i of the tree against row j of the mirror, children paired in
     # reverse slot order
-    slots, mirrored_slots = child_slots(tree, 2), child_slots(mirrored_tree, 2)
+    slots, mirrored_slots = child_slots(tree), child_slots(mirrored_tree)
     pairs = [(0, 0)]
     while pairs:
         i, j = pairs.pop()
@@ -852,19 +838,24 @@ def test_gates_bounded_and_finite():
 # ---------------------------------------------------------------------------
 # parameter audit
 
+def counts(*config):
+    """Parameter count per tensor, in canonical order."""
+    return {name: math.prod(shape) for name, shape in param_shapes(*config).items()}
+
+
 def total_parameters(*config):
-    return sum(count for _, _, count in itemize_parameters(*config))
+    return sum(counts(*config).values())
 
 
 def test_count_parameters_toy():
-    assert total_parameters("treegru", 2, 3, 2, 2, False) == 54
+    assert total_parameters("treegru", 2, 3, 2, False) == 54
 
 
 def test_count_parameters_reference_config():
-    assert total_parameters("treegru", 300, 21702, 5, 2, False) == 7_323_005
-    assert total_parameters("treegru", 300, 21702, 5, 2, True) == 7_413_605
-    assert total_parameters("treebigru", 300, 21702, 5, 2, False) == 7_865_405
-    assert total_parameters("treebigru", 300, 21702, 5, 2, True) == 8_049_010
+    assert total_parameters("treegru", 300, 21702, 5, False) == 7_323_005
+    assert total_parameters("treegru", 300, 21702, 5, True) == 7_413_605
+    assert total_parameters("treebigru", 300, 21702, 5, False) == 7_865_405
+    assert total_parameters("treebigru", 300, 21702, 5, True) == 8_049_010
 
 
 def test_itemize_matches_init():
@@ -872,17 +863,22 @@ def test_itemize_matches_init():
     for variant, attention in VARIANT_CASES:
         params = init_params(variant, 7, vocab, 5, 2, np.random.default_rng(0),
                              attention=attention)
-        items = itemize_parameters(variant, 7, vocab.size, 5, 2, attention)
-        assert [name for name, _, _ in items] == list(params.tensors)
-        for name, shape, count in items:
+        shapes = param_shapes(variant, 7, vocab.size, 5, attention)
+        assert list(shapes) == list(params.tensors)
+        for name, shape in shapes.items():
             assert params.tensors[name].shape == shape
-            assert params.tensors[name].size == count
-        assert params.total_parameters() == sum(c for _, _, c in items)
+        assert params.total_parameters() == total_parameters(
+            variant, 7, vocab.size, 5, attention)
+        assert (params.dim, params.vocab_size, params.classes) == (7, vocab.size, 5)
+
+
+def test_init_refuses_a_k_other_than_two():
+    with pytest.raises(ModelError, match="max_children 3 is not K=2"):
+        init_params("treegru", 4, synth_vocab(), 5, 3, np.random.default_rng(0))
 
 
 def test_itemized_breakdown_treegru_reference():
-    items = dict((name, count) for name, _, count in
-                 itemize_parameters("treegru", 300, 21702, 5, 2, False))
+    items = counts("treegru", 300, 21702, 5, False)
     assert items["emb"] == 6_510_600
     assert items["U_z"] + items["U_r"] + items["U_h"] == 270_000
     assert sum(v for k, v in items.items() if k.startswith("W_") and k[2] in "zrh") \
@@ -892,10 +888,8 @@ def test_itemized_breakdown_treegru_reference():
 
 
 def test_attention_adds_expected_tensors():
-    base = dict((n, c) for n, _, c in
-                itemize_parameters("treegru", 300, 21702, 5, 2, False))
-    with_att = dict((n, c) for n, _, c in
-                    itemize_parameters("treegru", 300, 21702, 5, 2, True))
+    base = counts("treegru", 300, 21702, 5, False)
+    with_att = counts("treegru", 300, 21702, 5, True)
     added = {k: v for k, v in with_att.items() if k not in base}
     assert added == {"W_w": 90_000, "b_w": 300, "u_w": 300}
 
@@ -911,6 +905,10 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
         first = tmp_path / f"{variant}_{attention}.bin"
         save_checkpoint(first, params)
         loaded = load_checkpoint(first)
+        manifest = json.loads(first.read_bytes().split(b"\n")[1])
+        assert (loaded.dim, loaded.classes, loaded.vocab_size) == (
+            manifest["dim"], manifest["classes"], manifest["vocab_size"]) == (6, 5, vocab.size)
+        assert manifest["max_children"] == 2
         assert loaded.variant == params.variant
         assert loaded.attention == params.attention
         assert loaded.attention_norm == params.attention_norm
@@ -993,13 +991,23 @@ def test_checkpoint_manifest_types_checked(tmp_path):
         write_checkpoint_by_hand(path, dict(good, **{key: bad}), params.tensors)
         with pytest.raises(CheckpointError, match=f"'{key}' must be of type"):
             load_checkpoint(path)
-    for entry in (["emb", 3], ["emb", [-1, 3], "<f8"]):
+    rows = vocab.size
+    for entry in (["emb", 3], ["emb", [-1, 3], "<f8"], [["emb"], [rows, 3], "<f8"],
+                  [{"a": 1}, [rows, 3], "<f8"], ["emb", [1e400, 3], "<f8"],
+                  ["emb", [rows + 0.7, 3], "<f8"], ["emb", [float(rows), 3], "<f8"],
+                  ["emb", [rows, True], "<f8"], ["emb", "13", "<f8"], "emb"):
         broken = dict(good, tensors=[entry] + good["tensors"][1:])
         write_checkpoint_by_hand(path, broken, params.tensors)
-        with pytest.raises(CheckpointError, match="malformed tensor entry"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: malformed tensor entry"):
+            load_checkpoint(path)
+    for change, message in (({"format_version": True}, "unsupported format version"),
+                            ({"max_children": 3}, "max_children 3 is not K=2")):
+        write_checkpoint_by_hand(path, dict(good, **change), params.tensors)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
     write_checkpoint_by_hand(path, good, params.tensors)
-    assert load_checkpoint(path).max_children == 2
+    loaded = load_checkpoint(path)
+    assert (loaded.dim, loaded.classes, loaded.vocab_size) == (3, 5, vocab.size)
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -91,7 +91,7 @@ def binary_tree(node):
 
 def forest_index(forest):
     leaves = forest.words[forest.words >= 0]
-    return (forest.parents.tolist(), child_slots(forest, 2).tolist(),
+    return (forest.parents.tolist(), child_slots(forest).tolist(),
             forest.heights.tolist(), forest.depths.tolist(), forest.gold.tolist(),
             [forest.lexicon[w] for w in leaves], forest.offsets.tolist())
 

@@ -74,6 +74,7 @@ def test_parse_error_names_offset():
     ("(2 hi extra)", "expected .\\)."),
     ("good", "expected '\\(' at offset 0"),
     ("(( 2 a))", "missing node label at offset 1"),
+    ("(2 (2 a) (2 b) (2 c))", "node arity 3 exceeds K=2 at offset 20"),
 ])
 def test_parse_rejects(line, fragment):
     with pytest.raises(TreebankError, match=fragment):
@@ -226,13 +227,13 @@ def test_deep_chain_loads_batches_and_serializes(tmp_path):
     line = "(3 " * depth + "(4 good)" + ")" * depth
     path = tmp_path / "deep.txt"
     path.write_text(line + "\n(1 bad)\n")
-    forest = load_corpus(path, max_arity=2).trees
+    forest = load_corpus(path).trees
     assert forest.offsets.tolist() == [0, depth + 1, depth + 2]
     assert forest.heights[0] == forest.depths[depth] == depth
     batch = forest.select([1, 0])  # the short tree first: the chain shifts by one
     assert batch.offsets.tolist() == [0, 1, depth + 2]
     assert batch.parents[1:].tolist() == [-1] + list(range(1, depth + 1))
-    slots = child_slots(batch, 2)
+    slots = child_slots(batch)
     assert slots[1:depth + 1, 0].tolist() == list(range(2, depth + 2))
     assert (slots[:, 1] == -1).all()
     assert serialize_tree(batch[1]) == line

@@ -15,7 +15,9 @@ Batch i times three calls, once per side, alternating which side goes
 first; a split's blocks wrap round when it runs out:
 
 - ``sentence_gradients`` on the i-th 25 training sentences (no dropout);
-- ``evaluate`` on the i-th 26 test sentences;
+- ``evaluate`` on the i-th ``TEST_BLOCK`` (52) test sentences: two
+  scoring chunks of ``training.SCORE_CHUNK`` (32 + 20), so the traced
+  peak shows a change that keeps two chunks' tapes alive at once;
 - ``train``: one epoch on the i-th 25 training sentences with the i-th
   13 dev sentences, ``TrainConfig(..., epochs=1, seed=seed + i)``, as
   ``benchmarks/bench.py`` times it.  Each batch trains a fresh copy of
@@ -52,6 +54,7 @@ SIDES = ("parent", "change")
 CALLS = ("sentence_gradients", "evaluate", "train")
 WARMUP = 3
 BATCHES = 40
+TEST_BLOCK = 52  # test sentences per evaluate call: two scoring chunks
 
 
 def load_package(checkout: str, name: str):
@@ -136,8 +139,9 @@ def run(parent: str, change: str, workload: str, seed: int, scale: str) -> dict:
         raise SystemExit(f"ab_inprocess: {workload} is not a training workload")
     with tempfile.TemporaryDirectory(prefix="ab_inprocess_") as data_dir:
         gen.generate(workload, seed, data_dir, scale)
+        blocks = dict(gen.BLOCKS, test=TEST_BLOCK)
         sides = {name: Side(name, path, data_dir, spec, gen.SCALES[scale]["dim"], seed,
-                            gen.BLOCKS)
+                            blocks)
                  for name, path in zip(SIDES, (parent, change))}
     times = {call: {name: [] for name in SIDES} for call in CALLS}
     worst = 0.0
